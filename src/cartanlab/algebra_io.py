@@ -8,10 +8,9 @@ of parse -> serialize, so files can be diffed byte for byte.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .liealg import LieAlgebra
-from .scalars import Scalar
+from .scalars import Scalar, parse_rational
 
 
 class AlgebraFileError(ValueError):
@@ -43,7 +42,7 @@ def algebra_from_dict(data: dict) -> LieAlgebra:
                 k = int(term["k"])
                 if not (1 <= k <= dim):
                     raise AlgebraFileError(f"bracket target {k} out of range")
-                terms[k] = Scalar(Fraction(term["re"]), Fraction(term.get("im", "0")))
+                terms[k] = Scalar(parse_rational(term["re"]), parse_rational(term.get("im", "0")))
             if (i, j) in brackets:
                 raise AlgebraFileError(f"duplicate bracket pair ({i},{j})")
             brackets[(i, j)] = terms
@@ -94,10 +93,10 @@ def load_matrix_text(text: str):
             for cell in raw:
                 if isinstance(cell, dict):
                     row.append(
-                        Scalar(Fraction(cell["re"]), Fraction(cell.get("im", "0")))
+                        Scalar(parse_rational(cell["re"]), parse_rational(cell.get("im", "0")))
                     )
                 elif isinstance(cell, (str, int)):
-                    row.append(Scalar(Fraction(cell)))
+                    row.append(Scalar(parse_rational(cell)))
                 else:
                     raise AlgebraFileError(f"bad matrix entry {cell!r}")
             rows.append(tuple(row))
@@ -117,7 +116,7 @@ def parse_covector(text: str):
     """Comma-separated rationals, e.g. "1,0,-2/3"."""
     parts = [p.strip() for p in text.split(",")]
     try:
-        return [Fraction(p) for p in parts]
+        return [parse_rational(p) for p in parts]
     except ValueError as exc:
         raise AlgebraFileError(f"bad covector coefficient: {exc}") from exc
 

@@ -34,8 +34,8 @@ from typing import Optional
 from .deformation import BilinearMap, DeformationSpec, bilinear_from_endomorphism
 from .forms import DualForm
 from .liealg import LieAlgebra
-from .scalars import ONE, ZERO, Scalar
-from .structure import PreconditionError, jacobi_check
+from .scalars import ONE, ZERO, Scalar, parse_rational
+from .structure import PreconditionError, jacobi_check, jacobi_defects
 
 
 class NonJacobiDisplayError(ValueError):
@@ -457,20 +457,7 @@ def filiform_contact_closure(p: int, coeffs) -> list:
     if len(a) != p - 1:
         raise PreconditionError("need p-1 cocycle coefficients")
     g = filiform_contact(p, a, allow_nonjacobi=True).algebra
-    out = []
-    n = g.dim
-    for i in range(2, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                defect = (
-                    g.bracket(g.bracket_basis(i, j), g.basis_vector(k))
-                    + g.bracket(g.bracket_basis(j, k), g.basis_vector(i))
-                    + g.bracket(g.bracket_basis(k, i), g.basis_vector(j))
-                )
-                for comp in defect.comps:
-                    if comp:
-                        out.append(comp)
-    return out
+    return [comp for *_, defect in jacobi_defects(g, first=2) for comp in defect.comps if comp]
 
 
 def mu_c9(a, allow_nonjacobi: bool = False) -> CatalogEntry:
@@ -572,8 +559,10 @@ def _parse_value(tok: str):
     except ValueError:
         pass
     try:
-        return Fraction(tok)
+        return parse_rational(tok)
     except ValueError:
+        if "/" in tok:
+            raise  # a malformed rational such as "1/0", not a bare word
         return tok  # bare word, e.g. a dim3 kind or dim5 variant name
 
 

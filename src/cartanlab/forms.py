@@ -17,36 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import exterior
 from .liealg import LieAlgebra, Subspace, Vector, kernel_subspace
 from .scalars import ONE, ZERO, Scalar
 
 
 class FormError(ValueError):
     pass
-
-
-def _merge_sign(a: tuple, b: tuple):
-    """Sign of sorting the concatenation of two increasing index tuples.
-
-    Returns (sorted tuple, sign) or (None, 0) when an index repeats.
-    """
-    inversions = 0
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None, 0
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining entries of a
-            inversions += len(a) - i
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), (-1) ** (inversions & 1)
 
 
 class DualForm:
@@ -59,19 +36,7 @@ class DualForm:
             raise FormError("grade must be nonnegative")
         self.algebra = algebra
         self.grade = grade
-        clean = {}
-        for idx, v in (coeffs or {}).items():
-            idx = tuple(idx)
-            if len(idx) != grade:
-                raise FormError("index tuple length does not match grade")
-            if any(not (1 <= t <= algebra.dim) for t in idx):
-                raise FormError("form index out of range")
-            if any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
-                raise FormError("index tuples must be strictly increasing")
-            v = Scalar.of(v)
-            if v:
-                clean[idx] = v
-        self.coeffs = clean
+        self.coeffs = exterior.normalize(coeffs, grade, 1, algebra.dim + 1, Scalar.of, FormError)
 
     # -- constructors -----------------------------------------------------
 
@@ -92,9 +57,7 @@ class DualForm:
         comps = list(comps)
         if len(comps) != algebra.dim:
             raise FormError("covector length does not match dimension")
-        return DualForm(
-            algebra, 1, {(i + 1,): comps[i] for i in range(len(comps)) if Scalar.of(comps[i])}
-        )
+        return DualForm(algebra, 1, {(i + 1,): c for i, c in enumerate(comps)})
 
     # -- basic algebra -----------------------------------------------------
 
@@ -104,26 +67,16 @@ class DualForm:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for idx, v in other.coeffs.items():
-            w = out.get(idx, ZERO) + v
-            if w:
-                out[idx] = w
-            else:
-                out.pop(idx, None)
-        return DualForm(self.algebra, self.grade, out)
+        return DualForm(self.algebra, self.grade, exterior.add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return DualForm(self.algebra, self.grade, {k: -v for k, v in self.coeffs.items()})
+        return DualForm(self.algebra, self.grade, exterior.negate(self.coeffs))
 
     def scale(self, s):
-        s = Scalar.of(s)
-        if not s:
-            return DualForm(self.algebra, self.grade)
-        return DualForm(self.algebra, self.grade, {k: v * s for k, v in self.coeffs.items()})
+        return DualForm(self.algebra, self.grade, exterior.scale(self.coeffs, Scalar.of(s)))
 
     def __eq__(self, other):
         return (
@@ -149,7 +102,7 @@ class DualForm:
     def pair(self, v: Vector) -> Scalar:
         if self.grade != 1:
             raise FormError("pair() is for grade-1 forms")
-        return sum((c * v.comps[idx[0] - 1] for idx, c in self.coeffs.items()), ZERO)
+        return exterior.interior(self.coeffs, v.comps, 1).get((), ZERO)
 
     def evaluate(self, *vectors) -> Scalar:
         """theta(v_1, ..., v_q) by exact minors."""
@@ -177,66 +130,29 @@ def wedge(a: DualForm, b: DualForm) -> DualForm:
     """Exterior product; graded commutative, zero above the dimension."""
     if a.algebra is not b.algebra:
         raise FormError("mismatched algebras")
-    grade = a.grade + b.grade
-    alg = a.algebra
-    if grade > alg.dim:
-        return DualForm(alg, grade)
-    out = {}
-    for ia, va in a.coeffs.items():
-        for ib, vb in b.coeffs.items():
-            idx, sign = _merge_sign(ia, ib)
-            if idx is None:
-                continue
-            v = va * vb
-            if sign < 0:
-                v = -v
-            w = out.get(idx, ZERO) + v
-            if w:
-                out[idx] = w
-            else:
-                out.pop(idx, None)
-    return DualForm(alg, grade, out)
+    return DualForm(a.algebra, a.grade + b.grade, exterior.wedge(a.coeffs, b.coeffs))
 
 
 def wedge_power(a: DualForm, k: int) -> DualForm:
     if k < 0:
         raise FormError("negative wedge power")
-    out = DualForm.one(a.algebra)
-    for _ in range(k):
-        out = wedge(out, a)
-    return out
+    return DualForm(a.algebra, a.grade * k, exterior.wedge_power(a.coeffs, k, ONE))
 
 
 def ce_differential(a: DualForm) -> DualForm:
     """Chevalley-Eilenberg differential, antiderivation extension of
     d w_m = -sum_{i<j} c_ijm  w_i ^ w_j."""
     alg = a.algebra
-    if a.grade == 0:
-        return DualForm(alg, 1)
     dbasis = {}
-
-    def d_of(m):
-        if m not in dbasis:
-            terms = {}
-            for (i, j), tv in alg.c.items():
-                v = tv.get(m)
-                if v:
-                    terms[(i, j)] = -v
-            dbasis[m] = DualForm(alg, 2, terms)
-        return dbasis[m]
-
-    total = DualForm(alg, a.grade + 1)
+    out = {}
     for idx, coeff in a.coeffs.items():
         for r, m in enumerate(idx):
-            left = DualForm(alg, r, {idx[:r]: ONE}) if r else DualForm.one(alg)
-            rest = idx[r + 1 :]
-            right = (
-                DualForm(alg, len(rest), {rest: ONE}) if rest else DualForm.one(alg)
-            )
-            piece = wedge(wedge(left, d_of(m)), right)
-            sign_coeff = coeff if r % 2 == 0 else -coeff
-            total = total + piece.scale(sign_coeff)
-    return total
+            if m not in dbasis:
+                dbasis[m] = {ij: -tv[m] for ij, tv in alg.c.items() if tv.get(m)}
+            left = {idx[:r]: coeff if r % 2 == 0 else -coeff}
+            piece = exterior.wedge(exterior.wedge(left, dbasis[m]), {idx[r + 1 :]: ONE})
+            out = exterior.add(out, piece)
+    return DualForm(alg, a.grade + 1, out)
 
 
 def interior_product(x: Vector, a: DualForm) -> DualForm:
@@ -245,22 +161,7 @@ def interior_product(x: Vector, a: DualForm) -> DualForm:
         raise FormError("mismatched algebras")
     if a.grade == 0:
         raise FormError("no interior product of a grade-0 form")
-    out = {}
-    for idx, coeff in a.coeffs.items():
-        for r, t in enumerate(idx):
-            xv = x.comps[t - 1]
-            if not xv:
-                continue
-            rest = idx[:r] + idx[r + 1 :]
-            v = coeff * xv
-            if r % 2 == 1:
-                v = -v
-            w = out.get(rest, ZERO) + v
-            if w:
-                out[rest] = w
-            else:
-                out.pop(rest, None)
-    return DualForm(a.algebra, a.grade - 1, out)
+    return DualForm(a.algebra, a.grade - 1, exterior.interior(a.coeffs, x.comps, 1))
 
 
 @dataclass(frozen=True)

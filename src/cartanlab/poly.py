@@ -67,6 +67,9 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def is_constant(self):
         return all(all(e == 0 for e in expo) for expo in self.terms)
 

@@ -5,27 +5,20 @@ every identity below is a polynomial identity, not a numerical one.
 
 from __future__ import annotations
 
+from functools import partial
+
+from . import exterior
 from .poly import Poly, VariableMismatch
 from .scalars import ONE, Scalar
 
 
-def _merge_sign(a, b):
-    inversions = 0
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None, 0
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            inversions += len(a) - i
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), (-1) ** (inversions & 1)
+def _as_poly(vars: tuple, p) -> Poly:
+    """A coefficient as a Poly over exactly these variables."""
+    if not isinstance(p, Poly):
+        p = Poly.constant(vars, p)
+    if p.vars != vars:
+        raise VariableMismatch("coefficient over different variables")
+    return p
 
 
 class PolyForm:
@@ -38,22 +31,9 @@ class PolyForm:
         self.grade = int(grade)
         if self.grade < 0:
             raise ValueError("grade must be nonnegative")
-        clean = {}
-        for idx, p in (coeffs or {}).items():
-            idx = tuple(idx)
-            if len(idx) != self.grade:
-                raise ValueError("index tuple length does not match grade")
-            if any(not (0 <= t < len(self.vars)) for t in idx):
-                raise ValueError("variable index out of range")
-            if any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
-                raise ValueError("indices must be strictly increasing")
-            if not isinstance(p, Poly):
-                p = Poly.constant(self.vars, p)
-            if p.vars != self.vars:
-                raise VariableMismatch("coefficient over different variables")
-            if not p.is_zero:
-                clean[idx] = p
-        self.coeffs = clean
+        self.coeffs = exterior.normalize(
+            coeffs, self.grade, 0, len(self.vars), partial(_as_poly, self.vars), ValueError
+        )
 
     @staticmethod
     def zero(vars, grade=1):
@@ -79,31 +59,18 @@ class PolyForm:
         self._check(other)
         if self.grade != other.grade:
             raise ValueError("mismatched grades")
-        out = dict(self.coeffs)
-        for idx, p in other.coeffs.items():
-            w = out.get(idx)
-            w = p if w is None else w + p
-            if w.is_zero:
-                out.pop(idx, None)
-            else:
-                out[idx] = w
-        return PolyForm(self.vars, self.grade, out)
+        return PolyForm(self.vars, self.grade, exterior.add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return PolyForm(self.vars, self.grade, {k: -p for k, p in self.coeffs.items()})
+        return PolyForm(self.vars, self.grade, exterior.negate(self.coeffs))
 
     def scale(self, s):
-        if isinstance(s, Poly):
-            return PolyForm(
-                self.vars, self.grade, {k: p * s for k, p in self.coeffs.items()}
-            )
-        s = Scalar.of(s)
-        return PolyForm(
-            self.vars, self.grade, {k: p * s for k, p in self.coeffs.items()}
-        )
+        if not isinstance(s, Poly):
+            s = Scalar.of(s)
+        return PolyForm(self.vars, self.grade, exterior.scale(self.coeffs, s))
 
     def __eq__(self, other):
         return (
@@ -125,53 +92,25 @@ class PolyForm:
 
 def poly_wedge(a: PolyForm, b: PolyForm) -> PolyForm:
     a._check(b)
-    grade = a.grade + b.grade
-    if grade > len(a.vars):
-        return PolyForm(a.vars, grade)
-    out = {}
-    for ia, pa in a.coeffs.items():
-        for ib, pb in b.coeffs.items():
-            idx, sign = _merge_sign(ia, ib)
-            if idx is None:
-                continue
-            term = pa * pb
-            if sign < 0:
-                term = -term
-            w = out.get(idx)
-            w = term if w is None else w + term
-            if w.is_zero:
-                out.pop(idx, None)
-            else:
-                out[idx] = w
-    return PolyForm(a.vars, grade, out)
+    return PolyForm(a.vars, a.grade + b.grade, exterior.wedge(a.coeffs, b.coeffs))
 
 
 def poly_wedge_power(a: PolyForm, k: int) -> PolyForm:
-    out = PolyForm(a.vars, 0, {(): Poly.constant(a.vars, ONE)})
-    for _ in range(k):
-        out = poly_wedge(out, a)
-    return out
+    one = Poly.constant(a.vars, ONE)
+    return PolyForm(a.vars, a.grade * k, exterior.wedge_power(a.coeffs, k, one))
 
 
 def exterior_d(a: PolyForm) -> PolyForm:
     """d(f dx_I) = sum_v (df/dx_v) dx_v ^ dx_I, with the insertion sign."""
     out = {}
-    nv = len(a.vars)
     for idx, p in a.coeffs.items():
-        for v in range(nv):
-            dp = p.diff(v)
-            if dp.is_zero:
-                continue
-            merged, sign = _merge_sign((v,), idx)
+        for v in range(len(a.vars)):
+            merged, sign = exterior.merge_sign((v,), idx)
             if merged is None:
                 continue
-            term = dp if sign > 0 else -dp
-            w = out.get(merged)
-            w = term if w is None else w + term
-            if w.is_zero:
-                out.pop(merged, None)
-            else:
-                out[merged] = w
+            dp = p.diff(v)
+            if dp:
+                exterior.accumulate(out, merged, dp if sign > 0 else -dp)
     return PolyForm(a.vars, a.grade + 1, out)
 
 
@@ -182,17 +121,9 @@ class PolyVectorField:
 
     def __init__(self, vars, comps):
         self.vars = tuple(vars)
-        comps = list(comps)
-        if len(comps) != len(self.vars):
+        self.comps = tuple(_as_poly(self.vars, p) for p in comps)
+        if len(self.comps) != len(self.vars):
             raise ValueError("one component per variable required")
-        fixed = []
-        for p in comps:
-            if not isinstance(p, Poly):
-                p = Poly.constant(self.vars, p)
-            if p.vars != self.vars:
-                raise VariableMismatch("component over different variables")
-            fixed.append(p)
-        self.comps = tuple(fixed)
 
     def apply_to(self, f: Poly) -> Poly:
         """Derivation action on functions."""
@@ -217,23 +148,7 @@ def poly_interior(v: PolyVectorField, a: PolyForm) -> PolyForm:
         raise VariableMismatch("mismatched variable sets")
     if a.grade == 0:
         raise ValueError("no interior product of a grade-0 form")
-    out = {}
-    for idx, p in a.coeffs.items():
-        for r, t in enumerate(idx):
-            comp = v.comps[t]
-            if comp.is_zero:
-                continue
-            rest = idx[:r] + idx[r + 1 :]
-            term = p * comp
-            if r % 2 == 1:
-                term = -term
-            w = out.get(rest)
-            w = term if w is None else w + term
-            if w.is_zero:
-                out.pop(rest, None)
-            else:
-                out[rest] = w
-    return PolyForm(a.vars, a.grade - 1, out)
+    return PolyForm(a.vars, a.grade - 1, exterior.interior(a.coeffs, v.comps, 0))
 
 
 def vf_bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
@@ -276,8 +191,4 @@ def form_on_field(a: PolyForm, v: PolyVectorField) -> Poly:
         raise ValueError("pairing needs a 1-form")
     if a.vars != v.vars:
         raise VariableMismatch("mismatched variable sets")
-    total = Poly.zero(a.vars)
-    for (t,), p in a.coeffs.items():
-        if not v.comps[t].is_zero:
-            total = total + p * v.comps[t]
-    return total
+    return exterior.interior(a.coeffs, v.comps, 0).get((), Poly.zero(a.vars))

@@ -10,13 +10,25 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def parse_rational(text) -> Fraction:
+    """Exact rational from a string such as "-3/7" (or an integer).
+
+    Every malformed input raises ValueError, a zero denominator included,
+    so callers that report bad input need to catch only that.
+    """
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return parse_rational(x)
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
@@ -52,7 +64,7 @@ class Scalar:
 
     @staticmethod
     def from_strings(re: str, im: str = "0") -> "Scalar":
-        return Scalar(Fraction(re), Fraction(im))
+        return Scalar(parse_rational(re), parse_rational(im))
 
     # -- predicates ----------------------------------------------------
 

@@ -42,10 +42,10 @@ def coordinate(n, i, j) -> Poly:
     return Poly.var_index(matrix_vars(n), _vid(n, i, j))
 
 
-def det_poly(n: int) -> Poly:
-    """det of the symbolic (2n) x (2n) matrix, by expansion along row 1."""
+def _laplace(n: int, rows, cols) -> Poly:
+    """det of the symbolic submatrix on the given (nonempty) rows and
+    columns, by expansion along its first row."""
     vars = matrix_vars(n)
-    m = 2 * n
 
     def expand(rows, cols):
         if len(rows) == 1:
@@ -58,28 +58,21 @@ def det_poly(n: int) -> Poly:
             total = total + (term if t % 2 == 0 else -term)
         return total
 
-    return expand(tuple(range(1, m + 1)), tuple(range(1, m + 1)))
+    return expand(tuple(rows), tuple(cols))
+
+
+def det_poly(n: int) -> Poly:
+    """det of the symbolic (2n) x (2n) matrix, by expansion along row 1."""
+    m = 2 * n
+    return _laplace(n, range(1, m + 1), range(1, m + 1))
 
 
 def minor_poly(n: int, i: int, j: int) -> Poly:
     """Minor of the (i, j) entry (no cofactor sign)."""
-    vars = matrix_vars(n)
     m = 2 * n
-    rows = tuple(r for r in range(1, m + 1) if r != i)
-    cols = tuple(c for c in range(1, m + 1) if c != j)
-
-    def expand(rs, cs):
-        if not rs:
-            return Poly.constant(vars, ONE)
-        total = Poly.zero(vars)
-        r = rs[0]
-        for t, c in enumerate(cs):
-            sub = expand(rs[1:], cs[:t] + cs[t + 1 :])
-            term = coordinate(n, r, c) * sub
-            total = total + (term if t % 2 == 0 else -term)
-        return total
-
-    return expand(rows, cols)
+    rows = [r for r in range(1, m + 1) if r != i]
+    cols = [c for c in range(1, m + 1) if c != j]
+    return _laplace(n, rows, cols)
 
 
 def rotation_pair_form(n: int) -> PolyForm:

@@ -1,6 +1,7 @@
 """Exact characteristic polynomials and eigenvalues over Q(i).
 
-Polynomials are ascending coefficient lists of Scalars.  Root extraction
+Polynomials are ascending coefficient tuples of Scalars (see `upoly`).  Root
+extraction
 never leaves the exact field: rational roots come from divisor candidates
 of the cleared-denominator polynomial, pure imaginary roots from the real
 and imaginary parts of p(iy), and quadratic remainders from an exact
@@ -14,122 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from . import upoly
 from .liealg import LieAlgebra
 from .linalg import identity, mat_add, mat_mul, mat_scale, trace
 from .scalars import ONE, ZERO, Scalar, gaussian_sqrt
 from .structure import require_jacobi
-
-# -- polynomial helpers (ascending Scalar coefficients) ---------------------
-
-
-def poly_trim(p):
-    while p and not p[-1]:
-        p = p[:-1]
-    return tuple(p)
-
-
-def poly_degree(p):
-    return len(p) - 1
-
-
-def poly_eval(p, x: Scalar) -> Scalar:
-    acc = ZERO
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return poly_trim(out)
-
-
-def poly_divmod(a, b):
-    b = poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    q = [ZERO] * max(0, len(a) - db)
-    while True:
-        while a and not a[-1]:
-            a.pop()
-        if len(a) - 1 < db or not a:
-            break
-        k = len(a) - 1 - db
-        f = a[-1] / lead
-        q[k] = f
-        for i in range(len(b)):
-            a[k + i] = a[k + i] - f * b[i]
-        a.pop()
-    return poly_trim(q), poly_trim(a)
-
-
-def poly_derivative(p):
-    return poly_trim([p[i] * Scalar(i) for i in range(1, len(p))])
-
-
-def poly_monic(p):
-    p = poly_trim(p)
-    if not p:
-        return p
-    lead = p[-1]
-    return tuple(c / lead for c in p)
-
-
-def poly_gcd(a, b):
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    return poly_monic(a)
-
-
-def squarefree_decomposition(p):
-    """Yun's algorithm: [(factor, multiplicity), ...] with p = prod f_k^k,
-    each factor squarefree and monic, constants dropped."""
-    p = poly_monic(p)
-    if poly_degree(p) < 1:
-        return []
-    dp = poly_derivative(p)
-    a = poly_gcd(p, dp)
-    if poly_degree(a) == 0:
-        return [(p, 1)]
-    b, _ = poly_divmod(p, a)
-    c, _ = poly_divmod(dp, a)
-    d = tuple_sub(c, poly_derivative(b))
-    out = []
-    i = 1
-    while poly_degree(b) > 0:
-        ai = poly_gcd(b, d)
-        if poly_degree(ai) > 0:
-            out.append((poly_monic(ai), i))
-        b, _ = poly_divmod(b, ai)
-        c, _ = poly_divmod(d, ai)
-        d = tuple_sub(c, poly_derivative(b))
-        i += 1
-        if i > len(p) + 2:
-            raise AssertionError("squarefree decomposition did not terminate")
-    return out
-
-
-def tuple_sub(a, b):
-    n = max(len(a), len(b))
-    out = [ZERO] * n
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
-    for i, c in enumerate(b):
-        out[i] = out[i] - c
-    return poly_trim(out)
-
 
 # -- integer factorization for root candidates -------------------------------
 
@@ -237,7 +127,7 @@ def _rational_roots_squarefree(p):
                 continue
             for sign in (1, -1):
                 cand = Scalar(Fraction(sign * num, den))
-                if not poly_eval(p, cand):
+                if not upoly.evaluate(p, cand):
                     roots.append(cand)
     return roots
 
@@ -263,20 +153,20 @@ def _imaginary_roots_squarefree(p):
         out = [ZERO] * (max(k for k, _ in pairs) + 1)
         for k, f in pairs:
             out[k] = Scalar(f)
-        return poly_trim(out)
+        return upoly.trim(out)
 
     a_poly, b_poly = build(re_part), build(im_part)
     if not a_poly and not b_poly:
         return []
-    g = poly_gcd(a_poly, b_poly) if a_poly and b_poly else poly_trim(a_poly or b_poly)
-    if poly_degree(g) < 1:
+    g = upoly.gcd(a_poly, b_poly) if a_poly and b_poly else upoly.trim(a_poly or b_poly)
+    if upoly.degree(g) < 1:
         return []
     while g and not g[0]:
         g = g[1:]  # y = 0 gives the real root case, handled elsewhere
     found = []
-    for y in _rational_roots_squarefree(poly_monic(g)):
+    for y in _rational_roots_squarefree(upoly.monic(g)):
         cand = Scalar(0, y.re)
-        if cand and not poly_eval(p, cand):
+        if cand and not upoly.evaluate(p, cand):
             found.append(cand)
     return found
 
@@ -310,8 +200,8 @@ class SpectrumResult:
 
 def scalar_roots(p) -> SpectrumResult:
     """Split off every root of p that lies in Q(i)."""
-    p = poly_monic(poly_trim(tuple(Scalar.of(c) for c in p)))
-    if poly_degree(p) < 1:
+    p = upoly.monic(Scalar.of(c) for c in p)
+    if upoly.degree(p) < 1:
         return SpectrumResult((), ())
     roots = {}
     zero_mult = 0
@@ -322,28 +212,28 @@ def scalar_roots(p) -> SpectrumResult:
         roots[ZERO] = zero_mult
     remainder = []
     rational_coeffs = all(c.is_rational for c in p)
-    for factor, mult in squarefree_decomposition(p):
+    for factor, mult in upoly.squarefree_decomposition(p):
         candidates = []
         if rational_coeffs and all(c.is_rational for c in factor):
             candidates.extend(_rational_roots_squarefree(factor))
             candidates.extend(_imaginary_roots_squarefree(factor))
         for r in candidates:
-            q, rem = poly_divmod(factor, (-r, ONE))
+            q, rem = upoly.divmod(factor, (-r, ONE))
             if rem:
                 raise AssertionError("claimed root does not divide")
             factor = q
             roots[r] = roots.get(r, 0) + mult
-        if poly_degree(factor) == 1:
+        if upoly.degree(factor) == 1:
             r = -factor[0] / factor[1]
             roots[r] = roots.get(r, 0) + mult
-        elif poly_degree(factor) == 2:
+        elif upoly.degree(factor) == 2:
             pair = _quadratic_roots(factor)
             if pair is None:
                 remainder.append((factor, mult))
             else:
                 for r in pair:
                     roots[r] = roots.get(r, 0) + mult
-        elif poly_degree(factor) > 0:
+        elif upoly.degree(factor) > 0:
             remainder.append((factor, mult))
     ordered = tuple(
         sorted(roots.items(), key=lambda kv: (kv[0].re, kv[0].im))

@@ -28,10 +28,12 @@ class JacobiResult:
         return self.ok
 
 
-def jacobi_check(g: LieAlgebra) -> JacobiResult:
-    """Cyclic sum [[X_i,X_j],X_k] + [[X_j,X_k],X_i] + [[X_k,X_i],X_j] on all triples."""
+def jacobi_defects(g: LieAlgebra, first: int = 1):
+    """Yield (i, j, k, defect Vector) for every triple first <= i < j < k
+    whose cyclic sum [[X_i,X_j],X_k] + [[X_j,X_k],X_i] + [[X_k,X_i],X_j]
+    is nonzero, in lexicographic order."""
     n = g.dim
-    for i in range(1, n + 1):
+    for i in range(first, n + 1):
         xi = g.basis_vector(i)
         for j in range(i + 1, n + 1):
             xj = g.basis_vector(j)
@@ -44,8 +46,13 @@ def jacobi_check(g: LieAlgebra) -> JacobiResult:
                     + g.bracket(g.bracket_basis(k, i), xj)
                 )
                 if not defect.is_zero:
-                    return JacobiResult(False, (i, j, k, defect))
-    return JacobiResult(True)
+                    yield i, j, k, defect
+
+
+def jacobi_check(g: LieAlgebra) -> JacobiResult:
+    """Cyclic sum on all triples; the witness is the first failing one."""
+    witness = next(jacobi_defects(g), None)
+    return JacobiResult(witness is None, witness)
 
 
 def require_jacobi(g: LieAlgebra):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import upoly
 from .scalars import Scalar
 
 
@@ -24,31 +25,7 @@ def _coeffs(p):
             out.append(c.re)
         else:
             out.append(Fraction(c))
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _derivative(p):
-    return [p[i] * i for i in range(1, len(p))]
-
-
-def _rem(a, b):
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    while len(a) - 1 >= db:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        f = a[-1] / lead
-        k = len(a) - 1 - db
-        for i in range(len(b)):
-            a[k + i] -= f * b[i]
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+    return upoly.trim(out)
 
 
 def sturm_chain(p):
@@ -56,14 +33,14 @@ def sturm_chain(p):
     if not p:
         raise ValueError("Sturm chain of the zero polynomial is undefined")
     chain = [p]
-    d = _derivative(p)
+    d = upoly.derivative(p)
     if d:
         chain.append(d)
         while len(chain[-1]) > 1:
-            r = _rem(chain[-2], chain[-1])
+            r = upoly.divmod(chain[-2], chain[-1])[1]
             if not r:
                 break
-            chain.append([-c for c in r])
+            chain.append(tuple(-c for c in r))
     return chain
 
 
@@ -75,10 +52,8 @@ def _variations(signs):
 
 
 def _sign_at(p, x: Fraction):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return (acc > 0) - (acc < 0)
+    v = upoly.evaluate(p, x)
+    return (v > 0) - (v < 0)
 
 
 def _sign_at_inf(p, positive: bool):

@@ -269,3 +269,29 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["class"] == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["class", "--catalog", "frobenius:p=3,a=[1,1/0]", "--form", "1,0,0,0,0,0"],
+        ["class", "--catalog", "heisenberg:p=1", "--form", "1/0,0,1"],
+        ["class", "--algebra", "{algebra}", "--form", "0,0,1"],
+        ["sl", "--n", "1", "--invariance", "{matrix}"],
+    ],
+    ids=["catalog-id", "covector", "algebra-file", "matrix-file"],
+)
+def test_cli_zero_denominator_is_a_parse_error(argv, tmp_path):
+    algebra = tmp_path / "algebra.json"
+    algebra.write_text(
+        json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "re": "1/0"}]}]})
+    )
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps([["1/0", "0"], ["0", "1"]]))
+    argv = [a.format(algebra=algebra, matrix=matrix) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cartanlab.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "zero denominator" in proc.stderr

@@ -1,5 +1,8 @@
 import pytest
 
+from cartanlab import catalog as cat
+from cartanlab.forms import DualForm, interior_product, wedge
+from cartanlab.liealg import Vector
 from cartanlab.poly import Poly, VariableMismatch
 from cartanlab.polyforms import (
     PolyForm,
@@ -143,3 +146,35 @@ def test_wedge_power_top():
     assert top == PolyForm(
         ("a", "b", "c", "d"), 4, {(0, 1, 2, 3): Poly.constant(("a", "b", "c", "d"), 2)}
     )
+
+
+@pytest.mark.parametrize(
+    "a, b, x",
+    [
+        ({(0,): 1, (2,): "1/2"}, {(1,): 3, (3,): -1}, (1, 0, 2, 0)),
+        ({(0, 1): 2, (2, 3): 1}, {(0, 1): 1, (2, 3): -3}, (0, 1, 0, "-2/3")),
+        ({(1,): -2}, {(0, 2, 3): 5, (1, 2, 3): 4}, (1, 1, 1, 1)),
+    ],
+)
+def test_exterior_kernel_agrees_across_rings(a, b, x):
+    """Constant-coefficient forms: DualForm (1-based, Scalar) and PolyForm
+    (0-based, Poly) give the same wedge and interior product."""
+    g = cat.abelian(4).algebra
+    w = ("p", "q", "r", "s")
+
+    def dual(c):
+        return DualForm(g, len(next(iter(c))), {tuple(t + 1 for t in i): v for i, v in c.items()})
+
+    def poly(c):
+        return PolyForm(w, len(next(iter(c))), {i: Poly.constant(w, v) for i, v in c.items()})
+
+    def shifted(f):
+        assert all(p.is_constant() for p in f.coeffs.values())
+        return {tuple(t + 1 for t in i): p.constant_value() for i, p in f.coeffs.items()}
+
+    dual_ab, poly_ab = wedge(dual(a), dual(b)), poly_wedge(poly(a), poly(b))
+    assert not dual_ab.is_zero
+    assert shifted(poly_ab) == dual_ab.coeffs
+    contracted = interior_product(Vector(g, x), dual_ab)
+    assert shifted(poly_interior(PolyVectorField(w, x), poly_ab)) == contracted.coeffs
+    assert not Poly.zero(w) and Poly.constant(w, 2)

@@ -1,17 +1,14 @@
 from fractions import Fraction
 
 from cartanlab import catalog as cat
+from cartanlab import upoly
 from cartanlab.scalars import I, ONE, ZERO, Scalar
 from cartanlab.spectrum import (
     adjoint_spectrum,
     charpoly,
     divisors,
     factor_integer,
-    poly_divmod,
-    poly_gcd,
-    poly_mul,
     scalar_roots,
-    squarefree_decomposition,
 )
 
 
@@ -22,16 +19,16 @@ def _p(*coeffs):
 def test_poly_divmod_and_gcd():
     a = _p(-1, 0, 1)  # x^2 - 1
     b = _p(-1, 1)  # x - 1
-    q, r = poly_divmod(a, b)
+    q, r = upoly.divmod(a, b)
     assert q == _p(1, 1) and r == ()
-    g = poly_gcd(_p(-1, 0, 1), _p(1, 1))
+    g = upoly.gcd(_p(-1, 0, 1), _p(1, 1))
     assert g == _p(1, 1)
 
 
 def test_squarefree_decomposition():
     # (x - 1)^2 (x + 2)
-    p = poly_mul(poly_mul(_p(-1, 1), _p(-1, 1)), _p(2, 1))
-    parts = squarefree_decomposition(p)
+    p = upoly.mul(upoly.mul(_p(-1, 1), _p(-1, 1)), _p(2, 1))
+    parts = upoly.squarefree_decomposition(p)
     assert ( _p(2, 1), 1) in parts and (_p(-1, 1), 2) in parts
 
 
@@ -50,10 +47,10 @@ def test_charpoly_2x2():
 
 def test_scalar_roots_rational_and_multiplicity():
     # (x - 1/2)^2 (x + 3) x
-    p = poly_mul(
-        poly_mul(_p(Fraction(-1, 2), 1), _p(Fraction(-1, 2), 1)), _p(3, 1)
+    p = upoly.mul(
+        upoly.mul(_p(Fraction(-1, 2), 1), _p(Fraction(-1, 2), 1)), _p(3, 1)
     )
-    p = poly_mul(p, _p(0, 1))
+    p = upoly.mul(p, _p(0, 1))
     res = scalar_roots(p)
     assert dict(res.eigenvalues) == {
         Scalar(Fraction(1, 2)): 2,
@@ -65,7 +62,7 @@ def test_scalar_roots_rational_and_multiplicity():
 
 def test_scalar_roots_imaginary_pairs():
     # (x^2 + 1)(x^2 + 4): roots +-i, +-2i
-    p = poly_mul(_p(1, 0, 1), _p(4, 0, 1))
+    p = upoly.mul(_p(1, 0, 1), _p(4, 0, 1))
     res = scalar_roots(p)
     assert dict(res.eigenvalues) == {I: 1, -I: 1, Scalar(0, 2): 1, Scalar(0, -2): 1}
 
