@@ -100,11 +100,21 @@ class BilinearMap:
         return _neg_comps(self.values.get((j, i), _zero_comps(n)))
 
     def apply_comps(self, x, y):
-        """Bilinear extension on coordinate tuples."""
+        """Bilinear extension on coordinate tuples.
+
+        Products with a zero factor are skipped: the callers mostly pass
+        basis vectors, where at most one of the two products survives.
+        """
         n = self.algebra.dim
         acc = [ZERO] * n
         for (i, j), comps in self.values.items():
-            w = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
+            xi, yj, xj, yi = x[i - 1], y[j - 1], x[j - 1], y[i - 1]
+            if xi and yj:
+                w = xi * yj - xj * yi if xj and yi else xi * yj
+            elif xj and yi:
+                w = -(xj * yi)
+            else:
+                continue
             if not w:
                 continue
             for t in range(n):

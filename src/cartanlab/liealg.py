@@ -1,33 +1,38 @@
 """Lie algebras given by exact structure constants.
 
 A LieAlgebra stores c[i, j, k] for i < j only (1-based indices); the other
-half of the bracket table is implied by skew symmetry.  The Jacobi identity
-is deliberately *not* an invariant of the type: deformation intermediates
-are allowed to violate it, and `structure.jacobi_check` is the gatekeeper.
+half of the bracket table is implied by skew symmetry.  An instance is
+immutable: `c` is a read-only mapping of read-only {k: coeff} mappings, and
+`dim` and `basis` cannot be reassigned, so a verdict computed from the table
+stays true for the instance's whole life.  The Jacobi identity is
+deliberately *not* an invariant of the type: deformation intermediates are
+allowed to violate it, and `structure.jacobi_check` is the gatekeeper (it
+keeps its verdict in the instance's one write-once slot).
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 from .linalg import nullspace, rref
 from .scalars import ONE, ZERO, Scalar
 
 
 class LieAlgebra:
-    """dim, basis labels and the sparse skew bracket table."""
+    """dim, basis labels and the sparse skew bracket table, all read-only."""
 
-    __slots__ = ("dim", "basis", "c", "_pair_table")
+    __slots__ = ("dim", "basis", "c", "_jacobi")
 
     def __init__(self, dim, brackets, basis=None):
         """brackets: {(i, j): {k: coeff}} with 1 <= i < j <= dim."""
         if dim <= 0:
             raise ValueError("dimension must be positive")
-        self.dim = int(dim)
+        dim = int(dim)
         if basis is None:
             basis = tuple(f"X{i}" for i in range(1, dim + 1))
         basis = tuple(str(b) for b in basis)
-        if len(basis) != self.dim:
+        if len(basis) != dim:
             raise ValueError("basis label count does not match dimension")
-        self.basis = basis
         table = {}
         for (i, j), terms in brackets.items():
             if not (1 <= i < j <= dim):
@@ -40,9 +45,20 @@ class LieAlgebra:
                 if v:
                     clean[k] = v
             if clean:
-                table[(i, j)] = clean
-        self.c = table
-        self._pair_table = None
+                table[(i, j)] = MappingProxyType(clean)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "c", MappingProxyType(table))
+
+    def __setattr__(self, name, value):
+        # `_jacobi` is the one write-once slot, for structure.jacobi_check
+        if name == "_jacobi" and not hasattr(self, name):
+            object.__setattr__(self, name, value)
+        else:
+            raise AttributeError("LieAlgebra is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("LieAlgebra is immutable")
 
     # -- raw access ------------------------------------------------------
 

@@ -122,7 +122,7 @@ def nullspace(rows, ncols=None):
 
 
 def det(rows):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant by plain Gaussian elimination over Q(i) Fractions."""
     m = [list(row) for row in rows]
     n = len(m)
     sign = ONE

@@ -114,12 +114,17 @@ class SLContactData:
     reeb: PolyVectorField
 
 
-def sl_contact_data(n: int) -> SLContactData:
+def _contact_forms(n: int):
+    """(omega, det, d det): the contact data without the Reeb field."""
     if n < 1:
         raise ValueError("n must be >= 1")
     omega = rotation_pair_form(n)
     delta = det_poly(n)
-    return SLContactData(n, omega, delta, exterior_d(PolyForm.function(delta)), reeb_candidate(n))
+    return omega, delta, exterior_d(PolyForm.function(delta))
+
+
+def sl_contact_data(n: int) -> SLContactData:
+    return SLContactData(n, *_contact_forms(n), reeb_candidate(n))
 
 
 def two_form_pair_power(domega: PolyForm, q: int) -> PolyForm:
@@ -168,27 +173,27 @@ def sl_contact_identity(n: int, q: Optional[int] = None, fast: bool = True) -> C
     The top-degree exponent is q = ((2n)^2 - 2) / 2; passing any other q
     reports a degree failure instead of an answer.
     """
-    data = sl_contact_data(n)
-    nvars = len(data.omega.vars)
+    omega, delta, d_delta = _contact_forms(n)
+    nvars = len(omega.vars)
     top_q = (nvars - 2) // 2
     if q is None:
         q = top_q
     if q != top_q:
         return ContactIdentity(False, q, None, None)
-    domega = exterior_d(data.omega)
+    domega = exterior_d(omega)
     power = (
         two_form_pair_power(domega, q) if fast else poly_wedge_power(domega, q)
     )
-    total = poly_wedge(poly_wedge(data.omega, power), data.d_delta)
+    total = poly_wedge(poly_wedge(omega, power), d_delta)
     if total.grade != nvars:
         return ContactIdentity(False, q, None, None)
     coeff = total.coeffs.get(tuple(range(nvars)))
     if coeff is None:
-        return ContactIdentity(False, q, None, Poly.zero(data.omega.vars))
+        return ContactIdentity(False, q, None, Poly.zero(omega.vars))
     # match one monomial of det to read off the candidate constant
-    expo, val = next(iter(data.delta.terms.items()))
+    expo, val = next(iter(delta.terms.items()))
     cand = coeff.terms.get(expo, ZERO) / val
-    residual = coeff - data.delta * cand
+    residual = coeff - delta * cand
     if residual.is_zero:
         return ContactIdentity(True, q, cand, None)
     return ContactIdentity(False, q, None, residual)

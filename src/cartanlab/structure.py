@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .liealg import LieAlgebra, LinearMap, Subspace, kernel_subspace
+from .liealg import LieAlgebra, LinearMap, Subspace, Vector, kernel_subspace
 from .linalg import nullspace
 from .scalars import ONE, ZERO
 
@@ -31,28 +31,43 @@ class JacobiResult:
 def jacobi_defects(g: LieAlgebra, first: int = 1):
     """Yield (i, j, k, defect Vector) for every triple first <= i < j < k
     whose cyclic sum [[X_i,X_j],X_k] + [[X_j,X_k],X_i] + [[X_k,X_i],X_j]
-    is nonzero, in lexicographic order."""
+    is nonzero, in lexicographic order.
+
+    Read straight off the table: coordinate m of [[X_a,X_b],X_c] is
+    sum_l c_ab^l c_lc^m, over a skew-completed copy of the pair table.
+    """
     n = g.dim
+    table = {}
+    for (a, b), terms in g.c.items():
+        table[(a, b)] = terms
+        table[(b, a)] = {m: -v for m, v in terms.items()}
+    get = table.get
+    empty = {}
     for i in range(first, n + 1):
-        xi = g.basis_vector(i)
         for j in range(i + 1, n + 1):
-            xj = g.basis_vector(j)
-            bij = g.bracket_basis(i, j)
             for k in range(j + 1, n + 1):
-                xk = g.basis_vector(k)
-                defect = (
-                    g.bracket(bij, xk)
-                    + g.bracket(g.bracket_basis(j, k), xi)
-                    + g.bracket(g.bracket_basis(k, i), xj)
-                )
-                if not defect.is_zero:
-                    yield i, j, k, defect
+                acc = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, u in get((a, b), empty).items():
+                        for m, v in get((l, c), empty).items():
+                            acc[m] = acc.get(m, ZERO) + u * v
+                if any(acc.values()):
+                    yield i, j, k, Vector.from_sparse(g, acc)
 
 
 def jacobi_check(g: LieAlgebra) -> JacobiResult:
-    """Cyclic sum on all triples; the witness is the first failing one."""
+    """Cyclic sum on all triples; the witness is the first failing one.
+
+    The verdict is kept on g, which is immutable, so later calls on the
+    same instance return the same JacobiResult without recomputing it.
+    """
+    try:
+        return g._jacobi
+    except AttributeError:
+        pass
     witness = next(jacobi_defects(g), None)
-    return JacobiResult(witness is None, witness)
+    g._jacobi = JacobiResult(witness is None, witness)
+    return g._jacobi
 
 
 def require_jacobi(g: LieAlgebra):

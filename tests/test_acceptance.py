@@ -54,7 +54,11 @@ def _verdict(number, label, budget_seconds):
         def __exit__(self, exc_type, exc, tb):
             elapsed = time.monotonic() - start
             status = "PASS" if exc_type is None else "FAIL"
-            print(f"ACCEPTANCE {number:02d} {label}: {status} ({elapsed:.2f}s)")
+            share = 100 * elapsed / budget_seconds
+            print(
+                f"ACCEPTANCE {number:02d} {label}: {status} ({elapsed:.2f}s,"
+                f" {share:.0f}% of the {budget_seconds:g}s budget)"
+            )
             if exc_type is None:
                 assert elapsed < budget_seconds, (
                     f"criterion {number} exceeded its {budget_seconds}s budget"

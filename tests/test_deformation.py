@@ -25,7 +25,7 @@ from cartanlab.deformation import (
 from cartanlab.forms import DualForm, cartan_class, ce_differential, wedge_power
 from cartanlab.liealg import LieAlgebra, LinearMap
 from cartanlab.poly import Poly
-from cartanlab.randgen import rng
+from cartanlab.randgen import random_rational, rng
 from cartanlab.scalars import ONE, ZERO, Scalar
 from cartanlab.structure import jacobi_check, lower_central_series
 
@@ -307,3 +307,35 @@ def test_nonsingular_diagonal_profiles_are_infeasible():
     # in particular the arithmetic-progression profiles themselves
     assert _diagonal_profile_verdict((2, 1)) != "undecided"
     assert _diagonal_profile_verdict((3, 2, 1)) == "conflict"
+
+
+def _sparse_rational(r):
+    """Zero about half the time, so the zero-factor shortcuts are exercised."""
+    return random_rational(r) if r.random() < 0.5 else 0
+
+
+def test_apply_comps_matches_dense_formula():
+    r = rng(212)
+    for n in (3, 4, 5, 6):
+        g = LieAlgebra(n, {})
+        for _ in range(10):
+            values = {}
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    if r.random() < 0.4:
+                        values[(i, j)] = [_sparse_rational(r) for _ in range(n)]
+            phi = BilinearMap(g, values)
+            x = [_sparse_rational(r) for _ in range(n)]
+            y = [_sparse_rational(r) for _ in range(n)]
+            for a, b in ((x, y), (y, x), (x, x)):
+                a = tuple(Scalar.of(v) for v in a)
+                b = tuple(Scalar.of(v) for v in b)
+                dense = tuple(
+                    sum(
+                        ((a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1]) * phi.at(i, j)[t]
+                         for i in range(1, n + 1) for j in range(i + 1, n + 1)),
+                        ZERO,
+                    )
+                    for t in range(n)
+                )
+                assert phi.apply_comps(a, b) == dense

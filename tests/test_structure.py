@@ -1,10 +1,11 @@
 import pytest
 
 from cartanlab import catalog as cat
+from cartanlab.deformation import BilinearMap, circle_product
 from cartanlab.forms import cartan_class
-from cartanlab.liealg import LieAlgebra, LinearMap
-from cartanlab.linalg import mat_mul, mat_sub
-from cartanlab.randgen import random_covector, rng
+from cartanlab.liealg import LieAlgebra, LinearMap, change_basis
+from cartanlab.linalg import det, mat_mul, mat_sub
+from cartanlab.randgen import random_covector, random_rational, rng
 from cartanlab.scalars import ONE, ZERO, Scalar
 from cartanlab.structure import (
     PreconditionError,
@@ -14,6 +15,7 @@ from cartanlab.structure import (
     diagonal_derivations,
     is_derivation,
     jacobi_check,
+    jacobi_defects,
     lower_central_series,
 )
 
@@ -31,6 +33,121 @@ def test_jacobi_witness():
     assert (i, j, k) == (1, 2, 3)
     # cyclic sum is [[X1,X2],X3] + [[X2,X3],X1] + [[X3,X1],X2] = -X3
     assert defect.comps == (ZERO, ZERO, -ONE)
+
+
+def _random_table(r, n):
+    """Sparse random bracket table; almost never satisfies Jacobi."""
+    brackets = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if r.random() < 0.5:
+                targets = r.sample(range(1, n + 1), r.randint(1, 2))
+                brackets[(i, j)] = {k: random_rational(r) for k in targets}
+    return LieAlgebra(n, brackets)
+
+
+def _random_rebasing(g, r):
+    """g in a random basis: a dense table that satisfies Jacobi iff g does."""
+    while True:
+        p = [[random_rational(r) for _ in range(g.dim)] for _ in range(g.dim)]
+        if det(p):
+            return change_basis(g, p)
+
+
+def _dense_defects(g, first):
+    """Reference cyclic sums from the full structure-constant array."""
+    n = g.dim
+    c = {(a, b, m): g.constant(a, b, m) for a in range(1, n + 1)
+         for b in range(1, n + 1) for m in range(1, n + 1)}
+    out = []
+    for i in range(first, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(j + 1, n + 1):
+                comps = tuple(
+                    sum(
+                        (c[a, b, l] * c[l, d, m]
+                         for a, b, d in ((i, j, k), (j, k, i), (k, i, j))
+                         for l in range(1, n + 1)),
+                        ZERO,
+                    )
+                    for m in range(1, n + 1)
+                )
+                if any(comps):
+                    out.append((i, j, k, comps))
+    return out
+
+
+def _bracket_defects(g, first):
+    """Cyclic sums from dense brackets of basis vectors."""
+    n = g.dim
+    out = []
+    for i in range(first, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(j + 1, n + 1):
+                xi, xj, xk = g.basis_vector(i), g.basis_vector(j), g.basis_vector(k)
+                defect = (
+                    g.bracket(g.bracket(xi, xj), xk)
+                    + g.bracket(g.bracket(xj, xk), xi)
+                    + g.bracket(g.bracket(xk, xi), xj)
+                )
+                if not defect.is_zero:
+                    out.append((i, j, k, defect.comps))
+    return out
+
+
+def _jacobi_cases():
+    r = rng(211)
+    cases = [_random_table(r, n) for n in (3, 4, 5, 6) for _ in range(5)]
+    for entry in (cat.heisenberg(2), cat.dim3("sl2", lam=2),
+                  cat.frobenius_model(2, [3]), cat.filiform_model(6)):
+        cases.append(entry.algebra)
+        cases.append(_random_rebasing(entry.algebra, r))
+    for a in ((1, 1, 1), (2, -1, 5), (0, 1, 3)):
+        cases.append(cat.mu_c9_table(*(Scalar.of(x) for x in a)))
+    return cases
+
+
+@pytest.mark.parametrize("first", [1, 2])
+def test_sparse_jacobi_defects_match_dense_routes(first):
+    seen = {True: 0, False: 0}
+    for g in _jacobi_cases():
+        sparse = [(i, j, k, d.comps) for i, j, k, d in jacobi_defects(g, first=first)]
+        assert sparse == _dense_defects(g, first)
+        assert sparse == _bracket_defects(g, first)
+        mu = BilinearMap.of_algebra(g)
+        circle = sorted(
+            key + (comps,) for key, comps in circle_product(mu, mu).values.items()
+            if key[0] >= first
+        )
+        assert sparse == circle
+        seen[not sparse] += 1
+    assert min(seen.values()) >= 10  # both verdicts are exercised
+
+
+def test_lie_algebra_is_immutable():
+    g = cat.heisenberg(2).algebra
+    with pytest.raises(TypeError):
+        g.c[(1, 2)] = {5: ONE}
+    with pytest.raises(TypeError):
+        g.c[(1, 2)][5] = ONE
+    with pytest.raises(AttributeError):
+        g.dim = 3
+    with pytest.raises(AttributeError):
+        g.basis = ("a", "b", "c", "d", "e")
+    assert g.dim == 5 and g.c[(1, 2)][5] == ONE
+
+
+def test_jacobi_verdict_is_kept_per_instance():
+    good = cat.heisenberg(2).algebra
+    bad = LieAlgebra(3, {(1, 2): {3: 1}, (1, 3): {1: 1}})
+    for g in (good, bad):
+        assert jacobi_check(g) is jacobi_check(g)
+    # an equal table is another instance, with its own verdict
+    twin = LieAlgebra(3, {(1, 2): {3: 1}, (1, 3): {1: 1}})
+    res, twin_res = jacobi_check(bad), jacobi_check(twin)
+    assert twin_res is not res
+    assert twin_res.witness[:3] == res.witness[:3]
+    assert twin_res.witness[3].comps == res.witness[3].comps
 
 
 def test_center_examples():
