@@ -597,31 +597,69 @@ def parse_catalog_id(text: str):
     return name, kwargs
 
 
+# the parameters each family's id takes: an int, one rational (Fraction),
+# an array of rationals (list) or a name (str)
+_ID_PARAMS = {
+    "heisenberg": {"p": int},
+    "abelian": {"n": int},
+    "dim3": {"kind": str, "b": Fraction, "lam": Fraction, "a": Fraction},
+    "sl2": {"lam": Fraction},
+    "so3": {"a": Fraction},
+    "dim5": {"variant": str, **dict.fromkeys("abcdef", Fraction)},
+    "filiform": {"n": int},
+    "filiform_contact": {"p": int, "a": list},
+    "mu_c9": {"a": list},
+    "frobenius": {"p": int, "a": list},
+    "frobenius_base": {"p": int},
+}
+
+
+def _id_params(name: str, kw: dict) -> dict:
+    """kw checked against the family's parameter shapes, integers as int."""
+    shapes = _ID_PARAMS.get(name)
+    if shapes is None:
+        raise KeyError(f"unknown catalog family {name!r}")
+    out = {}
+    for key, v in kw.items():
+        shape = shapes.get(key)
+        rational = isinstance(v, (int, Fraction))
+        if shape is int and rational and v.denominator == 1:
+            v = int(v)
+        elif not (
+            shape is Fraction and rational
+            or shape is str and isinstance(v, str)
+            or shape is list and isinstance(v, list)
+            and all(isinstance(x, (int, Fraction)) for x in v)
+        ):
+            raise ValueError(f"bad parameter {key}={v} for {name}")
+        out[key] = v
+    return out
+
+
 def resolve(catalog_id: str, allow_nonjacobi: bool = False) -> CatalogEntry:
     name, kw = parse_catalog_id(catalog_id)
+    kw = _id_params(name, kw)
     if name == "heisenberg":
-        return heisenberg(int(kw["p"]))
+        return heisenberg(kw["p"])
     if name == "abelian":
-        return abelian(int(kw["n"]))
+        return abelian(kw["n"])
     if name == "dim3":
-        kind = str(kw.pop("kind"))
+        kind = kw.pop("kind")
         return dim3(kind, **kw)
     if name in ("sl2", "so3"):
         return dim3(name, **kw)
     if name == "dim5":
-        variant = str(kw.pop("variant"))
+        variant = kw.pop("variant")
         return dim5(variant, allow_nonjacobi=allow_nonjacobi, **kw)
     if name == "filiform":
-        return filiform_model(int(kw["n"]))
+        return filiform_model(kw["n"])
     if name == "filiform_contact":
-        return filiform_contact(int(kw["p"]), kw["a"], allow_nonjacobi=allow_nonjacobi)
+        return filiform_contact(kw["p"], kw["a"], allow_nonjacobi=allow_nonjacobi)
     if name == "mu_c9":
         return mu_c9(kw["a"], allow_nonjacobi=allow_nonjacobi)
     if name == "frobenius":
-        return frobenius_model(int(kw["p"]), kw["a"])
-    if name == "frobenius_base":
-        return frobenius_base(int(kw["p"]))
-    raise KeyError(f"unknown catalog family {name!r}")
+        return frobenius_model(kw["p"], kw["a"])
+    return frobenius_base(kw["p"])
 
 
 def standard_entries() -> list:

@@ -9,7 +9,8 @@ contract   diagonal contraction by an exponent vector, optionally after a
            change of basis.
 sl         the polynomial contact data on the even special linear group:
            top-form identity, Reeb pairings, rotation invariance, singular
-           equations at a point.
+           equations at a point.  --n is capped at 3 (SL(6)): the exact
+           expansions grow too fast beyond it (n = 4 takes over a minute).
 
 Catalog ids use the grammar  name[:key=val,...]  with arrays as [v1,v2],
 e.g.  heisenberg:p=2,  frobenius:p=3,a=[1,-2],  mu_c9:a=[1,2,3],
@@ -46,7 +47,6 @@ from .forms import DualForm, FormError, cartan_class
 from .liealg import change_basis
 from .randgen import DEFAULT_SEED
 from .slgroup import (
-    OrthogonalityError,
     evaluate_singular_equations,
     reeb_identities,
     sl_contact_identity,
@@ -59,6 +59,8 @@ EXIT_PASS = 0
 EXIT_IO = 1
 EXIT_PRECONDITION = 2
 EXIT_PROPERTY = 3
+
+SL_MAX_N = 3  # the largest --n of `sl`; see the module docstring
 
 
 class _Failure(Exception):
@@ -224,8 +226,8 @@ def cmd_contract(args):
 
 def cmd_sl(args):
     n = args.n
-    if n < 1:
-        raise _Failure(EXIT_PRECONDITION, "--n must be >= 1")
+    if not 1 <= n <= SL_MAX_N:
+        raise _Failure(EXIT_PRECONDITION, f"--n must be between 1 and {SL_MAX_N}")
     results = {}
     ok = True
     digest_extra = ""
@@ -252,7 +254,7 @@ def cmd_sl(args):
         digest_extra = json.dumps([[str(x) for x in row] for row in m])
         try:
             inv = so_invariance_check(n, m)
-        except OrthogonalityError as exc:
+        except ValueError as exc:  # OrthogonalityError included
             raise _Failure(EXIT_PRECONDITION, str(exc))
         results["invariance"] = {"invariant": inv}
         ok = inv

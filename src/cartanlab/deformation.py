@@ -6,7 +6,14 @@ Implements the circle product
 
 the single-term bullet product psi1(psi2(X,Y),Z), the adjoint-valued
 coboundaries, and the four compatibility equations of a quadratic
-deformation mu_0 + phi_1 + phi_2.
+deformation mu_0 + phi_1 + phi_2.  The coboundary of a 2-cochain is a sum
+of two circle products with the bracket mu,
+
+    d phi = phi o mu + mu o phi,
+
+so circle products, coboundaries and the Jacobi defects of
+`structure.jacobi_defects` (mu o mu) all run on the one sparse cyclic-sum
+kernel `structure.cyclic_sums`.
 
 Coboundary signs are pinned so that on the Heisenberg algebra a diagonal
 endomorphism f (acting through phi_2(X_l, X_{2p+1}) = f(X_l)) satisfies
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 from .forms import DualForm, ce_differential, wedge_power
 from .liealg import LieAlgebra, LinearMap, Vector
 from .scalars import ONE, ZERO, Scalar
-from .structure import PreconditionError, require_jacobi
+from .structure import PreconditionError, cyclic_sums, pair_table, require_jacobi
 
 
 def _zero_comps(n):
@@ -193,37 +200,32 @@ class SkewTrilinear:
             return key, self.values[key]
         return None
 
-    def __add__(self, other):
-        out = dict(self.values)
-        for key, comps in other.values.items():
-            merged = _add_comps(out.get(key, _zero_comps(self.algebra.dim)), comps)
-            if any(merged):
-                out[key] = merged
-            else:
-                out.pop(key, None)
-        return SkewTrilinear(self.algebra, out)
 
-    def __neg__(self):
-        return SkewTrilinear(self.algebra, {k: _neg_comps(v) for k, v in self.values.items()})
+def _table(phi: BilinearMap) -> dict:
+    """phi as a skew-completed sparse pair table (structure.pair_table)."""
+    return pair_table(
+        ((i, j), {t: x for t, x in enumerate(comps, 1) if x})
+        for (i, j), comps in phi.values.items()
+    )
+
+
+def _trilinear(alg: LieAlgebra, products) -> SkewTrilinear:
+    """SkewTrilinear of the summed circle products outer o inner of pair tables."""
+    n = alg.dim
+    return SkewTrilinear(
+        alg,
+        {
+            key: tuple(terms.get(m, ZERO) for m in range(1, n + 1))
+            for key, terms in cyclic_sums(products).items()
+        },
+    )
 
 
 def circle_product(phi: BilinearMap, psi: BilinearMap) -> SkewTrilinear:
     """Cyclic composition; mu o mu = 0 is exactly the Jacobi identity."""
     if phi.algebra is not psi.algebra:
         raise ValueError("mixed spaces")
-    alg = phi.algebra
-    n = alg.dim
-    values = {}
-    basis = [tuple(ONE if t == m else ZERO for t in range(n)) for m in range(n)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                acc = phi.apply_comps(psi.at(i, j), basis[k - 1])
-                acc = _add_comps(acc, phi.apply_comps(psi.at(j, k), basis[i - 1]))
-                acc = _add_comps(acc, phi.apply_comps(psi.at(k, i), basis[j - 1]))
-                if any(acc):
-                    values[(i, j, k)] = acc
-    return SkewTrilinear(alg, values)
+    return _trilinear(phi.algebra, [(_table(phi), _table(psi))])
 
 
 class LeftComposite:
@@ -307,25 +309,12 @@ def coboundary_of_map(f: LinearMap, g: LieAlgebra) -> BilinearMap:
 
 
 def coboundary_of_bilinear(phi: BilinearMap, g: LieAlgebra) -> SkewTrilinear:
-    """(d phi)(X,Y,Z) = sum_cyc phi([X,Y],Z) - sum_cyc [X, phi(Y,Z)]."""
+    """(d phi)(X,Y,Z) = sum_cyc phi([X,Y],Z) - sum_cyc [X, phi(Y,Z)],
+    computed as phi o mu + mu o phi."""
     if phi.algebra is not g:
         raise ValueError("cochain lives on a different algebra")
-    n = g.dim
-    mu = BilinearMap.of_algebra(g)
-    basis = [tuple(ONE if t == m else ZERO for t in range(n)) for m in range(n)]
-    values = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                acc = phi.apply_comps(mu.at(i, j), basis[k - 1])
-                acc = _add_comps(acc, phi.apply_comps(mu.at(j, k), basis[i - 1]))
-                acc = _add_comps(acc, phi.apply_comps(mu.at(k, i), basis[j - 1]))
-                acc = _add_comps(acc, _neg_comps(mu.apply_comps(basis[i - 1], phi.at(j, k))))
-                acc = _add_comps(acc, _neg_comps(mu.apply_comps(basis[j - 1], phi.at(k, i))))
-                acc = _add_comps(acc, _neg_comps(mu.apply_comps(basis[k - 1], phi.at(i, j))))
-                if any(acc):
-                    values[(i, j, k)] = acc
-    return SkewTrilinear(g, values)
+    mu, t = pair_table(g.c.items()), _table(phi)
+    return _trilinear(g, [(t, mu), (mu, t)])
 
 
 @dataclass(frozen=True)
@@ -366,17 +355,17 @@ def check_quadratic_deformation(spec: DeformationSpec) -> QuadraticCheck:
     require_jacobi(base)
     if bullet_power(BilinearMap.of_algebra(base), 2):
         raise PreconditionError("base bracket must be (at most) 2-step nilpotent")
+    mu, p1, p2 = pair_table(base.c.items()), _table(spec.phi1), _table(spec.phi2)
     failures = []
-
-    def record(eq, table):
-        if isinstance(table, SkewTrilinear) and not table.is_zero:
-            key, comps = table.first_nonzero()
-            failures.append((eq, key, comps))
-
-    record(1, coboundary_of_bilinear(spec.phi1, base))
-    record(2, circle_product(spec.phi1, spec.phi1) + coboundary_of_bilinear(spec.phi2, base))
-    record(3, circle_product(spec.phi1, spec.phi2) + circle_product(spec.phi2, spec.phi1))
-    record(4, circle_product(spec.phi2, spec.phi2))
+    for eq, products in (
+        (1, [(p1, mu), (mu, p1)]),
+        (2, [(p1, p1), (p2, mu), (mu, p2)]),
+        (3, [(p1, p2), (p2, p1)]),
+        (4, [(p2, p2)]),
+    ):
+        table = _trilinear(base, products)
+        if not table.is_zero:
+            failures.append((eq, *table.first_nonzero()))
     return QuadraticCheck(not failures, tuple(failures))
 
 
@@ -549,6 +538,8 @@ def central_quotient(g: LieAlgebra):
     and the induced 2-form theta(X_i, X_j) = (last coordinate of [X_i, X_j]).
     """
     n = g.dim
+    if n < 2:
+        raise PreconditionError("a central quotient needs dimension >= 2")
     last = g.basis_vector(n)
     for i in range(1, n):
         if not g.bracket(last, g.basis_vector(i)).is_zero:

@@ -1,8 +1,9 @@
 """Structural analysis of structure-constant Lie algebras.
 
-Jacobi verification (with explicit witnesses), center, lower central
-series, derivations, and the space of endomorphisms compatible with the
-Heisenberg bracket pairing.
+Jacobi verification (with explicit witnesses) on the sparse cyclic-sum
+kernel that also serves deformation's circle products and coboundaries,
+center, lower central series, derivations, and the space of endomorphisms
+compatible with the Heisenberg bracket pairing.
 """
 
 from __future__ import annotations
@@ -28,31 +29,62 @@ class JacobiResult:
         return self.ok
 
 
+def pair_table(pairs) -> dict:
+    """Skew-completed rows {i: {j: {m: v}}} of a bilinear table given as
+    ((i, j), {m: v}) items with i < j: row j holds the negated (i, j) value."""
+    rows = {}
+    for (i, j), terms in pairs:
+        if terms:
+            rows.setdefault(i, {})[j] = terms
+            rows.setdefault(j, {})[i] = {m: -v for m, v in terms.items()}
+    return rows
+
+
+def cyclic_sums(products) -> dict:
+    """Sum over the (outer, inner) pair tables in products of
+
+        outer(inner(X_i,X_j),X_k) + outer(inner(X_j,X_k),X_i) + outer(inner(X_k,X_i),X_j),
+
+    as {(i, j, k): {m: coeff}} for the nonzero sums, i < j < k, in
+    lexicographic order.  Only nonzero products are visited: each stored
+    inner pair a < b, each l in inner(a, b) and each nonzero outer(l, c) add
+    a term to the sorted triple {a, b, c}, negated when (a, b, c) is an odd
+    permutation of it.
+    """
+    sums = {}
+    for outer, inner in products:
+        for a, row in inner.items():
+            for b, terms in row.items():
+                if b < a:
+                    continue
+                for l, u in terms.items():
+                    for c, out in outer.get(l, {}).items():
+                        if c > b:
+                            key, w = (a, b, c), u
+                        elif c < a:
+                            key, w = (c, a, b), u
+                        elif c != a and c != b:
+                            key, w = (a, c, b), -u
+                        else:
+                            continue
+                        acc = sums.setdefault(key, {})
+                        for m, v in out.items():
+                            acc[m] = acc.get(m, ZERO) + w * v
+    return {key: sums[key] for key in sorted(sums) if any(sums[key].values())}
+
+
 def jacobi_defects(g: LieAlgebra, first: int = 1):
     """Yield (i, j, k, defect Vector) for every triple first <= i < j < k
     whose cyclic sum [[X_i,X_j],X_k] + [[X_j,X_k],X_i] + [[X_k,X_i],X_j]
     is nonzero, in lexicographic order.
 
-    Read straight off the table: coordinate m of [[X_a,X_b],X_c] is
-    sum_l c_ab^l c_lc^m, over a skew-completed copy of the pair table.
+    This is `cyclic_sums` with the structure constants as both tables, so
+    every sum is computed before the first triple is yielded.
     """
-    n = g.dim
-    table = {}
-    for (a, b), terms in g.c.items():
-        table[(a, b)] = terms
-        table[(b, a)] = {m: -v for m, v in terms.items()}
-    get = table.get
-    empty = {}
-    for i in range(first, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                acc = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for l, u in get((a, b), empty).items():
-                        for m, v in get((l, c), empty).items():
-                            acc[m] = acc.get(m, ZERO) + u * v
-                if any(acc.values()):
-                    yield i, j, k, Vector.from_sparse(g, acc)
+    table = pair_table(g.c.items())
+    for (i, j, k), acc in cyclic_sums([(table, table)]).items():
+        if i >= first:
+            yield i, j, k, Vector.from_sparse(g, acc)
 
 
 def jacobi_check(g: LieAlgebra) -> JacobiResult:

@@ -1,0 +1,114 @@
+"""Dense references for the sparse cyclic-sum kernel.
+
+These are the triple loops the library used before `structure.cyclic_sums`:
+every triple i < j < k, and every product a dense `BilinearMap.apply_comps`
+on basis-vector coordinate tuples.  Tests compare the sparse routes with
+them; they are slow on purpose and belong to no library code path.
+"""
+
+from itertools import combinations
+
+from cartanlab.deformation import BilinearMap
+from cartanlab.liealg import LieAlgebra
+from cartanlab.randgen import random_rational
+from cartanlab.scalars import ONE, ZERO
+
+
+def random_table(r, n):
+    """Sparse random bracket table; almost never satisfies Jacobi."""
+    brackets = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if r.random() < 0.5:
+                targets = r.sample(range(1, n + 1), r.randint(1, 2))
+                brackets[(i, j)] = {k: random_rational(r) for k in targets}
+    return LieAlgebra(n, brackets)
+
+
+def random_bilinear(g, r, density=0.4):
+    """Random skew bilinear map on g's space with sparse random values."""
+    n = g.dim
+    values = {}
+    for i, j in combinations(range(1, n + 1), 2):
+        if r.random() < density:
+            targets = r.sample(range(1, n + 1), r.randint(1, 2))
+            values[(i, j)] = {k: random_rational(r) for k in targets}
+    return BilinearMap.from_brackets(g, values)
+
+
+def _basis(n):
+    return [tuple(ONE if t == m else ZERO for t in range(n)) for m in range(n)]
+
+
+def _sum(*vectors):
+    return tuple(sum(parts, ZERO) for parts in zip(*vectors))
+
+
+def _neg(v):
+    return tuple(-x for x in v)
+
+
+def dense_circle_product(phi, psi):
+    """{(i, j, k): comps} of phi o psi on every triple, lexicographic order."""
+    n = phi.algebra.dim
+    e = _basis(n)
+    values = {}
+    for i, j, k in combinations(range(1, n + 1), 3):
+        acc = _sum(
+            phi.apply_comps(psi.at(i, j), e[k - 1]),
+            phi.apply_comps(psi.at(j, k), e[i - 1]),
+            phi.apply_comps(psi.at(k, i), e[j - 1]),
+        )
+        if any(acc):
+            values[(i, j, k)] = acc
+    return values
+
+
+def dense_coboundary(phi, g):
+    """(d phi)(X,Y,Z) = sum_cyc phi([X,Y],Z) - sum_cyc [X, phi(Y,Z)]."""
+    n = g.dim
+    mu = BilinearMap.of_algebra(g)
+    e = _basis(n)
+    values = {}
+    for i, j, k in combinations(range(1, n + 1), 3):
+        acc = _sum(
+            phi.apply_comps(mu.at(i, j), e[k - 1]),
+            phi.apply_comps(mu.at(j, k), e[i - 1]),
+            phi.apply_comps(mu.at(k, i), e[j - 1]),
+            _neg(mu.apply_comps(e[i - 1], phi.at(j, k))),
+            _neg(mu.apply_comps(e[j - 1], phi.at(k, i))),
+            _neg(mu.apply_comps(e[k - 1], phi.at(i, j))),
+        )
+        if any(acc):
+            values[(i, j, k)] = acc
+    return values
+
+
+def dense_add(n, *tables):
+    """Sum of {(i, j, k): comps} tables on an n-dimensional space, zero
+    entries dropped, keys sorted."""
+    out = {}
+    for key in sorted(set().union(*tables)):
+        acc = _sum(*(t.get(key, (ZERO,) * n) for t in tables))
+        if any(acc):
+            out[key] = acc
+    return out
+
+
+def dense_quadratic_failures(spec):
+    """The four compatibility equations, each judged on dense tables:
+    ((equation, first failing triple, defect comps), ...)."""
+    base, phi1, phi2 = spec.base, spec.phi1, spec.phi2
+    equations = (
+        (1, [dense_coboundary(phi1, base)]),
+        (2, [dense_circle_product(phi1, phi1), dense_coboundary(phi2, base)]),
+        (3, [dense_circle_product(phi1, phi2), dense_circle_product(phi2, phi1)]),
+        (4, [dense_circle_product(phi2, phi2)]),
+    )
+    failures = []
+    for eq, tables in equations:
+        total = dense_add(base.dim, *tables)
+        if total:
+            key = next(iter(total))
+            failures.append((eq, key, total[key]))
+    return tuple(failures)

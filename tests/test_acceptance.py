@@ -43,6 +43,8 @@ from cartanlab.spectrum import adjoint_spectrum
 from cartanlab.structure import jacobi_check
 from cartanlab.sturm import count_real_roots
 
+from test_slgroup import closed_form_constant
+
 
 def _verdict(number, label, budget_seconds):
     start = time.monotonic()
@@ -233,13 +235,19 @@ def test_criterion_10_sl_contact_identity():
 
 
 def test_criterion_10b_sl_rank_4_run():
-    with _verdict(10, "rank-4 expansion completes and records its constant", 600.0):
+    with _verdict(10, "rank-4 expansion completes and matches the closed form", 600.0):
         res = sl_contact_identity(2)
         assert res.ok and res.q == 7
-        # measured by the exact expansion (both the pair-combinatorial and
-        # the generic wedge routes agree); recorded, not asserted against
-        # any closed form
-        assert res.constant == Scalar(-2580480)
+        # the exact expansion (both the pair-combinatorial and the generic
+        # wedge routes agree) gives the closed form -q! * n * 2^(2n^2)
+        assert res.constant == Scalar(-2580480) == closed_form_constant(2)
+
+
+def test_criterion_10c_sl_rank_6_closed_form():
+    with _verdict(10, "rank-6 constant equals the closed form", 10.0):
+        res = sl_contact_identity(3)
+        assert res.ok and res.q == 17
+        assert res.constant == closed_form_constant(3)
 
 
 def test_criterion_11_h3_contact_polynomials():

@@ -1,0 +1,193 @@
+"""Seeded in-process fuzz of the command line: every subcommand and suite
+on catalog ids (well-formed, malformed and wrongly shaped), algebra files
+and matrix files.  The exit code must stay in the 0/1/2/3 contract and no
+exception may escape `main` (argparse's own usage exit, code 2, counts as
+an exit code)."""
+
+import json
+from itertools import combinations, count
+
+import pytest
+
+from cartanlab.cli import main
+from cartanlab.randgen import random_rational, rng
+from cartanlab.suites import SUITES
+
+FAMILIES = ("heisenberg", "abelian", "dim3", "sl2", "so3", "dim5", "filiform",
+            "filiform_contact", "mu_c9", "frobenius", "frobenius_base")
+WORDS = ("heisenberg", "solvable1", "solvable_b", "sl2", "so3", "diag_ii_a",
+         "diag_ii_c", "nondiag_case1", "nondiag_case2", "nosuch")
+KEYS = ("p", "n", "a", "b", "c", "d", "lam", "kind", "variant", "q", "allow_nonjacobi")
+
+# largest dimension drawn per subcommand or suite: these finish in well
+# under a second each, while dimension caps for the slow ones stay open
+TOP_DIM = {"class": 13, "contract": 25, "jacobi": 25, "quadra": 25,
+           "extension-roundtrip": 25, "center": 11, "nilpotent-parity": 7}
+
+
+def _junk(r):
+    """A parameter value of the wrong shape or syntax."""
+    return r.choice(["[1]", "[[1]]", "[]", "x", "", "1/0", "2.5", "-", "[1,[2]]", "3/2"])
+
+
+def _rat(r):
+    return str(random_rational(r))
+
+
+def _array(r, length):
+    return "[" + ",".join(_rat(r) for _ in range(length)) + "]"
+
+
+def _catalog_id(r, top):
+    """(catalog id of dimension at most top, often with one part broken,
+    the dimension it names when well formed)."""
+    fam = r.choice(FAMILIES)
+    p = r.randint(1, max(1, (top - 1) // 2))
+    n = r.randint(1, top)
+    half = max(2, top // 2)
+    dim = {"heisenberg": 2 * p + 1, "abelian": n, "dim3": 3, "sl2": 3, "so3": 3, "dim5": 5,
+           "filiform": n, "filiform_contact": 2 * p + 1, "mu_c9": 9, "frobenius": 2 * half,
+           "frobenius_base": 2 * max(2, n // 2)}[fam]
+    params = {
+        "heisenberg": {"p": str(p)},
+        "abelian": {"n": str(n)},
+        "dim3": {"kind": r.choice(WORDS), "lam": _rat(r)},
+        "sl2": {"lam": _rat(r)},
+        "so3": {"a": _rat(r)},
+        "dim5": {"variant": r.choice(WORDS), **{k: _rat(r) for k in "abcd"}},
+        "filiform": {"n": str(n)},
+        "filiform_contact": {"p": str(p), "a": _array(r, p - 1 + r.randint(-1, 1))},
+        "mu_c9": {"a": _array(r, r.randint(2, 4))},
+        "frobenius": {"p": str(half), "a": _array(r, half - 1)},
+        "frobenius_base": {"p": str(max(2, n // 2))},
+    }[fam]
+    if fam == "mu_c9" and top < 9:
+        fam, params = "nosuch", {}
+    roll = r.random()
+    if roll < 0.25 and params:
+        params[r.choice(sorted(params))] = _junk(r)
+    elif roll < 0.35:
+        params[r.choice(KEYS)] = _junk(r) if r.random() < 0.5 else "1"
+    elif roll < 0.45 and params:
+        del params[r.choice(sorted(params))]
+    elif roll < 0.5:
+        fam = r.choice(["nosuch", "", "heisenberg:", ":p=1"])
+    text = ",".join(f"{k}={v}" for k, v in params.items())
+    return fam + (":" + text if text else ""), dim
+
+
+def _algebra_file(r, dim):
+    pairs = list(combinations(range(1, dim + 1), 2))
+    brackets = [
+        {"i": i, "j": j, "terms": [{"k": r.randint(1, dim), "re": _rat(r)}]}
+        for i, j in r.sample(pairs, min(len(pairs), r.randint(0, 2 * dim)))
+    ]
+    data = {"dim": dim, "brackets": brackets}
+    roll = r.random()
+    if roll < 0.1:
+        data["dim"] = r.choice([0, -1, "x", [3]])
+    elif roll < 0.2 and brackets:
+        brackets[0]["terms"][0]["re"] = r.choice(["1/0", "x", None, [1]])
+    elif roll < 0.25 and brackets:
+        brackets[0]["j"] = r.choice([brackets[0]["i"], dim + 1])
+    elif roll < 0.3:
+        data = r.choice([[1], "x", 5, None])
+    text = json.dumps(data)
+    return text[: r.randint(0, len(text))] if r.random() < 0.05 else text
+
+
+def _matrix_file(r, size):
+    rows = [[_rat(r) for _ in range(size)] for _ in range(size)]
+    roll = r.random()
+    if roll < 0.3:
+        rows = [["1" if a == b else "0" for b in range(size)] for a in range(size)]
+    elif roll < 0.4 and rows:
+        rows[0][0] = r.choice(["1/0", "x", None, [1], {"re": "1", "im": "1"}])
+    elif roll < 0.5:
+        rows = r.choice([[], [[]], "x", [1], [["1"], ["1", "0"]]])
+    return json.dumps(rows)
+
+
+def _argv(r, write):
+    """(subcommand or suite, argv)."""
+    command = r.choice(["class", "check", "contract", "sl"])
+    if command == "sl":
+        n = r.choice([-1, 0, 1, 2, 4, 5])  # 3 is valid but takes seconds
+        argv = ["sl", "--n", str(n)]
+        mode = r.choice(["--identity", "--reeb", "--invariance", "--singular", None])
+        if mode in ("--identity", "--reeb"):
+            argv.append(mode)
+        elif mode:
+            size = 2 * n if n > 0 and r.random() < 0.7 else r.randint(1, 5)
+            argv += [mode, write(_matrix_file(r, size))]
+        return command, argv
+    suite = r.choice(sorted(SUITES) + ["nosuch"]) if command == "check" else None
+    top = TOP_DIM.get(suite or command, 5)
+    if r.random() < 0.7:
+        text, dim = _catalog_id(r, top)
+        argv = [command, "--catalog", text]
+    else:
+        dim = r.randint(1, top)
+        argv = [command, "--algebra", write(_algebra_file(r, dim))]
+    length = dim if r.random() < 0.7 else r.randint(1, top)
+    # "--opt=value": argparse reads a separate value with a leading minus as an option
+    if command == "class":
+        coeffs = [_rat(r) for _ in range(length)]
+        if r.random() < 0.15:
+            coeffs[r.randrange(length)] = r.choice(["x", "1/0", "", "[1]"])
+        argv.append("--form=" + ",".join(coeffs))
+    elif command == "check":
+        argv += ["--suite", suite]
+    else:
+        argv.append("--exponents=" + ",".join(str(r.randint(-1, 3)) for _ in range(length)))
+        if r.random() < 0.3:
+            argv += ["--basis", write(_matrix_file(r, r.randint(1, 6)))]
+    if r.random() < 0.2:
+        argv.insert(0, "--allow-nonjacobi")
+    return suite or command, argv
+
+
+FIXED = [
+    (["class", "--catalog", "heisenberg:p=[1]", "--form", "1"], 1),
+    (["check", "--catalog", "heisenberg:p=[1]", "--suite", "jacobi"], 1),
+    (["contract", "--catalog", "heisenberg:p=[1]", "--exponents", "1"], 1),
+    (["class", "--catalog", "mu_c9:a=1", "--form", "1"], 1),
+    (["class", "--catalog", "frobenius:p=2,a=[[1]]", "--form", "1"], 1),
+    (["check", "--catalog", "abelian:n=1", "--suite", "extension-roundtrip"], 2),
+    (["sl", "--n", "4", "--identity"], 2),
+]
+
+
+@pytest.mark.parametrize("argv,code", FIXED)
+def test_cli_fixed_malformed_inputs(argv, code, capsys):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if "--catalog" in argv and code == 1:
+        assert "cannot resolve catalog id" in err
+
+
+def test_cli_seeded_fuzz_keeps_exit_contract(capsys, tmp_path):
+    r = rng(2024)
+    numbers = count()
+
+    def write(text):
+        path = tmp_path / f"input{next(numbers)}.json"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    seen = set()
+    for _ in range(600):
+        label, argv = _argv(r, write)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejecting the command line
+            code = exc.code
+        except Exception as exc:  # report the input, not only the traceback
+            pytest.fail(f"{type(exc).__name__} escaped main for {argv}: {exc}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv
+        seen.add((label, code))
+    # every subcommand and suite is exercised, and every exit code occurs
+    assert {label for label, _ in seen} >= {"class", "contract", "sl", *SUITES}
+    assert {c for _, c in seen} == {0, 1, 2, 3}

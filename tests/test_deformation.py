@@ -1,3 +1,5 @@
+import time
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -28,6 +30,15 @@ from cartanlab.poly import Poly
 from cartanlab.randgen import random_rational, rng
 from cartanlab.scalars import ONE, ZERO, Scalar
 from cartanlab.structure import jacobi_check, lower_central_series
+
+from dense_cochains import (
+    dense_add,
+    dense_circle_product,
+    dense_coboundary,
+    dense_quadratic_failures,
+    random_bilinear,
+    random_table,
+)
 
 
 def test_circle_product_examples():
@@ -339,3 +350,67 @@ def test_apply_comps_matches_dense_formula():
                     for t in range(n)
                 )
                 assert phi.apply_comps(a, b) == dense
+
+
+def _cochain_algebras(r):
+    """Catalog algebras (Jacobi holds) and random tables (it mostly fails)."""
+    algebras = [
+        entry.algebra
+        for entry in (cat.heisenberg(2), cat.dim3("sl2", lam=3), cat.filiform_model(6),
+                      cat.frobenius_model(3, [1, -2]), cat.mu_c9([1, 2, 3]))
+    ]
+    return algebras + [random_table(r, n) for n in (3, 4, 5, 6) for _ in range(2)]
+
+
+def test_sparse_cochains_match_dense_references():
+    r = rng(307)
+    verdicts = []
+    for g in _cochain_algebras(r):
+        verdicts.append(jacobi_check(g).ok)
+        mu = BilinearMap.of_algebra(g)
+        for _ in range(3):
+            phi, psi = random_bilinear(g, r), random_bilinear(g, r)
+            for a, b in ((phi, psi), (psi, phi), (phi, mu), (mu, phi), (mu, mu), (phi, phi)):
+                sparse = circle_product(a, b).values
+                # same keys in the same (lexicographic) order, same comps
+                assert list(sparse.items()) == list(dense_circle_product(a, b).items())
+            d = coboundary_of_bilinear(phi, g)
+            assert list(d.values.items()) == list(dense_coboundary(phi, g).items())
+            # d phi = phi o mu + mu o phi
+            assert d.values == dense_add(
+                g.dim, dense_circle_product(phi, mu), dense_circle_product(mu, phi)
+            )
+    assert verdicts.count(True) >= 5 and verdicts.count(False) >= 4
+
+
+def test_quadratic_check_matches_dense_equations():
+    r = rng(308)
+    specs = [entry.deformation for entry in (cat.dim3("sl2", lam=2), cat.dim3("solvable_b", b=3))]
+    specs += [cat.dim5("diag_ii_a", a=1, b=Fraction(-1, 2), c=2, d=3).deformation]
+    for p in (1, 2):
+        base = cat.heisenberg(p).algebra
+        for density in (0.1, 0.3):
+            specs.append(DeformationSpec(
+                base, random_bilinear(base, r, density), random_bilinear(base, r, density)
+            ))
+    outcomes = set()
+    for spec in specs:
+        res = check_quadratic_deformation(spec)
+        assert res.failures == dense_quadratic_failures(spec)
+        outcomes.add(res.ok)
+    assert outcomes == {True, False}
+
+
+def test_quadratic_check_scales_to_heisenberg_40():
+    # the dense triple loops took over a minute here
+    base = cat.heisenberg(40).algebra
+    rho = [Scalar(k % 7 - 3) for k in range(80)]
+    f = [[rho[i] if i == j else ZERO for j in range(80)] for i in range(80)]
+    spec = DeformationSpec(base, BilinearMap.zero(base), bilinear_from_endomorphism(base, f))
+    start = time.monotonic()
+    res = check_quadratic_deformation(spec)
+    assert time.monotonic() - start < 5.0
+    # d phi2 (X1, X2, X_l) = -rho_l X_l: equation 2 fails first at (1, 2, 3)
+    assert res.failing_equations() == (2,)
+    (_, key, comps), = res.failures
+    assert key == (1, 2, 3) and comps == tuple(-rho[2] if t == 2 else ZERO for t in range(81))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -27,6 +28,20 @@ from cartanlab.slgroup import (
     so_invariance_check,
     two_form_pair_power,
 )
+
+
+def closed_form_constant(n):
+    """c(n) = -q! * n * 2^(2n^2), q = 2n^2 - 1: the constant of
+    omega ^ (d omega)^q ^ d(det) = c * det * vol on SL(2n)."""
+    q = 2 * n * n - 1
+    return Scalar(-factorial(q) * n * 2 ** (2 * n * n))
+
+
+def test_contact_constant_closed_form():
+    assert closed_form_constant(3) == Scalar(-279723975452393472000)
+    for n in (1, 2):
+        res = sl_contact_identity(n)
+        assert res.ok and res.constant == closed_form_constant(n)
 
 
 def test_det_poly_2x2():
