@@ -41,7 +41,7 @@ print("The forced failure: phi_1(X1,X2) = X1 against a split diagonal f")
 h3 = cat.heisenberg(1).algebra
 spec = DeformationSpec(
     h3,
-    BilinearMap.from_brackets(h3, {(1, 2): {1: 1}}),
+    BilinearMap(h3, {(1, 2): {1: 1}}),
     bilinear_from_endomorphism(h3, ((1, 0), (0, -1))),
 )
 res = check_quadratic_deformation(spec)

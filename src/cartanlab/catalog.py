@@ -118,7 +118,7 @@ def dim3(kind: str, **params) -> CatalogEntry:
         g = LieAlgebra(3, {(1, 2): {3: ONE, 1: ONE}})
         spec = DeformationSpec(
             h3,
-            BilinearMap.from_brackets(h3, {(1, 2): {1: ONE}}),
+            BilinearMap(h3, {(1, 2): {1: ONE}}),
             BilinearMap.zero(h3),
         )
         return _entry(
@@ -137,7 +137,7 @@ def dim3(kind: str, **params) -> CatalogEntry:
         g = LieAlgebra(3, {(1, 2): {3: ONE, 1: ONE}, (2, 3): {1: b}})
         spec = DeformationSpec(
             h3,
-            BilinearMap.from_brackets(h3, {(1, 2): {1: ONE}}),
+            BilinearMap(h3, {(1, 2): {1: ONE}}),
             bilinear_from_endomorphism(h3, ((ZERO, b), (ZERO, ZERO))),
         )
         return _entry(
@@ -314,7 +314,7 @@ def dim5(variant: str, allow_nonjacobi: bool = False, **params) -> CatalogEntry:
                     phi2_f[k - 1][i - 1] = v
     spec = DeformationSpec(
         h5,
-        BilinearMap.from_brackets(h5, phi1_values),
+        BilinearMap(h5, phi1_values),
         bilinear_from_endomorphism(h5, phi2_f),
     )
     param_txt = ",".join(f"{k}={v}" for k, v in sorted(p.items()))
@@ -377,7 +377,7 @@ def filiform_cocycle(p: int, k: int, base: Optional[LieAlgebra] = None) -> Bilin
                 continue
             # basis positions are shifted by one: e_m sits at index m+1
             values[(i + 1, j + 1)] = {target + 1: Scalar(coeff)}
-    return BilinearMap.from_brackets(base, values)
+    return BilinearMap(base, values)
 
 
 def filiform_contact_conditions(p: int, coeffs) -> list:
@@ -409,10 +409,7 @@ def filiform_contact(p: int, coeffs, allow_nonjacobi: bool = False) -> CatalogEn
     for k in range(1, p):
         if a[k - 1]:
             total = total + filiform_cocycle(p, k, base).scale(a[k - 1])
-    brackets = {}
-    for (i, j), comps in total.values.items():
-        brackets[(i, j)] = {t + 1: comps[t] for t in range(n) if comps[t]}
-    g = LieAlgebra(n, brackets, basis=_filiform_labels(n))
+    g = LieAlgebra(n, total.values, basis=_filiform_labels(n))
     res = jacobi_check(g)
     if not res.ok and not allow_nonjacobi:
         raise NonJacobiDisplayError("filiform contact table violates Jacobi")
@@ -535,7 +532,7 @@ def psi_cocycles(p: int, base: Optional[LieAlgebra] = None) -> list:
     out = []
     for k in range(1, p):
         out.append(
-            BilinearMap.from_brackets(
+            BilinearMap(
                 base,
                 {
                     (2, 2 * k + 1): {2 * k + 1: ONE},

@@ -344,11 +344,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_list_values(argv) -> list:
+    """Spell "--form -1,0,1" as "--form=-1,0,1" (likewise --exponents):
+    argparse reads a separate value that starts with a minus as an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--form", "--exponents") and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_list_values(argv))
     args.argv_echo = list(argv)
     try:
         return args.func(args)

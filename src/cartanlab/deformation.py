@@ -15,6 +15,12 @@ so circle products, coboundaries and the Jacobi defects of
 `structure.jacobi_defects` (mu o mu) all run on the one sparse cyclic-sum
 kernel `structure.cyclic_sums`.
 
+Every table here is sparse, in the format of `LieAlgebra.c`: a cochain
+stores {(i, j): {k: coeff}} (a `liealg.bracket_table`), and the trilinear
+results store {(i, j, k): {m: coeff}}.  Only the readers `at`,
+`apply_comps`, `apply`, `first_nonzero` and `QuadraticCheck.failures`
+return dense coordinate tuples or Vectors.
+
 Coboundary signs are pinned so that on the Heisenberg algebra a diagonal
 endomorphism f (acting through phi_2(X_l, X_{2p+1}) = f(X_l)) satisfies
 
@@ -28,134 +34,87 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .forms import DualForm, ce_differential, wedge_power
-from .liealg import LieAlgebra, LinearMap, Vector
+from .liealg import LieAlgebra, LinearMap, Vector, apply_table, bracket_table
 from .scalars import ONE, ZERO, Scalar
 from .structure import PreconditionError, cyclic_sums, pair_table, require_jacobi
 
 
-def _zero_comps(n):
-    return (ZERO,) * n
+def _comps(n, terms):
+    """Coordinate tuple of the sparse vector {k: coeff} in dimension n."""
+    return tuple(terms.get(k, ZERO) for k in range(1, n + 1))
 
 
-def _add_comps(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+def _skew_at(values, n, i, j, rest=()):
+    """Coordinates of the entry (i, j, *rest) of a table stored for i < j
+    and skew in its first two slots."""
+    if i == j:
+        return _comps(n, {})
+    if i < j:
+        return _comps(n, values.get((i, j) + rest, {}))
+    return tuple(-x for x in _comps(n, values.get((j, i) + rest, {})))
 
 
-def _neg_comps(a):
-    return tuple(-x for x in a)
-
-
-def _scale_comps(a, s):
-    return tuple(x * s for x in a)
+def _accumulate(acc, s, terms):
+    """acc += s * terms on sparse {k: coeff} vectors."""
+    for k, v in terms.items():
+        acc[k] = acc.get(k, ZERO) + s * v
 
 
 class BilinearMap:
     """Skew bilinear map on a LieAlgebra's space with values in the space.
 
-    Values are stored for i < j only; entries are coordinate tuples.
+    `values` is a `liealg.bracket_table`, the format of `LieAlgebra.c`.
     """
 
     __slots__ = ("algebra", "values")
 
     def __init__(self, algebra: LieAlgebra, values=None):
+        """values: {(i, j): {k: coeff}} exactly as for LieAlgebra."""
         self.algebra = algebra
-        n = algebra.dim
-        clean = {}
-        for (i, j), comps in (values or {}).items():
-            if not (1 <= i < j <= n):
-                raise ValueError(f"bad pair ({i},{j})")
-            if isinstance(comps, Vector):
-                comps = comps.comps
-            comps = tuple(Scalar.of(x) for x in comps)
-            if len(comps) != n:
-                raise ValueError("value length does not match dimension")
-            if any(comps):
-                clean[(i, j)] = comps
-        self.values = clean
+        self.values = bracket_table(algebra.dim, values or {})
 
     @staticmethod
     def zero(algebra):
         return BilinearMap(algebra)
 
     @staticmethod
-    def from_brackets(algebra, brackets):
-        """brackets: {(i, j): {k: coeff}} exactly as for LieAlgebra."""
-        n = algebra.dim
-        values = {}
-        for (i, j), terms in brackets.items():
-            comps = [ZERO] * n
-            for k, v in terms.items():
-                comps[k - 1] = Scalar.of(v)
-            values[(i, j)] = tuple(comps)
-        return BilinearMap(algebra, values)
-
-    @staticmethod
     def of_algebra(g: LieAlgebra):
         """The bracket of g itself, as a BilinearMap on g's space."""
-        return BilinearMap.from_brackets(g, g.c)
+        return BilinearMap(g, g.c)
 
     @property
     def is_zero(self):
         return not self.values
 
     def at(self, i, j):
-        n = self.algebra.dim
-        if i == j:
-            return _zero_comps(n)
-        if i < j:
-            return self.values.get((i, j), _zero_comps(n))
-        return _neg_comps(self.values.get((j, i), _zero_comps(n)))
+        return _skew_at(self.values, self.algebra.dim, i, j)
 
     def apply_comps(self, x, y):
-        """Bilinear extension on coordinate tuples.
-
-        Products with a zero factor are skipped: the callers mostly pass
-        basis vectors, where at most one of the two products survives.
-        """
-        n = self.algebra.dim
-        acc = [ZERO] * n
-        for (i, j), comps in self.values.items():
-            xi, yj, xj, yi = x[i - 1], y[j - 1], x[j - 1], y[i - 1]
-            if xi and yj:
-                w = xi * yj - xj * yi if xj and yi else xi * yj
-            elif xj and yi:
-                w = -(xj * yi)
-            else:
-                continue
-            if not w:
-                continue
-            for t in range(n):
-                if comps[t]:
-                    acc[t] = acc[t] + w * comps[t]
-        return tuple(acc)
+        """Bilinear extension on coordinate tuples (`liealg.apply_table`)."""
+        return _comps(self.algebra.dim, apply_table(self.values, x, y))
 
     def apply(self, x: Vector, y: Vector) -> Vector:
-        return Vector(self.algebra, self.apply_comps(x.comps, y.comps))
+        return Vector.from_sparse(self.algebra, apply_table(self.values, x.comps, y.comps))
 
     def __add__(self, other):
         if other.algebra is not self.algebra:
             raise ValueError("mixed spaces")
-        out = dict(self.values)
-        for key, comps in other.values.items():
-            merged = _add_comps(out.get(key, _zero_comps(self.algebra.dim)), comps)
-            if any(merged):
-                out[key] = merged
-            else:
-                out.pop(key, None)
+        out = {key: dict(terms) for key, terms in self.values.items()}
+        for key, terms in other.values.items():
+            _accumulate(out.setdefault(key, {}), ONE, terms)
         return BilinearMap(self.algebra, out)
 
     def __neg__(self):
-        return BilinearMap(self.algebra, {k: _neg_comps(v) for k, v in self.values.items()})
+        return self.scale(-ONE)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, s):
         s = Scalar.of(s)
-        if not s:
-            return BilinearMap(self.algebra)
         return BilinearMap(
-            self.algebra, {k: _scale_comps(v, s) for k, v in self.values.items()}
+            self.algebra,
+            {key: {k: v * s for k, v in terms.items()} for key, terms in self.values.items()},
         )
 
     def __eq__(self, other):
@@ -166,125 +125,102 @@ class BilinearMap:
         )
 
     def __hash__(self):
-        return hash(tuple(sorted(self.values.items())))
+        return hash(frozenset((key, frozenset(t.items())) for key, t in self.values.items()))
 
 
 class SkewTrilinear:
-    """Fully skew trilinear table, stored on i < j < k."""
+    """Fully skew trilinear table, stored on i < j < k as the output of
+    `structure.cyclic_sums`: {(i, j, k): {m: coeff}}, nonzero sums only."""
 
     __slots__ = ("algebra", "values")
 
-    def __init__(self, algebra, values=None):
+    def __init__(self, algebra, values):
         self.algebra = algebra
-        self.values = {
-            key: comps for key, comps in (values or {}).items() if any(comps)
-        }
+        self.values = values
 
     @property
     def is_zero(self):
         return not self.values
 
     def at(self, i, j, k):
-        n = self.algebra.dim
         if len({i, j, k}) < 3:
-            return _zero_comps(n)
+            return _comps(self.algebra.dim, {})
         order = sorted(((i, 0), (j, 1), (k, 2)))
         key = tuple(t for t, _ in order)
         perm = tuple(p for _, p in order)
-        sign = 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
-        comps = self.values.get(key, _zero_comps(n))
-        return comps if sign > 0 else _neg_comps(comps)
+        comps = _comps(self.algebra.dim, self.values.get(key, {}))
+        if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            return comps
+        return tuple(-x for x in comps)
 
     def first_nonzero(self):
-        for key in sorted(self.values):
-            return key, self.values[key]
-        return None
-
-
-def _table(phi: BilinearMap) -> dict:
-    """phi as a skew-completed sparse pair table (structure.pair_table)."""
-    return pair_table(
-        ((i, j), {t: x for t, x in enumerate(comps, 1) if x})
-        for (i, j), comps in phi.values.items()
-    )
-
-
-def _trilinear(alg: LieAlgebra, products) -> SkewTrilinear:
-    """SkewTrilinear of the summed circle products outer o inner of pair tables."""
-    n = alg.dim
-    return SkewTrilinear(
-        alg,
-        {
-            key: tuple(terms.get(m, ZERO) for m in range(1, n + 1))
-            for key, terms in cyclic_sums(products).items()
-        },
-    )
+        if not self.values:
+            return None
+        key = min(self.values)
+        return key, _comps(self.algebra.dim, self.values[key])
 
 
 def circle_product(phi: BilinearMap, psi: BilinearMap) -> SkewTrilinear:
     """Cyclic composition; mu o mu = 0 is exactly the Jacobi identity."""
     if phi.algebra is not psi.algebra:
         raise ValueError("mixed spaces")
-    return _trilinear(phi.algebra, [(_table(phi), _table(psi))])
+    products = [(pair_table(phi.values), pair_table(psi.values))]
+    return SkewTrilinear(phi.algebra, cyclic_sums(products))
 
 
 class LeftComposite:
-    """psi1(psi2(X,Y),Z): skew in the first two slots only."""
+    """psi1(psi2(X,Y),Z): skew in the first two slots only, stored as
+    {(i, j, k): {m: coeff}} for i < j."""
 
     __slots__ = ("algebra", "values")
 
-    def __init__(self, algebra, values=None):
+    def __init__(self, algebra, values):
         self.algebra = algebra
-        self.values = {k: v for k, v in (values or {}).items() if any(v)}
+        self.values = values
 
     @property
     def is_zero(self):
         return not self.values
 
     def at(self, i, j, k):
-        n = self.algebra.dim
-        if i == j:
-            return _zero_comps(n)
-        if i < j:
-            return self.values.get((i, j, k), _zero_comps(n))
-        return _neg_comps(self.values.get((j, i, k), _zero_comps(n)))
+        return _skew_at(self.values, self.algebra.dim, i, j, (k,))
+
+
+def _left_compose(outer, table):
+    """{key + (c,): {m: coeff}} of outer(table[key], X_c), for the rows
+    `outer` of a `structure.pair_table`; zero coefficients and sums dropped."""
+    out = {}
+    for key, terms in table.items():
+        for l, u in terms.items():
+            for c, values in outer.get(l, {}).items():
+                _accumulate(out.setdefault(key + (c,), {}), u, values)
+    nonzero = {}
+    for key, acc in out.items():
+        acc = {m: v for m, v in acc.items() if v}
+        if acc:
+            nonzero[key] = acc
+    return nonzero
 
 
 def bullet_product(psi1: BilinearMap, psi2: BilinearMap) -> LeftComposite:
     if psi1.algebra is not psi2.algebra:
         raise ValueError("mixed spaces")
-    alg = psi1.algebra
-    n = alg.dim
-    basis = [tuple(ONE if t == m else ZERO for t in range(n)) for m in range(n)]
-    values = {}
-    for (i, j), comps in psi2.values.items():
-        for k in range(1, n + 1):
-            acc = psi1.apply_comps(comps, basis[k - 1])
-            if any(acc):
-                values[(i, j, k)] = acc
-    return LeftComposite(alg, values)
+    return LeftComposite(psi1.algebra, _left_compose(pair_table(psi1.values), psi2.values))
 
 
 def bullet_power(mu: BilinearMap, k: int):
     """Left-iterated table mu(mu(...mu(X,Y)...), Z): arity k+1 entries.
 
-    Returns {index tuple: comps}; the first two indices satisfy i < j, the
-    remaining slots run over the whole basis.  Empty dict means the iterate
-    vanishes, i.e. the bracket is at most k-step nilpotent.
+    Returns {index tuple: {m: coeff}}; the first two indices satisfy i < j,
+    the remaining slots run over the whole basis.  Empty dict means the
+    iterate vanishes, i.e. the bracket is at most k-step nilpotent.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = mu.algebra.dim
-    basis = [tuple(ONE if t == m else ZERO for t in range(n)) for m in range(n)]
-    table = {key: comps for key, comps in mu.values.items()}
+    outer = pair_table(mu.values)
+    table = dict(mu.values)
     for _ in range(k - 1):
-        nxt = {}
-        for key, comps in table.items():
-            for l in range(1, n + 1):
-                acc = mu.apply_comps(comps, basis[l - 1])
-                if any(acc):
-                    nxt[key + (l,)] = acc
-        table = nxt
+        table = _left_compose(outer, table)
         if not table:
             break
     return table
@@ -295,16 +231,20 @@ def coboundary_of_map(f: LinearMap, g: LieAlgebra) -> BilinearMap:
     if f.algebra is not g:
         raise ValueError("map is not an endomorphism of this algebra")
     n = g.dim
+    mu = pair_table(g.c)
+    # column j of f, f(X_j), as a sparse vector
+    cols = [{m + 1: f.rows[m][j] for m in range(n) if f.rows[m][j]} for j in range(n)]
     values = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            v = (
-                f.apply(g.bracket_basis(i, j))
-                - g.bracket(f.apply_basis(i), g.basis_vector(j))
-                - g.bracket(g.basis_vector(i), f.apply_basis(j))
-            )
-            if not v.is_zero:
-                values[(i, j)] = v.comps
+            acc = {}
+            for l, u in g.c.get((i, j), {}).items():  # f([X_i, X_j])
+                _accumulate(acc, u, cols[l - 1])
+            for a, u in cols[i - 1].items():  # -[f(X_i), X_j]
+                _accumulate(acc, -u, mu.get(a, {}).get(j, {}))
+            for b, u in cols[j - 1].items():  # -[X_i, f(X_j)]
+                _accumulate(acc, -u, mu.get(i, {}).get(b, {}))
+            values[(i, j)] = acc
     return BilinearMap(g, values)
 
 
@@ -313,8 +253,8 @@ def coboundary_of_bilinear(phi: BilinearMap, g: LieAlgebra) -> SkewTrilinear:
     computed as phi o mu + mu o phi."""
     if phi.algebra is not g:
         raise ValueError("cochain lives on a different algebra")
-    mu, t = pair_table(g.c.items()), _table(phi)
-    return _trilinear(g, [(t, mu), (mu, t)])
+    mu, t = pair_table(g.c), pair_table(phi.values)
+    return SkewTrilinear(g, cyclic_sums([(t, mu), (mu, t)]))
 
 
 @dataclass(frozen=True)
@@ -355,7 +295,7 @@ def check_quadratic_deformation(spec: DeformationSpec) -> QuadraticCheck:
     require_jacobi(base)
     if bullet_power(BilinearMap.of_algebra(base), 2):
         raise PreconditionError("base bracket must be (at most) 2-step nilpotent")
-    mu, p1, p2 = pair_table(base.c.items()), _table(spec.phi1), _table(spec.phi2)
+    mu, p1, p2 = (pair_table(t) for t in (base.c, spec.phi1.values, spec.phi2.values))
     failures = []
     for eq, products in (
         (1, [(p1, mu), (mu, p1)]),
@@ -363,7 +303,7 @@ def check_quadratic_deformation(spec: DeformationSpec) -> QuadraticCheck:
         (3, [(p1, p2), (p2, p1)]),
         (4, [(p2, p2)]),
     ):
-        table = _trilinear(base, products)
+        table = SkewTrilinear(base, cyclic_sums(products))
         if not table.is_zero:
             failures.append((eq, *table.first_nonzero()))
     return QuadraticCheck(not failures, tuple(failures))
@@ -373,14 +313,8 @@ def assemble(spec: DeformationSpec) -> LieAlgebra:
     """The deformed bracket mu_0 + phi_1 + phi_2 (parameter specialized to 1:
     all nonzero parameter values give isomorphic brackets)."""
     base = spec.base
-    n = base.dim
     total = BilinearMap.of_algebra(base) + spec.phi1 + spec.phi2
-    brackets = {}
-    for (i, j), comps in total.values.items():
-        terms = {t + 1: comps[t] for t in range(n) if comps[t]}
-        if terms:
-            brackets[(i, j)] = terms
-    return LieAlgebra(n, brackets, basis=base.basis)
+    return LieAlgebra(base.dim, total.values, basis=base.basis)
 
 
 def bilinear_from_endomorphism(base: LieAlgebra, f_rows) -> BilinearMap:
@@ -395,13 +329,7 @@ def bilinear_from_endomorphism(base: LieAlgebra, f_rows) -> BilinearMap:
     f_rows = tuple(tuple(Scalar.of(x) for x in row) for row in f_rows)
     if len(f_rows) != m or any(len(r) != m for r in f_rows):
         raise ValueError("endomorphism must act on the non-central subspace")
-    values = {}
-    for l in range(1, m + 1):
-        comps = [ZERO] * n
-        for t in range(m):
-            comps[t] = f_rows[t][l - 1]
-        if any(comps):
-            values[(l, n)] = tuple(comps)
+    values = {(l, n): {t + 1: f_rows[t][l - 1] for t in range(m)} for l in range(1, m + 1)}
     return BilinearMap(base, values)
 
 
@@ -484,14 +412,11 @@ def deformation_from_classical_basis(g: LieAlgebra) -> DeformationSpec:
                 raise PreconditionError(
                     f"bracket ({i},{j}) has a stray central component"
                 )
-            low = [terms.get(k, ZERO) for k in range(1, n + 1)]
-            low[n - 1] = ZERO
-            if any(low):
-                phi1_vals[(i, j)] = tuple(low)
+            phi1_vals[(i, j)] = {k: v for k, v in terms.items() if k != n}
         else:
             if central:
                 raise PreconditionError("brackets with the center must stay horizontal")
-            phi2_vals[(i, j)] = tuple(terms.get(k, ZERO) for k in range(1, n + 1))
+            phi2_vals[(i, j)] = terms
     return DeformationSpec(
         base, BilinearMap(base, phi1_vals), BilinearMap(base, phi2_vals)
     )

@@ -1,13 +1,16 @@
 """Lie algebras given by exact structure constants.
 
-A LieAlgebra stores c[i, j, k] for i < j only (1-based indices); the other
-half of the bracket table is implied by skew symmetry.  An instance is
-immutable: `c` is a read-only mapping of read-only {k: coeff} mappings, and
-`dim` and `basis` cannot be reassigned, so a verdict computed from the table
-stays true for the instance's whole life.  The Jacobi identity is
-deliberately *not* an invariant of the type: deformation intermediates are
-allowed to violate it, and `structure.jacobi_check` is the gatekeeper (it
-keeps its verdict in the instance's one write-once slot).
+A skew bilinear table has one format across the package: a read-only
+{(i, j): {k: coeff}} with 1-based indices, i < j only (the other half is
+implied by skew symmetry) and zero coefficients dropped.  `bracket_table`
+builds it and `apply_table` evaluates it on coordinates; the bracket `c`
+of a LieAlgebra and the cochains of `deformation` are both such tables.
+A LieAlgebra is immutable: `c` is a bracket table, and `dim` and `basis`
+cannot be reassigned, so a verdict computed from the table stays true for
+the instance's whole life.  The Jacobi identity is deliberately *not* an
+invariant of the type: deformation intermediates are allowed to violate
+it, and `structure.jacobi_check` is the gatekeeper (it keeps its verdict
+in the instance's one write-once slot).
 """
 
 from __future__ import annotations
@@ -16,6 +19,49 @@ from types import MappingProxyType
 
 from .linalg import nullspace, rref
 from .scalars import ONE, ZERO, Scalar
+
+
+def bracket_table(dim, brackets):
+    """Checked, read-only copy of {(i, j): {k: coeff}} on a dim-dimensional
+    space: 1 <= i < j <= dim and 1 <= k <= dim, coefficients coerced to
+    Scalar, zero coefficients and then empty pairs dropped."""
+    table = {}
+    for (i, j), terms in brackets.items():
+        if not (1 <= i < j <= dim):
+            raise ValueError(f"bad bracket pair ({i},{j}) for dim {dim}")
+        clean = {}
+        for k, v in terms.items():
+            if not (1 <= k <= dim):
+                raise ValueError(f"bad bracket target {k} for dim {dim}")
+            v = Scalar.of(v)
+            if v:
+                clean[k] = v
+        if clean:
+            table[(i, j)] = MappingProxyType(clean)
+    return MappingProxyType(table)
+
+
+def apply_table(table, x, y) -> dict:
+    """{k: coeff} of the bilinear extension of a bracket table to the
+    coordinate sequences x and y (coefficients may cancel to zero).
+
+    Products with a zero factor are skipped: the callers mostly pass
+    basis vectors, where at most one of the two products survives.
+    """
+    acc = {}
+    for (i, j), terms in table.items():
+        xi, yj, xj, yi = x[i - 1], y[j - 1], x[j - 1], y[i - 1]
+        if xi and yj:
+            w = xi * yj - xj * yi if xj and yi else xi * yj
+        elif xj and yi:
+            w = -(xj * yi)
+        else:
+            continue
+        if not w:
+            continue
+        for k, v in terms.items():
+            acc[k] = acc.get(k, ZERO) + w * v
+    return acc
 
 
 class LieAlgebra:
@@ -33,22 +79,9 @@ class LieAlgebra:
         basis = tuple(str(b) for b in basis)
         if len(basis) != dim:
             raise ValueError("basis label count does not match dimension")
-        table = {}
-        for (i, j), terms in brackets.items():
-            if not (1 <= i < j <= dim):
-                raise ValueError(f"bad bracket pair ({i},{j}) for dim {dim}")
-            clean = {}
-            for k, v in terms.items():
-                if not (1 <= k <= dim):
-                    raise ValueError(f"bad bracket target {k} for dim {dim}")
-                v = Scalar.of(v)
-                if v:
-                    clean[k] = v
-            if clean:
-                table[(i, j)] = MappingProxyType(clean)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "c", MappingProxyType(table))
+        object.__setattr__(self, "c", bracket_table(dim, brackets))
 
     def __setattr__(self, name, value):
         # `_jacobi` is the one write-once slot, for structure.jacobi_check
@@ -80,14 +113,7 @@ class LieAlgebra:
     def bracket(self, x: "Vector", y: "Vector") -> "Vector":
         if x.algebra is not self or y.algebra is not self:
             raise ValueError("vectors belong to a different algebra")
-        acc = {}
-        for (i, j), terms in self.c.items():
-            w = x.comps[i - 1] * y.comps[j - 1] - x.comps[j - 1] * y.comps[i - 1]
-            if not w:
-                continue
-            for k, v in terms.items():
-                acc[k] = acc.get(k, ZERO) + w * v
-        return Vector.from_sparse(self, acc)
+        return Vector.from_sparse(self, apply_table(self.c, x.comps, y.comps))
 
     def adjoint_rows(self, index):
         """Matrix of ad(X_index), column j = coordinates of [X_index, X_j]."""

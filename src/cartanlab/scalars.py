@@ -14,8 +14,12 @@ def parse_rational(text) -> Fraction:
     """Exact rational from a string such as "-3/7" (or an integer).
 
     Every malformed input raises ValueError, a zero denominator included,
-    so callers that report bad input need to catch only that.
+    so callers that report bad input need to catch only that.  Anything
+    but a str or an int (a bool or a binary float read from JSON, say) is
+    malformed.
     """
+    if isinstance(text, bool) or not isinstance(text, (str, int)):
+        raise ValueError(f"not an exact rational: {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -29,11 +29,11 @@ class JacobiResult:
         return self.ok
 
 
-def pair_table(pairs) -> dict:
-    """Skew-completed rows {i: {j: {m: v}}} of a bilinear table given as
-    ((i, j), {m: v}) items with i < j: row j holds the negated (i, j) value."""
+def pair_table(table) -> dict:
+    """Skew-completed rows {i: {j: {m: v}}} of a bracket table
+    {(i, j): {m: v}}, i < j: row j holds the negated (i, j) value."""
     rows = {}
-    for (i, j), terms in pairs:
+    for (i, j), terms in table.items():
         if terms:
             rows.setdefault(i, {})[j] = terms
             rows.setdefault(j, {})[i] = {m: -v for m, v in terms.items()}
@@ -81,7 +81,7 @@ def jacobi_defects(g: LieAlgebra, first: int = 1):
     This is `cyclic_sums` with the structure constants as both tables, so
     every sum is computed before the first triple is yielded.
     """
-    table = pair_table(g.c.items())
+    table = pair_table(g.c)
     for (i, j, k), acc in cyclic_sums([(table, table)]).items():
         if i >= first:
             yield i, j, k, Vector.from_sparse(g, acc)

@@ -88,6 +88,10 @@ def suite_quadra(g: LieAlgebra, entry: CatalogEntry = None):
     results = {
         "ok": res.ok and bool(assembled_ok),
         "failing_equations": list(res.failing_equations()),
+        "failures": [
+            {"equation": eq, "triple": list(triple), "defect": _vector_str(defect)}
+            for eq, triple, defect in res.failures
+        ],
         "assembled_jacobi": assembled_ok,
     }
     return results["ok"], results

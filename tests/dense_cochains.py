@@ -1,9 +1,11 @@
-"""Dense references for the sparse cyclic-sum kernel.
+"""Dense references for the sparse cochain routes.
 
-These are the triple loops the library used before `structure.cyclic_sums`:
-every triple i < j < k, and every product a dense `BilinearMap.apply_comps`
+These are the loops the library used before `structure.cyclic_sums` and
+the sparse left composition of `deformation`: every triple i < j < k (or
+every basis vector), and every product a dense `BilinearMap.apply_comps`
 on basis-vector coordinate tuples.  Tests compare the sparse routes with
-them; they are slow on purpose and belong to no library code path.
+them, reading the sparse tables through their dense `at`; the references
+are slow on purpose and belong to no library code path.
 """
 
 from itertools import combinations
@@ -33,7 +35,7 @@ def random_bilinear(g, r, density=0.4):
         if r.random() < density:
             targets = r.sample(range(1, n + 1), r.randint(1, 2))
             values[(i, j)] = {k: random_rational(r) for k in targets}
-    return BilinearMap.from_brackets(g, values)
+    return BilinearMap(g, values)
 
 
 def _basis(n):
@@ -81,6 +83,58 @@ def dense_coboundary(phi, g):
         )
         if any(acc):
             values[(i, j, k)] = acc
+    return values
+
+
+def dense_view(table):
+    """{key: coordinate tuple} of a sparse BilinearMap, SkewTrilinear or
+    LeftComposite, read through its `at` in stored key order."""
+    return {key: table.at(*key) for key in table.values}
+
+
+def dense_bullet_product(psi1, psi2):
+    """{(i, j, k): comps} of psi1(psi2(X_i, X_j), X_k), i < j, zeros dropped."""
+    n = psi1.algebra.dim
+    e = _basis(n)
+    values = {}
+    for i, j in psi2.values:
+        for k in range(1, n + 1):
+            acc = psi1.apply_comps(psi2.at(i, j), e[k - 1])
+            if any(acc):
+                values[(i, j, k)] = acc
+    return values
+
+
+def dense_bullet_power(mu, k):
+    """{index tuple: comps} of mu(mu(...mu(X, Y)...), Z) with arity k + 1."""
+    n = mu.algebra.dim
+    e = _basis(n)
+    table = {key: mu.at(*key) for key in mu.values}
+    for _ in range(k - 1):
+        nxt = {}
+        for key, comps in table.items():
+            for l in range(1, n + 1):
+                acc = mu.apply_comps(comps, e[l - 1])
+                if any(acc):
+                    nxt[key + (l,)] = acc
+        table = nxt
+        if not table:
+            break
+    return table
+
+
+def dense_coboundary_of_map(f, g):
+    """{(i, j): comps} of (df)(X_i, X_j) = f([X_i, X_j]) - [f(X_i), X_j] - [X_i, f(X_j)]
+    on Vectors, zeros dropped."""
+    values = {}
+    for i, j in combinations(range(1, g.dim + 1), 2):
+        v = (
+            f.apply(g.bracket_basis(i, j))
+            - g.bracket(f.apply_basis(i), g.basis_vector(j))
+            - g.bracket(g.basis_vector(i), f.apply_basis(j))
+        )
+        if not v.is_zero:
+            values[(i, j)] = v.comps
     return values
 
 

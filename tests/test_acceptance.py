@@ -139,7 +139,7 @@ def test_criterion_04_quadratic_system_implies_jacobi():
         h3 = cat.heisenberg(1).algebra
         spec = DeformationSpec(
             h3,
-            BilinearMap.from_brackets(h3, {(1, 2): {1: 1}}),
+            BilinearMap(h3, {(1, 2): {1: 1}}),
             bilinear_from_endomorphism(h3, ((1, 0), (0, -1))),
         )
         assert check_quadratic_deformation(spec).failing_equations() == (3,)
@@ -190,12 +190,7 @@ def test_criterion_08_frobenius_model_battery():
                 total = BilinearMap.of_algebra(base_entry.algebra)
                 for ak, psi in zip(a, psis):
                     total = total + psi.scale(ak)
-                brackets = {}
-                for (i, j), comps in total.values.items():
-                    brackets[(i, j)] = {
-                        t + 1: comps[t] for t in range(len(comps)) if comps[t]
-                    }
-                rebuilt = LieAlgebra(2 * p, brackets)
+                rebuilt = LieAlgebra(2 * p, total.values)
                 assert rebuilt.same_constants(entry.algebra)
                 spectrum = adjoint_spectrum(entry.algebra, 2)
                 for ak in a:

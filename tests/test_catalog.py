@@ -156,12 +156,7 @@ def test_frobenius_psi_cocycles_reassemble_model():
             total = BilinearMap.of_algebra(base.algebra)
             for ak, psi in zip(a, psis):
                 total = total + psi.scale(ak)
-            brackets = {}
-            for (i, j), comps in total.values.items():
-                brackets[(i, j)] = {
-                    t + 1: comps[t] for t in range(len(comps)) if comps[t]
-                }
-            rebuilt = LieAlgebra(2 * p, brackets)
+            rebuilt = LieAlgebra(2 * p, total.values)
             assert rebuilt.same_constants(cat.frobenius_model(p, a).algebra)
 
 

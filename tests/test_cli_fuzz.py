@@ -130,16 +130,21 @@ def _argv(r, write):
         dim = r.randint(1, top)
         argv = [command, "--algebra", write(_algebra_file(r, dim))]
     length = dim if r.random() < 0.7 else r.randint(1, top)
-    # "--opt=value": argparse reads a separate value with a leading minus as an option
+
+    def list_option(name, values):
+        # both spellings, "--opt=v1,v2" and "--opt v1,v2" (v1 may start with a minus)
+        text = ",".join(values)
+        return [f"{name}={text}"] if length % 2 else [name, text]
+
     if command == "class":
         coeffs = [_rat(r) for _ in range(length)]
         if r.random() < 0.15:
             coeffs[r.randrange(length)] = r.choice(["x", "1/0", "", "[1]"])
-        argv.append("--form=" + ",".join(coeffs))
+        argv += list_option("--form", coeffs)
     elif command == "check":
         argv += ["--suite", suite]
     else:
-        argv.append("--exponents=" + ",".join(str(r.randint(-1, 3)) for _ in range(length)))
+        argv += list_option("--exponents", [str(r.randint(-1, 3)) for _ in range(length)])
         if r.random() < 0.3:
             argv += ["--basis", write(_matrix_file(r, r.randint(1, 6)))]
     if r.random() < 0.2:
@@ -155,15 +160,23 @@ FIXED = [
     (["class", "--catalog", "frobenius:p=2,a=[[1]]", "--form", "1"], 1),
     (["check", "--catalog", "abelian:n=1", "--suite", "extension-roundtrip"], 2),
     (["sl", "--n", "4", "--identity"], 2),
+    # a list value with a leading minus, as a separate argument and attached
+    (["class", "--catalog", "heisenberg:p=1", "--form", "-1,0,1"], 0),
+    (["class", "--catalog", "heisenberg:p=1", "--form=-1,0,1"], 0),
+    (["contract", "--catalog", "heisenberg:p=1", "--exponents", "-1,0,1"], 0),
+    (["contract", "--catalog", "heisenberg:p=1", "--exponents=-1,0,1"], 0),
 ]
 
 
 @pytest.mark.parametrize("argv,code", FIXED)
 def test_cli_fixed_malformed_inputs(argv, code, capsys):
     assert main(argv) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     if "--catalog" in argv and code == 1:
         assert "cannot resolve catalog id" in err
+    if code == 0:
+        # the report echoes the command line as given
+        assert json.loads(out)["argv"] == argv
 
 
 def test_cli_seeded_fuzz_keeps_exit_contract(capsys, tmp_path):

@@ -25,7 +25,7 @@ from cartanlab.deformation import (
     normalize_linear_deformation,
 )
 from cartanlab.forms import DualForm, cartan_class, ce_differential, wedge_power
-from cartanlab.liealg import LieAlgebra, LinearMap
+from cartanlab.liealg import LieAlgebra, LinearMap, Vector
 from cartanlab.poly import Poly
 from cartanlab.randgen import random_rational, rng
 from cartanlab.scalars import ONE, ZERO, Scalar
@@ -33,9 +33,13 @@ from cartanlab.structure import jacobi_check, lower_central_series
 
 from dense_cochains import (
     dense_add,
+    dense_bullet_power,
+    dense_bullet_product,
     dense_circle_product,
     dense_coboundary,
+    dense_coboundary_of_map,
     dense_quadratic_failures,
+    dense_view,
     random_bilinear,
     random_table,
 )
@@ -46,7 +50,7 @@ def test_circle_product_examples():
     mu = BilinearMap.of_algebra(h3)
     assert circle_product(mu, mu).is_zero
 
-    phi = BilinearMap.from_brackets(h3, {(1, 2): {1: 1}})
+    phi = BilinearMap(h3, {(1, 2): {1: 1}})
     assert circle_product(phi, phi).at(1, 2, 3) == (ZERO, ZERO, ZERO)
 
     zero = BilinearMap.zero(h3)
@@ -126,7 +130,7 @@ def test_quadratic_check_negative_case_fails_equation_three():
     h3 = cat.heisenberg(1).algebra
     spec = DeformationSpec(
         h3,
-        BilinearMap.from_brackets(h3, {(1, 2): {1: 1}}),
+        BilinearMap(h3, {(1, 2): {1: 1}}),
         bilinear_from_endomorphism(h3, ((1, 0), (0, -1))),
     )
     res = check_quadratic_deformation(spec)
@@ -149,7 +153,7 @@ def test_quadra_ok_implies_assembled_jacobi_grid_search():
     passing = 0
     for a in values:
         for b in values:
-            phi1 = BilinearMap.from_brackets(h3, {(1, 2): {1: a, 2: b}})
+            phi1 = BilinearMap(h3, {(1, 2): {1: a, 2: b}})
             for fa in values:
                 for fb in values:
                     f = ((fa, fb), (ZERO, -fa))
@@ -170,7 +174,7 @@ def test_endomorphism_round_trip():
 
 def test_normalize_linear_deformation():
     h5 = cat.heisenberg(2).algebra
-    phi1 = BilinearMap.from_brackets(
+    phi1 = BilinearMap(
         h5, {(1, 2): {1: 1}, (1, 5): {5: 2}, (3, 5): {5: -1}}
     )
     adjusted, f = normalize_linear_deformation(h5, phi1)
@@ -326,6 +330,7 @@ def _sparse_rational(r):
 
 
 def test_apply_comps_matches_dense_formula():
+    # BilinearMap.apply_comps and LieAlgebra.bracket share liealg.apply_table
     r = rng(212)
     for n in (3, 4, 5, 6):
         g = LieAlgebra(n, {})
@@ -334,8 +339,9 @@ def test_apply_comps_matches_dense_formula():
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
                     if r.random() < 0.4:
-                        values[(i, j)] = [_sparse_rational(r) for _ in range(n)]
+                        values[(i, j)] = {t: _sparse_rational(r) for t in range(1, n + 1)}
             phi = BilinearMap(g, values)
+            h = LieAlgebra(n, values)
             x = [_sparse_rational(r) for _ in range(n)]
             y = [_sparse_rational(r) for _ in range(n)]
             for a, b in ((x, y), (y, x), (x, x)):
@@ -350,6 +356,7 @@ def test_apply_comps_matches_dense_formula():
                     for t in range(n)
                 )
                 assert phi.apply_comps(a, b) == dense
+                assert h.bracket(Vector(h, a), Vector(h, b)).comps == dense
 
 
 def _cochain_algebras(r):
@@ -371,16 +378,45 @@ def test_sparse_cochains_match_dense_references():
         for _ in range(3):
             phi, psi = random_bilinear(g, r), random_bilinear(g, r)
             for a, b in ((phi, psi), (psi, phi), (phi, mu), (mu, phi), (mu, mu), (phi, phi)):
-                sparse = circle_product(a, b).values
+                sparse = dense_view(circle_product(a, b))
                 # same keys in the same (lexicographic) order, same comps
                 assert list(sparse.items()) == list(dense_circle_product(a, b).items())
-            d = coboundary_of_bilinear(phi, g)
-            assert list(d.values.items()) == list(dense_coboundary(phi, g).items())
+            d = dense_view(coboundary_of_bilinear(phi, g))
+            assert list(d.items()) == list(dense_coboundary(phi, g).items())
             # d phi = phi o mu + mu o phi
-            assert d.values == dense_add(
+            assert d == dense_add(
                 g.dim, dense_circle_product(phi, mu), dense_circle_product(mu, phi)
             )
     assert verdicts.count(True) >= 5 and verdicts.count(False) >= 4
+
+
+def test_sparse_bullets_match_dense_references():
+    r = rng(309)
+    nilpotency = set()
+    for g in _cochain_algebras(r):
+        mu = BilinearMap.of_algebra(g)
+        phi = random_bilinear(g, r)
+        for a, b in ((mu, mu), (phi, mu), (mu, phi), (phi, phi)):
+            assert dense_view(bullet_product(a, b)) == dense_bullet_product(a, b)
+        for k in (1, 2, 3, 4):
+            sparse = bullet_power(mu, k)
+            dense = dense_bullet_power(mu, k)
+            assert {key: _dense(g.dim, terms) for key, terms in sparse.items()} == dense
+            nilpotency.add((k, not sparse))
+    # both verdicts occur at 2 and 3 steps
+    assert {(2, True), (2, False), (3, True), (3, False)} <= nilpotency
+
+
+def test_sparse_coboundary_of_map_matches_dense_reference():
+    r = rng(310)
+    for g in _cochain_algebras(r):
+        for _ in range(3):
+            f = LinearMap(g, [[_sparse_rational(r) for _ in range(g.dim)] for _ in range(g.dim)])
+            assert dense_view(coboundary_of_map(f, g)) == dense_coboundary_of_map(f, g)
+
+
+def _dense(n, terms):
+    return tuple(terms.get(k, ZERO) for k in range(1, n + 1))
 
 
 def test_quadratic_check_matches_dense_equations():

@@ -14,6 +14,13 @@ from cartanlab.algebra_io import (
     parse_exponents,
 )
 from cartanlab.cli import main
+from cartanlab.deformation import (
+    BilinearMap,
+    DeformationSpec,
+    assemble,
+    bilinear_from_endomorphism,
+    check_quadratic_deformation,
+)
 
 
 def run_cli(args, capsys):
@@ -124,6 +131,29 @@ def test_cli_check_quadra_and_roundtrip(capsys):
         capsys,
     )
     assert code == 0 and json.loads(out)["results"]["extension-roundtrip"]["ok"]
+
+
+def test_cli_check_quadra_reports_failing_equations(capsys, tmp_path):
+    # the forced failure of demo 02: phi_1(X1,X2) = X1 against a split diagonal f
+    h3 = cat.heisenberg(1).algebra
+    spec = DeformationSpec(
+        h3,
+        BilinearMap(h3, {(1, 2): {1: 1}}),
+        bilinear_from_endomorphism(h3, ((1, 0), (0, -1))),
+    )
+    failures = check_quadratic_deformation(spec).failures
+    path = tmp_path / "forced.json"
+    path.write_text(dump_algebra(assemble(spec)))
+    code, out, _ = run_cli(["check", "--algebra", str(path), "--suite", "quadra"], capsys)
+    assert code == 3
+    results = json.loads(out)["results"]["quadra"]
+    assert results["failing_equations"] == [3]
+    assert results["failures"] == [
+        {"equation": eq, "triple": list(triple), "defect": [str(x) for x in defect]}
+        for eq, triple, defect in failures
+    ]
+    (witness,) = results["failures"]
+    assert witness["equation"] == 3 and any(x != "0" for x in witness["defect"])
 
 
 def test_cli_check_center_suite(capsys):
@@ -295,3 +325,28 @@ def test_cli_zero_denominator_is_a_parse_error(argv, tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "zero denominator" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,content",
+    [
+        (["class", "--algebra", "{path}", "--form", "0,0,1"],
+         {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "re": 0.1}]}]}),
+        (["class", "--algebra", "{path}", "--form", "0,0,1"],
+         {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "re": True}]}]}),
+        (["sl", "--n", "1", "--invariance", "{path}"], [[{"re": 0.5}, "0"], ["0", "1"]]),
+    ],
+    ids=["algebra-float", "algebra-bool", "matrix-float"],
+)
+def test_cli_json_numbers_other_than_integers_are_malformed(argv, content, tmp_path):
+    # coefficients are exact: a JSON float or bool never becomes a rational
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cartanlab.cli", *(a.format(path=path) for a in argv)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "malformed" in proc.stderr
