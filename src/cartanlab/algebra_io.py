@@ -28,18 +28,25 @@ def algebra_to_dict(g: LieAlgebra) -> dict:
     return {"dim": g.dim, "basis": list(g.basis), "brackets": brackets}
 
 
+def _index(value) -> int:
+    # int() would truncate a JSON float and take a bool, so check the type
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"index must be an integer, not {value!r}")
+    return value
+
+
 def algebra_from_dict(data: dict) -> LieAlgebra:
     try:
-        dim = int(data["dim"])
+        dim = _index(data["dim"])
         basis = data.get("basis")
         brackets = {}
         for entry in data.get("brackets", []):
-            i, j = int(entry["i"]), int(entry["j"])
+            i, j = _index(entry["i"]), _index(entry["j"])
             if not (1 <= i < j <= dim):
                 raise AlgebraFileError(f"bracket pair ({i},{j}) out of order or range")
             terms = {}
             for term in entry["terms"]:
-                k = int(term["k"])
+                k = _index(term["k"])
                 if not (1 <= k <= dim):
                     raise AlgebraFileError(f"bracket target {k} out of range")
                 terms[k] = Scalar(parse_rational(term["re"]), parse_rational(term.get("im", "0")))
@@ -72,11 +79,6 @@ def load_algebra_text(text: str) -> LieAlgebra:
 def load_algebra(path: str) -> LieAlgebra:
     with open(path, "r", encoding="utf-8") as fh:
         return load_algebra_text(fh.read())
-
-
-def save_algebra(g: LieAlgebra, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_algebra(g))
 
 
 def load_matrix_text(text: str):

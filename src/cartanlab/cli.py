@@ -25,6 +25,7 @@ seed; CARTANLAB_SEED overrides the default seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -288,7 +289,9 @@ def cmd_sl(args):
     return EXIT_PASS if ok else EXIT_PROPERTY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call."""
     # SUPPRESS defaults let these flags sit before or after the subcommand
     # without the subparser namespace clobbering an already-parsed value
     common = argparse.ArgumentParser(add_help=False)

@@ -60,9 +60,6 @@ class LaurentScalar:
                     out.pop(e, None)
         return LaurentScalar(out)
 
-    def min_exponent(self) -> Optional[int]:
-        return min(self.terms) if self.terms else None
-
     def limit0(self) -> Optional[Scalar]:
         """Value at t -> 0, or None when a negative exponent survives."""
         if any(e < 0 for e in self.terms):

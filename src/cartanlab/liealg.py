@@ -245,11 +245,6 @@ class LinearMap:
     def apply_basis(self, j) -> Vector:
         return Vector(self.algebra, [self.rows[i][j - 1] for i in range(self.algebra.dim)])
 
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        from .linalg import mat_mul
-
-        return LinearMap(self.algebra, mat_mul(self.rows, other.rows))
-
     def commutator(self, other: "LinearMap") -> "LinearMap":
         from .linalg import mat_mul, mat_sub
 

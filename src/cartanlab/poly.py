@@ -76,11 +76,6 @@ class Poly:
     def constant_value(self) -> Scalar:
         return self.terms.get((0,) * len(self.vars), ZERO)
 
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, i):
         if not self.terms:
             return -1

@@ -43,10 +43,6 @@ class PolyForm:
     def function(poly: Poly):
         return PolyForm(poly.vars, 0, {(): poly})
 
-    @staticmethod
-    def d_var(vars, i):
-        return PolyForm(vars, 1, {(i,): Poly.constant(vars, ONE)})
-
     @property
     def is_zero(self):
         return not self.coeffs

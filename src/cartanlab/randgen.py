@@ -13,7 +13,6 @@ from fractions import Fraction
 from .forms import DualForm
 from .liealg import LieAlgebra
 from .poly import Poly
-from .scalars import Scalar
 
 DEFAULT_SEED = 1729
 
@@ -24,10 +23,6 @@ def rng(seed=None) -> random.Random:
 
 def random_rational(r: random.Random) -> Fraction:
     return Fraction(r.randint(-9, 9), r.randint(1, 9))
-
-
-def random_scalar(r: random.Random) -> Scalar:
-    return Scalar(random_rational(r))
 
 
 def random_covector(g: LieAlgebra, r: random.Random) -> DualForm:

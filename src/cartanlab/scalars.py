@@ -76,10 +76,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    @property
-    def is_rational(self) -> bool:
-        return self.im == 0
-
     def __bool__(self) -> bool:
         return not self.is_zero
 
@@ -184,49 +180,3 @@ I = Scalar(0, 1)
 def sc(x) -> Scalar:
     """Shorthand coercion used all over the test-suites and demos."""
     return Scalar.of(x)
-
-
-def rational_sqrt(q: Fraction):
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn = _isqrt_exact(num)
-    rd = _isqrt_exact(den)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
-def _isqrt_exact(n: int):
-    from math import isqrt
-
-    r = isqrt(n)
-    return r if r * r == n else None
-
-
-def gaussian_sqrt(z: Scalar):
-    """Exact square root of a Scalar inside Q(i), or None when none exists.
-
-    Solves w^2 = z: |w|^2 must be the rational square root of norm(z), and
-    the real part satisfies 2*c^2 = re(z) + |w|^2.
-    """
-    if z.is_zero:
-        return ZERO
-    r = rational_sqrt(z.norm())
-    if r is None:
-        return None
-    c2 = (z.re + r) / 2
-    c = rational_sqrt(c2)
-    if c is None:
-        return None
-    if c != 0:
-        d = z.im / (2 * c)
-        w = Scalar(c, d)
-    else:
-        d2 = -z.re
-        d = rational_sqrt(d2)
-        if d is None:
-            return None
-        w = Scalar(0, d)
-    return w if w * w == z else None

@@ -335,11 +335,18 @@ def test_cli_zero_denominator_is_a_parse_error(argv, tmp_path):
         (["class", "--algebra", "{path}", "--form", "0,0,1"],
          {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "re": True}]}]}),
         (["sl", "--n", "1", "--invariance", "{path}"], [[{"re": 0.5}, "0"], ["0", "1"]]),
+        (["class", "--algebra", "{path}", "--form", "0,0,1"],
+         {"dim": 3, "brackets": [{"i": 1, "j": 2.9, "terms": [{"k": 3, "re": "1"}]}]}),
+        (["class", "--algebra", "{path}", "--form", "0,0,1"],
+         {"dim": 3, "brackets": [{"i": True, "j": 2, "terms": [{"k": 3, "re": "1"}]}]}),
+        (["class", "--algebra", "{path}", "--form", "0,0,1"],
+         {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": "3", "re": "1"}]}]}),
     ],
-    ids=["algebra-float", "algebra-bool", "matrix-float"],
+    ids=["algebra-float", "algebra-bool", "matrix-float", "index-float", "index-bool", "index-string"],
 )
 def test_cli_json_numbers_other_than_integers_are_malformed(argv, content, tmp_path):
-    # coefficients are exact: a JSON float or bool never becomes a rational
+    # coefficients are exact and indices are integers: a JSON float or bool
+    # never becomes a rational, nor a float, bool or string an index
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
     proc = subprocess.run(

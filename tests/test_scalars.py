@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cartanlab.scalars import I, ONE, ZERO, Scalar, gaussian_sqrt, rational_sqrt, sc
+from cartanlab.scalars import I, ONE, ZERO, Scalar, sc
 
 
 def test_arithmetic_is_exact():
@@ -58,19 +58,3 @@ def test_hash_consistency():
     assert hash(Scalar(3)) == hash(Fraction(3))
     d = {Scalar(1, 2): "z"}
     assert d[Scalar(Fraction(2, 2), Fraction(4, 2))] == "z"
-
-
-def test_rational_sqrt():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(Fraction(2)) is None
-    assert rational_sqrt(Fraction(-1)) is None
-
-
-def test_gaussian_sqrt():
-    assert gaussian_sqrt(Scalar(-4)) == Scalar(0, 2)
-    assert gaussian_sqrt(Scalar(0, 2)) == Scalar(1, 1)
-    w = gaussian_sqrt(Scalar(Fraction(-3, 4), ONE.re))
-    # -3/4 + i = (1/2 + i)^2
-    assert w is not None and w * w == Scalar(Fraction(-3, 4), 1)
-    assert gaussian_sqrt(Scalar(2)) is None
-    assert gaussian_sqrt(ZERO) == ZERO

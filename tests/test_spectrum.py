@@ -1,15 +1,11 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 from cartanlab import catalog as cat
 from cartanlab import upoly
 from cartanlab.scalars import I, ONE, ZERO, Scalar
-from cartanlab.spectrum import (
-    adjoint_spectrum,
-    charpoly,
-    divisors,
-    factor_integer,
-    scalar_roots,
-)
+from cartanlab.spectrum import adjoint_spectrum, charpoly, scalar_roots
 
 
 def _p(*coeffs):
@@ -30,13 +26,6 @@ def test_squarefree_decomposition():
     p = upoly.mul(upoly.mul(_p(-1, 1), _p(-1, 1)), _p(2, 1))
     parts = upoly.squarefree_decomposition(p)
     assert ( _p(2, 1), 1) in parts and (_p(-1, 1), 2) in parts
-
-
-def test_factor_integer_and_divisors():
-    assert factor_integer(360) == {2: 3, 3: 2, 5: 1}
-    assert sorted(divisors(12)) == [1, 2, 3, 4, 6, 12]
-    big = 1000003 * 999983
-    assert factor_integer(big) == {1000003: 1, 999983: 1}
 
 
 def test_charpoly_2x2():
@@ -83,6 +72,36 @@ def test_scalar_roots_keeps_irreducible_factor():
     assert mult == 1 and factor == _p(-2, 0, 1)
 
 
+def test_scalar_roots_finds_seeded_gaussian_roots():
+    # products of (x - r_k), r_k in Q(i) of height up to 10^6, times a
+    # non-monic Gaussian lead and sometimes a cofactor with no root in Q(i)
+    r = random.Random(6)
+
+    def height():
+        return Fraction(r.randint(-10**6, 10**6), r.randint(1, 10**6))
+
+    cofactors = [None, _p(-2, 0, 1), (-I, ZERO, ONE), _p(1, 1, 1)]
+    for case in range(200):
+        roots = [Scalar(height(), height()) for _ in range(r.randint(1, 4))]
+        roots += roots[:1] * (case % 5 == 0)
+        p = (Scalar(r.randint(1, 9), r.randint(-9, 9)),)
+        for x in roots:
+            p = upoly.mul(p, (-x, ONE))
+        cofactor = cofactors[case % 4]
+        if cofactor:
+            p = upoly.mul(p, cofactor)
+        res = scalar_roots(p)
+        assert dict(res.eigenvalues) == Counter(roots), case
+        assert res.unfactored == (((cofactor, 1),) if cofactor else ()), case
+
+
+def test_scalar_roots_root_at_the_coefficient_bound():
+    # x (x - c): |c| is the largest coefficient, as large as a root can be
+    for c in (Scalar(-10**6), Scalar(0, 10**6)):
+        res = scalar_roots((ZERO, -c, ONE))
+        assert dict(res.eigenvalues) == {ZERO: 1, c: 1}
+
+
 def test_adjoint_spectrum_model_family():
     g = cat.frobenius_model(2, [2]).algebra
     spec = adjoint_spectrum(g, 2)
@@ -106,3 +125,16 @@ def test_adjoint_spectrum_rotation():
     so3 = cat.dim3("so3").algebra
     spec = adjoint_spectrum(so3, 1)
     assert dict(spec.eigenvalues) == {ZERO: 1, I: 1, -I: 1}
+
+
+def test_adjoint_spectrum_nonreal_models_are_complete():
+    g = cat.frobenius_model(2, [Scalar(1, 1)]).algebra
+    spec = adjoint_spectrum(g, 2)
+    assert dict(spec.eigenvalues) == {ZERO: 1, Scalar(-1): 1, Scalar(1, 1): 1, Scalar(-2, -1): 1}
+    assert spec.unfactored == ()
+    a3 = [Scalar(Fraction(3, 7), -2), I]
+    a4 = [Scalar(-5, Fraction(1, 3)), Scalar(Fraction(-1, 2), 4), Scalar(2, Fraction(-7, 9))]
+    for p, a in ((3, a3), (4, a4)):
+        spec = adjoint_spectrum(cat.frobenius_model(p, a).algebra, 2)
+        expected = Counter([ZERO, Scalar(-1)] + [x for ak in a for x in (ak, -(ONE + ak))])
+        assert dict(spec.eigenvalues) == expected and spec.unfactored == (), p
