@@ -24,29 +24,15 @@ def identity(n):
     )
 
 
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_scale(a, s):
-    s = Scalar.of(s)
-    return tuple(tuple(x * s for x in row) for row in a)
-
-
 def mat_mul(a, b):
-    n, m = len(a), len(b[0])
-    k = len(b)
     bt = transpose(b)
     return tuple(
-        tuple(
-            sum((a[i][l] * bt[j][l] for l in range(k)), ZERO)
-            for j in range(m)
-        )
-        for i in range(n)
+        tuple(sum((x * y for x, y in zip(row, col) if x and y), ZERO) for col in bt)
+        for row in a
     )
 
 
@@ -56,10 +42,6 @@ def mat_vec(a, v):
 
 def transpose(a):
     return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
-
-
-def trace(a):
-    return sum((a[i][i] for i in range(len(a))), ZERO)
 
 
 def rref(rows):

@@ -1,12 +1,16 @@
 """Exact characteristic polynomials and eigenvalues over Q(i).
 
 Polynomials are ascending coefficient tuples of Scalars (see `upoly`).
-Each squarefree factor of a characteristic polynomial gives up all of its
-roots in Q(i) by one modular route: roots modulo a prime q = 1 (mod 4),
-where i has a square root, Hensel-lifted past a bound on the Gaussian
-integers lead*r and kept only if they evaluate to exactly 0 (von zur
-Gathen & Gerhard, Modern Computer Algebra, ch. 15).  Whatever has no root
-in Q(i) is returned as an unfactored polynomial, never as a float.
+`charpoly` reduces the matrix to Hessenberg form by exact similarity
+transforms and reads det(xI - H) off its leading blocks, in O(n^3) Scalar
+operations; tests/test_spectrum.py checks it against a Faddeev-LeVerrier
+reference.  Each squarefree factor of a characteristic polynomial gives up
+all of its roots in Q(i) by one modular route: roots modulo a prime
+q = 1 (mod 4), where i has a square root, Hensel-lifted past a bound on
+the Gaussian integers lead*r and kept only if they evaluate to exactly 0
+(von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15).  Whatever
+has no root in Q(i) is returned as an unfactored polynomial, never as a
+float.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ from math import isqrt, lcm
 
 from . import upoly
 from .liealg import LieAlgebra
-from .linalg import identity, mat_add, mat_mul, mat_scale, trace
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, Scalar
 from .structure import require_jacobi
 
 
@@ -120,24 +123,58 @@ def scalar_roots(p) -> SpectrumResult:
 
 
 def charpoly(rows) -> tuple:
-    """Monic characteristic polynomial det(xI - A), ascending coefficients,
-    by the Faddeev-LeVerrier recursion (exact division by integers)."""
+    """Monic characteristic polynomial det(xI - A) of a square matrix,
+    ascending coefficients, in O(n^3) Scalar operations.
+
+    A is brought to upper Hessenberg form H by exact similarity transforms
+    (row i -= u * row m, then column m += u * column i), and det(xI - H) is
+    read off the leading blocks of H by Hessenberg's recurrence (Cohen,
+    A Course in Computational Algebraic Number Theory, Alg. 2.2.9).
+    """
     n = len(rows)
-    a = tuple(tuple(Scalar.of(x) for x in row) for row in rows)
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    m = a
-    for k in range(1, n + 1):
-        ck = -(trace(m) / Scalar(k))
-        coeffs[n - k] = ck
-        if k < n:
-            m = mat_mul(a, mat_add(m, mat_scale(identity(n), ck)))
-    return tuple(coeffs)
+    if any(len(row) != n for row in rows):
+        raise ValueError("charpoly needs a square matrix")
+    h = [[Scalar.of(x) for x in row] for row in rows]
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            h[m], h[pivot] = h[pivot], h[m]
+            for row in h:
+                row[m], row[pivot] = row[pivot], row[m]
+        inv = ONE / h[m][m - 1]
+        for i in range(m + 1, n):
+            if not h[i][m - 1]:
+                continue
+            u = h[i][m - 1] * inv
+            # rows m and i are already zero left of column m - 1
+            for j in range(m - 1, n):
+                if h[m][j]:
+                    h[i][j] -= u * h[m][j]
+            for row in h:
+                if row[i]:
+                    row[m] += u * row[i]
+    # p[k] = det(xI - H_k) for the leading k x k block H_k
+    p = [(ONE,)]
+    for m in range(n):
+        pm = upoly.mul((-h[m][m], ONE), p[m])
+        chain = ONE
+        for i in range(m, 0, -1):
+            chain *= h[i][i - 1]
+            if not chain:
+                break
+            if h[i - 1][m]:
+                pm = upoly.sub(pm, upoly.mul((h[i - 1][m] * chain,), p[i - 1]))
+        p.append(pm)
+    return p[n]
 
 
 def adjoint_spectrum(g: LieAlgebra, index: int) -> SpectrumResult:
     """Eigenvalues of ad(X_index) as exact roots of its characteristic
     polynomial; non-Q(i) spectrum is reported in factored form."""
+    if isinstance(index, bool) or not isinstance(index, int):
+        raise TypeError(f"basis index must be an integer, not {index!r}")
     require_jacobi(g)
     if not (1 <= index <= g.dim):
         raise ValueError("basis index out of range")

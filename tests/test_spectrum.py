@@ -2,8 +2,11 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from cartanlab import catalog as cat
 from cartanlab import upoly
+from cartanlab.linalg import invert, mat_mul
 from cartanlab.scalars import I, ONE, ZERO, Scalar
 from cartanlab.spectrum import adjoint_spectrum, charpoly, scalar_roots
 
@@ -32,6 +35,90 @@ def test_charpoly_2x2():
     rows = ((Scalar(1), Scalar(2)), (Scalar(3), Scalar(4)))
     # x^2 - 5x - 2
     assert charpoly(rows) == (Scalar(-2), Scalar(-5), ONE)
+
+
+def _faddeev_leverrier(a):
+    """Reference det(xI - A): c_{n-k} = -tr(M_k)/k with M_1 = A and
+    M_{k+1} = A (M_k + c_{n-k} I), n - 1 matrix products in all."""
+    n = len(a)
+    coeffs = [ZERO] * n + [ONE]
+    m = a
+    for k in range(1, n + 1):
+        ck = -sum((m[i][i] for i in range(n)), ZERO) / k
+        coeffs[n - k] = ck
+        if k < n:
+            m = mat_mul(a, [[x + ck if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)])
+    return tuple(coeffs)
+
+
+def _random_matrix(r, n):
+    def entry():
+        if r.random() < 0.4:
+            return ZERO
+        im = Fraction(r.randint(-5, 5), r.randint(1, 4)) if r.random() < 0.3 else 0
+        return Scalar(Fraction(r.randint(-9, 9), r.randint(1, 6)), im)
+
+    return tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+
+
+def test_charpoly_matches_faddeev_leverrier_on_random_matrices():
+    # sizes 0..10, five each, then 275 more of sizes 0..5: the O(n^4)
+    # reference is what makes the large ones slow
+    r = random.Random(7)
+    for case in range(330):
+        a = _random_matrix(r, case % (11 if case < 55 else 6))
+        cp = charpoly(a)
+        assert len(cp) == len(a) + 1 and cp[-1] == ONE, case
+        assert cp == _faddeev_leverrier(a), case
+
+
+def test_charpoly_matches_faddeev_leverrier_on_special_shapes():
+    r = random.Random(8)
+    # first column zero below its first two rows: the pivot needs a swap
+    swap = [[Scalar(1), Scalar(2), Scalar(0, 1), Scalar(3)],
+            [ZERO, Scalar(4), ONE, ZERO],
+            [Scalar(5), ZERO, Scalar(-1), Scalar(2)],
+            [Scalar(Fraction(1, 3)), ONE, ZERO, Scalar(7)]]
+    # block upper triangular: a zero subdiagonal entry ends the chain
+    block = [[Scalar(2), ONE, Scalar(3), Scalar(0, -2)],
+             [Scalar(-1), Scalar(1, 1), ZERO, Scalar(4)],
+             [ZERO, ZERO, Scalar(5), ONE],
+             [ZERO, ZERO, Scalar(-3), Scalar(Fraction(1, 2))]]
+    # nilpotent: strictly upper triangular, and that conjugated by a
+    # random unipotent lower triangular matrix
+    nil = [[Scalar(r.randint(-4, 4)) if j > i else ZERO for j in range(6)] for i in range(6)]
+    lower = [[ONE if i == j else (Scalar(r.randint(-3, 3), r.randint(-2, 2)) if i > j else ZERO)
+              for j in range(6)] for i in range(6)]
+    conj = mat_mul(mat_mul(lower, nil), invert(lower))
+    for a in (swap, block, nil, conj):
+        assert charpoly(a) == _faddeev_leverrier(a)
+    assert charpoly(conj) == (ZERO,) * 6 + (ONE,)
+    assert charpoly(block) == upoly.mul(charpoly([row[:2] for row in block[:2]]),
+                                        charpoly([row[2:] for row in block[2:]]))
+
+
+def test_charpoly_matches_faddeev_leverrier_on_adjoints():
+    entries = cat.standard_entries() + cat.nilpotent_entries()
+    r = random.Random(9)
+    entries += [cat.frobenius_model(p, [Scalar(Fraction(r.randint(-9, 9), r.randint(1, 5)), r.randint(-3, 3))
+                                        for _ in range(p - 1)]) for p in range(2, 6)]
+    for entry in entries:
+        g = entry.algebra
+        for k in range(1, g.dim + 1):
+            a = g.adjoint_rows(k)
+            assert charpoly(a) == _faddeev_leverrier(a), (entry.id, k)
+
+
+@pytest.mark.parametrize("rows", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]]])
+def test_charpoly_rejects_non_square_input(rows):
+    with pytest.raises(ValueError):
+        charpoly(rows)
+
+
+@pytest.mark.parametrize("index", [1.0, True])
+def test_adjoint_spectrum_rejects_non_integer_index(index):
+    with pytest.raises(TypeError):
+        adjoint_spectrum(cat.heisenberg(1).algebra, index)
 
 
 def test_scalar_roots_rational_and_multiplicity():
