@@ -10,7 +10,8 @@ contract   diagonal contraction by an exponent vector, optionally after a
 sl         the polynomial contact data on the even special linear group:
            top-form identity, Reeb pairings, rotation invariance, singular
            equations at a point.  --n is capped at 3 (SL(6)): the exact
-           expansions grow too fast beyond it (n = 4 takes over a minute).
+           expansions grow too fast beyond it (at n = 4 the identity
+           takes 10-15 s and the Reeb pairings 30-40 s on a 2-CPU machine).
 
 Catalog ids use the grammar  name[:key=val,...]  with arrays as [v1,v2],
 e.g.  heisenberg:p=2,  frobenius:p=3,a=[1,-2],  mu_c9:a=[1,2,3],

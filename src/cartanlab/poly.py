@@ -2,6 +2,15 @@
 
 Terms map exponent tuples to Scalars; the variable list is part of the
 value and two polynomials must share it exactly (no implicit alignment).
+
+Every Poly keeps one invariant: each exponent tuple has one non-bool int
+>= 0 per variable, and no coefficient is zero.  ``Poly(vars, terms)`` is
+the one checked constructor and establishes it for outside input.  The
+arithmetic (``+``, ``-``, ``*``, ``diff``, ``subs``, ``**``) and the
+named constructors build fresh dicts that already keep it, and wrap them
+with ``_trusted`` without checking them again.  Only a merge of two terms
+can cancel, so those are the only places that test for zero; a product of
+nonzero Scalars is nonzero, Q(i) being a field.
 """
 
 from __future__ import annotations
@@ -15,6 +24,25 @@ class VariableMismatch(ValueError):
     pass
 
 
+def _exponent(e) -> int:
+    # int() would truncate 1.5, parse "2" and take True, so check the type
+    if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+        raise ValueError(f"exponent must be an integer >= 0, not {e!r}")
+    return e
+
+
+def _trusted(vars: tuple, terms: dict) -> "Poly":
+    """Wrap ``terms`` as a Poly without checking it.
+
+    ``terms`` must be a fresh dict that keeps the Poly invariant over
+    ``vars`` (a tuple) and that no other Poly holds.
+    """
+    p = object.__new__(Poly)
+    p.vars = vars
+    p.terms = terms
+    return p
+
+
 class Poly:
     __slots__ = ("vars", "terms")
 
@@ -23,43 +51,40 @@ class Poly:
         nv = len(self.vars)
         clean = {}
         for expo, c in (terms or {}).items():
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != nv or any(e < 0 for e in expo):
+            expo = tuple(_exponent(e) for e in expo)
+            if len(expo) != nv:
                 raise ValueError("bad exponent tuple")
             c = Scalar.of(c)
+            if expo in clean:
+                c = clean[expo] + c
             if c:
-                clean[expo] = clean.get(expo, ZERO) + c
-                if not clean[expo]:
-                    del clean[expo]
+                clean[expo] = c
+            else:
+                clean.pop(expo, None)
         self.terms = clean
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero(vars):
-        return Poly(vars)
+        return _trusted(tuple(vars), {})
 
     @staticmethod
     def constant(vars, c):
-        c = Scalar.of(c)
-        if not c:
-            return Poly(vars)
-        return Poly(vars, {(0,) * len(tuple(vars)): c})
+        vars, c = tuple(vars), Scalar.of(c)
+        return _trusted(vars, {(0,) * len(vars): c} if c else {})
 
     @staticmethod
     def variable(vars, name):
         vars = tuple(vars)
-        idx = vars.index(name)
-        expo = [0] * len(vars)
-        expo[idx] = 1
-        return Poly(vars, {tuple(expo): ONE})
+        return Poly.var_index(vars, vars.index(name))
 
     @staticmethod
     def var_index(vars, i):
         vars = tuple(vars)
         expo = [0] * len(vars)
         expo[i] = 1
-        return Poly(vars, {tuple(expo): ONE})
+        return _trusted(vars, {tuple(expo): ONE})
 
     # -- predicates ------------------------------------------------------
 
@@ -93,12 +118,16 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for expo, c in other.terms.items():
-            w = out.get(expo, ZERO) + c
-            if w:
-                out[expo] = w
+            w = out.get(expo)
+            if w is None:
+                out[expo] = c
             else:
-                out.pop(expo, None)
-        return Poly(self.vars, out)
+                w = w + c
+                if w:
+                    out[expo] = w
+                else:
+                    del out[expo]
+        return _trusted(self.vars, out)
 
     __radd__ = __add__
 
@@ -111,25 +140,29 @@ class Poly:
         return (-self) + other
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             s = Scalar.of(other)
             if not s:
-                return Poly(self.vars)
-            return Poly(self.vars, {e: c * s for e, c in self.terms.items()})
+                return _trusted(self.vars, {})
+            return _trusted(self.vars, {e: c * s for e, c in self.terms.items()})
         self._check(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 expo = tuple(a + b for a, b in zip(e1, e2))
-                w = out.get(expo, ZERO) + c1 * c2
-                if w:
-                    out[expo] = w
+                w = out.get(expo)
+                if w is None:
+                    out[expo] = c1 * c2
                 else:
-                    out.pop(expo, None)
-        return Poly(self.vars, out)
+                    w = w + c1 * c2
+                    if w:
+                        out[expo] = w
+                    else:
+                        del out[expo]
+        return _trusted(self.vars, out)
 
     __rmul__ = __mul__
 
@@ -161,18 +194,16 @@ class Poly:
 
     def diff(self, var):
         i = self.vars.index(var) if isinstance(var, str) else var
+        # lowering e_i by one is injective on the terms with e_i > 0, and
+        # e * c != 0, so nothing merges or cancels
         out = {}
         for expo, c in self.terms.items():
             e = expo[i]
-            if e == 0:
-                continue
-            d = list(expo)
-            d[i] = e - 1
-            key = tuple(d)
-            w = out.get(key, ZERO) + c * Scalar(e)
-            if w:
-                out[key] = w
-        return Poly(self.vars, out)
+            if e:
+                d = list(expo)
+                d[i] = e - 1
+                out[tuple(d)] = c * Scalar(e)
+        return _trusted(self.vars, out)
 
     def eval(self, values) -> Scalar:
         """values: per-variable Scalars (sequence aligned with self.vars)."""

@@ -42,20 +42,33 @@ def coordinate(n, i, j) -> Poly:
     return Poly.var_index(matrix_vars(n), _vid(n, i, j))
 
 
-def _laplace(n: int, rows, cols) -> Poly:
+def _laplace(n: int, rows, cols, memo=None) -> Poly:
     """det of the symbolic submatrix on the given (nonempty) rows and
-    columns, by expansion along its first row."""
+    columns, by expansion along its first row.
+
+    Each sub-minor is computed once: ``memo`` maps a (rows, cols) pair of
+    tuples to its determinant, so a sub-minor reached along many paths of
+    the recursion is expanded on the first only.  Callers that expand
+    several minors of the same matrix pass one memo so that the minors
+    share their sub-minors too.
+    """
     vars = matrix_vars(n)
+    if memo is None:
+        memo = {}
 
     def expand(rows, cols):
         if len(rows) == 1:
             return coordinate(n, rows[0], cols[0])
+        key = (rows, cols)
+        if key in memo:
+            return memo[key]
         total = Poly.zero(vars)
         r = rows[0]
         for t, c in enumerate(cols):
             sub = expand(rows[1:], cols[:t] + cols[t + 1 :])
             term = coordinate(n, r, c) * sub
             total = total + (term if t % 2 == 0 else -term)
+        memo[key] = total
         return total
 
     return expand(tuple(rows), tuple(cols))
@@ -67,12 +80,16 @@ def det_poly(n: int) -> Poly:
     return _laplace(n, range(1, m + 1), range(1, m + 1))
 
 
-def minor_poly(n: int, i: int, j: int) -> Poly:
-    """Minor of the (i, j) entry (no cofactor sign)."""
+def _minor(n: int, i: int, j: int, memo=None) -> Poly:
     m = 2 * n
     rows = [r for r in range(1, m + 1) if r != i]
     cols = [c for c in range(1, m + 1) if c != j]
-    return _laplace(n, rows, cols)
+    return _laplace(n, rows, cols, memo)
+
+
+def minor_poly(n: int, i: int, j: int) -> Poly:
+    """Minor of the (i, j) entry (no cofactor sign)."""
+    return _minor(n, i, j)
 
 
 def rotation_pair_form(n: int) -> PolyForm:
@@ -93,14 +110,15 @@ def reeb_candidate(n: int) -> PolyVectorField:
     vars = matrix_vars(n)
     comps = [Poly.zero(vars) for _ in vars]
     scale = ONE / Scalar(2 * n)
+    memo = {}  # the 4n^2 minors share their sub-minors
     for j in range(1, 2 * n + 1):
         sign = ONE if j % 2 == 1 else -ONE
         for i in range(1, n + 1):
-            comps[_vid(n, j, 2 * i)] = comps[_vid(n, j, 2 * i)] + minor_poly(
-                n, j, 2 * i - 1
+            comps[_vid(n, j, 2 * i)] = comps[_vid(n, j, 2 * i)] + _minor(
+                n, j, 2 * i - 1, memo
             ) * (sign * scale)
-            comps[_vid(n, j, 2 * i - 1)] = comps[_vid(n, j, 2 * i - 1)] + minor_poly(
-                n, j, 2 * i
+            comps[_vid(n, j, 2 * i - 1)] = comps[_vid(n, j, 2 * i - 1)] + _minor(
+                n, j, 2 * i, memo
             ) * (sign * scale)
     return PolyVectorField(vars, comps)
 

@@ -15,7 +15,7 @@ from cartanlab.polyforms import (
     pullback_linear,
     vf_bracket,
 )
-from cartanlab.randgen import random_poly, rng
+from cartanlab.randgen import random_poly, random_rational, rng
 from cartanlab.scalars import Scalar
 
 V = ("x", "y", "z")
@@ -54,6 +54,50 @@ def test_poly_subs():
     p = x * x + y
     image = p.subs([y, x * z, Poly.zero(V)])
     assert image == y * y + x * z
+
+
+@pytest.mark.parametrize("expo", [(1.5,), ("2",), (True,), (-1,), (1, 0)])
+def test_poly_rejects_bad_exponents(expo):
+    # the same rule as algebra_io._index: a non-bool int, here also >= 0
+    with pytest.raises(ValueError):
+        Poly(("x",), {expo: 1})
+
+
+def _assert_clean(p):
+    """The Poly invariant, as the checked constructor would establish it."""
+    assert all(p.terms.values()), p.terms
+    assert all(len(e) == len(p.vars) for e in p.terms)
+    assert p == Poly(p.vars, dict(p.terms))
+    assert p.is_zero == (p == Poly.zero(p.vars))
+
+
+def _forced_cancellations(p, q, x):
+    one = Poly.constant(p.vars, 1)
+    product = (x + one) * (x - one)
+    return [
+        p + (-p), p - p, p * q - q * p, product, product - x * x, product - x * x + 1,
+        p * 0, 0 * p, p * Scalar(0), Poly.constant(p.vars, 0), p + 0, p - p.constant_value(),
+        p ** 0, (p - p) ** 2, p.subs([Poly.zero(p.vars)] * len(p.vars)),
+    ]
+
+
+def test_arithmetic_results_keep_the_poly_invariant():
+    r = rng(808)
+    for nv in range(1, 7):
+        vars = tuple(f"v{k}" for k in range(nv))
+        for _ in range(6):
+            p, q = (random_poly(vars, r, max_degree=3, terms=r.randint(1, 5)) for _ in range(2))
+            c = random_rational(r)
+            i = r.randrange(nv)
+            images = [random_poly(vars, r, terms=2) for _ in vars]
+            results = [
+                p + q, p - q, -p, p * q, p * c, c * p, p * Scalar(c, 1), p + c, c - p,
+                p.diff(i), p.diff(vars[i]).diff(i), p.subs(images), p ** r.randint(1, 3),
+            ]
+            results += _forced_cancellations(p, q, Poly.var_index(vars, i))
+            for res in results:
+                _assert_clean(res)
+            assert (p + (-p)).is_zero and (p * q - q * p).is_zero
 
 
 def test_poly_univariate_coeffs():

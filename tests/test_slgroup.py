@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from cartanlab.linalg import as_matrix, det, mat_mul, nullspace
 from cartanlab.poly import Poly
 from cartanlab.polyforms import (
+    PolyVectorField,
     exterior_d,
     form_on_field,
     poly_interior,
@@ -16,10 +18,13 @@ from cartanlab.scalars import ONE, ZERO, Scalar
 from cartanlab.slgroup import (
     OrthogonalityError,
     block_rotation,
+    det_poly,
     evaluate_singular_equations,
     is_singular_point,
     matrix_vars,
+    minor_poly,
     pythagorean_rotation,
+    reeb_candidate,
     reeb_identities,
     rotation_fields,
     singular_pairings,
@@ -181,3 +186,45 @@ def test_reeb_pairings_at_unimodular_points():
         for tangent in nullspace([tuple(ddet)], ncols=4):
             paired = sum((c * t for c, t in zip(cov, tangent)), ZERO)
             assert paired == ZERO
+
+
+def leibniz_det(n, rows, cols):
+    """det of the symbolic submatrix on rows x cols, as the permutation sum
+    of sign(s) * prod_k x_{rows[k], cols[s(k)]}."""
+    vars = matrix_vars(n)
+    total = Poly.zero(vars)
+    for perm in permutations(range(len(cols))):
+        inversions = sum(1 for a, b in combinations(perm, 2) if a > b)
+        term = Poly.constant(vars, (-1) ** inversions)
+        for r, k in zip(rows, perm):
+            term = term * Poly.variable(vars, f"x{r}_{cols[k]}")
+        total = total + term
+    return total
+
+
+def reference_minor(n, i, j):
+    full = range(1, 2 * n + 1)
+    return leibniz_det(n, [r for r in full if r != i], [c for c in full if c != j])
+
+
+def test_det_and_minors_match_leibniz_sum():
+    for n in (1, 2, 3):
+        full = list(range(1, 2 * n + 1))
+        assert det_poly(n) == leibniz_det(n, full, full)
+    for n in (1, 2):
+        for i in range(1, 2 * n + 1):
+            for j in range(1, 2 * n + 1):
+                assert minor_poly(n, i, j) == reference_minor(n, i, j)
+
+
+def test_reeb_candidate_matches_reference_minors():
+    n = 2
+    vars = matrix_vars(n)
+    comps = [Poly.zero(vars) for _ in vars]
+    for j in range(1, 2 * n + 1):
+        scale = Fraction((-1) ** (j + 1), 2 * n)
+        for i in range(1, n + 1):
+            for target, source in ((2 * i, 2 * i - 1), (2 * i - 1, 2 * i)):
+                k = vars.index(f"x{j}_{target}")
+                comps[k] = comps[k] + reference_minor(n, j, source) * scale
+    assert reeb_candidate(n) == PolyVectorField(vars, comps)
