@@ -11,7 +11,8 @@ sl         the polynomial contact data on the even special linear group:
            top-form identity, Reeb pairings, rotation invariance, singular
            equations at a point.  --n is capped at 3 (SL(6)): the exact
            expansions grow too fast beyond it (at n = 4 the identity
-           takes 10-15 s and the Reeb pairings 30-40 s on a 2-CPU machine).
+           takes 15-17 s and the Reeb pairings ~37 s and 0.8 GB on a
+           2-CPU machine).
 
 Catalog ids use the grammar  name[:key=val,...]  with arrays as [v1,v2],
 e.g.  heisenberg:p=2,  frobenius:p=3,a=[1,-2],  mu_c9:a=[1,2,3],

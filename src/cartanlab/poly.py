@@ -11,11 +11,20 @@ named constructors build fresh dicts that already keep it, and wrap them
 with ``_trusted`` without checking them again.  Only a merge of two terms
 can cancel, so those are the only places that test for zero; a product of
 nonzero Scalars is nonzero, Q(i) being a field.
+
+Most products in the SL(2n) code have a one-term factor (a coordinate
+times a sub-minor, a constant times a form coefficient, a coefficient
+times a substituted image).  ``*`` then shifts the other factor's
+exponents, which is injective, so it neither merges nor tests for zero,
+and a unit coefficient costs no Scalar product at all.  ``**`` starts
+from the base and stops squaring at the highest bit, so ``p ** 1`` is
+``p``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -149,10 +158,20 @@ class Poly:
                 return _trusted(self.vars, {})
             return _trusted(self.vars, {e: c * s for e, c in self.terms.items()})
         self._check(other)
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # a monomial factor shifts the other's exponents: the shift is
+            # injective and c1 * c2 != 0, so nothing merges or cancels
+            ((e1, c1),) = a.items()
+            if c1 == ONE:
+                return _trusted(self.vars, {tuple(map(add, e1, e2)): c2 for e2, c2 in b.items()})
+            return _trusted(self.vars, {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()})
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                expo = tuple(map(add, e1, e2))
                 w = out.get(expo)
                 if w is None:
                     out[expo] = c1 * c2
@@ -167,16 +186,19 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power")
-        out = Poly.constant(self.vars, ONE)
-        base = self
-        while k:
+        k = _exponent(k)
+        if not k:
+            return Poly.constant(self.vars, ONE)
+        # start from the base and stop squaring after the highest bit:
+        # x ** 1 is x, x ** 3 costs two products
+        base, out = self, None
+        while True:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -202,7 +224,7 @@ class Poly:
             if e:
                 d = list(expo)
                 d[i] = e - 1
-                out[tuple(d)] = c * Scalar(e)
+                out[tuple(d)] = c if e == 1 else c * Scalar(e)
         return _trusted(self.vars, out)
 
     def eval(self, values) -> Scalar:
@@ -224,10 +246,14 @@ class Poly:
         common target variable list (all must agree)."""
         if len(replacements) != len(self.vars):
             raise VariableMismatch("substitution needs one entry per variable")
-        target = replacements[0].vars
+        if not replacements:
+            raise VariableMismatch("an empty substitution fixes no target variables")
         for r in replacements:
-            if r.vars != target:
+            if not isinstance(r, Poly):
+                raise TypeError(f"substitution image must be a Poly, not {r!r}")
+            if r.vars != replacements[0].vars:
                 raise VariableMismatch("substitution images disagree on variables")
+        target = replacements[0].vars
         pow_cache = {}
 
         def power(i, e):

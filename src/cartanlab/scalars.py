@@ -120,16 +120,21 @@ class Scalar:
         return Scalar.of(other) / self
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("Scalar powers must be nonnegative integers")
-        out = ONE
-        base = self
-        while k:
+        # the exponent rule of poly._exponent: a non-bool int >= 0
+        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+            raise ValueError(f"Scalar powers need an integer >= 0, not {k!r}")
+        if not k:
+            return ONE
+        # start from the base and stop squaring after the highest bit:
+        # x ** 1 is x, x ** 3 costs two products
+        base, out = self, None
+        while True:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def conjugate(self) -> "Scalar":
         return Scalar(self.re, -self.im)

@@ -9,6 +9,7 @@ set pairing polynomials.  Everything is an exact polynomial identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
 from typing import Optional
 
@@ -27,6 +28,7 @@ from .polyforms import (
 from .scalars import ONE, ZERO, Scalar
 
 
+@cache
 def matrix_vars(n: int):
     """Variable names for the (2n) x (2n) matrix coordinates, row major."""
     m = 2 * n
@@ -74,10 +76,14 @@ def _laplace(n: int, rows, cols, memo=None) -> Poly:
     return expand(tuple(rows), tuple(cols))
 
 
-def det_poly(n: int) -> Poly:
-    """det of the symbolic (2n) x (2n) matrix, by expansion along row 1."""
+def det_poly(n: int, memo=None) -> Poly:
+    """det of the symbolic (2n) x (2n) matrix, by expansion along row 1.
+
+    ``memo`` is a ``_laplace`` memo of the same n; its row-1 sub-minors are
+    the minors M_{1c} that ``reeb_candidate`` also expands.
+    """
     m = 2 * n
-    return _laplace(n, range(1, m + 1), range(1, m + 1))
+    return _laplace(n, range(1, m + 1), range(1, m + 1), memo)
 
 
 def _minor(n: int, i: int, j: int, memo=None) -> Poly:
@@ -104,13 +110,18 @@ def rotation_pair_form(n: int) -> PolyForm:
     return PolyForm(vars, 1, coeffs)
 
 
-def reeb_candidate(n: int) -> PolyVectorField:
+def reeb_candidate(n: int, memo=None) -> PolyVectorField:
     """(1/2n) sum_{j,i} (-1)^{j+1} (M_{j,2i-1} d/dx_{j,2i} + M_{j,2i} d/dx_{j,2i-1})
-    with M_{jl} the minors; pairs to det against the rotation form."""
+    with M_{jl} the minors; pairs to det against the rotation form.
+
+    The 4n^2 minors share one ``_laplace`` memo of the same n, ``memo`` if
+    given.
+    """
     vars = matrix_vars(n)
     comps = [Poly.zero(vars) for _ in vars]
     scale = ONE / Scalar(2 * n)
-    memo = {}  # the 4n^2 minors share their sub-minors
+    if memo is None:
+        memo = {}
     for j in range(1, 2 * n + 1):
         sign = ONE if j % 2 == 1 else -ONE
         for i in range(1, n + 1):
@@ -132,17 +143,18 @@ class SLContactData:
     reeb: PolyVectorField
 
 
-def _contact_forms(n: int):
+def _contact_forms(n: int, memo=None):
     """(omega, det, d det): the contact data without the Reeb field."""
     if n < 1:
         raise ValueError("n must be >= 1")
     omega = rotation_pair_form(n)
-    delta = det_poly(n)
+    delta = det_poly(n, memo)
     return omega, delta, exterior_d(PolyForm.function(delta))
 
 
 def sl_contact_data(n: int) -> SLContactData:
-    return SLContactData(n, *_contact_forms(n), reeb_candidate(n))
+    memo = {}  # det and the Reeb field share their minors
+    return SLContactData(n, *_contact_forms(n, memo), reeb_candidate(n, memo))
 
 
 def two_form_pair_power(domega: PolyForm, q: int) -> PolyForm:

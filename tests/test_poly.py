@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from cartanlab import catalog as cat
@@ -54,6 +56,10 @@ def test_poly_subs():
     p = x * x + y
     image = p.subs([y, x * z, Poly.zero(V)])
     assert image == y * y + x * z
+    with pytest.raises(VariableMismatch, match="target variables"):
+        Poly((), {(): 3}).subs([])
+    with pytest.raises(TypeError, match="must be a Poly"):
+        Poly(("x",), {(1,): 1}).subs(["y"])
 
 
 @pytest.mark.parametrize("expo", [(1.5,), ("2",), (True,), (-1,), (1, 0)])
@@ -61,6 +67,12 @@ def test_poly_rejects_bad_exponents(expo):
     # the same rule as algebra_io._index: a non-bool int, here also >= 0
     with pytest.raises(ValueError):
         Poly(("x",), {expo: 1})
+
+
+@pytest.mark.parametrize("k", [1.5, "2", True, False, -1])
+def test_poly_power_rejects_bad_exponents(k):
+    with pytest.raises(ValueError, match="integer >= 0"):
+        _x("x") ** k
 
 
 def _assert_clean(p):
@@ -81,6 +93,31 @@ def _forced_cancellations(p, q, x):
     ]
 
 
+def _reference_product(p, q):
+    """The plain double loop over both term lists, merged by the checked
+    constructor."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Scalar(0)) + c1 * c2
+    return Poly(p.vars, out)
+
+
+def _monomials(vars, r, i):
+    """One-term factors: a unit variable, a scaled monomial, a constant and
+    a Gaussian coefficient."""
+    c = random_rational(r) or Fraction(1, 2)
+
+    def expo():
+        return tuple(r.randint(0, 2) for _ in vars)
+
+    return [
+        Poly.var_index(vars, i), Poly(vars, {expo(): c}), Poly.constant(vars, c),
+        Poly(vars, {expo(): Scalar(c, r.randint(1, 3))}),
+    ]
+
+
 def test_arithmetic_results_keep_the_poly_invariant():
     r = rng(808)
     for nv in range(1, 7):
@@ -95,6 +132,18 @@ def test_arithmetic_results_keep_the_poly_invariant():
                 p.diff(i), p.diff(vars[i]).diff(i), p.subs(images), p ** r.randint(1, 3),
             ]
             results += _forced_cancellations(p, q, Poly.var_index(vars, i))
+            products = [(p, q), (q, p)]
+            for m in _monomials(vars, r, i):
+                products += [(m, p), (p, m), (m, q), (q, m), (m, m)]
+            for a, b in products:
+                results.append(a * b)
+                assert results[-1] == _reference_product(a, b), (a, b)
+            s = Scalar(c, r.randint(-2, 2))
+            power, s_power = Poly.constant(vars, 1), Scalar(1)
+            for k in range(7):
+                results.append(p ** k)
+                assert results[-1] == power and s ** k == s_power, k
+                power, s_power = _reference_product(power, p), s_power * s
             for res in results:
                 _assert_clean(res)
             assert (p + (-p)).is_zero and (p * q - q * p).is_zero

@@ -41,8 +41,14 @@ def test_division_and_zero():
 def test_powers():
     assert Scalar(0, 1) ** 4 == ONE
     assert Scalar(2) ** 10 == 1024
-    with pytest.raises(ValueError):
-        Scalar(2) ** -1
+    assert Scalar(2) ** 0 == ONE and Scalar(0) ** 0 == ONE
+
+
+@pytest.mark.parametrize("k", [-1, 1.5, "2", True, False])
+def test_powers_reject_bad_exponents(k):
+    # the exponent rule of Poly: a non-bool int >= 0
+    with pytest.raises(ValueError, match="integer >= 0"):
+        Scalar(2) ** k
 
 
 def test_parsing_and_coercion():

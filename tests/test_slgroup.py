@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
@@ -228,3 +229,32 @@ def test_reeb_candidate_matches_reference_minors():
                 k = vars.index(f"x{j}_{target}")
                 comps[k] = comps[k] + reference_minor(n, j, source) * scale
     assert reeb_candidate(n) == PolyVectorField(vars, comps)
+
+
+def _count_products(monkeypatch, run):
+    """Poly and Scalar products made by run(): counts, unlike times, are
+    deterministic, so a guard on them cannot be flaky."""
+    counts = Counter()
+    for cls in (Poly, Scalar):
+        def counted(a, b, mul=cls.__mul__, key=cls.__name__):
+            counts[key] += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+        monkeypatch.setattr(cls, "__rmul__", counted)
+    run()
+    monkeypatch.undo()
+    return counts
+
+
+def test_sl_kernels_product_counts(monkeypatch):
+    # a coordinate times a sub-minor shifts exponents: no coefficient work
+    assert _count_products(monkeypatch, lambda: det_poly(3))["Scalar"] == 0
+    m = block_rotation(2, [pythagorean_rotation(2, 1), pythagorean_rotation(3, 2)])
+    # the 16 linear images are raised to the power 1 for free
+    assert _count_products(monkeypatch, lambda: so_invariance_check(2, m))["Poly"] <= 48
+    # det and the Reeb field share the minors M_{1c}
+    assert _count_products(monkeypatch, lambda: sl_contact_data(2))["Poly"] <= 104
+    for n in (1, 2):
+        data = sl_contact_data(n)
+        assert data.delta == det_poly(n) and data.reeb == reeb_candidate(n)
