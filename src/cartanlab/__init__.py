@@ -47,7 +47,6 @@ from .deformation import (
 )
 from .contraction import (
     ContractionSpec,
-    LaurentScalar,
     contract,
     frobenius_model_parameters,
     is_reduced_frobenius_shape,

@@ -3,6 +3,21 @@
 All entries are exact; each carries a distinguished covector and the class
 it is expected to have while the entry's parameter constraints hold.
 
+Each catalog concept has one implementation:
+
+* The dimension-3 and dimension-5 contact algebras are bracket tables in a
+  classical contact basis, split into mu_0 + phi_1 + phi_2 over the
+  Heisenberg algebra by `deformation.deformation_from_classical_basis`.
+  Only so(3) keeps a hand-written spec: its center enters with
+  coefficient -1, so the spec lives in a swapped basis.
+* `_quarantine` is the one Jacobi gate of the tables displayed verbatim
+  (dim5, filiform_contact, mu_c9).  It always runs `jacobi_check`, whose
+  verdict the immutable algebra keeps, and raises `NonJacobiDisplayError`
+  unless the caller allows non-Jacobi tables.
+* `_FAMILIES` is the one table of id families: each name's constructor and
+  the shape of each of its parameters.  A constructor rejects a parameter
+  its table does not read.
+
 Conventions fixed here once:
 
 * d omega(X,Y) = -omega([X,Y]) everywhere.  The so(3) entry stores the
@@ -26,12 +41,18 @@ Conventions fixed here once:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import Optional
 
-from .deformation import BilinearMap, DeformationSpec, bilinear_from_endomorphism
+from .deformation import (
+    BilinearMap,
+    DeformationSpec,
+    bilinear_from_endomorphism,
+    deformation_from_classical_basis,
+)
 from .forms import DualForm
 from .liealg import LieAlgebra
 from .scalars import ONE, ZERO, Scalar, parse_rational
@@ -58,6 +79,33 @@ def _entry(id, params, algebra, dist_indices, expected, **kw):
     """dist_indices: {index: coeff} for the distinguished covector."""
     form = DualForm(algebra, 1, {(i,): v for i, v in dist_indices.items()})
     return CatalogEntry(id, params, algebra, form, expected, **kw)
+
+
+def _quarantine(g: LieAlgebra, allow_nonjacobi: bool, what: str):
+    """Raise NonJacobiDisplayError if g violates Jacobi, unless allowed."""
+    res = jacobi_check(g)
+    if not res.ok and not allow_nonjacobi:
+        i, j, k, _ = res.witness
+        raise NonJacobiDisplayError(f"{what} violates Jacobi at ({i},{j},{k})")
+
+
+def _own_params(what: str, params: dict, names) -> dict:
+    """params as Scalars, after checking that `what` reads every one."""
+    unread = sorted(set(params) - set(names))
+    if unread:
+        raise ValueError(f"{what} takes no parameter {', '.join(unread)}")
+    return {k: Scalar.of(v) for k, v in params.items()}
+
+
+def _scalars(values, count: int, message: str) -> list:
+    a = [Scalar.of(x) for x in values]
+    if len(a) != count:
+        raise PreconditionError(message)
+    return a
+
+
+def _array_text(a) -> str:
+    return "[" + ",".join(str(x) for x in a) + "]"
 
 
 # -- Heisenberg and abelian ---------------------------------------------------
@@ -94,126 +142,91 @@ def abelian(n: int) -> CatalogEntry:
 
 # -- dimension 3 ---------------------------------------------------------------
 
-DIM3_KINDS = ("heisenberg", "solvable1", "solvable_b", "sl2", "so3")
+# kind -> its parameters with their defaults, each required to be nonzero
+DIM3_KINDS = {
+    "heisenberg": {},
+    "solvable1": {},
+    "solvable_b": {"b": 2},
+    "sl2": {"lam": 1},
+    "so3": {"a": 1},
+}
 
 
 def dim3(kind: str, **params) -> CatalogEntry:
     """The contact algebras in dimension 3, each with its deformation data."""
-    if kind == "heisenberg":
-        base = heisenberg(1)
-        spec = DeformationSpec(
-            base.algebra, BilinearMap.zero(base.algebra), BilinearMap.zero(base.algebra)
-        )
-        return CatalogEntry(
-            "dim3:kind=heisenberg",
-            {},
-            base.algebra,
-            base.distinguished_form,
-            3,
-            provenance=base.provenance,
-            deformation=spec,
-        )
-    h3 = heisenberg(1).algebra
-    if kind == "solvable1":
-        g = LieAlgebra(3, {(1, 2): {3: ONE, 1: ONE}})
-        spec = DeformationSpec(
-            h3,
-            BilinearMap(h3, {(1, 2): {1: ONE}}),
-            BilinearMap.zero(h3),
-        )
-        return _entry(
-            "dim3:kind=solvable1",
-            {},
-            g,
-            {3: ONE},
-            3,
-            provenance="linear deformation with phi1(X1,X2) = X1",
-            deformation=spec,
-        )
-    if kind == "solvable_b":
-        b = Scalar.of(params.get("b", 2))
-        if not b:
-            raise PreconditionError("solvable_b needs b != 0")
-        g = LieAlgebra(3, {(1, 2): {3: ONE, 1: ONE}, (2, 3): {1: b}})
-        spec = DeformationSpec(
-            h3,
-            BilinearMap(h3, {(1, 2): {1: ONE}}),
-            bilinear_from_endomorphism(h3, ((ZERO, b), (ZERO, ZERO))),
-        )
-        return _entry(
-            "dim3:kind=solvable_b",
-            {"b": b},
-            g,
-            {3: ONE},
-            3,
-            provenance="quadratic deformation with nilpotent f = [[0,b],[0,0]]",
-            deformation=spec,
-        )
-    if kind == "sl2":
-        lam = Scalar.of(params.get("lam", 1))
-        if not lam:
-            raise PreconditionError("sl2 needs lam != 0")
-        g = LieAlgebra(3, {(1, 2): {3: ONE}, (1, 3): {1: lam}, (2, 3): {2: -lam}})
-        spec = DeformationSpec(
-            h3,
-            BilinearMap.zero(h3),
-            bilinear_from_endomorphism(h3, ((lam, ZERO), (ZERO, -lam))),
-        )
-        return _entry(
-            "dim3:kind=sl2",
-            {"lam": lam},
-            g,
-            {3: ONE},
-            3,
-            provenance="quadratic deformation with split diagonal f; rank-1 simple",
-            deformation=spec,
-        )
+    if kind not in DIM3_KINDS:
+        raise ValueError(f"unknown dim3 kind {kind!r}")
+    p = {k: Scalar.of(v) for k, v in DIM3_KINDS[kind].items()}
+    p.update(_own_params(f"dim3 kind {kind}", params, p))
+    for key, v in p.items():
+        if not v:
+            raise PreconditionError(f"{kind} needs {key} != 0")
     if kind == "so3":
-        a = Scalar.of(params.get("a", 1))
-        if not a:
-            raise PreconditionError("so3 needs a != 0")
-        g = LieAlgebra(3, {(1, 2): {3: -ONE}, (2, 3): {1: -ONE}, (1, 3): {2: ONE}})
-        spec = DeformationSpec(
-            h3,
-            BilinearMap.zero(h3),
-            bilinear_from_endomorphism(h3, ((ZERO, a), (-a, ZERO))),
-        )
-        return _entry(
-            "dim3:kind=so3",
-            {"a": a},
-            g,
-            {1: ONE, 2: Scalar(2), 3: -ONE},
-            3,
-            provenance=(
-                "compact real form; brackets are stored negated so the cyclic"
-                " coframe equations hold under d w(X,Y) = -w([X,Y]); the"
-                " deformation spec realizes the rotation f in the swapped"
-                " basis (X1 <-> X2)"
-            ),
-            deformation=spec,
-        )
-    raise ValueError(f"unknown dim3 kind {kind!r}")
+        return _so3(p["a"])
+    if kind == "heisenberg":
+        table = {(1, 2): {3: ONE}}
+        note = "Heisenberg algebra, the odd-dimensional contact model"
+    elif kind == "solvable1":
+        table = {(1, 2): {3: ONE, 1: ONE}}
+        note = "linear deformation with phi1(X1,X2) = X1"
+    elif kind == "solvable_b":
+        table = {(1, 2): {3: ONE, 1: ONE}, (2, 3): {1: p["b"]}}
+        note = "quadratic deformation with nilpotent f = [[0,b],[0,0]]"
+    else:
+        lam = p["lam"]
+        table = {(1, 2): {3: ONE}, (1, 3): {1: lam}, (2, 3): {2: -lam}}
+        note = "quadratic deformation with split diagonal f; rank-1 simple"
+    g = LieAlgebra(3, table)
+    return _entry(
+        f"dim3:kind={kind}",
+        p,
+        g,
+        {3: ONE},
+        3,
+        provenance=note,
+        deformation=deformation_from_classical_basis(g),
+    )
+
+
+def _so3(a: Scalar) -> CatalogEntry:
+    g = LieAlgebra(3, {(1, 2): {3: -ONE}, (2, 3): {1: -ONE}, (1, 3): {2: ONE}})
+    h3 = heisenberg(1).algebra
+    spec = DeformationSpec(
+        h3,
+        BilinearMap.zero(h3),
+        bilinear_from_endomorphism(h3, ((ZERO, a), (-a, ZERO))),
+    )
+    return _entry(
+        "dim3:kind=so3",
+        {"a": a},
+        g,
+        {1: ONE, 2: Scalar(2), 3: -ONE},
+        3,
+        provenance=(
+            "compact real form; brackets are stored negated so the cyclic"
+            " coframe equations hold under d w(X,Y) = -w([X,Y]); the"
+            " deformation spec realizes the rotation f in the swapped"
+            " basis (X1 <-> X2)"
+        ),
+        deformation=spec,
+    )
 
 
 # -- dimension 5 ---------------------------------------------------------------
 
-DIM5_VARIANTS = (
-    "diag_ii_a",
-    "diag_ii_b",
-    "diag_ii_c",
-    "nondiag_case1",
-    "nondiag_case2",
-    "nondiag_case4",
-)
+# variant -> the parameter letters its table reads; an absent one is zero
+DIM5_VARIANTS = {
+    "diag_ii_a": "abcd",
+    "diag_ii_b": "bcd",
+    "diag_ii_c": "abcd",
+    "nondiag_case1": "cdef",
+    "nondiag_case2": "acd",
+    "nondiag_case4": "abcd",
+}
 
 
 def _dim5_table(variant, p):
-    a = p.get("a", ZERO)
-    b = p.get("b", ZERO)
-    c = p.get("c", ZERO)
-    d = p.get("d", ZERO)
-    e = p.get("e", ZERO)
-    f = p.get("f", ZERO)
+    a, b, c, d, e, f = (p.get(ch, ZERO) for ch in "abcdef")
     if variant == "diag_ii_a":
         s = a * c + b * d
         return {
@@ -273,59 +286,36 @@ def _dim5_table(variant, p):
             (1, 5): {2: -two_ac},
             (2, 5): {1: two_ac},
         }
-    if variant == "nondiag_case4":
-        s = Scalar(2) * (a * c - b * d)
-        return {
-            (1, 2): {3: Scalar(2) * a, 4: Scalar(-2) * b, 5: ONE},
-            (3, 4): {3: Scalar(2) * a, 4: Scalar(-2) * b, 5: ONE},
-            (1, 3): {1: b, 2: c},
-            (1, 4): {1: a, 2: d},
-            (2, 3): {1: -c, 2: b},
-            (2, 4): {1: -d, 2: a},
-            (1, 5): {2: -s},
-            (2, 5): {1: s},
-        }
-    raise ValueError(f"unknown dim5 variant {variant!r}")
+    s = Scalar(2) * (a * c - b * d)  # nondiag_case4
+    return {
+        (1, 2): {3: Scalar(2) * a, 4: Scalar(-2) * b, 5: ONE},
+        (3, 4): {3: Scalar(2) * a, 4: Scalar(-2) * b, 5: ONE},
+        (1, 3): {1: b, 2: c},
+        (1, 4): {1: a, 2: d},
+        (2, 3): {1: -c, 2: b},
+        (2, 4): {1: -d, 2: a},
+        (1, 5): {2: -s},
+        (2, 5): {1: s},
+    }
 
 
 def dim5(variant: str, allow_nonjacobi: bool = False, **params) -> CatalogEntry:
     """Quadratic deformations of h5, stored verbatim from their bracket
     tables; jacobi_check gatekeeps every instantiation."""
-    p = {k: Scalar.of(v) for k, v in params.items()}
-    table = _dim5_table(variant, p)
-    g = LieAlgebra(5, table)
-    res = jacobi_check(g)
-    if not res.ok and not allow_nonjacobi:
-        i, j, k, _ = res.witness
-        raise NonJacobiDisplayError(
-            f"dim5 variant {variant} violates Jacobi at ({i},{j},{k}) for these parameters"
-        )
-    h5 = heisenberg(2).algebra
-    phi1_values = {}
-    phi2_f = [[ZERO] * 4 for _ in range(4)]
-    for (i, j), terms in table.items():
-        if j <= 4:
-            low = {k: v for k, v in terms.items() if k <= 4}
-            if low:
-                phi1_values[(i, j)] = low
-        elif j == 5:
-            for k, v in terms.items():
-                if k <= 4:
-                    phi2_f[k - 1][i - 1] = v
-    spec = DeformationSpec(
-        h5,
-        BilinearMap(h5, phi1_values),
-        bilinear_from_endomorphism(h5, phi2_f),
-    )
-    param_txt = ",".join(f"{k}={v}" for k, v in sorted(p.items()))
+    if variant not in DIM5_VARIANTS:
+        raise ValueError(f"unknown dim5 variant {variant!r}")
+    p = _own_params(f"dim5 variant {variant}", params, DIM5_VARIANTS[variant])
+    g = LieAlgebra(5, _dim5_table(variant, p))
+    cid = f"dim5:variant={variant}" + "".join(f",{k}={v}" for k, v in sorted(p.items()))
+    _quarantine(g, allow_nonjacobi, cid)
     return _entry(
-        f"dim5:variant={variant}" + (f",{param_txt}" if param_txt else ""),
+        cid,
         {"variant": variant, **p},
         g,
         {5: ONE},
         5,
         provenance=f"dimension-5 quadratic deformation family {variant}",
-        deformation=spec,
+        deformation=deformation_from_classical_basis(g),
     )
 
 
@@ -383,9 +373,7 @@ def filiform_cocycle(p: int, k: int, base: Optional[LieAlgebra] = None) -> Bilin
 def filiform_contact_conditions(p: int, coeffs) -> list:
     """The p-1 contact obstructions A_i for mu_L + sum a_k psi_{k,2k+2};
     the class is 2p+1 exactly when all of them are nonzero."""
-    a = [Scalar.of(x) for x in coeffs]
-    if len(a) != p - 1:
-        raise PreconditionError("need p-1 cocycle coefficients")
+    a = _scalars(coeffs, p - 1, "need p-1 cocycle coefficients")
     out = []
     for i in range(1, p):
         total = ZERO
@@ -396,34 +384,39 @@ def filiform_contact_conditions(p: int, coeffs) -> list:
     return out
 
 
-def filiform_contact(p: int, coeffs, allow_nonjacobi: bool = False) -> CatalogEntry:
+def _filiform_entry(cid, params, g, allow_nonjacobi, provenance) -> CatalogEntry:
+    """The quarantined entry of a filiform contact table on dim 2p+1, whose
+    constraints hold iff every contact condition A_i is nonzero."""
+    _quarantine(g, allow_nonjacobi, cid)
+    n = g.dim
+    return _entry(
+        cid,
+        params,
+        g,
+        {n: ONE},
+        n,
+        constraints_hold=all(filiform_contact_conditions(n // 2, params["a"])),
+        provenance=provenance,
+    )
+
+
+def filiform_contact(p: int, a, allow_nonjacobi: bool = False) -> CatalogEntry:
     """mu_L + a_{1,4} psi_{1,4} + ... + a_{p-1,2p} psi_{p-1,2p} on dim 2p+1."""
     if p < 2:
         raise PreconditionError("filiform contact families need p >= 2")
-    a = [Scalar.of(x) for x in coeffs]
-    if len(a) != p - 1:
-        raise PreconditionError("need p-1 cocycle coefficients")
+    a = _scalars(a, p - 1, "need p-1 cocycle coefficients")
     n = 2 * p + 1
     base = filiform_model(n).algebra
     total = BilinearMap.of_algebra(base)
     for k in range(1, p):
         if a[k - 1]:
             total = total + filiform_cocycle(p, k, base).scale(a[k - 1])
-    g = LieAlgebra(n, total.values, basis=_filiform_labels(n))
-    res = jacobi_check(g)
-    if not res.ok and not allow_nonjacobi:
-        raise NonJacobiDisplayError("filiform contact table violates Jacobi")
-    conds = filiform_contact_conditions(p, a)
-    holds = all(bool(x) for x in conds)
-    coeff_txt = ",".join(str(x) for x in a)
-    return _entry(
-        f"filiform_contact:p={p},a=[{coeff_txt}]",
+    return _filiform_entry(
+        f"filiform_contact:p={p},a={_array_text(a)}",
         {"p": p, "a": tuple(a)},
-        g,
-        {n: ONE},
-        n,
-        constraints_hold=holds,
-        provenance="filiform contact family; contact iff every condition A_i != 0",
+        LieAlgebra(n, total.values, basis=_filiform_labels(n)),
+        allow_nonjacobi,
+        "filiform contact family; contact iff every condition A_i != 0",
     )
 
 
@@ -450,38 +443,20 @@ def filiform_contact_closure(p: int, coeffs) -> list:
     coefficients.  Empty for p <= 3; for p = 4 the single obstruction is
     3*a2^2 - a2*a3 - 2*a1*a3.  The table is a Lie bracket iff all vanish.
     """
-    a = [Scalar.of(x) for x in coeffs]
-    if len(a) != p - 1:
-        raise PreconditionError("need p-1 cocycle coefficients")
+    a = _scalars(coeffs, p - 1, "need p-1 cocycle coefficients")
     g = filiform_contact(p, a, allow_nonjacobi=True).algebra
     return [comp for *_, defect in jacobi_defects(g, first=2) for comp in defect.comps if comp]
 
 
 def mu_c9(a, allow_nonjacobi: bool = False) -> CatalogEntry:
     """Catalog id mu_c9:a=[a14,a26,a38]; golden-table construction."""
-    a = [Scalar.of(x) for x in a]
-    if len(a) != 3:
-        raise PreconditionError("mu_c9 takes exactly three coefficients")
-    g = mu_c9_table(*a)
-    if not allow_nonjacobi:
-        res = jacobi_check(g)
-        if not res.ok:
-            raise NonJacobiDisplayError(
-                "the dim-9 table violates Jacobi at these coefficients"
-                " (the quadratic closure constraint fails); pass"
-                " allow_nonjacobi=True to study the exterior system anyway"
-            )
-    conds = filiform_contact_conditions(4, a)
-    holds = all(bool(x) for x in conds)
-    coeff_txt = ",".join(str(x) for x in a)
-    return _entry(
-        f"mu_c9:a=[{coeff_txt}]",
+    a = _scalars(a, 3, "mu_c9 takes exactly three coefficients")
+    return _filiform_entry(
+        f"mu_c9:a={_array_text(a)}",
         {"a": tuple(a)},
-        g,
-        {9: ONE},
-        9,
-        constraints_hold=holds,
-        provenance="hard-coded dim-9 filiform contact table (golden copy)",
+        mu_c9_table(*a),
+        allow_nonjacobi,
+        "hard-coded dim-9 filiform contact table (golden copy)",
     )
 
 
@@ -491,15 +466,13 @@ def mu_c9(a, allow_nonjacobi: bool = False) -> CatalogEntry:
 def frobenius_base(p: int) -> CatalogEntry:
     """The parameter-zero member: [X1,X2]=X1, [X_{2k+1},X_{2k+2}]=X1,
     [X2,X_{2k+2}] = -X_{2k+2}."""
-    return frobenius_model(p, [ZERO] * (p - 1), _id=f"frobenius_base:p={p}")
+    return replace(frobenius_model(p, [ZERO] * (p - 1)), id=f"frobenius_base:p={p}")
 
 
-def frobenius_model(p: int, a, _id=None) -> CatalogEntry:
+def frobenius_model(p: int, a) -> CatalogEntry:
     if p < 2:
         raise PreconditionError("the model family needs p >= 2")
-    a = [Scalar.of(x) for x in a]
-    if len(a) != p - 1:
-        raise PreconditionError("need p-1 parameters")
+    a = _scalars(a, p - 1, "need p-1 parameters")
     n = 2 * p
     brackets = {(1, 2): {1: ONE}}
     for k in range(1, p):
@@ -508,9 +481,8 @@ def frobenius_model(p: int, a, _id=None) -> CatalogEntry:
             brackets.setdefault((2, 2 * k + 1), {})[2 * k + 1] = a[k - 1]
         brackets.setdefault((2, 2 * k + 2), {})[2 * k + 2] = -(ONE + a[k - 1])
     g = LieAlgebra(n, brackets)
-    coeff_txt = ",".join(str(x) for x in a)
     return _entry(
-        _id or f"frobenius:p={p},a=[{coeff_txt}]",
+        f"frobenius:p={p},a={_array_text(a)}",
         {"p": p, "a": tuple(a)},
         g,
         {1: ONE},
@@ -594,34 +566,36 @@ def parse_catalog_id(text: str):
     return name, kwargs
 
 
-# the parameters each family's id takes: an int, one rational (Fraction),
-# an array of rationals (list) or a name (str)
-_ID_PARAMS = {
-    "heisenberg": {"p": int},
-    "abelian": {"n": int},
-    "dim3": {"kind": str, "b": Fraction, "lam": Fraction, "a": Fraction},
-    "sl2": {"lam": Fraction},
-    "so3": {"a": Fraction},
-    "dim5": {"variant": str, **dict.fromkeys("abcdef", Fraction)},
-    "filiform": {"n": int},
-    "filiform_contact": {"p": int, "a": list},
-    "mu_c9": {"a": list},
-    "frobenius": {"p": int, "a": list},
-    "frobenius_base": {"p": int},
+# name -> (constructor, the shape of each id parameter: an int, one rational
+# (Fraction), an array of rationals (list) or a name (str)).  A rational
+# parameter has a default in its constructor; every other one is required.
+_FAMILIES = {
+    "heisenberg": (heisenberg, {"p": int}),
+    "abelian": (abelian, {"n": int}),
+    "dim3": (dim3, {"kind": str, **{k: Fraction for d in DIM3_KINDS.values() for k in d}}),
+    "sl2": (partial(dim3, "sl2"), {"lam": Fraction}),
+    "so3": (partial(dim3, "so3"), {"a": Fraction}),
+    "dim5": (dim5, {"variant": str, **dict.fromkeys("".join(DIM5_VARIANTS.values()), Fraction)}),
+    "filiform": (filiform_model, {"n": int}),
+    "filiform_contact": (filiform_contact, {"p": int, "a": list}),
+    "mu_c9": (mu_c9, {"a": list}),
+    "frobenius": (frobenius_model, {"p": int, "a": list}),
+    "frobenius_base": (frobenius_base, {"p": int}),
 }
+# the families whose tables `_quarantine` gates
+_QUARANTINED = ("dim5", "filiform_contact", "mu_c9")
 
 
-def _id_params(name: str, kw: dict) -> dict:
-    """kw checked against the family's parameter shapes, integers as int."""
-    shapes = _ID_PARAMS.get(name)
-    if shapes is None:
+def resolve(catalog_id: str, allow_nonjacobi: bool = False) -> CatalogEntry:
+    name, kw = parse_catalog_id(catalog_id)
+    if name not in _FAMILIES:
         raise KeyError(f"unknown catalog family {name!r}")
-    out = {}
+    build, shapes = _FAMILIES[name]
     for key, v in kw.items():
         shape = shapes.get(key)
         rational = isinstance(v, (int, Fraction))
         if shape is int and rational and v.denominator == 1:
-            v = int(v)
+            kw[key] = int(v)
         elif not (
             shape is Fraction and rational
             or shape is str and isinstance(v, str)
@@ -629,34 +603,12 @@ def _id_params(name: str, kw: dict) -> dict:
             and all(isinstance(x, (int, Fraction)) for x in v)
         ):
             raise ValueError(f"bad parameter {key}={v} for {name}")
-        out[key] = v
-    return out
-
-
-def resolve(catalog_id: str, allow_nonjacobi: bool = False) -> CatalogEntry:
-    name, kw = parse_catalog_id(catalog_id)
-    kw = _id_params(name, kw)
-    if name == "heisenberg":
-        return heisenberg(kw["p"])
-    if name == "abelian":
-        return abelian(kw["n"])
-    if name == "dim3":
-        kind = kw.pop("kind")
-        return dim3(kind, **kw)
-    if name in ("sl2", "so3"):
-        return dim3(name, **kw)
-    if name == "dim5":
-        variant = kw.pop("variant")
-        return dim5(variant, allow_nonjacobi=allow_nonjacobi, **kw)
-    if name == "filiform":
-        return filiform_model(kw["n"])
-    if name == "filiform_contact":
-        return filiform_contact(kw["p"], kw["a"], allow_nonjacobi=allow_nonjacobi)
-    if name == "mu_c9":
-        return mu_c9(kw["a"], allow_nonjacobi=allow_nonjacobi)
-    if name == "frobenius":
-        return frobenius_model(kw["p"], kw["a"])
-    return frobenius_base(kw["p"])
+    missing = [key for key, shape in shapes.items() if shape is not Fraction and key not in kw]
+    if missing:
+        raise KeyError(f"{name} needs the parameter {missing[0]}")
+    if name in _QUARANTINED:
+        kw["allow_nonjacobi"] = allow_nonjacobi
+    return build(**kw)
 
 
 def standard_entries() -> list:

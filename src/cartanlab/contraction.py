@@ -13,66 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .liealg import LieAlgebra
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE
 from .structure import jacobi_check, require_jacobi
-
-
-class LaurentScalar:
-    """Finite Laurent polynomial in the contraction parameter."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for e, v in (terms or {}).items():
-            v = Scalar.of(v)
-            if v:
-                clean[int(e)] = v
-        self.terms = clean
-
-    @staticmethod
-    def monomial(exponent: int, coeff) -> "LaurentScalar":
-        return LaurentScalar({exponent: coeff})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, v in other.terms.items():
-            w = out.get(e, ZERO) + v
-            if w:
-                out[e] = w
-            else:
-                out.pop(e, None)
-        return LaurentScalar(out)
-
-    def __mul__(self, other):
-        out = {}
-        for e1, v1 in self.terms.items():
-            for e2, v2 in other.terms.items():
-                e = e1 + e2
-                w = out.get(e, ZERO) + v1 * v2
-                if w:
-                    out[e] = w
-                else:
-                    out.pop(e, None)
-        return LaurentScalar(out)
-
-    def limit0(self) -> Optional[Scalar]:
-        """Value at t -> 0, or None when a negative exponent survives."""
-        if any(e < 0 for e in self.terms):
-            return None
-        return self.terms.get(0, ZERO)
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentScalar) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({v})*t^{e}" for e, v in sorted(self.terms.items()))
 
 
 @dataclass(frozen=True)
@@ -92,7 +34,6 @@ class ContractionResult:
     converges: bool
     limit: Optional[LieAlgebra]
     witness: Optional[tuple]  # (i, j, k, negative exponent)
-    rescaled: dict  # (i, j, k) -> LaurentScalar, the curve of constants
 
     def __bool__(self):
         return self.converges
@@ -103,28 +44,22 @@ def contract(spec: ContractionSpec) -> ContractionResult:
     g = spec.algebra
     require_jacobi(g)
     e = spec.exponents
-    rescaled = {}
-    witness = None
+    brackets = {}
     for (i, j), terms in g.c.items():
         for k, v in terms.items():
+            # the constant rescales to t^exp * v
             exp = e[i - 1] + e[j - 1] - e[k - 1]
-            rescaled[(i, j, k)] = LaurentScalar.monomial(exp, v)
-            if exp < 0 and witness is None:
-                witness = (i, j, k, exp)
-    if witness is not None:
-        return ContractionResult(False, None, witness, rescaled)
-    brackets = {}
-    for (i, j, k), laurent in rescaled.items():
-        v = laurent.limit0()
-        if v:
-            brackets.setdefault((i, j), {})[k] = v
+            if exp < 0:
+                return ContractionResult(False, None, (i, j, k, exp))
+            if exp == 0:
+                brackets.setdefault((i, j), {})[k] = v
     limit = LieAlgebra(g.dim, brackets, basis=g.basis)
     check = jacobi_check(limit)
     if not check.ok:
         raise AssertionError(
             "contraction limit violates Jacobi; the input table must be corrupt"
         )
-    return ContractionResult(True, limit, None, rescaled)
+    return ContractionResult(True, limit, None)
 
 
 def is_reduced_frobenius_shape(g: LieAlgebra) -> bool:

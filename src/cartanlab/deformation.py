@@ -6,8 +6,12 @@ Implements the circle product
 
 the single-term bullet product psi1(psi2(X,Y),Z), the adjoint-valued
 coboundaries, and the four compatibility equations of a quadratic
-deformation mu_0 + phi_1 + phi_2.  The coboundary of a 2-cochain is a sum
-of two circle products with the bracket mu,
+deformation mu_0 + phi_1 + phi_2.  A bracket written in a classical
+contact basis is split into these three pieces by one function,
+`deformation_from_classical_basis`, which the catalog uses too.
+
+The coboundary of a 2-cochain is a sum of two circle products with the
+bracket mu,
 
     d phi = phi o mu + mu o phi,
 
@@ -384,7 +388,10 @@ def normalize_linear_deformation(base: LieAlgebra, phi1: BilinearMap):
 
 def deformation_from_classical_basis(g: LieAlgebra) -> DeformationSpec:
     """Split a bracket written in a classical contact basis into
-    mu_0 + phi_1 + phi_2 over the Heisenberg algebra of the same dimension.
+    mu_0 + phi_1 + phi_2 over the Heisenberg algebra of the same dimension:
+    phi_1 keeps the non-central part of the brackets among X_1..X_2p, and
+    phi_2 the brackets with X_{2p+1}.  This is the one split of the
+    package; the catalog's dim-3 and dim-5 entries are built with it.
 
     Requires: odd dimension 2p+1; [X_{2k-1}, X_{2k}] carries X_{2p+1} with
     coefficient exactly 1; no other bracket among the first 2p vectors hits
@@ -393,17 +400,15 @@ def deformation_from_classical_basis(g: LieAlgebra) -> DeformationSpec:
     n = g.dim
     if n % 2 == 0 or n < 3:
         raise PreconditionError("classical contact basis needs odd dimension >= 3")
-    p = (n - 1) // 2
-    pair_set = {(2 * k - 1, 2 * k) for k in range(1, p + 1)}
-    from .catalog import heisenberg  # local to avoid an import cycle
-
-    base = heisenberg(p).algebra
+    # the h_{2p+1} table: [X_{2k-1}, X_{2k}] = X_{2p+1}
+    pairs = {(2 * k - 1, 2 * k): {n: ONE} for k in range(1, (n - 1) // 2 + 1)}
+    base = LieAlgebra(n, pairs)
     phi1_vals = {}
     phi2_vals = {}
     for (i, j), terms in g.c.items():
         central = terms.get(n, ZERO)
         if j < n:
-            if (i, j) in pair_set:
+            if (i, j) in pairs:
                 if central != ONE:
                     raise PreconditionError(
                         f"bracket ({i},{j}) must carry the center with coefficient 1"

@@ -245,14 +245,6 @@ class LinearMap:
     def apply_basis(self, j) -> Vector:
         return Vector(self.algebra, [self.rows[i][j - 1] for i in range(self.algebra.dim)])
 
-    def commutator(self, other: "LinearMap") -> "LinearMap":
-        from .linalg import mat_mul, mat_sub
-
-        return LinearMap(
-            self.algebra,
-            mat_sub(mat_mul(self.rows, other.rows), mat_mul(other.rows, self.rows)),
-        )
-
     def trace(self) -> Scalar:
         return sum((self.rows[i][i] for i in range(self.algebra.dim)), ZERO)
 

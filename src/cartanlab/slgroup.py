@@ -22,7 +22,6 @@ from .polyforms import (
     form_on_field,
     poly_interior,
     poly_wedge,
-    poly_wedge_power,
     pullback_linear,
 )
 from .scalars import ONE, ZERO, Scalar
@@ -196,28 +195,15 @@ class ContactIdentity:
     residual: Optional[Poly]  # nonzero remainder when the identity fails
 
 
-def sl_contact_identity(n: int, q: Optional[int] = None, fast: bool = True) -> ContactIdentity:
-    """Expand omega ^ (d omega)^q ^ d(det) exactly and compare against
-    constant * det * volume.
-
-    The top-degree exponent is q = ((2n)^2 - 2) / 2; passing any other q
-    reports a degree failure instead of an answer.
-    """
+def sl_contact_identity(n: int) -> ContactIdentity:
+    """Expand omega ^ (d omega)^q ^ d(det) exactly, at the top-degree
+    exponent q = ((2n)^2 - 2) / 2, and compare it against
+    constant * det * volume."""
     omega, delta, d_delta = _contact_forms(n)
     nvars = len(omega.vars)
-    top_q = (nvars - 2) // 2
-    if q is None:
-        q = top_q
-    if q != top_q:
-        return ContactIdentity(False, q, None, None)
-    domega = exterior_d(omega)
-    power = (
-        two_form_pair_power(domega, q) if fast else poly_wedge_power(domega, q)
-    )
-    total = poly_wedge(poly_wedge(omega, power), d_delta)
-    if total.grade != nvars:
-        return ContactIdentity(False, q, None, None)
-    coeff = total.coeffs.get(tuple(range(nvars)))
+    q = (nvars - 2) // 2
+    power = two_form_pair_power(exterior_d(omega), q)
+    coeff = poly_wedge(poly_wedge(omega, power), d_delta).coeffs.get(tuple(range(nvars)))
     if coeff is None:
         return ContactIdentity(False, q, None, Poly.zero(omega.vars))
     # match one monomial of det to read off the candidate constant
@@ -277,21 +263,19 @@ class OrthogonalityError(ValueError):
     pass
 
 
-def so_invariance_check(n: int, m, enforce: bool = True) -> bool:
+def so_invariance_check(n: int, m) -> bool:
     """Pullback of the rotation form under x -> m.x equals the form itself.
 
-    Preconditions (checked when enforce=True): m^T m = identity exactly and
-    det m = 1.  Returns the exact equality verdict either way.
+    Preconditions, checked: m^T m = identity exactly and det m = 1.
     """
     mat = as_matrix(m)
     size = 2 * n
     if len(mat) != size or any(len(r) != size for r in mat):
         raise ValueError("matrix must be (2n) x (2n)")
-    if enforce:
-        if mat_mul(transpose(mat), mat) != identity(size):
-            raise OrthogonalityError("matrix is not orthogonal")
-        if det(mat) != ONE:
-            raise OrthogonalityError("matrix must have determinant 1")
+    if mat_mul(transpose(mat), mat) != identity(size):
+        raise OrthogonalityError("matrix is not orthogonal")
+    if det(mat) != ONE:
+        raise OrthogonalityError("matrix must have determinant 1")
     # x_{jl} -> sum_r m_{jr} x_{rl}: build the (2n)^2 linear substitution
     nv = size * size
     sub = [[ZERO] * nv for _ in range(nv)]

@@ -31,6 +31,22 @@ def test_dim3_kinds():
         cat.dim3("solvable_b", b=0)
 
 
+def test_constructors_reject_parameters_their_table_ignores():
+    for build in (
+        lambda: cat.dim3("so3", lam=7),
+        lambda: cat.dim3("heisenberg", b=3),
+        lambda: cat.dim5("diag_ii_b", a=5, b=1, c=2, d=3),
+    ):
+        with pytest.raises(ValueError, match="takes no parameter"):
+            build()
+    # every parameter a kind or variant reads is taken
+    for kind, defaults in cat.DIM3_KINDS.items():
+        assert cat.dim3(kind, **defaults).params.keys() == defaults.keys()
+    for variant, letters in cat.DIM5_VARIANTS.items():
+        entry = cat.dim5(variant, allow_nonjacobi=True, **dict.fromkeys(letters, 1))
+        assert entry.params.keys() == {"variant", *letters}
+
+
 def test_so3_deformation_matches_display_after_swap():
     so3 = cat.dim3("so3")
     assembled = assemble(so3.deformation)
@@ -196,6 +212,56 @@ def test_catalog_resolve():
     assert e.algebra.dim == 5
     with pytest.raises(KeyError):
         cat.resolve("nonsense:p=1")
+    with pytest.raises(KeyError):
+        cat.resolve("filiform_contact:p=3")  # the array a is required
+    with pytest.raises(ValueError):
+        cat.resolve("dim3:kind=so3,lam=7")
     with pytest.raises(cat.NonJacobiDisplayError):
         cat.resolve("mu_c9:a=[0,2,1]")
     assert cat.resolve("mu_c9:a=[0,2,1]", allow_nonjacobi=True).algebra.dim == 9
+
+
+def test_quarantine_checks_jacobi_even_when_allowed(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return jacobi_check(g)
+
+    monkeypatch.setattr(cat, "jacobi_check", counted)
+    entry = cat.mu_c9([0, 2, 1], allow_nonjacobi=True)
+    assert calls == [entry.algebra] and not jacobi_check(entry.algebra).ok
+
+
+# one well-formed id per family, with the direct constructor call it names
+FAMILY_IDS = {
+    "heisenberg": ("heisenberg:p=2", lambda: cat.heisenberg(2)),
+    "abelian": ("abelian:n=3", lambda: cat.abelian(3)),
+    "dim3": ("dim3:kind=solvable_b,b=-3/2", lambda: cat.dim3("solvable_b", b=Fraction(-3, 2))),
+    "sl2": ("sl2:lam=2", lambda: cat.dim3("sl2", lam=2)),
+    "so3": ("so3:a=1/3", lambda: cat.dim3("so3", a=Fraction(1, 3))),
+    "dim5": (
+        "dim5:variant=nondiag_case1,c=2,d=1,e=1/2,f=-1",
+        lambda: cat.dim5("nondiag_case1", c=2, d=1, e=Fraction(1, 2), f=-1),
+    ),
+    "filiform": ("filiform:n=6", lambda: cat.filiform_model(6)),
+    "filiform_contact": ("filiform_contact:p=3,a=[1,2]", lambda: cat.filiform_contact(3, [1, 2])),
+    "mu_c9": ("mu_c9:a=[1,2,3]", lambda: cat.mu_c9([1, 2, 3])),
+    "frobenius": ("frobenius:p=3,a=[1,-2]", lambda: cat.frobenius_model(3, [1, -2])),
+    "frobenius_base": ("frobenius_base:p=3", lambda: cat.frobenius_base(3)),
+}
+
+
+def test_every_family_resolves_from_its_id():
+    assert FAMILY_IDS.keys() == cat._FAMILIES.keys()
+    for name, (cid, build) in FAMILY_IDS.items():
+        got, want = cat.resolve(cid), build()
+        assert (got.id, got.params) == (want.id, want.params), name
+        assert got.algebra.constants() == want.algebra.constants(), name
+        assert got.distinguished_form.coeffs == want.distinguished_form.coeffs, name
+        assert got.expected_class == want.expected_class, name
+        assert got.constraints_hold == want.constraints_hold, name
+        assert (got.deformation is None) == (want.deformation is None), name
+        if want.deformation is not None:
+            assert got.deformation.phi1.values == want.deformation.phi1.values, name
+            assert got.deformation.phi2.values == want.deformation.phi2.values, name

@@ -18,6 +18,9 @@ FAMILIES = ("heisenberg", "abelian", "dim3", "sl2", "so3", "dim5", "filiform",
 WORDS = ("heisenberg", "solvable1", "solvable_b", "sl2", "so3", "diag_ii_a",
          "diag_ii_c", "nondiag_case1", "nondiag_case2", "nosuch")
 KEYS = ("p", "n", "a", "b", "c", "d", "lam", "kind", "variant", "q", "allow_nonjacobi")
+# the parameters a well-formed dim3 or dim5 id gives each kind or variant
+OWN_PARAMS = {"solvable_b": "b", "sl2": ("lam",), "so3": "a", "diag_ii_a": "abcd",
+              "diag_ii_c": "abcd", "nondiag_case1": "cdef", "nondiag_case2": "acd"}
 
 # largest dimension drawn per subcommand or suite: these finish in well
 # under a second each, while dimension caps for the slow ones stay open
@@ -45,16 +48,17 @@ def _catalog_id(r, top):
     p = r.randint(1, max(1, (top - 1) // 2))
     n = r.randint(1, top)
     half = max(2, top // 2)
+    kind = r.choice(WORDS)
     dim = {"heisenberg": 2 * p + 1, "abelian": n, "dim3": 3, "sl2": 3, "so3": 3, "dim5": 5,
            "filiform": n, "filiform_contact": 2 * p + 1, "mu_c9": 9, "frobenius": 2 * half,
            "frobenius_base": 2 * max(2, n // 2)}[fam]
     params = {
         "heisenberg": {"p": str(p)},
         "abelian": {"n": str(n)},
-        "dim3": {"kind": r.choice(WORDS), "lam": _rat(r)},
+        "dim3": {"kind": kind, **{k: _rat(r) for k in OWN_PARAMS.get(kind, "")}},
         "sl2": {"lam": _rat(r)},
         "so3": {"a": _rat(r)},
-        "dim5": {"variant": r.choice(WORDS), **{k: _rat(r) for k in "abcd"}},
+        "dim5": {"variant": kind, **{k: _rat(r) for k in OWN_PARAMS.get(kind, "")}},
         "filiform": {"n": str(n)},
         "filiform_contact": {"p": str(p), "a": _array(r, p - 1 + r.randint(-1, 1))},
         "mu_c9": {"a": _array(r, r.randint(2, 4))},
@@ -165,6 +169,11 @@ FIXED = [
     (["class", "--catalog", "heisenberg:p=1", "--form=-1,0,1"], 0),
     (["contract", "--catalog", "heisenberg:p=1", "--exponents", "-1,0,1"], 0),
     (["contract", "--catalog", "heisenberg:p=1", "--exponents=-1,0,1"], 0),
+    # each family takes only the parameters its table reads
+    (["class", "--catalog", "dim3:kind=so3,lam=7", "--form", "1,0,0"], 1),
+    (["check", "--catalog", "dim3:kind=heisenberg,b=3", "--suite", "quadra"], 1),
+    (["check", "--catalog", "dim5:variant=diag_ii_b,a=5,b=1,c=2,d=3", "--suite", "quadra"], 1),
+    (["class", "--catalog", "filiform_contact:p=3,a=[1,2]", "--form", "0,0,0,0,0,0,1"], 0),
 ]
 
 

@@ -5,7 +5,6 @@ import pytest
 from cartanlab import catalog as cat
 from cartanlab.contraction import (
     ContractionSpec,
-    LaurentScalar,
     contract,
     frobenius_model_parameters,
     is_reduced_frobenius_shape,
@@ -15,17 +14,6 @@ from cartanlab.liealg import LieAlgebra
 from cartanlab.randgen import rng
 from cartanlab.scalars import ONE, ZERO, Scalar
 from cartanlab.structure import center, jacobi_check
-
-
-def test_laurent_scalar():
-    a = LaurentScalar.monomial(2, 3)
-    b = LaurentScalar.monomial(-1, ONE)
-    assert (a * b).terms == {1: Scalar(3)}
-    assert (a + a).terms == {2: Scalar(6)}
-    assert b.limit0() is None
-    assert a.limit0() == ZERO
-    assert LaurentScalar.monomial(0, 7).limit0() == Scalar(7)
-    assert (a + LaurentScalar({2: -3})).is_zero
 
 
 def test_contract_sl2_to_heisenberg():

@@ -13,7 +13,9 @@ from cartanlab.polyforms import (
     exterior_d,
     form_on_field,
     poly_interior,
+    poly_wedge,
     poly_wedge_power,
+    pullback_linear,
 )
 from cartanlab.scalars import ONE, ZERO, Scalar
 from cartanlab.slgroup import (
@@ -28,6 +30,7 @@ from cartanlab.slgroup import (
     reeb_candidate,
     reeb_identities,
     rotation_fields,
+    rotation_pair_form,
     singular_pairings,
     sl_contact_data,
     sl_contact_identity,
@@ -86,17 +89,26 @@ def test_contact_identity_n1():
 
 
 def test_contact_identity_wrong_exponent():
-    res = sl_contact_identity(1, q=0)
-    assert not res.ok and res.constant is None
+    # the exponent is fixed by degree: omega ^ (d omega)^q ^ d(det) has
+    # grade 2q + 2, which fills the (2n)^2 coordinates only at q = 2n^2 - 1
+    data = sl_contact_data(1)
+    domega = exterior_d(data.omega)
+    for q in (0, 1):
+        total = poly_wedge(poly_wedge(data.omega, two_form_pair_power(domega, q)), data.d_delta)
+        assert total.grade == 2 * q + 2
+    assert sl_contact_identity(1).q == 1
+    with pytest.raises(TypeError):
+        sl_contact_identity(1, q=0)  # not a caller's choice
 
 
 def test_contact_identity_n2_both_routes():
-    fast = sl_contact_identity(2)
-    slow = sl_contact_identity(2, fast=False)
-    assert fast.ok and slow.ok
-    assert fast.q == slow.q == 7
+    res = sl_contact_identity(2)
+    assert res.ok and res.q == 7
     # frozen constant from the exact expansion: -(2^7 * 7!) * 4
-    assert fast.constant == slow.constant == Scalar(-2580480)
+    assert res.constant == Scalar(-2580480)
+    # the identity's combinatorial power against the generic wedge loop
+    domega = exterior_d(rotation_pair_form(2))
+    assert two_form_pair_power(domega, 7) == poly_wedge_power(domega, 7)
 
 
 def test_two_form_pair_power_matches_generic_wedge():
@@ -150,7 +162,12 @@ def test_so_invariance_rejects_non_orthogonal():
     bad = ((2, 0), (0, Fraction(1, 2)))  # det 1 but not orthogonal
     with pytest.raises(OrthogonalityError):
         so_invariance_check(1, bad)
-    assert so_invariance_check(1, bad, enforce=False) is False
+    # the verdict it refuses to give: x_{jl} -> sum_r m_{jr} x_{rl} on the
+    # coordinates (x1_1, x1_2, x2_1, x2_2) moves the rotation form
+    half = Fraction(1, 2)
+    sub = ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, half, 0), (0, 0, 0, half))
+    omega = rotation_pair_form(1)
+    assert pullback_linear(omega, sub) != omega
 
 
 def _random_sl2(r):
