@@ -4,9 +4,9 @@ On the (2n) x (2n) matrix coordinates, pair the columns and set
 
     omega = sum_j sum_i  x_{j,2i-1} dx_{j,2i} - x_{j,2i} dx_{j,2i-1}.
 
-Everything below is an exact polynomial identity: the candidate Reeb field
-built from minors pairs to the determinant, its contraction with d omega
-is an exact multiple of d(det), the top-form identity
+Everything below is an exact polynomial identity: the candidate Reeb field,
+read off d(det) by swapping each column pair, pairs to the determinant, its
+contraction with d omega is an exact multiple of d(det), the top-form identity
 
     omega ^ (d omega)^q ^ d(det) = constant * det * volume
 

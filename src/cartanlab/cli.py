@@ -11,8 +11,8 @@ sl         the polynomial contact data on the even special linear group:
            top-form identity, Reeb pairings, rotation invariance, singular
            equations at a point.  --n is capped at 3 (SL(6)): the exact
            expansions grow too fast beyond it (at n = 4 the identity
-           takes 15-17 s and the Reeb pairings ~37 s and 0.8 GB on a
-           2-CPU machine).
+           takes ~21 s and 0.3 GB and the Reeb pairings ~45 s and 0.6 GB
+           on a 2-CPU machine; the pairings, not the field, dominate).
 
 Catalog ids use the grammar  name[:key=val,...]  with arrays as [v1,v2],
 e.g.  heisenberg:p=2,  frobenius:p=3,a=[1,-2],  mu_c9:a=[1,2,3],

@@ -105,7 +105,9 @@ class BilinearMap:
             raise ValueError("mixed spaces")
         out = {key: dict(terms) for key, terms in self.values.items()}
         for key, terms in other.values.items():
-            _accumulate(out.setdefault(key, {}), ONE, terms)
+            acc = out.setdefault(key, {})
+            for k, v in terms.items():
+                acc[k] = acc[k] + v if k in acc else v
         return BilinearMap(self.algebra, out)
 
     def __neg__(self):
@@ -393,27 +395,28 @@ def deformation_from_classical_basis(g: LieAlgebra) -> DeformationSpec:
     phi_2 the brackets with X_{2p+1}.  This is the one split of the
     package; the catalog's dim-3 and dim-5 entries are built with it.
 
-    Requires: odd dimension 2p+1; [X_{2k-1}, X_{2k}] carries X_{2p+1} with
-    coefficient exactly 1; no other bracket among the first 2p vectors hits
-    X_{2p+1}; brackets with X_{2p+1} stay inside span{X_1..X_2p}.
+    Requires: odd dimension 2p+1; every [X_{2k-1}, X_{2k}] carries X_{2p+1}
+    with coefficient exactly 1; no other bracket among the first 2p vectors
+    hits X_{2p+1}; brackets with X_{2p+1} stay inside span{X_1..X_2p}.  The
+    split checks itself: mu_0 + phi_1 + phi_2 must reassemble g exactly.
     """
     n = g.dim
     if n % 2 == 0 or n < 3:
         raise PreconditionError("classical contact basis needs odd dimension >= 3")
     # the h_{2p+1} table: [X_{2k-1}, X_{2k}] = X_{2p+1}
     pairs = {(2 * k - 1, 2 * k): {n: ONE} for k in range(1, (n - 1) // 2 + 1)}
+    for i, j in pairs:
+        if g.c.get((i, j), {}).get(n, ZERO) != ONE:
+            raise PreconditionError(
+                f"bracket ({i},{j}) must carry the center with coefficient 1"
+            )
     base = LieAlgebra(n, pairs)
     phi1_vals = {}
     phi2_vals = {}
     for (i, j), terms in g.c.items():
         central = terms.get(n, ZERO)
         if j < n:
-            if (i, j) in pairs:
-                if central != ONE:
-                    raise PreconditionError(
-                        f"bracket ({i},{j}) must carry the center with coefficient 1"
-                    )
-            elif central:
+            if central and (i, j) not in pairs:
                 raise PreconditionError(
                     f"bracket ({i},{j}) has a stray central component"
                 )
@@ -422,9 +425,12 @@ def deformation_from_classical_basis(g: LieAlgebra) -> DeformationSpec:
             if central:
                 raise PreconditionError("brackets with the center must stay horizontal")
             phi2_vals[(i, j)] = terms
-    return DeformationSpec(
+    spec = DeformationSpec(
         base, BilinearMap(base, phi1_vals), BilinearMap(base, phi2_vals)
     )
+    if assemble(spec).c != g.c:
+        raise PreconditionError("the split does not reassemble the bracket table")
+    return spec
 
 
 class NotCocycleError(ValueError):

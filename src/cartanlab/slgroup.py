@@ -2,8 +2,8 @@
 
 All objects live on the (2n)^2 matrix coordinates x_{ij}: the rotation-pair
 1-form, the determinant and its differential, the explicit Reeb-type field
-built from minors, the rotation-invariance pullback check, and the singular
-set pairing polynomials.  Everything is an exact polynomial identity.
+read off that differential, the rotation-invariance pullback check, and the
+singular set pairing polynomials.  Everything is an exact polynomial identity.
 """
 
 from __future__ import annotations
@@ -43,58 +43,30 @@ def coordinate(n, i, j) -> Poly:
     return Poly.var_index(matrix_vars(n), _vid(n, i, j))
 
 
-def _laplace(n: int, rows, cols, memo=None) -> Poly:
-    """det of the symbolic submatrix on the given (nonempty) rows and
-    columns, by expansion along its first row.
+def det_poly(n: int) -> Poly:
+    """det of the symbolic (2n) x (2n) matrix, by expansion along the first
+    row of each sub-minor.
 
-    Each sub-minor is computed once: ``memo`` maps a (rows, cols) pair of
-    tuples to its determinant, so a sub-minor reached along many paths of
-    the recursion is expanded on the first only.  Callers that expand
-    several minors of the same matrix pass one memo so that the minors
-    share their sub-minors too.
+    Each sub-minor is expanded once: a sub-minor sits on the last k rows,
+    so its k columns name it, and ``memo`` maps them to its determinant.
     """
-    vars = matrix_vars(n)
-    if memo is None:
-        memo = {}
+    m = 2 * n
+    memo = {}
 
-    def expand(rows, cols):
-        if len(rows) == 1:
-            return coordinate(n, rows[0], cols[0])
-        key = (rows, cols)
-        if key in memo:
-            return memo[key]
-        total = Poly.zero(vars)
-        r = rows[0]
+    def expand(cols):
+        r = m - len(cols) + 1
+        if len(cols) == 1:
+            return coordinate(n, r, cols[0])
+        if cols in memo:
+            return memo[cols]
+        total = Poly.zero(matrix_vars(n))
         for t, c in enumerate(cols):
-            sub = expand(rows[1:], cols[:t] + cols[t + 1 :])
-            term = coordinate(n, r, c) * sub
+            term = coordinate(n, r, c) * expand(cols[:t] + cols[t + 1 :])
             total = total + (term if t % 2 == 0 else -term)
-        memo[key] = total
+        memo[cols] = total
         return total
 
-    return expand(tuple(rows), tuple(cols))
-
-
-def det_poly(n: int, memo=None) -> Poly:
-    """det of the symbolic (2n) x (2n) matrix, by expansion along row 1.
-
-    ``memo`` is a ``_laplace`` memo of the same n; its row-1 sub-minors are
-    the minors M_{1c} that ``reeb_candidate`` also expands.
-    """
-    m = 2 * n
-    return _laplace(n, range(1, m + 1), range(1, m + 1), memo)
-
-
-def _minor(n: int, i: int, j: int, memo=None) -> Poly:
-    m = 2 * n
-    rows = [r for r in range(1, m + 1) if r != i]
-    cols = [c for c in range(1, m + 1) if c != j]
-    return _laplace(n, rows, cols, memo)
-
-
-def minor_poly(n: int, i: int, j: int) -> Poly:
-    """Minor of the (i, j) entry (no cofactor sign)."""
-    return _minor(n, i, j)
+    return expand(tuple(range(1, m + 1)))
 
 
 def rotation_pair_form(n: int) -> PolyForm:
@@ -109,27 +81,25 @@ def rotation_pair_form(n: int) -> PolyForm:
     return PolyForm(vars, 1, coeffs)
 
 
-def reeb_candidate(n: int, memo=None) -> PolyVectorField:
-    """(1/2n) sum_{j,i} (-1)^{j+1} (M_{j,2i-1} d/dx_{j,2i} + M_{j,2i} d/dx_{j,2i-1})
-    with M_{jl} the minors; pairs to det against the rotation form.
+def reeb_candidate(n: int, d_delta: PolyForm) -> PolyVectorField:
+    """Z = (1/2n) sum_{j,i} (D_{j,2i-1} d/dx_{j,2i} - D_{j,2i} d/dx_{j,2i-1})
+    with D_{jl} = d det / dx_{jl}, the coefficients of ``d_delta`` = d(det).
 
-    The 4n^2 minors share one ``_laplace`` memo of the same n, ``memo`` if
-    given.
+    A cofactor is a partial derivative of det, so this is the field built
+    from minors.  Euler's identity for det, homogeneous of degree 2n, gives
+    omega(Z) = (1/2n) sum_{j,l} x_{jl} D_{jl} = det; and d omega = 2 sum
+    dx_{j,2i-1} ^ dx_{j,2i} gives i(Z) d omega = -(1/n) d(det).
+    ``reeb_identities`` checks both exactly, as checks of this construction.
     """
     vars = matrix_vars(n)
-    comps = [Poly.zero(vars) for _ in vars]
+    zero = Poly.zero(vars)
     scale = ONE / Scalar(2 * n)
-    if memo is None:
-        memo = {}
+    comps = [zero] * len(vars)
     for j in range(1, 2 * n + 1):
-        sign = ONE if j % 2 == 1 else -ONE
         for i in range(1, n + 1):
-            comps[_vid(n, j, 2 * i)] = comps[_vid(n, j, 2 * i)] + _minor(
-                n, j, 2 * i - 1, memo
-            ) * (sign * scale)
-            comps[_vid(n, j, 2 * i - 1)] = comps[_vid(n, j, 2 * i - 1)] + _minor(
-                n, j, 2 * i, memo
-            ) * (sign * scale)
+            u, v = _vid(n, j, 2 * i - 1), _vid(n, j, 2 * i)
+            comps[v] = d_delta.coeffs.get((u,), zero) * scale
+            comps[u] = d_delta.coeffs.get((v,), zero) * -scale
     return PolyVectorField(vars, comps)
 
 
@@ -142,18 +112,28 @@ class SLContactData:
     reeb: PolyVectorField
 
 
-def _contact_forms(n: int, memo=None):
+def _contact_forms(n: int):
     """(omega, det, d det): the contact data without the Reeb field."""
     if n < 1:
         raise ValueError("n must be >= 1")
     omega = rotation_pair_form(n)
-    delta = det_poly(n, memo)
+    delta = det_poly(n)
     return omega, delta, exterior_d(PolyForm.function(delta))
 
 
 def sl_contact_data(n: int) -> SLContactData:
-    memo = {}  # det and the Reeb field share their minors
-    return SLContactData(n, *_contact_forms(n, memo), reeb_candidate(n, memo))
+    omega, delta, d_delta = _contact_forms(n)
+    return SLContactData(n, omega, delta, d_delta, reeb_candidate(n, d_delta))
+
+
+def _scalar_multiple(target: PolyForm, unit: PolyForm):
+    """(c, target - c * unit), c read off one term of the nonzero ``unit``:
+    target = c * unit exactly iff the residual is zero."""
+    idx, p = next(iter(unit.coeffs.items()))
+    expo, val = next(iter(p.terms.items()))
+    q = target.coeffs.get(idx)
+    c = (ZERO if q is None else q.terms.get(expo, ZERO)) / val
+    return c, target - unit.scale(c)
 
 
 def two_form_pair_power(domega: PolyForm, q: int) -> PolyForm:
@@ -198,21 +178,17 @@ class ContactIdentity:
 def sl_contact_identity(n: int) -> ContactIdentity:
     """Expand omega ^ (d omega)^q ^ d(det) exactly, at the top-degree
     exponent q = ((2n)^2 - 2) / 2, and compare it against
-    constant * det * volume."""
+    constant * det * volume with a nonzero constant."""
     omega, delta, d_delta = _contact_forms(n)
-    nvars = len(omega.vars)
-    q = (nvars - 2) // 2
+    vars = omega.vars
+    q = (len(vars) - 2) // 2
     power = two_form_pair_power(exterior_d(omega), q)
-    coeff = poly_wedge(poly_wedge(omega, power), d_delta).coeffs.get(tuple(range(nvars)))
-    if coeff is None:
-        return ContactIdentity(False, q, None, Poly.zero(omega.vars))
-    # match one monomial of det to read off the candidate constant
-    expo, val = next(iter(delta.terms.items()))
-    cand = coeff.terms.get(expo, ZERO) / val
-    residual = coeff - delta * cand
-    if residual.is_zero:
-        return ContactIdentity(True, q, cand, None)
-    return ContactIdentity(False, q, None, residual)
+    top = poly_wedge(poly_wedge(omega, power), d_delta)
+    volume = tuple(range(len(vars)))
+    c, residual = _scalar_multiple(top, PolyForm(vars, len(vars), {volume: delta}))
+    if c and residual.is_zero:
+        return ContactIdentity(True, q, c, None)
+    return ContactIdentity(False, q, None, residual.coeffs.get(volume, Poly.zero(vars)))
 
 
 def singular_pairings(n: int) -> dict:
@@ -315,17 +291,5 @@ def reeb_identities(n: int):
     data = sl_contact_data(n)
     pair_defect = form_on_field(data.omega, data.reeb) - data.delta
     contraction = poly_interior(data.reeb, exterior_d(data.omega))
-    # solve contraction = c * d_delta by matching one nonzero coefficient
-    c = None
-    for idx, p in data.d_delta.coeffs.items():
-        q = contraction.coeffs.get(idx)
-        if q is None:
-            c = ZERO
-            break
-        expo, val = next(iter(p.terms.items()))
-        c = q.terms.get(expo, ZERO) / val
-        break
-    if c is None:
-        c = ZERO
-    defect = contraction - data.d_delta.scale(c)
+    c, defect = _scalar_multiple(contraction, data.d_delta)
     return pair_defect, (c if defect.is_zero else None)

@@ -174,6 +174,10 @@ FIXED = [
     (["check", "--catalog", "dim3:kind=heisenberg,b=3", "--suite", "quadra"], 1),
     (["check", "--catalog", "dim5:variant=diag_ii_b,a=5,b=1,c=2,d=3", "--suite", "quadra"], 1),
     (["class", "--catalog", "filiform_contact:p=3,a=[1,2]", "--form", "0,0,0,0,0,0,1"], 0),
+    # no pair bracket [X_{2k-1}, X_{2k}] carries the center: no deformation
+    # of the Heisenberg algebra
+    (["check", "--catalog", "abelian:n=3", "--suite", "quadra"], 2),
+    (["check", "--catalog", "abelian:n=5", "--suite", "quadra"], 2),
 ]
 
 

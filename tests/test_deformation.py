@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -29,7 +30,7 @@ from cartanlab.liealg import LieAlgebra, LinearMap, Vector
 from cartanlab.poly import Poly
 from cartanlab.randgen import random_rational, rng
 from cartanlab.scalars import ONE, ZERO, Scalar
-from cartanlab.structure import jacobi_check, lower_central_series
+from cartanlab.structure import PreconditionError, jacobi_check, lower_central_series
 
 from dense_cochains import (
     dense_add,
@@ -238,6 +239,36 @@ def test_deformation_from_classical_basis():
         spec = deformation_from_classical_basis(entry.algebra)
         assert check_quadratic_deformation(spec).ok
         assert assemble(spec).same_constants(entry.algebra)
+
+
+def test_classical_split_round_trips_or_raises_on_perturbed_tables():
+    # drop a bracket, rescale or zero a coefficient, or add a random term:
+    # every split either reassembles the perturbed table or raises
+    r = rng(311)
+    algebras = [e.algebra for e in cat.standard_entries() if e.algebra.dim % 2 == 1]
+    outcomes = Counter()
+    for _ in range(300):
+        g = r.choice(algebras)
+        table = {ij: dict(terms) for ij, terms in g.c.items()}
+        kind = r.randrange(3)
+        if kind == 0 and table:
+            del table[r.choice(sorted(table))]
+        elif kind == 1 and table:
+            terms = table[r.choice(sorted(table))]
+            k = r.choice(sorted(terms))
+            terms[k] = terms[k] * r.choice([0, 2, Fraction(1, 2), -1])
+        else:
+            i, j = sorted(r.sample(range(1, g.dim + 1), 2))
+            table.setdefault((i, j), {})[r.randint(1, g.dim)] = random_rational(r)
+        h = LieAlgebra(g.dim, table)
+        try:
+            spec = deformation_from_classical_basis(h)
+        except PreconditionError:
+            outcomes["raised"] += 1
+            continue
+        assert assemble(spec).same_constants(h)
+        outcomes["split"] += 1
+    assert outcomes["raised"] > 50 and outcomes["split"] > 50, outcomes
 
 
 # -- the diagonal-eigenvalue search -------------------------------------------

@@ -25,9 +25,7 @@ from cartanlab.slgroup import (
     evaluate_singular_equations,
     is_singular_point,
     matrix_vars,
-    minor_poly,
     pythagorean_rotation,
-    reeb_candidate,
     reeb_identities,
     rotation_fields,
     rotation_pair_form,
@@ -229,23 +227,21 @@ def test_det_and_minors_match_leibniz_sum():
     for n in (1, 2, 3):
         full = list(range(1, 2 * n + 1))
         assert det_poly(n) == leibniz_det(n, full, full)
-    for n in (1, 2):
-        for i in range(1, 2 * n + 1):
-            for j in range(1, 2 * n + 1):
-                assert minor_poly(n, i, j) == reference_minor(n, i, j)
 
 
 def test_reeb_candidate_matches_reference_minors():
-    n = 2
-    vars = matrix_vars(n)
-    comps = [Poly.zero(vars) for _ in vars]
-    for j in range(1, 2 * n + 1):
-        scale = Fraction((-1) ** (j + 1), 2 * n)
-        for i in range(1, n + 1):
-            for target, source in ((2 * i, 2 * i - 1), (2 * i - 1, 2 * i)):
-                k = vars.index(f"x{j}_{target}")
-                comps[k] = comps[k] + reference_minor(n, j, source) * scale
-    assert reeb_candidate(n) == PolyVectorField(vars, comps)
+    # the field read off d(det) against the minors' formula
+    # (1/2n) sum (-1)^{j+1} (M_{j,2i-1} d/dx_{j,2i} + M_{j,2i} d/dx_{j,2i-1})
+    for n in (1, 2, 3):
+        vars = matrix_vars(n)
+        comps = [Poly.zero(vars) for _ in vars]
+        for j in range(1, 2 * n + 1):
+            scale = Fraction((-1) ** (j + 1), 2 * n)
+            for i in range(1, n + 1):
+                for target, source in ((2 * i, 2 * i - 1), (2 * i - 1, 2 * i)):
+                    k = vars.index(f"x{j}_{target}")
+                    comps[k] = comps[k] + reference_minor(n, j, source) * scale
+        assert sl_contact_data(n).reeb == PolyVectorField(vars, comps)
 
 
 def _count_products(monkeypatch, run):
@@ -270,8 +266,9 @@ def test_sl_kernels_product_counts(monkeypatch):
     m = block_rotation(2, [pythagorean_rotation(2, 1), pythagorean_rotation(3, 2)])
     # the 16 linear images are raised to the power 1 for free
     assert _count_products(monkeypatch, lambda: so_invariance_check(2, m))["Poly"] <= 48
-    # det and the Reeb field share the minors M_{1c}
-    assert _count_products(monkeypatch, lambda: sl_contact_data(2))["Poly"] <= 104
+    # the Reeb field is read off d(det): det's sub-minor products and one
+    # scaling per component, no minor expansion
+    assert _count_products(monkeypatch, lambda: sl_contact_data(2))["Poly"] <= 44
+    assert _count_products(monkeypatch, lambda: sl_contact_data(3))["Poly"] <= 222
     for n in (1, 2):
-        data = sl_contact_data(n)
-        assert data.delta == det_poly(n) and data.reeb == reeb_candidate(n)
+        assert sl_contact_data(n).delta == det_poly(n)
