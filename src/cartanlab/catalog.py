@@ -342,7 +342,7 @@ def filiform_model(n: int) -> CatalogEntry:
     )
 
 
-def filiform_cocycle(p: int, k: int, base: Optional[LieAlgebra] = None) -> BilinearMap:
+def filiform_cocycle(p: int, k: int, base: LieAlgebra) -> BilinearMap:
     """psi_{k, 2k+2} on the space of L_{2p+1}:
 
         psi(e_i, e_j) = (-1)^(k-i) * binom(j-k-1, k-i) * e_{2k+2 + i+j-2k-1}
@@ -351,9 +351,7 @@ def filiform_cocycle(p: int, k: int, base: Optional[LieAlgebra] = None) -> Bilin
     """
     n = 2 * p + 1
     s = 2 * k + 2
-    if base is None:
-        base = filiform_model(n).algebra
-    elif base.dim != n:
+    if base.dim != n:
         raise PreconditionError("base algebra has the wrong dimension")
     values = {}
     for i in range(1, 2 * p + 1):
@@ -494,12 +492,10 @@ def frobenius_model(p: int, a) -> CatalogEntry:
     )
 
 
-def psi_cocycles(p: int, base: Optional[LieAlgebra] = None) -> list:
+def psi_cocycles(p: int, base: LieAlgebra) -> list:
     """The commuting diagonal 2-cocycles psi_k of the base member:
     psi_k(X2, X_{2k+1}) = X_{2k+1}, psi_k(X2, X_{2k+2}) = -X_{2k+2}."""
-    if base is None:
-        base = frobenius_base(p).algebra
-    elif base.dim != 2 * p:
+    if base.dim != 2 * p:
         raise PreconditionError("base algebra has the wrong dimension")
     out = []
     for k in range(1, p):

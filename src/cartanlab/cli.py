@@ -2,26 +2,31 @@
 
 Subcommands
 -----------
-class      Cartan class of a covector on an algebra (file or catalog id).
+class      Cartan class of a covector on an algebra.
 check      batch property suites: jacobi | nilpotent-parity | center |
            quadra | extension-roundtrip.
 contract   diagonal contraction by an exponent vector, optionally after a
            change of basis.
-sl         the polynomial contact data on the even special linear group:
-           top-form identity, Reeb pairings, rotation invariance, singular
-           equations at a point.  --n is capped at 3 (SL(6)): the exact
-           expansions grow too fast beyond it (at n = 4 the identity
-           takes ~21 s and 0.3 GB and the Reeb pairings ~45 s and 0.6 GB
-           on a 2-CPU machine; the pairings, not the field, dominate).
+sl         the polynomial contact data on the even special linear group,
+           in exactly one mode: top-form identity, Reeb pairings, rotation
+           invariance, or singular equations at a point.  --n is capped at
+           3 (SL(6)): the exact expansions grow too fast beyond it (at
+           n = 4 the identity takes ~21 s and 0.3 GB and the Reeb pairings
+           ~45 s and 0.6 GB on a 2-CPU machine; the pairings, not the
+           field, dominate).
 
-Catalog ids use the grammar  name[:key=val,...]  with arrays as [v1,v2],
-e.g.  heisenberg:p=2,  frobenius:p=3,a=[1,-2],  mu_c9:a=[1,2,3],
-dim5:variant=diag_ii_a,a=1,b=0,c=1,d=1.  Rationals are exact strings; no
-floats are parsed or printed anywhere.
+class, check and contract read the algebra from exactly one of
+--algebra FILE and --catalog ID.  Catalog ids use the grammar
+name[:key=val,...] with arrays as [v1,v2], e.g.  heisenberg:p=2,
+frobenius:p=3,a=[1,-2],  mu_c9:a=[1,2,3],  dim5:variant=diag_ii_a,a=1,b=0,c=1,d=1.
+Rationals are exact strings; no floats are parsed or printed anywhere.
 
-Exit codes: 0 pass, 1 I/O or parse error, 2 precondition violation,
-3 property failure.  Reports are byte-deterministic for fixed inputs and
-seed; CARTANLAB_SEED overrides the default seed.
+Exit codes: 0 pass, 1 I/O or parse error, 2 precondition violation or
+bad command line, 3 property failure.  `main` alone turns an error into
+an exit code.  Each command returns through one report envelope, which
+goes to --out first and then to stdout, so a failed write prints no
+report.  Reports are byte-deterministic for fixed inputs and seed;
+CARTANLAB_SEED overrides the default seed.
 """
 
 from __future__ import annotations
@@ -45,8 +50,7 @@ from .algebra_io import (
     parse_exponents,
 )
 from .contraction import ContractionSpec, contract, frobenius_model_parameters
-from .deformation import DegenerateFormError, NotCocycleError
-from .forms import DualForm, FormError, cartan_class
+from .forms import DualForm, cartan_class
 from .liealg import change_basis
 from .randgen import DEFAULT_SEED
 from .slgroup import (
@@ -67,6 +71,8 @@ SL_MAX_N = 3  # the largest --n of `sl`; see the module docstring
 
 
 class _Failure(Exception):
+    """An error whose exit code is chosen where it is raised."""
+
     def __init__(self, code, message):
         super().__init__(message)
         self.code = code
@@ -87,7 +93,7 @@ def _seed(args) -> int:
 
 def _load_subject(args):
     """(algebra, catalog entry or None, digest source string)."""
-    if getattr(args, "catalog", None):
+    if args.catalog:
         try:
             entry = cat.resolve(
                 args.catalog,
@@ -100,7 +106,7 @@ def _load_subject(args):
         except (KeyError, ValueError) as exc:
             raise _Failure(EXIT_IO, f"cannot resolve catalog id {args.catalog!r}: {exc}")
         return entry.algebra, entry, args.catalog + "\n" + dump_algebra(entry.algebra)
-    if getattr(args, "algebra", None):
+    if args.algebra:
         try:
             g = load_algebra(args.algebra)
         except (OSError, AlgebraFileError) as exc:
@@ -109,186 +115,117 @@ def _load_subject(args):
     raise _Failure(EXIT_IO, "need --algebra FILE or --catalog ID")
 
 
-def _digest(*parts) -> str:
+def _matrix(path, what):
+    """(rows of the matrix file at path, their text for the digest)."""
+    try:
+        rows = load_matrix(path)
+    except (OSError, AlgebraFileError) as exc:
+        raise _Failure(EXIT_IO, f"cannot load {what}: {exc}")
+    return rows, json.dumps([[str(x) for x in row] for row in rows])
+
+
+def _report(args, digest_parts, results, ok=True) -> int:
+    """Write the report envelope to --out, then to stdout; its exit code."""
     h = hashlib.sha256()
-    for p in parts:
-        h.update(p.encode("utf-8"))
+    for part in digest_parts:
+        h.update(part.encode("utf-8"))
         h.update(b"\x00")
-    return h.hexdigest()
-
-
-def _emit(args, report: dict) -> None:
-    text = canonical_json(report)
-    sys.stdout.write(text)
+    text = canonical_json(
+        {
+            "command": args.command,
+            "argv": args.argv_echo,
+            "inputs_digest": h.hexdigest(),
+            "seed": _seed(args),
+            "results": results,
+            "suite": {"pass": int(ok), "fail": int(not ok)},
+        }
+    )
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    sys.stdout.write(text)
+    return EXIT_PASS if ok else EXIT_PROPERTY
 
 
 def cmd_class(args):
-    g, entry, source = _load_subject(args)
+    g, _, source = _load_subject(args)
     coeffs = parse_covector(args.form)
     if len(coeffs) != g.dim:
-        raise _Failure(
-            EXIT_PRECONDITION,
-            f"form has {len(coeffs)} coefficients but the algebra has dimension {g.dim}",
+        raise PreconditionError(
+            f"form has {len(coeffs)} coefficients but the algebra has dimension {g.dim}"
         )
-    try:
-        w = DualForm.covector(g, coeffs)
-        info = cartan_class(w)
-    except FormError as exc:
-        raise _Failure(EXIT_PRECONDITION, str(exc))
-    report = {
-        "command": "class",
-        "argv": getattr(args, "argv_echo", []),
-        "inputs_digest": _digest(source, args.form),
-        "seed": _seed(args),
-        "results": {
-            "class": info.value,
-            "branch": info.branch,
-            "wedge_power": info.power,
-            "characteristic_space": {
-                "dimension": info.characteristic_space.dim,
-                "basis": [[str(x) for x in row] for row in info.characteristic_space.rows],
-            },
+    info = cartan_class(DualForm.covector(g, coeffs))
+    space = info.characteristic_space
+    results = {
+        "class": info.value,
+        "branch": info.branch,
+        "wedge_power": info.power,
+        "characteristic_space": {
+            "dimension": space.dim,
+            "basis": [[str(x) for x in row] for row in space.rows],
         },
-        "suite": {"pass": 1, "fail": 0},
     }
-    _emit(args, report)
-    return EXIT_PASS
+    return _report(args, (source, args.form), results)
 
 
 def cmd_check(args):
     if args.suite not in SUITES:
         raise _Failure(EXIT_PRECONDITION, f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
     g, entry, source = _load_subject(args)
-    seed = _seed(args)
-    try:
-        ok, results = run_suite(args.suite, g, entry=entry, seed=seed)
-    except PreconditionError as exc:
-        raise _Failure(EXIT_PRECONDITION, str(exc))
-    except (NotCocycleError, DegenerateFormError) as exc:
-        raise _Failure(EXIT_PRECONDITION, str(exc))
-    report = {
-        "command": "check",
-        "argv": getattr(args, "argv_echo", []),
-        "inputs_digest": _digest(source, args.suite),
-        "seed": seed,
-        "results": {args.suite: results},
-        "suite": {"pass": int(ok), "fail": int(not ok)},
-    }
-    _emit(args, report)
-    return EXIT_PASS if ok else EXIT_PROPERTY
+    ok, results = run_suite(args.suite, g, entry, _seed(args))
+    return _report(args, (source, args.suite), {args.suite: results}, ok)
 
 
 def cmd_contract(args):
-    g, entry, source = _load_subject(args)
+    g, _, source = _load_subject(args)
     exponents = parse_exponents(args.exponents)
     if len(exponents) != g.dim:
-        raise _Failure(
-            EXIT_PRECONDITION,
-            f"{len(exponents)} exponents for dimension {g.dim}",
-        )
+        raise PreconditionError(f"{len(exponents)} exponents for dimension {g.dim}")
     basis_txt = ""
     if args.basis:
-        try:
-            p_rows = load_matrix(args.basis)
-        except (OSError, AlgebraFileError) as exc:
-            raise _Failure(EXIT_IO, f"cannot load basis matrix: {exc}")
-        basis_txt = json.dumps([[str(x) for x in row] for row in p_rows])
-        try:
-            g = change_basis(g, p_rows)
-        except ValueError as exc:
-            raise _Failure(EXIT_PRECONDITION, str(exc))
-    try:
-        result = contract(ContractionSpec(g, exponents))
-    except (PreconditionError, ValueError) as exc:
-        raise _Failure(EXIT_PRECONDITION, str(exc))
+        p_rows, basis_txt = _matrix(args.basis, "basis matrix")
+        g = change_basis(g, p_rows)
+    result = contract(ContractionSpec(g, exponents))
     results = {"converges": result.converges}
     if result.converges:
         results["limit"] = algebra_to_dict(result.limit)
         params = frobenius_model_parameters(result.limit)
-        results["model_family"] = (
-            None if params is None else [str(x) for x in params]
-        )
+        results["model_family"] = None if params is None else [str(x) for x in params]
     else:
         i, j, k, e = result.witness
         results["witness"] = {"triple": [i, j, k], "exponent": e}
-    report = {
-        "command": "contract",
-        "argv": getattr(args, "argv_echo", []),
-        "inputs_digest": _digest(source, args.exponents, basis_txt),
-        "seed": _seed(args),
-        "results": results,
-        # divergence is a legitimate outcome, not a failed property
-        "suite": {"pass": 1, "fail": 0},
-    }
-    _emit(args, report)
-    return EXIT_PASS
+    # divergence is a legitimate outcome, not a failed property
+    return _report(args, (source, args.exponents, basis_txt), results)
 
 
 def cmd_sl(args):
     n = args.n
     if not 1 <= n <= SL_MAX_N:
-        raise _Failure(EXIT_PRECONDITION, f"--n must be between 1 and {SL_MAX_N}")
-    results = {}
-    ok = True
-    digest_extra = ""
+        raise PreconditionError(f"--n must be between 1 and {SL_MAX_N}")
+    matrix_txt = ""
     if args.identity:
         res = sl_contact_identity(n)
-        results["contact_identity"] = {
-            "ok": res.ok,
-            "q": res.q,
-            "constant": None if res.constant is None else str(res.constant),
-        }
         ok = res.ok
+        constant = None if res.constant is None else str(res.constant)
+        results = {"contact_identity": {"ok": ok, "q": res.q, "constant": constant}}
     elif args.reeb:
         pair_defect, scale = reeb_identities(n)
-        results["reeb"] = {
-            "omega_of_reeb_equals_det": pair_defect.is_zero,
-            "contraction_multiple_of_ddet": None if scale is None else str(scale),
-        }
         ok = pair_defect.is_zero and scale is not None
-    elif args.invariance:
-        try:
-            m = load_matrix(args.invariance)
-        except (OSError, AlgebraFileError) as exc:
-            raise _Failure(EXIT_IO, f"cannot load matrix: {exc}")
-        digest_extra = json.dumps([[str(x) for x in row] for row in m])
-        try:
-            inv = so_invariance_check(n, m)
-        except ValueError as exc:  # OrthogonalityError included
-            raise _Failure(EXIT_PRECONDITION, str(exc))
-        results["invariance"] = {"invariant": inv}
-        ok = inv
-    elif args.singular:
-        try:
-            point = load_matrix(args.singular)
-        except (OSError, AlgebraFileError) as exc:
-            raise _Failure(EXIT_IO, f"cannot load point: {exc}")
-        digest_extra = json.dumps([[str(x) for x in row] for row in point])
-        try:
-            values = evaluate_singular_equations(n, point)
-        except ValueError as exc:
-            raise _Failure(EXIT_PRECONDITION, str(exc))
-        nonzero = {f"{i},{j}": str(v) for (i, j), v in sorted(values.items()) if v}
-        results["singular"] = {
-            "singular_point": not nonzero,
-            "nonzero_pairings": nonzero,
+        multiple = None if scale is None else str(scale)
+        results = {
+            "reeb": {"omega_of_reeb_equals_det": pair_defect.is_zero, "contraction_multiple_of_ddet": multiple}
         }
-        ok = True
+    elif args.invariance is not None:
+        m, matrix_txt = _matrix(args.invariance, "matrix")
+        ok = so_invariance_check(n, m)
+        results = {"invariance": {"invariant": ok}}
     else:
-        raise _Failure(EXIT_PRECONDITION, "choose one of --identity, --reeb, --invariance, --singular")
-    report = {
-        "command": "sl",
-        "argv": getattr(args, "argv_echo", []),
-        "inputs_digest": _digest(str(n), digest_extra),
-        "seed": _seed(args),
-        "results": results,
-        "suite": {"pass": int(ok), "fail": int(not ok)},
-    }
-    _emit(args, report)
-    return EXIT_PASS if ok else EXIT_PROPERTY
+        point, matrix_txt = _matrix(args.singular, "point")
+        values = evaluate_singular_equations(n, point)
+        nonzero = {f"{i},{j}": str(v) for (i, j), v in sorted(values.items()) if v}
+        ok = True
+        results = {"singular": {"singular_point": not nonzero, "nonzero_pairings": nonzero}}
+    return _report(args, (str(n), matrix_txt), results, ok)
 
 
 @functools.cache
@@ -312,6 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="resolve catalog tables even when they violate Jacobi (quarantined displays)",
     )
+    # not required: giving neither exits 1 from _load_subject
+    subject = argparse.ArgumentParser(add_help=False)
+    one_of = subject.add_mutually_exclusive_group()
+    one_of.add_argument("--algebra", help="algebra JSON file")
+    one_of.add_argument("--catalog", help="catalog id, e.g. heisenberg:p=2")
     parser = argparse.ArgumentParser(
         prog="cartanlab",
         description=__doc__,
@@ -320,31 +262,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_class = sub.add_parser("class", help="Cartan class of a covector", parents=[common])
-    p_class.add_argument("--algebra", help="algebra JSON file")
-    p_class.add_argument("--catalog", help="catalog id, e.g. heisenberg:p=2")
+    p_class = sub.add_parser("class", help="Cartan class of a covector", parents=[common, subject])
     p_class.add_argument("--form", required=True, help='covector "c1,...,cn" (exact rationals)')
     p_class.set_defaults(func=cmd_class)
 
-    p_check = sub.add_parser("check", help="run a property suite", parents=[common])
-    p_check.add_argument("--algebra", help="algebra JSON file")
-    p_check.add_argument("--catalog", help="catalog id")
+    p_check = sub.add_parser("check", help="run a property suite", parents=[common, subject])
     p_check.add_argument("--suite", required=True, help="|".join(SUITES))
     p_check.set_defaults(func=cmd_check)
 
-    p_contract = sub.add_parser("contract", help="diagonal contraction", parents=[common])
-    p_contract.add_argument("--algebra", help="algebra JSON file")
-    p_contract.add_argument("--catalog", help="catalog id")
+    p_contract = sub.add_parser("contract", help="diagonal contraction", parents=[common, subject])
     p_contract.add_argument("--exponents", required=True, help='"e1,...,en" integers')
     p_contract.add_argument("--basis", help="change-of-basis matrix JSON file applied first")
     p_contract.set_defaults(func=cmd_contract)
 
     p_sl = sub.add_parser("sl", help="polynomial contact data on the even special linear group", parents=[common])
     p_sl.add_argument("--n", type=int, required=True)
-    p_sl.add_argument("--identity", action="store_true", help="top-form identity and its constant")
-    p_sl.add_argument("--reeb", action="store_true", help="exact Reeb-field pairings")
-    p_sl.add_argument("--invariance", help="rotation matrix JSON file for the pullback check")
-    p_sl.add_argument("--singular", help="matrix point JSON file for the singular equations")
+    mode = p_sl.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--identity", action="store_true", help="top-form identity and its constant")
+    mode.add_argument("--reeb", action="store_true", help="exact Reeb-field pairings")
+    mode.add_argument("--invariance", help="rotation matrix JSON file for the pullback check")
+    mode.add_argument("--singular", help="matrix point JSON file for the singular equations")
     p_sl.set_defaults(func=cmd_sl)
     return parser
 
@@ -362,19 +299,24 @@ def _attach_list_values(argv) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; the only place where an error becomes an exit code.
+
+    argparse exits 2 on a bad command line before any command runs.
+    """
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_attach_list_values(argv))
+    args = build_parser().parse_args(_attach_list_values(argv))
     args.argv_echo = list(argv)
     try:
         return args.func(args)
-    except _Failure as exc:
+    except (_Failure, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except AlgebraFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, _Failure):
+            return exc.code
+        if isinstance(exc, (OSError, AlgebraFileError)):
+            return EXIT_IO
+        # every precondition error of the package is a ValueError
+        return EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

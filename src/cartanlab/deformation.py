@@ -58,6 +58,18 @@ def _skew_at(values, n, i, j, rest=()):
     return tuple(-x for x in _comps(n, values.get((j, i) + rest, {})))
 
 
+def _table_sum(*tables):
+    """Entrywise sum of sparse {(i, j): {k: coeff}} tables, as fresh dicts
+    that may hold zeros: `bracket_table` drops them, once, afterwards."""
+    out = {}
+    for table in tables:
+        for key, terms in table.items():
+            acc = out.setdefault(key, {})
+            for k, v in terms.items():
+                acc[k] = acc[k] + v if k in acc else v
+    return out
+
+
 def _accumulate(acc, s, terms):
     """acc += s * terms on sparse {k: coeff} vectors."""
     for k, v in terms.items():
@@ -103,12 +115,7 @@ class BilinearMap:
     def __add__(self, other):
         if other.algebra is not self.algebra:
             raise ValueError("mixed spaces")
-        out = {key: dict(terms) for key, terms in self.values.items()}
-        for key, terms in other.values.items():
-            acc = out.setdefault(key, {})
-            for k, v in terms.items():
-                acc[k] = acc[k] + v if k in acc else v
-        return BilinearMap(self.algebra, out)
+        return BilinearMap(self.algebra, _table_sum(self.values, other.values))
 
     def __neg__(self):
         return self.scale(-ONE)
@@ -319,8 +326,8 @@ def assemble(spec: DeformationSpec) -> LieAlgebra:
     """The deformed bracket mu_0 + phi_1 + phi_2 (parameter specialized to 1:
     all nonzero parameter values give isomorphic brackets)."""
     base = spec.base
-    total = BilinearMap.of_algebra(base) + spec.phi1 + spec.phi2
-    return LieAlgebra(base.dim, total.values, basis=base.basis)
+    total = _table_sum(base.c, spec.phi1.values, spec.phi2.values)
+    return LieAlgebra(base.dim, total, basis=base.basis)
 
 
 def bilinear_from_endomorphism(base: LieAlgebra, f_rows) -> BilinearMap:

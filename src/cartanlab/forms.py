@@ -16,7 +16,6 @@ for the first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import exterior
 from .liealg import LieAlgebra, Subspace, Vector, kernel_subspace
@@ -177,16 +176,11 @@ class ClassOracleError(AssertionError):
     """Wedge-power class and characteristic-space codimension disagreed."""
 
 
-def characteristic_space(w: DualForm, dw: Optional[DualForm] = None) -> Subspace:
-    """C(w) = {X : w(X) = 0, i(X) dw = 0} by exact kernel computation.
-
-    dw, when given, must be ce_differential(w); callers that already hold
-    it pass it to skip recomputing it.
-    """
+def characteristic_space(w: DualForm, dw: DualForm) -> Subspace:
+    """C(w) = {X : w(X) = 0, i(X) dw = 0} by exact kernel computation,
+    where dw is ce_differential(w)."""
     alg = w.algebra
     n = alg.dim
-    if dw is None:
-        dw = ce_differential(w)
     rows = [tuple(w.coeffs.get((i,), ZERO) for i in range(1, n + 1))]
     for j in range(1, n + 1):
         # row j: dw(X_i, X_j) as i runs over the basis

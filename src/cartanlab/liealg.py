@@ -245,9 +245,6 @@ class LinearMap:
     def apply_basis(self, j) -> Vector:
         return Vector(self.algebra, [self.rows[i][j - 1] for i in range(self.algebra.dim)])
 
-    def trace(self) -> Scalar:
-        return sum((self.rows[i][i] for i in range(self.algebra.dim)), ZERO)
-
     def __eq__(self, other):
         return (
             isinstance(other, LinearMap)
@@ -315,7 +312,7 @@ def kernel_subspace(algebra, rows) -> Subspace:
     return Subspace(algebra, [Vector(algebra, b) for b in basis])
 
 
-def change_basis(g: LieAlgebra, p_rows, basis=None) -> LieAlgebra:
+def change_basis(g: LieAlgebra, p_rows) -> LieAlgebra:
     """Structure constants of g in the basis Y_j = sum_i P[i][j] X_i."""
     from .linalg import as_matrix, invert, mat_vec
 
@@ -334,4 +331,4 @@ def change_basis(g: LieAlgebra, p_rows, basis=None) -> LieAlgebra:
             terms = {k + 1: coords[k] for k in range(n) if coords[k]}
             if terms:
                 new_brackets[(i, j)] = terms
-    return LieAlgebra(n, new_brackets, basis=basis or g.basis)
+    return LieAlgebra(n, new_brackets, basis=g.basis)

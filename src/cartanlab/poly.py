@@ -16,9 +16,9 @@ Most products in the SL(2n) code have a one-term factor (a coordinate
 times a sub-minor, a constant times a form coefficient, a coefficient
 times a substituted image).  ``*`` then shifts the other factor's
 exponents, which is injective, so it neither merges nor tests for zero,
-and a unit coefficient costs no Scalar product at all.  ``**`` starts
-from the base and stops squaring at the highest bit, so ``p ** 1`` is
-``p``.
+and a unit coefficient costs no Scalar product at all.  ``**`` is
+`scalars.power`, the square-and-multiply of Scalars too, so ``p ** 1``
+is ``p``.
 """
 
 from __future__ import annotations
@@ -26,18 +26,11 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, check_exponent, power
 
 
 class VariableMismatch(ValueError):
     pass
-
-
-def _exponent(e) -> int:
-    # int() would truncate 1.5, parse "2" and take True, so check the type
-    if isinstance(e, bool) or not isinstance(e, int) or e < 0:
-        raise ValueError(f"exponent must be an integer >= 0, not {e!r}")
-    return e
 
 
 def _trusted(vars: tuple, terms: dict) -> "Poly":
@@ -60,7 +53,7 @@ class Poly:
         nv = len(self.vars)
         clean = {}
         for expo, c in (terms or {}).items():
-            expo = tuple(_exponent(e) for e in expo)
+            expo = tuple(check_exponent(e) for e in expo)
             if len(expo) != nv:
                 raise ValueError("bad exponent tuple")
             c = Scalar.of(c)
@@ -186,19 +179,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        k = _exponent(k)
-        if not k:
-            return Poly.constant(self.vars, ONE)
-        # start from the base and stop squaring after the highest bit:
-        # x ** 1 is x, x ** 3 costs two products
-        base, out = self, None
-        while True:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if not k:
-                return out
-            base = base * base
+        return power(self, k, Poly.constant(self.vars, ONE))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -256,7 +237,7 @@ class Poly:
         target = replacements[0].vars
         pow_cache = {}
 
-        def power(i, e):
+        def image_power(i, e):
             key = (i, e)
             if key not in pow_cache:
                 pow_cache[key] = replacements[i] ** e
@@ -267,7 +248,7 @@ class Poly:
             term = Poly.constant(target, c)
             for i, e in enumerate(expo):
                 if e:
-                    term = term * power(i, e)
+                    term = term * image_power(i, e)
             total = total + term
         return total
 

@@ -33,13 +33,14 @@ def random_covector(g: LieAlgebra, r: random.Random) -> DualForm:
             return DualForm.covector(g, comps)
 
 
-def random_form(g: LieAlgebra, grade: int, r: random.Random, density=3) -> DualForm:
+def random_form(g: LieAlgebra, grade: int, r: random.Random) -> DualForm:
+    """A grade-`grade` form with up to three random rational coefficients."""
     from itertools import combinations
 
     tuples = list(combinations(range(1, g.dim + 1), grade))
     r.shuffle(tuples)
     coeffs = {}
-    for idx in tuples[: min(density, len(tuples))]:
+    for idx in tuples[:3]:
         coeffs[idx] = random_rational(r)
     return DualForm(g, grade, coeffs)
 

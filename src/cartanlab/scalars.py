@@ -36,6 +36,32 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
+def check_exponent(e) -> int:
+    """e itself when it is a non-bool int >= 0, the one rule for powers and
+    monomial exponents; int() would truncate 1.5, parse "2" and take True,
+    so the type is checked."""
+    if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+        raise ValueError(f"exponent must be an integer >= 0, not {e!r}")
+    return e
+
+
+def power(x, k, one):
+    """x ** k by square-and-multiply, one when k = 0.  It starts from x and
+    stops squaring after the highest bit: x ** 1 is x, x ** 3 costs two
+    products."""
+    k = check_exponent(k)
+    if not k:
+        return one
+    base, out = x, None
+    while True:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if not k:
+            return out
+        base = base * base
+
+
 class Scalar:
     """Exact Gaussian rational a + b*i.
 
@@ -61,10 +87,6 @@ class Scalar:
         if isinstance(x, (int, Fraction, str)):
             return Scalar(x)
         raise TypeError(f"cannot coerce {x!r} to Scalar")
-
-    @staticmethod
-    def i() -> "Scalar":
-        return Scalar(0, 1)
 
     @staticmethod
     def from_strings(re: str, im: str = "0") -> "Scalar":
@@ -120,21 +142,7 @@ class Scalar:
         return Scalar.of(other) / self
 
     def __pow__(self, k: int):
-        # the exponent rule of poly._exponent: a non-bool int >= 0
-        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-            raise ValueError(f"Scalar powers need an integer >= 0, not {k!r}")
-        if not k:
-            return ONE
-        # start from the base and stop squaring after the highest bit:
-        # x ** 1 is x, x ** 3 costs two products
-        base, out = self, None
-        while True:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if not k:
-                return out
-            base = base * base
+        return power(self, k, ONE)
 
     def conjugate(self) -> "Scalar":
         return Scalar(self.re, -self.im)

@@ -110,18 +110,9 @@ def require_jacobi(g: LieAlgebra):
 
 
 def center(g: LieAlgebra) -> Subspace:
-    """Exact kernel of the stacked adjoint maps."""
+    """Exact kernel of the stacked adjoint maps ad(X_1), ..., ad(X_n)."""
     require_jacobi(g)
-    n = g.dim
-    rows = []
-    for j in range(1, n + 1):
-        # row block: [x, X_j] = 0, one scalar row per output coordinate
-        for k in range(1, n + 1):
-            row = tuple(g.constant(i, j, k) for i in range(1, n + 1))
-            if any(row):
-                rows.append(row)
-    if not rows:
-        return Subspace(g, [g.basis_vector(i) for i in range(1, n + 1)])
+    rows = [row for j in range(1, g.dim + 1) for row in g.adjoint_rows(j) if any(row)]
     return kernel_subspace(g, rows)
 
 

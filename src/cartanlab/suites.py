@@ -1,12 +1,12 @@
-"""Batch property suites shared by the command-line front end and tests.
+"""Batch property suites of the command line's `check` subcommand.
 
-Each suite returns (ok, results-dict); results are JSON-ready (rationals as
-strings) and deterministic for a fixed seed.
+Every suite takes (g, entry, seed): the algebra, its catalog entry or None,
+and the seed of the run.  It returns (ok, results-dict); results are
+JSON-ready (rationals as strings) and deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
-from .catalog import CatalogEntry
 from .deformation import (
     central_extension,
     central_quotient,
@@ -14,7 +14,7 @@ from .deformation import (
     assemble,
     deformation_from_classical_basis,
 )
-from .forms import DualForm, cartan_class
+from .forms import cartan_class
 from .liealg import LieAlgebra
 from .randgen import random_covector, rng
 from .structure import center, jacobi_check
@@ -25,7 +25,7 @@ def _vector_str(v) -> list:
     return [str(x) for x in v]
 
 
-def suite_jacobi(g: LieAlgebra):
+def suite_jacobi(g: LieAlgebra, entry, seed):
     res = jacobi_check(g)
     if res.ok:
         return True, {"ok": True}
@@ -36,8 +36,9 @@ def suite_jacobi(g: LieAlgebra):
     }
 
 
-def suite_nilpotent_parity(g: LieAlgebra, seed, samples=100):
+def suite_nilpotent_parity(g: LieAlgebra, entry, seed):
     r = rng(seed)
+    samples = 100
     classes = []
     odd = 0
     for _ in range(samples):
@@ -54,10 +55,11 @@ def suite_nilpotent_parity(g: LieAlgebra, seed, samples=100):
     }
 
 
-def suite_center(g: LieAlgebra, form: DualForm = None, seed=None):
+def suite_center(g: LieAlgebra, entry, seed):
     z = center(g)
     results = {"dimension": z.dim, "basis": [_vector_str(row) for row in z.rows]}
     ok = True
+    form = None if entry is None else entry.distinguished_form
     if form is not None and not form.is_zero:
         info = cartan_class(form)
         results["class_of_form"] = info.value
@@ -76,7 +78,7 @@ def suite_center(g: LieAlgebra, form: DualForm = None, seed=None):
     return ok, results
 
 
-def suite_quadra(g: LieAlgebra, entry: CatalogEntry = None):
+def suite_quadra(g: LieAlgebra, entry, seed):
     if entry is not None and entry.deformation is not None:
         spec = entry.deformation
     else:
@@ -97,7 +99,7 @@ def suite_quadra(g: LieAlgebra, entry: CatalogEntry = None):
     return results["ok"], results
 
 
-def suite_extension_roundtrip(g: LieAlgebra):
+def suite_extension_roundtrip(g: LieAlgebra, entry, seed):
     k, theta = central_quotient(g)
     rebuilt = central_extension(k, theta)
     ok = rebuilt.same_constants(g)
@@ -105,25 +107,14 @@ def suite_extension_roundtrip(g: LieAlgebra):
 
 
 SUITES = {
-    "jacobi": "Jacobi identity with witness reporting",
-    "nilpotent-parity": "Cartan class parity over random covectors",
-    "center": "center dimension and characteristic-space containment",
-    "quadra": "quadratic-deformation compatibility equations",
-    "extension-roundtrip": "central quotient followed by re-extension",
+    "jacobi": suite_jacobi,
+    "nilpotent-parity": suite_nilpotent_parity,
+    "center": suite_center,
+    "quadra": suite_quadra,
+    "extension-roundtrip": suite_extension_roundtrip,
 }
 
 
-def run_suite(name: str, g: LieAlgebra, entry=None, form=None, seed=None):
-    if name == "jacobi":
-        return suite_jacobi(g)
-    if name == "nilpotent-parity":
-        return suite_nilpotent_parity(g, seed)
-    if name == "center":
-        if form is None and entry is not None:
-            form = entry.distinguished_form
-        return suite_center(g, form=form, seed=seed)
-    if name == "quadra":
-        return suite_quadra(g, entry=entry)
-    if name == "extension-roundtrip":
-        return suite_extension_roundtrip(g)
-    raise KeyError(name)
+def run_suite(name: str, g: LieAlgebra, entry, seed):
+    """(ok, results) of the suite called name."""
+    return SUITES[name](g, entry, seed)

@@ -178,12 +178,23 @@ FIXED = [
     # of the Heisenberg algebra
     (["check", "--catalog", "abelian:n=3", "--suite", "quadra"], 2),
     (["check", "--catalog", "abelian:n=5", "--suite", "quadra"], 2),
+    # argparse rejects conflicting arguments: one subject, one sl mode
+    (["class", "--catalog", "heisenberg:p=1", "--algebra", "missing.json", "--form", "0,0,1"], 2),
+    (["sl", "--n", "1", "--identity", "--reeb"], 2),
 ]
+
+
+def _exit_code(argv):
+    """The code main returns, or argparse's exit code for a bad command line."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.mark.parametrize("argv,code", FIXED)
 def test_cli_fixed_malformed_inputs(argv, code, capsys):
-    assert main(argv) == code
+    assert _exit_code(argv) == code
     out, err = capsys.readouterr()
     if "--catalog" in argv and code == 1:
         assert "cannot resolve catalog id" in err
@@ -205,9 +216,7 @@ def test_cli_seeded_fuzz_keeps_exit_contract(capsys, tmp_path):
     for _ in range(600):
         label, argv = _argv(r, write)
         try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejecting the command line
-            code = exc.code
+            code = _exit_code(argv)
         except Exception as exc:  # report the input, not only the traceback
             pytest.fail(f"{type(exc).__name__} escaped main for {argv}: {exc}")
         err = capsys.readouterr().err

@@ -174,6 +174,18 @@ def test_cli_out_file(capsys, tmp_path):
     assert target.read_text() == out
 
 
+def test_cli_out_to_a_directory_exits_1_with_no_report(tmp_path):
+    # the report goes to --out before stdout, so a failed write prints none
+    proc = subprocess.run(
+        [sys.executable, "-m", "cartanlab.cli", "--out", str(tmp_path), "sl", "--n", "1", "--identity"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_cli_unknown_suite(capsys):
     code, _, err = run_cli(
         ["check", "--catalog", "heisenberg:p=1", "--suite", "bogus"], capsys
