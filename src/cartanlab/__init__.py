@@ -22,7 +22,6 @@ from .structure import (
     jacobi_check,
     center,
     lower_central_series,
-    is_derivation,
     diagonal_derivations,
     bracket_compatible_endomorphisms,
     bracket_compatible_dimension,
@@ -35,6 +34,7 @@ from .deformation import (
     bullet_product,
     bullet_power,
     coboundary_of_map,
+    is_derivation,
     coboundary_of_bilinear,
     check_quadratic_deformation,
     assemble,

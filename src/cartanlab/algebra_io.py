@@ -42,14 +42,9 @@ def algebra_from_dict(data: dict) -> LieAlgebra:
         brackets = {}
         for entry in data.get("brackets", []):
             i, j = _index(entry["i"]), _index(entry["j"])
-            if not (1 <= i < j <= dim):
-                raise AlgebraFileError(f"bracket pair ({i},{j}) out of order or range")
             terms = {}
             for term in entry["terms"]:
-                k = _index(term["k"])
-                if not (1 <= k <= dim):
-                    raise AlgebraFileError(f"bracket target {k} out of range")
-                terms[k] = Scalar(parse_rational(term["re"]), parse_rational(term.get("im", "0")))
+                terms[_index(term["k"])] = Scalar.from_strings(term["re"], term.get("im", "0"))
             if (i, j) in brackets:
                 raise AlgebraFileError(f"duplicate bracket pair ({i},{j})")
             brackets[(i, j)] = terms
@@ -94,9 +89,7 @@ def load_matrix_text(text: str):
             row = []
             for cell in raw:
                 if isinstance(cell, dict):
-                    row.append(
-                        Scalar(parse_rational(cell["re"]), parse_rational(cell.get("im", "0")))
-                    )
+                    row.append(Scalar.from_strings(cell["re"], cell.get("im", "0")))
                 elif isinstance(cell, (str, int)):
                     row.append(Scalar(parse_rational(cell)))
                 else:

@@ -14,9 +14,12 @@ Each catalog concept has one implementation:
   (dim5, filiform_contact, mu_c9).  It always runs `jacobi_check`, whose
   verdict the immutable algebra keeps, and raises `NonJacobiDisplayError`
   unless the caller allows non-Jacobi tables.
-* `_FAMILIES` is the one table of id families: each name's constructor and
-  the shape of each of its parameters.  A constructor rejects a parameter
-  its table does not read.
+* `_FAMILIES` is the one owner of the id grammar name[:key=value,...]:
+  each name's constructor and the parser of each of its parameters.
+  `resolve` reads every id through those parsers and `_id` prints every
+  entry's id from the same table, so the id of an entry with rational
+  parameters resolves back to that entry.  A constructor rejects a
+  parameter its table does not read.
 
 Conventions fixed here once:
 
@@ -41,6 +44,7 @@ Conventions fixed here once:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -104,10 +108,6 @@ def _scalars(values, count: int, message: str) -> list:
     return a
 
 
-def _array_text(a) -> str:
-    return "[" + ",".join(str(x) for x in a) + "]"
-
-
 # -- Heisenberg and abelian ---------------------------------------------------
 
 
@@ -119,7 +119,7 @@ def heisenberg(p: int) -> CatalogEntry:
     brackets = {(2 * k - 1, 2 * k): {n: ONE} for k in range(1, p + 1)}
     g = LieAlgebra(n, brackets)
     return _entry(
-        f"heisenberg:p={p}",
+        _id("heisenberg", {"p": p}),
         {"p": p},
         g,
         {n: ONE},
@@ -131,7 +131,7 @@ def heisenberg(p: int) -> CatalogEntry:
 def abelian(n: int) -> CatalogEntry:
     g = LieAlgebra(n, {})
     return _entry(
-        f"abelian:n={n}",
+        _id("abelian", {"n": n}),
         {"n": n},
         g,
         {1: ONE},
@@ -178,7 +178,7 @@ def dim3(kind: str, **params) -> CatalogEntry:
         note = "quadratic deformation with split diagonal f; rank-1 simple"
     g = LieAlgebra(3, table)
     return _entry(
-        f"dim3:kind={kind}",
+        _id("dim3", {"kind": kind, **p}),
         p,
         g,
         {3: ONE},
@@ -197,7 +197,7 @@ def _so3(a: Scalar) -> CatalogEntry:
         bilinear_from_endomorphism(h3, ((ZERO, a), (-a, ZERO))),
     )
     return _entry(
-        "dim3:kind=so3",
+        _id("dim3", {"kind": "so3", "a": a}),
         {"a": a},
         g,
         {1: ONE, 2: Scalar(2), 3: -ONE},
@@ -306,11 +306,12 @@ def dim5(variant: str, allow_nonjacobi: bool = False, **params) -> CatalogEntry:
         raise ValueError(f"unknown dim5 variant {variant!r}")
     p = _own_params(f"dim5 variant {variant}", params, DIM5_VARIANTS[variant])
     g = LieAlgebra(5, _dim5_table(variant, p))
-    cid = f"dim5:variant={variant}" + "".join(f",{k}={v}" for k, v in sorted(p.items()))
+    params = {"variant": variant, **p}
+    cid = _id("dim5", params)
     _quarantine(g, allow_nonjacobi, cid)
     return _entry(
         cid,
-        {"variant": variant, **p},
+        params,
         g,
         {5: ONE},
         5,
@@ -333,7 +334,7 @@ def filiform_model(n: int) -> CatalogEntry:
     brackets = {(1, i + 1): {i + 2: ONE} for i in range(1, n - 1)}
     g = LieAlgebra(n, brackets, basis=_filiform_labels(n))
     return _entry(
-        f"filiform:n={n}",
+        _id("filiform", {"n": n}),
         {"n": n},
         g,
         {n: ONE},
@@ -382,9 +383,10 @@ def filiform_contact_conditions(p: int, coeffs) -> list:
     return out
 
 
-def _filiform_entry(cid, params, g, allow_nonjacobi, provenance) -> CatalogEntry:
+def _filiform_entry(name, params, g, allow_nonjacobi, provenance) -> CatalogEntry:
     """The quarantined entry of a filiform contact table on dim 2p+1, whose
     constraints hold iff every contact condition A_i is nonzero."""
+    cid = _id(name, params)
     _quarantine(g, allow_nonjacobi, cid)
     n = g.dim
     return _entry(
@@ -410,7 +412,7 @@ def filiform_contact(p: int, a, allow_nonjacobi: bool = False) -> CatalogEntry:
         if a[k - 1]:
             total = total + filiform_cocycle(p, k, base).scale(a[k - 1])
     return _filiform_entry(
-        f"filiform_contact:p={p},a={_array_text(a)}",
+        "filiform_contact",
         {"p": p, "a": tuple(a)},
         LieAlgebra(n, total.values, basis=_filiform_labels(n)),
         allow_nonjacobi,
@@ -450,7 +452,7 @@ def mu_c9(a, allow_nonjacobi: bool = False) -> CatalogEntry:
     """Catalog id mu_c9:a=[a14,a26,a38]; golden-table construction."""
     a = _scalars(a, 3, "mu_c9 takes exactly three coefficients")
     return _filiform_entry(
-        f"mu_c9:a={_array_text(a)}",
+        "mu_c9",
         {"a": tuple(a)},
         mu_c9_table(*a),
         allow_nonjacobi,
@@ -464,7 +466,7 @@ def mu_c9(a, allow_nonjacobi: bool = False) -> CatalogEntry:
 def frobenius_base(p: int) -> CatalogEntry:
     """The parameter-zero member: [X1,X2]=X1, [X_{2k+1},X_{2k+2}]=X1,
     [X2,X_{2k+2}] = -X_{2k+2}."""
-    return replace(frobenius_model(p, [ZERO] * (p - 1)), id=f"frobenius_base:p={p}")
+    return replace(frobenius_model(p, [ZERO] * (p - 1)), id=_id("frobenius_base", {"p": p}))
 
 
 def frobenius_model(p: int, a) -> CatalogEntry:
@@ -478,11 +480,11 @@ def frobenius_model(p: int, a) -> CatalogEntry:
         if a[k - 1]:
             brackets.setdefault((2, 2 * k + 1), {})[2 * k + 1] = a[k - 1]
         brackets.setdefault((2, 2 * k + 2), {})[2 * k + 2] = -(ONE + a[k - 1])
-    g = LieAlgebra(n, brackets)
+    params = {"p": p, "a": tuple(a)}
     return _entry(
-        f"frobenius:p={p},a={_array_text(a)}",
-        {"p": p, "a": tuple(a)},
-        g,
+        _id("frobenius", params),
+        params,
+        LieAlgebra(n, brackets),
         {1: ONE},
         n,
         provenance=(
@@ -514,92 +516,70 @@ def psi_cocycles(p: int, base: LieAlgebra) -> list:
 # -- registry and id grammar ---------------------------------------------------------
 
 
-def _parse_value(tok: str):
-    tok = tok.strip()
-    if tok.startswith("[") and tok.endswith("]"):
-        inner = tok[1:-1].strip()
-        return [] if not inner else [_parse_value(t) for t in inner.split(";")]
-    try:
-        return int(tok)
-    except ValueError:
-        pass
-    try:
-        return parse_rational(tok)
-    except ValueError:
-        if "/" in tok:
-            raise  # a malformed rational such as "1/0", not a bare word
-        return tok  # bare word, e.g. a dim3 kind or dim5 variant name
+def _integer(text: str) -> int:
+    value = parse_rational(text)
+    if value.denominator != 1:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(value)
 
 
-def parse_catalog_id(text: str):
-    """Grammar: name[:key=val,...]; array values as [v1,v2,...]."""
-    text = text.strip()
-    if ":" not in text:
-        return text, {}
-    name, rest = text.split(":", 1)
-    # protect commas inside [...] before splitting on commas
-    depth = 0
-    protected = []
-    for ch in rest:
-        if ch == "[":
-            depth += 1
-            protected.append(ch)
-        elif ch == "]":
-            depth -= 1
-            protected.append(ch)
-        elif ch == "," and depth > 0:
-            protected.append(";")
-        else:
-            protected.append(ch)
-    kwargs = {}
-    for item in "".join(protected).split(","):
-        if not item.strip():
-            continue
-        if "=" not in item:
-            raise ValueError(f"bad catalog parameter {item!r}")
-        key, val = item.split("=", 1)
-        kwargs[key.strip()] = _parse_value(val)
-    return name, kwargs
+def _rationals(text: str) -> list:
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ValueError(f"not an array [v1,v2,...]: {text!r}")
+    return [parse_rational(v) for v in text[1:-1].split(",")]
 
 
-# name -> (constructor, the shape of each id parameter: an int, one rational
-# (Fraction), an array of rationals (list) or a name (str)).  A rational
-# parameter has a default in its constructor; every other one is required.
+def _name(text: str) -> str:
+    if not text.isidentifier():
+        raise ValueError(f"not a name: {text!r}")
+    return text
+
+
+# name -> (constructor, the parser of each id parameter).  A rational
+# parameter (parse_rational) has a default in its constructor; every other
+# one is required.  Ids print their parameters in this order.
 _FAMILIES = {
-    "heisenberg": (heisenberg, {"p": int}),
-    "abelian": (abelian, {"n": int}),
-    "dim3": (dim3, {"kind": str, **{k: Fraction for d in DIM3_KINDS.values() for k in d}}),
-    "sl2": (partial(dim3, "sl2"), {"lam": Fraction}),
-    "so3": (partial(dim3, "so3"), {"a": Fraction}),
-    "dim5": (dim5, {"variant": str, **dict.fromkeys("".join(DIM5_VARIANTS.values()), Fraction)}),
-    "filiform": (filiform_model, {"n": int}),
-    "filiform_contact": (filiform_contact, {"p": int, "a": list}),
-    "mu_c9": (mu_c9, {"a": list}),
-    "frobenius": (frobenius_model, {"p": int, "a": list}),
-    "frobenius_base": (frobenius_base, {"p": int}),
+    "heisenberg": (heisenberg, {"p": _integer}),
+    "abelian": (abelian, {"n": _integer}),
+    "dim3": (dim3, {"kind": _name, **{k: parse_rational for d in DIM3_KINDS.values() for k in d}}),
+    "sl2": (partial(dim3, "sl2"), {"lam": parse_rational}),
+    "so3": (partial(dim3, "so3"), {"a": parse_rational}),
+    "dim5": (dim5, {"variant": _name, **dict.fromkeys("".join(DIM5_VARIANTS.values()), parse_rational)}),
+    "filiform": (filiform_model, {"n": _integer}),
+    "filiform_contact": (filiform_contact, {"p": _integer, "a": _rationals}),
+    "mu_c9": (mu_c9, {"a": _rationals}),
+    "frobenius": (frobenius_model, {"p": _integer, "a": _rationals}),
+    "frobenius_base": (frobenius_base, {"p": _integer}),
 }
 # the families whose tables `_quarantine` gates
 _QUARANTINED = ("dim5", "filiform_contact", "mu_c9")
+# a comma that separates two parameters, not two array values
+_ITEM_SEPARATOR = re.compile(r",(?![^\[]*\])")
+
+
+def _id(name: str, params: dict) -> str:
+    """name:key=value,... with the keys in table order, arrays as [v1,v2]."""
+    text = {k: f"[{','.join(map(str, v))}]" if isinstance(v, tuple) else str(v)
+            for k, v in params.items()}
+    return f"{name}:" + ",".join(f"{k}={text[k]}" for k in _FAMILIES[name][1] if k in text)
 
 
 def resolve(catalog_id: str, allow_nonjacobi: bool = False) -> CatalogEntry:
-    name, kw = parse_catalog_id(catalog_id)
+    """The entry of a catalog id name[:key=value,...], e.g. frobenius:p=3,a=[1,-2]."""
+    name, _, rest = catalog_id.strip().partition(":")
     if name not in _FAMILIES:
         raise KeyError(f"unknown catalog family {name!r}")
-    build, shapes = _FAMILIES[name]
-    for key, v in kw.items():
-        shape = shapes.get(key)
-        rational = isinstance(v, (int, Fraction))
-        if shape is int and rational and v.denominator == 1:
-            kw[key] = int(v)
-        elif not (
-            shape is Fraction and rational
-            or shape is str and isinstance(v, str)
-            or shape is list and isinstance(v, list)
-            and all(isinstance(x, (int, Fraction)) for x in v)
-        ):
-            raise ValueError(f"bad parameter {key}={v} for {name}")
-    missing = [key for key, shape in shapes.items() if shape is not Fraction and key not in kw]
+    build, parsers = _FAMILIES[name]
+    kw = {}
+    for item in filter(str.strip, _ITEM_SEPARATOR.split(rest)):
+        key, _, value = (part.strip() for part in item.partition("="))
+        if key not in parsers:
+            raise ValueError(f"bad parameter {key}={value} for {name}: no such parameter")
+        try:
+            kw[key] = parsers[key](value)
+        except ValueError as exc:
+            raise ValueError(f"bad parameter {key}={value} for {name}: {exc}") from None
+    missing = [key for key, parse in parsers.items() if parse is not parse_rational and key not in kw]
     if missing:
         raise KeyError(f"{name} needs the parameter {missing[0]}")
     if name in _QUARANTINED:

@@ -22,8 +22,8 @@ kernel `structure.cyclic_sums`.
 Every table here is sparse, in the format of `LieAlgebra.c`: a cochain
 stores {(i, j): {k: coeff}} (a `liealg.bracket_table`), and the trilinear
 results store {(i, j, k): {m: coeff}}.  Only the readers `at`,
-`apply_comps`, `apply`, `first_nonzero` and `QuadraticCheck.failures`
-return dense coordinate tuples or Vectors.
+`apply_comps`, `first_nonzero` and `QuadraticCheck.failures` return dense
+coordinate tuples.
 
 Coboundary signs are pinned so that on the Heisenberg algebra a diagonal
 endomorphism f (acting through phi_2(X_l, X_{2p+1}) = f(X_l)) satisfies
@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .forms import DualForm, ce_differential, wedge_power
-from .liealg import LieAlgebra, LinearMap, Vector, apply_table, bracket_table
+from .liealg import LieAlgebra, LinearMap, apply_table, bracket_table
 from .scalars import ONE, ZERO, Scalar
 from .structure import PreconditionError, cyclic_sums, pair_table, require_jacobi
 
@@ -108,9 +108,6 @@ class BilinearMap:
     def apply_comps(self, x, y):
         """Bilinear extension on coordinate tuples (`liealg.apply_table`)."""
         return _comps(self.algebra.dim, apply_table(self.values, x, y))
-
-    def apply(self, x: Vector, y: Vector) -> Vector:
-        return Vector.from_sparse(self.algebra, apply_table(self.values, x.comps, y.comps))
 
     def __add__(self, other):
         if other.algebra is not self.algebra:
@@ -259,6 +256,11 @@ def coboundary_of_map(f: LinearMap, g: LieAlgebra) -> BilinearMap:
                 _accumulate(acc, -u, mu.get(i, {}).get(b, {}))
             values[(i, j)] = acc
     return BilinearMap(g, values)
+
+
+def is_derivation(f: LinearMap, g: LieAlgebra) -> bool:
+    """f([X,Y]) = [f(X),Y] + [X,f(Y)] on all basis pairs, i.e. df = 0."""
+    return coboundary_of_map(f, g).is_zero
 
 
 def coboundary_of_bilinear(phi: BilinearMap, g: LieAlgebra) -> SkewTrilinear:

@@ -105,16 +105,13 @@ class DualForm:
         return exterior.interior(self.coeffs, v.comps, 1).get((), ZERO)
 
     def evaluate(self, *vectors) -> Scalar:
-        """theta(v_1, ..., v_q) by exact minors."""
+        """theta(v_1, ..., v_q), one interior product per vector."""
         if len(vectors) != self.grade:
             raise FormError("wrong number of arguments")
-        from .linalg import det
-
-        total = ZERO
-        for idx, c in self.coeffs.items():
-            minor = [[v.comps[t - 1] for t in idx] for v in vectors]
-            total = total + c * det(minor)
-        return total
+        coeffs = self.coeffs
+        for v in vectors:
+            coeffs = exterior.interior(coeffs, v.comps, 1)
+        return coeffs.get((), ZERO)
 
     def __repr__(self):
         if self.is_zero:

@@ -14,10 +14,6 @@ def as_matrix(rows):
     return tuple(tuple(Scalar.of(x) for x in row) for row in rows)
 
 
-def zeros(nrows, ncols):
-    return tuple(tuple(ZERO for _ in range(ncols)) for _ in range(nrows))
-
-
 def identity(n):
     return tuple(
         tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)

@@ -24,6 +24,8 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise ValueError(f"not an exact rational: {text!r}") from None
 
 
 def _as_fraction(x) -> Fraction:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .liealg import LieAlgebra, LinearMap, Subspace, Vector, kernel_subspace
+from .liealg import LieAlgebra, Subspace, Vector, kernel_subspace
 from .linalg import nullspace
 from .scalars import ONE, ZERO
 
@@ -155,22 +155,6 @@ def lower_central_series(g: LieAlgebra) -> LowerCentralSeries:
             return LowerCentralSeries(tuple(terms), None)
         current = nxt
         k += 1
-
-
-def is_derivation(f: LinearMap, g: LieAlgebra) -> bool:
-    """f([X,Y]) = [f(X),Y] + [X,f(Y)] on all basis pairs."""
-    if f.algebra is not g:
-        raise ValueError("map is not an endomorphism of this algebra")
-    n = g.dim
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            lhs = f.apply(g.bracket_basis(i, j))
-            rhs = g.bracket(f.apply_basis(i), g.basis_vector(j)) + g.bracket(
-                g.basis_vector(i), f.apply_basis(j)
-            )
-            if lhs != rhs:
-                return False
-    return True
 
 
 def diagonal_derivations(g: LieAlgebra) -> list:

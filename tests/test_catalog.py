@@ -194,11 +194,11 @@ def test_standard_entries_all_jacobi():
 
 
 def test_catalog_id_grammar():
-    name, kw = cat.parse_catalog_id("frobenius:p=3,a=[1,-2]")
-    assert name == "frobenius" and kw == {"p": 3, "a": [1, -2]}
-    name, kw = cat.parse_catalog_id("dim5:variant=diag_ii_a,a=1/2,b=0,c=1,d=1")
-    assert kw["variant"] == "diag_ii_a" and kw["a"] == Fraction(1, 2)
-    assert cat.parse_catalog_id("so3") == ("so3", {})
+    e = cat.resolve("frobenius:p=3,a=[1,-2]")
+    assert e.params == {"p": 3, "a": (Scalar(1), Scalar(-2))}
+    e = cat.resolve("dim5:variant=diag_ii_a,a=1/2,b=0,c=1,d=1")
+    assert e.params["variant"] == "diag_ii_a" and e.params["a"] == Scalar("1/2")
+    assert cat.resolve("so3").params == {"a": ONE}
 
 
 def test_catalog_resolve():
@@ -250,6 +250,37 @@ FAMILY_IDS = {
     "frobenius": ("frobenius:p=3,a=[1,-2]", lambda: cat.frobenius_model(3, [1, -2])),
     "frobenius_base": ("frobenius_base:p=3", lambda: cat.frobenius_base(3)),
 }
+
+
+def _drawn_entries(r):
+    """Each family drawn with seeded rational parameters, every dim3 kind
+    with a parameter other than its default among them."""
+
+    def q():  # a nonzero rational
+        return random_rational(r) or Fraction(1)
+
+    out = [cat.heisenberg(r.randint(1, 4)), cat.abelian(r.randint(1, 5))]
+    out += [cat.dim3(kind, **{k: q() for k in defaults}) for kind, defaults in cat.DIM3_KINDS.items()]
+    out += [cat.dim5(v, **{k: q() for k in letters}) for v, letters in cat.DIM5_VARIANTS.items()]
+    out.append(cat.filiform_model(r.randint(3, 9)))
+    out += [cat.filiform_contact(p, [q() for _ in range(p - 1)]) for p in (2, 3)]
+    a2, a3 = q(), q()
+    out.append(cat.filiform_contact(4, [(3 * a2 * a2 - a2 * a3) / (2 * a3), a2, a3]))
+    out.append(cat.mu_c9([q(), q(), q()], allow_nonjacobi=True))
+    out += [cat.frobenius_model(p, [q() for _ in range(p - 1)]) for p in (2, 3, 4)]
+    out.append(cat.frobenius_base(r.randint(2, 4)))
+    return out
+
+
+def test_every_entry_id_resolves_to_the_entry():
+    r = rng(37)
+    drawn = [e for _ in range(3) for e in _drawn_entries(r)]
+    for entry in cat.standard_entries() + cat.nilpotent_entries() + drawn:
+        got = cat.resolve(entry.id, allow_nonjacobi=True)
+        assert (got.id, got.params) == (entry.id, entry.params)
+        assert got.algebra.constants() == entry.algebra.constants(), entry.id
+    # a dim3 id carries its parameter
+    assert cat.dim3("sl2", lam=3).id == "dim3:kind=sl2,lam=3"
 
 
 def test_every_family_resolves_from_its_id():

@@ -181,6 +181,10 @@ FIXED = [
     # argparse rejects conflicting arguments: one subject, one sl mode
     (["class", "--catalog", "heisenberg:p=1", "--algebra", "missing.json", "--form", "0,0,1"], 2),
     (["sl", "--n", "1", "--identity", "--reeb"], 2),
+    # an integer parameter may be written as any rational with denominator 1;
+    # an array value left empty is a bad parameter
+    (["class", "--catalog", "heisenberg:p=4/2", "--form", "0,0,0,0,1"], 0),
+    (["class", "--catalog", "frobenius:p=2,a=[1,]", "--form", "1,0,0,0"], 1),
 ]
 
 
@@ -198,6 +202,8 @@ def test_cli_fixed_malformed_inputs(argv, code, capsys):
     out, err = capsys.readouterr()
     if "--catalog" in argv and code == 1:
         assert "cannot resolve catalog id" in err
+    if "frobenius:p=2,a=[1,]" in argv:
+        assert "bad parameter" in err
     if code == 0:
         # the report echoes the command line as given
         assert json.loads(out)["argv"] == argv

@@ -9,9 +9,10 @@ from cartanlab.forms import (
     interior_product,
     wedge,
 )
-from cartanlab.liealg import LieAlgebra
-from cartanlab.randgen import random_covector, random_form, rng
-from cartanlab.scalars import ONE, sc
+from cartanlab.liealg import LieAlgebra, Vector
+from cartanlab.linalg import det
+from cartanlab.randgen import random_covector, random_form, random_rational, rng
+from cartanlab.scalars import ONE, ZERO, sc
 
 
 def test_wedge_basis_products_heisenberg():
@@ -170,3 +171,20 @@ def test_evaluate_and_pair():
     vol = DualForm(h3, 3, {(1, 2, 3): 2})
     assert vol.evaluate(*(h3.basis_vector(i) for i in (1, 2, 3))) == 2
     assert vol.evaluate(*(h3.basis_vector(i) for i in (2, 1, 3))) == -2
+
+
+def test_evaluate_matches_the_minor_formula():
+    # theta(v_1..v_q) = sum over stored indices I of theta_I * det(v_a[I_b])
+    r = rng(17)
+    for entry in cat.standard_entries():
+        g = entry.algebra
+        for grade in (1, 2, 3):
+            for _ in range(5):
+                theta = random_form(g, grade, r)
+                vectors = [Vector(g, [random_rational(r) for _ in range(g.dim)]) for _ in range(grade)]
+                minors = sum(
+                    (c * det([[v.comps[t - 1] for t in idx] for v in vectors])
+                     for idx, c in theta.coeffs.items()),
+                    ZERO,
+                )
+                assert theta.evaluate(*vectors) == minors, (entry.id, theta)

@@ -1,7 +1,7 @@
 import pytest
 
 from cartanlab import catalog as cat
-from cartanlab.deformation import BilinearMap
+from cartanlab.deformation import BilinearMap, is_derivation
 from cartanlab.forms import cartan_class
 from cartanlab.liealg import LieAlgebra, LinearMap, change_basis
 from cartanlab.linalg import det, mat_mul, mat_sub
@@ -13,7 +13,6 @@ from cartanlab.structure import (
     bracket_compatible_endomorphisms,
     center,
     diagonal_derivations,
-    is_derivation,
     jacobi_check,
     jacobi_defects,
     lower_central_series,
