@@ -17,9 +17,9 @@ Each catalog concept has one implementation:
 * `_FAMILIES` is the one owner of the id grammar name[:key=value,...]:
   each name's constructor and the parser of each of its parameters.
   `resolve` reads every id through those parsers and `_id` prints every
-  entry's id from the same table, so the id of an entry with rational
-  parameters resolves back to that entry.  A constructor rejects a
-  parameter its table does not read.
+  entry's id from the same table (Gaussian values as `str(Scalar)` prints
+  them), so every entry's id resolves back to that entry.  A constructor
+  rejects a parameter its table does not read.
 
 Conventions fixed here once:
 
@@ -27,16 +27,13 @@ Conventions fixed here once:
   brackets [X1,X2] = -X3, [X2,X3] = -X1, [X1,X3] = X2, which is the real
   form making the cyclic coframe equations d w1 = w2^w3, d w2 = w3^w1,
   d w3 = w1^w2 literally true under this differential.
-* The frobenius model family is kept in the basis
-
-      [X1,X2] = X1,  [X_{2k+1},X_{2k+2}] = X1,
-      [X2,X_{2k+1}] = a_k X_{2k+1},  [X2,X_{2k+2}] = -(1+a_k) X_{2k+2},
-
-  i.e. all structure constants negated against the coframe presentation
-  with d w_{2k+1} = a_k w2 ^ w_{2k+1}; this is the sign under which the
-  adjoint action of the principal element X2 carries the family invariants
-  a_k and -(1+a_k) directly in its spectrum (X ->  -X on every basis vector
-  is the isomorphism between the two choices).
+* The frobenius model family is built from its one table,
+  `contraction.frobenius_table` ([X1,X2] = X1, [X2,X_{2k+1}] = a_k X_{2k+1},
+  ...), whose structure constants are negated against the coframe
+  presentation with d w_{2k+1} = a_k w2 ^ w_{2k+1}; this is the sign under
+  which the adjoint action of the principal element X2 carries the family
+  invariants a_k and -(1+a_k) directly in its spectrum (X -> -X on every
+  basis vector is the isomorphism between the two choices).
 * The filiform cocycles psi_{k,s} use binom(j-k-1, k-i) with sign
   (-1)^(k-i); the hard-coded dim-9 table `mu_c9_table` is an independent
   transcription and the two constructions must agree exactly.
@@ -51,6 +48,7 @@ from functools import partial
 from math import comb
 from typing import Optional
 
+from .contraction import frobenius_table
 from .deformation import (
     BilinearMap,
     DeformationSpec,
@@ -59,7 +57,7 @@ from .deformation import (
 )
 from .forms import DualForm
 from .liealg import LieAlgebra
-from .scalars import ONE, ZERO, Scalar, parse_rational
+from .scalars import ONE, ZERO, Scalar, parse_rational, parse_scalar
 from .structure import PreconditionError, jacobi_check, jacobi_defects
 
 
@@ -464,8 +462,7 @@ def mu_c9(a, allow_nonjacobi: bool = False) -> CatalogEntry:
 
 
 def frobenius_base(p: int) -> CatalogEntry:
-    """The parameter-zero member: [X1,X2]=X1, [X_{2k+1},X_{2k+2}]=X1,
-    [X2,X_{2k+2}] = -X_{2k+2}."""
+    """The parameter-zero member of `frobenius_model`."""
     return replace(frobenius_model(p, [ZERO] * (p - 1)), id=_id("frobenius_base", {"p": p}))
 
 
@@ -473,20 +470,13 @@ def frobenius_model(p: int, a) -> CatalogEntry:
     if p < 2:
         raise PreconditionError("the model family needs p >= 2")
     a = _scalars(a, p - 1, "need p-1 parameters")
-    n = 2 * p
-    brackets = {(1, 2): {1: ONE}}
-    for k in range(1, p):
-        brackets[(2 * k + 1, 2 * k + 2)] = {1: ONE}
-        if a[k - 1]:
-            brackets.setdefault((2, 2 * k + 1), {})[2 * k + 1] = a[k - 1]
-        brackets.setdefault((2, 2 * k + 2), {})[2 * k + 2] = -(ONE + a[k - 1])
     params = {"p": p, "a": tuple(a)}
     return _entry(
         _id("frobenius", params),
         params,
-        LieAlgebra(n, brackets),
+        LieAlgebra(2 * p, frobenius_table(p, a)),
         {1: ONE},
-        n,
+        2 * p,
         provenance=(
             "diagonal model of exact-symplectic algebras; adjoint spectrum of the"
             " principal element X2 is {-1, 0} plus the pairs {a_k, -(1+a_k)}"
@@ -523,10 +513,10 @@ def _integer(text: str) -> int:
     return int(value)
 
 
-def _rationals(text: str) -> list:
+def _array(text: str) -> list:
     if not (text.startswith("[") and text.endswith("]")):
         raise ValueError(f"not an array [v1,v2,...]: {text!r}")
-    return [parse_rational(v) for v in text[1:-1].split(",")]
+    return [parse_scalar(v) for v in text[1:-1].split(",")]
 
 
 def _name(text: str) -> str:
@@ -535,20 +525,20 @@ def _name(text: str) -> str:
     return text
 
 
-# name -> (constructor, the parser of each id parameter).  A rational
-# parameter (parse_rational) has a default in its constructor; every other
+# name -> (constructor, the parser of each id parameter).  A scalar
+# parameter (parse_scalar) has a default in its constructor; every other
 # one is required.  Ids print their parameters in this order.
 _FAMILIES = {
     "heisenberg": (heisenberg, {"p": _integer}),
     "abelian": (abelian, {"n": _integer}),
-    "dim3": (dim3, {"kind": _name, **{k: parse_rational for d in DIM3_KINDS.values() for k in d}}),
-    "sl2": (partial(dim3, "sl2"), {"lam": parse_rational}),
-    "so3": (partial(dim3, "so3"), {"a": parse_rational}),
-    "dim5": (dim5, {"variant": _name, **dict.fromkeys("".join(DIM5_VARIANTS.values()), parse_rational)}),
+    "dim3": (dim3, {"kind": _name, **{k: parse_scalar for d in DIM3_KINDS.values() for k in d}}),
+    "sl2": (partial(dim3, "sl2"), {"lam": parse_scalar}),
+    "so3": (partial(dim3, "so3"), {"a": parse_scalar}),
+    "dim5": (dim5, {"variant": _name, **dict.fromkeys("".join(DIM5_VARIANTS.values()), parse_scalar)}),
     "filiform": (filiform_model, {"n": _integer}),
-    "filiform_contact": (filiform_contact, {"p": _integer, "a": _rationals}),
-    "mu_c9": (mu_c9, {"a": _rationals}),
-    "frobenius": (frobenius_model, {"p": _integer, "a": _rationals}),
+    "filiform_contact": (filiform_contact, {"p": _integer, "a": _array}),
+    "mu_c9": (mu_c9, {"a": _array}),
+    "frobenius": (frobenius_model, {"p": _integer, "a": _array}),
     "frobenius_base": (frobenius_base, {"p": _integer}),
 }
 # the families whose tables `_quarantine` gates
@@ -579,7 +569,7 @@ def resolve(catalog_id: str, allow_nonjacobi: bool = False) -> CatalogEntry:
             kw[key] = parsers[key](value)
         except ValueError as exc:
             raise ValueError(f"bad parameter {key}={value} for {name}: {exc}") from None
-    missing = [key for key, parse in parsers.items() if parse is not parse_rational and key not in kw]
+    missing = [key for key, parse in parsers.items() if parse is not parse_scalar and key not in kw]
     if missing:
         raise KeyError(f"{name} needs the parameter {missing[0]}")
     if name in _QUARANTINED:

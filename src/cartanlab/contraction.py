@@ -5,6 +5,12 @@ structure constants t^{e_i + e_j - e_k} c_ijk; the contraction exists iff
 no nonzero constant carries a negative exponent, and the limit keeps the
 exponent-zero terms.  Divergence is data (a witness triple), not a crash:
 exponent grids are meant to be scanned.
+
+The diagonal frobenius model that such limits reach is written once, as
+`frobenius_table(p, a)`; the catalog builds its model family from it.  Its
+two recognizers read the parameters off a table, rebuild the model and
+compare: `frobenius_model_parameters` against the whole table,
+`is_reduced_frobenius_shape` against all of it but the action of X_2.
 """
 
 from __future__ import annotations
@@ -12,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .liealg import LieAlgebra
-from .scalars import ONE
+from .liealg import LieAlgebra, bracket_table
+from .scalars import ONE, ZERO
 from .structure import jacobi_check, require_jacobi
 
 
@@ -62,55 +68,44 @@ def contract(spec: ContractionSpec) -> ContractionResult:
     return ContractionResult(True, limit, None)
 
 
+def frobenius_table(p: int, a):
+    """The bracket table of the diagonal frobenius model on dim 2p:
+
+        [X_1,X_2] = X_1,                [X_{2k+1},X_{2k+2}] = X_1,
+        [X_2,X_{2k+1}] = a_k X_{2k+1},  [X_2,X_{2k+2}] = -(1+a_k) X_{2k+2}
+
+    for k = 1..p-1, zero constants dropped.  The basis is normalized so the
+    adjoint action of X_2 carries the invariants a_k and -(1+a_k).
+    """
+    brackets = {(1, 2): {1: ONE}}
+    for k in range(1, p):
+        brackets[(2 * k + 1, 2 * k + 2)] = {1: ONE}
+        brackets[(2, 2 * k + 1)] = {2 * k + 1: a[k - 1]}
+        brackets[(2, 2 * k + 2)] = {2 * k + 2: -(ONE + a[k - 1])}
+    return bracket_table(2 * p, brackets)
+
+
 def is_reduced_frobenius_shape(g: LieAlgebra) -> bool:
     """Post-contraction normal form for an even-dimensional exact-symplectic
-    algebra: [X_1,X_2] = X_1, [X_{2k+1},X_{2k+2}] = X_1, the second basis
-    vector acts on span{X_3..X_n}, and nothing else survives."""
+    algebra: X_2 acts freely on span{X_3..X_n}, and the rest of the table
+    is `frobenius_table` without its X_2 row."""
     n = g.dim
-    if n % 2 or n < 2:
+    if n % 2:
         return False
-    p = n // 2
-    for (i, j), terms in g.c.items():
-        for k, v in terms.items():
-            if (i, j) == (1, 2) and k == 1:
-                continue
-            if i >= 3 and j == i + 1 and i % 2 == 1 and k == 1:
-                continue
-            if i == 2 and j >= 3 and k >= 3:
-                continue
-            return False
-    if g.constant(1, 2, 1) != ONE:
+    row = {(2, j) for j in range(3, n + 1)}
+    if any(k < 3 for key in row for k in g.c.get(key, ())):
         return False
-    for k in range(1, p):
-        if g.constant(2 * k + 1, 2 * k + 2, 1) != ONE:
-            return False
-    return True
+    model = frobenius_table(n // 2, [ZERO] * (n // 2 - 1))
+    return {key: t for key, t in g.c.items() if key not in row} == {
+        key: t for key, t in model.items() if key not in row
+    }
 
 
 def frobenius_model_parameters(g: LieAlgebra):
-    """Parameters (a_1, ..., a_{p-1}) when g matches the diagonal model
-
-        [X_1,X_2] = X_1,            [X_{2k+1},X_{2k+2}] = X_1,
-        [X_2,X_{2k+1}] = a_k X_{2k+1},  [X_2,X_{2k+2}] = -(1+a_k) X_{2k+2},
-
-    constant-by-constant, else None.  (The basis is normalized so the
-    adjoint action of X_2 carries the invariants a_k and -(1+a_k).)
-    """
+    """(a_1, ..., a_{p-1}), read as a_k = c_{2,2k+1}^{2k+1}, when g's table
+    is `frobenius_table(p, a)` constant by constant, else None."""
     n = g.dim
-    if n % 2 or n < 2:
+    if n % 2:
         return None
-    p = n // 2
-    expected = {}
-    expected[(1, 2, 1)] = ONE
-    params = []
-    for k in range(1, p):
-        a_k = g.constant(2, 2 * k + 1, 2 * k + 1)
-        params.append(a_k)
-        expected[(2 * k + 1, 2 * k + 2, 1)] = ONE
-        expected[(2, 2 * k + 1, 2 * k + 1)] = a_k
-        expected[(2, 2 * k + 2, 2 * k + 2)] = -(ONE + a_k)
-    actual = g.constants()
-    clean_expected = {key: v for key, v in expected.items() if v}
-    if actual != clean_expected:
-        return None
-    return tuple(params)
+    a = tuple(g.constant(2, 2 * k + 1, 2 * k + 1) for k in range(1, n // 2))
+    return a if g.c == frobenius_table(n // 2, a) else None

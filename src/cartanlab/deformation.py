@@ -349,17 +349,15 @@ def bilinear_from_endomorphism(base: LieAlgebra, f_rows) -> BilinearMap:
 
 
 def endomorphism_of(phi2: BilinearMap) -> tuple:
-    """Inverse of `bilinear_from_endomorphism`: read f back from phi_2."""
+    """Inverse of `bilinear_from_endomorphism`: f read off phi_2(X_l, X_n).
+    Raises ValueError unless `bilinear_from_endomorphism` rebuilds phi_2
+    from that f, i.e. unless phi_2 vanishes off the pairs (X_l, X_n) and
+    keeps their values inside span{X_1..X_{n-1}}."""
     n = phi2.algebra.dim
-    m = n - 1
-    rows = [[ZERO] * m for _ in range(m)]
-    for l in range(1, m + 1):
-        comps = phi2.at(l, n)
-        if comps[m] != ZERO:
-            raise ValueError("phi_2 has a central component, no endomorphism form")
-        for t in range(m):
-            rows[t][l - 1] = comps[t]
-    return tuple(tuple(r) for r in rows)
+    f = tuple(zip(*(phi2.at(l, n)[:-1] for l in range(1, n))))
+    if bilinear_from_endomorphism(phi2.algebra, f) != phi2:
+        raise ValueError("phi_2 is not of the endomorphism form phi_2(X_l, X_n) = f(X_l)")
+    return f
 
 
 def normalize_linear_deformation(base: LieAlgebra, phi1: BilinearMap):

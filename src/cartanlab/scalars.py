@@ -7,6 +7,7 @@ simply keep b = 0.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
@@ -26,6 +27,20 @@ def parse_rational(text) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
     except ValueError:
         raise ValueError(f"not an exact rational: {text!r}") from None
+
+
+def parse_scalar(text) -> "Scalar":
+    """Exact Gaussian rational from the text `str(Scalar)` prints: "-3/7",
+    "i", "-i", "-3/7i", "1/2-i", "7/9+4/3i".  Text that does not end in i
+    goes to `parse_rational`; every malformed input raises ValueError."""
+    if not (isinstance(text, str) and text.endswith("i")):
+        return Scalar(parse_rational(text))
+    body = text[:-1]
+    # the imaginary part starts at the last sign that opens no exponent
+    cut = max((m.start() for m in re.finditer(r"(?<![eE])[+-]", body)), default=0)
+    im = body[cut:]
+    im = im + "1" if im in ("", "+", "-") else im
+    return Scalar(parse_rational(body[:cut]) if cut else 0, parse_rational(im))
 
 
 def _as_fraction(x) -> Fraction:

@@ -120,17 +120,9 @@ def test_criterion_04_quadratic_system_implies_jacobi():
                 res = check_quadratic_deformation(entry.deformation)
                 assert res.ok, (kind, res.failures)
                 assert jacobi_check(assemble(entry.deformation)).ok
-        arg_names = {
-            "diag_ii_a": "abcd",
-            "diag_ii_b": "bcd",
-            "diag_ii_c": "abcd",
-            "nondiag_case1": "cdef",
-            "nondiag_case2": "acd",
-            "nondiag_case4": "abcd",
-        }
-        for variant in cat.DIM5_VARIANTS:
+        for variant, letters in cat.DIM5_VARIANTS.items():
             for _ in range(25):
-                params = {ch: random_rational(r) for ch in arg_names[variant]}
+                params = {ch: random_rational(r) for ch in letters}
                 entry = cat.dim5(variant, **params)
                 res = check_quadratic_deformation(entry.deformation)
                 assert res.ok, (variant, params, res.failures)

@@ -56,17 +56,9 @@ def test_so3_deformation_matches_display_after_swap():
 
 def test_dim5_random_parameters_pass_jacobi_and_quadra():
     r = rng(31)
-    arg_names = {
-        "diag_ii_a": "abcd",
-        "diag_ii_b": "bcd",
-        "diag_ii_c": "abcd",
-        "nondiag_case1": "cdef",
-        "nondiag_case2": "acd",
-        "nondiag_case4": "abcd",
-    }
-    for variant in cat.DIM5_VARIANTS:
+    for variant, letters in cat.DIM5_VARIANTS.items():
         for _ in range(25):
-            params = {ch: random_rational(r) for ch in arg_names[variant]}
+            params = {ch: random_rational(r) for ch in letters}
             entry = cat.dim5(variant, **params)  # raises on a Jacobi failure
             res = check_quadratic_deformation(entry.deformation)
             assert res.ok, (variant, params, res.failures)
@@ -252,11 +244,14 @@ FAMILY_IDS = {
 }
 
 
-def _drawn_entries(r):
-    """Each family drawn with seeded rational parameters, every dim3 kind
-    with a parameter other than its default among them."""
+def _drawn_entries(r, gaussian=False):
+    """Each family drawn with seeded rational parameters, or Gaussian ones
+    with a nonzero imaginary part, every dim3 kind with a parameter other
+    than its default among them."""
 
-    def q():  # a nonzero rational
+    def q():  # a nonzero rational or a non-real Gaussian rational
+        if gaussian:
+            return Scalar(random_rational(r), random_rational(r) or 1)
         return random_rational(r) or Fraction(1)
 
     out = [cat.heisenberg(r.randint(1, 4)), cat.abelian(r.randint(1, 5))]
@@ -274,13 +269,14 @@ def _drawn_entries(r):
 
 def test_every_entry_id_resolves_to_the_entry():
     r = rng(37)
-    drawn = [e for _ in range(3) for e in _drawn_entries(r)]
+    drawn = [e for gaussian in (False, True) for _ in range(3) for e in _drawn_entries(r, gaussian)]
     for entry in cat.standard_entries() + cat.nilpotent_entries() + drawn:
         got = cat.resolve(entry.id, allow_nonjacobi=True)
         assert (got.id, got.params) == (entry.id, entry.params)
         assert got.algebra.constants() == entry.algebra.constants(), entry.id
-    # a dim3 id carries its parameter
+    # a dim3 id carries its parameter, a Gaussian one as str(Scalar) prints it
     assert cat.dim3("sl2", lam=3).id == "dim3:kind=sl2,lam=3"
+    assert cat.resolve("dim3:kind=sl2,lam=1+2i").params == {"lam": Scalar(1, 2)}
 
 
 def test_every_family_resolves_from_its_id():

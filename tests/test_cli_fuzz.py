@@ -185,6 +185,8 @@ FIXED = [
     # an array value left empty is a bad parameter
     (["class", "--catalog", "heisenberg:p=4/2", "--form", "0,0,0,0,1"], 0),
     (["class", "--catalog", "frobenius:p=2,a=[1,]", "--form", "1,0,0,0"], 1),
+    # a Gaussian parameter reads as str(Scalar) prints it, as in the entry's id
+    (["class", "--catalog", "dim3:kind=sl2,lam=1+2i", "--form", "0,0,1"], 0),
 ]
 
 

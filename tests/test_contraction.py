@@ -11,7 +11,7 @@ from cartanlab.contraction import (
 )
 from cartanlab.forms import DualForm, cartan_class
 from cartanlab.liealg import LieAlgebra
-from cartanlab.randgen import rng
+from cartanlab.randgen import random_rational, rng
 from cartanlab.scalars import ONE, ZERO, Scalar
 from cartanlab.structure import center, jacobi_check
 
@@ -147,3 +147,41 @@ def test_contraction_preserves_jacobi_and_center_monotone():
             if res.converges:
                 assert jacobi_check(res.limit).ok
                 assert center(res.limit).dim >= z0
+
+
+def _model_parameter(r):
+    """0 or -1 (each drops a constant of the model), another rational or a
+    Gaussian rational."""
+    return r.choice([ZERO, -ONE, Scalar(random_rational(r) or 2),
+                     Scalar(random_rational(r), random_rational(r) or 1)])
+
+
+def _with_term(g, i, j, k, v):
+    """g's table with v added to the constant c_ij^k."""
+    table = {ij: dict(terms) for ij, terms in g.c.items()}
+    terms = table.setdefault((i, j), {})
+    terms[k] = terms.get(k, ZERO) + v
+    return LieAlgebra(g.dim, table)
+
+
+def test_recognizers_rebuild_the_model_table():
+    assert frobenius_model_parameters(LieAlgebra(2, {(1, 2): {1: ONE}})) == ()
+    r = rng(23)
+    for _ in range(60):
+        p = r.randint(2, 4)
+        a = tuple(_model_parameter(r) for _ in range(p - 1))
+        g = cat.frobenius_model(p, a).algebra
+        n, v = g.dim, Scalar(random_rational(r) or 1)
+        assert frobenius_model_parameters(g) == a
+        assert is_reduced_frobenius_shape(g)
+        # one constant changed, or one added: no longer the model
+        if r.random() < 0.5:
+            i, j, k = r.choice(sorted(g.constants()))
+        else:
+            (i, j), k = sorted(r.sample(range(1, n + 1), 2)), r.randint(1, n)
+        assert frobenius_model_parameters(_with_term(g, i, j, k, v)) is None
+        # X2 acts freely on span{X3..Xn}, and nothing else may change
+        assert is_reduced_frobenius_shape(_with_term(g, 2, r.randint(3, n), r.randint(3, n), v))
+        while i == 2 and k >= 3:
+            (i, j), k = sorted(r.sample(range(1, n + 1), 2)), r.randint(1, n)
+        assert not is_reduced_frobenius_shape(_with_term(g, i, j, k, v))

@@ -171,6 +171,10 @@ def test_endomorphism_round_trip():
     phi2 = bilinear_from_endomorphism(h5, f)
     back = endomorphism_of(phi2)
     assert back == tuple(tuple(Scalar.of(x) for x in row) for row in f)
+    # a value off the pairs (X_l, X_5), or a central one, has no f
+    for values in ({(1, 2): {3: 1}, (1, 5): {2: 4}}, {(1, 5): {2: 4, 5: 1}}):
+        with pytest.raises(ValueError, match="endomorphism form"):
+            endomorphism_of(BilinearMap(h5, values))
 
 
 def test_normalize_linear_deformation():
@@ -241,26 +245,36 @@ def test_deformation_from_classical_basis():
         assert assemble(spec).same_constants(entry.algebra)
 
 
+def _perturbed(r, table, n):
+    """A copy of the sparse table {(i, j): {k: coeff}} on dimension n with
+    one bracket dropped, one coefficient rescaled or zeroed, or one random
+    term added at any pair."""
+    table = {ij: dict(terms) for ij, terms in table.items()}
+    kind = r.randrange(3)
+    if kind == 0 and table:
+        del table[r.choice(sorted(table))]
+    elif kind == 1 and table:
+        terms = table[r.choice(sorted(table))]
+        k = r.choice(sorted(terms))
+        terms[k] = terms[k] * r.choice([0, 2, Fraction(1, 2), -1])
+    else:
+        i, j = sorted(r.sample(range(1, n + 1), 2))
+        table.setdefault((i, j), {})[r.randint(1, n)] = random_rational(r)
+    return table
+
+
+def _odd_standard_algebras():
+    return [e.algebra for e in cat.standard_entries() if e.algebra.dim % 2 == 1]
+
+
 def test_classical_split_round_trips_or_raises_on_perturbed_tables():
-    # drop a bracket, rescale or zero a coefficient, or add a random term:
     # every split either reassembles the perturbed table or raises
     r = rng(311)
-    algebras = [e.algebra for e in cat.standard_entries() if e.algebra.dim % 2 == 1]
+    algebras = _odd_standard_algebras()
     outcomes = Counter()
     for _ in range(300):
         g = r.choice(algebras)
-        table = {ij: dict(terms) for ij, terms in g.c.items()}
-        kind = r.randrange(3)
-        if kind == 0 and table:
-            del table[r.choice(sorted(table))]
-        elif kind == 1 and table:
-            terms = table[r.choice(sorted(table))]
-            k = r.choice(sorted(terms))
-            terms[k] = terms[k] * r.choice([0, 2, Fraction(1, 2), -1])
-        else:
-            i, j = sorted(r.sample(range(1, g.dim + 1), 2))
-            table.setdefault((i, j), {})[r.randint(1, g.dim)] = random_rational(r)
-        h = LieAlgebra(g.dim, table)
+        h = LieAlgebra(g.dim, _perturbed(r, g.c, g.dim))
         try:
             spec = deformation_from_classical_basis(h)
         except PreconditionError:
@@ -269,6 +283,48 @@ def test_classical_split_round_trips_or_raises_on_perturbed_tables():
         assert assemble(spec).same_constants(h)
         outcomes["split"] += 1
     assert outcomes["raised"] > 50 and outcomes["split"] > 50, outcomes
+
+
+def test_endomorphism_form_round_trips_or_raises_on_perturbed_maps():
+    # phi_2 has the endomorphism form iff it vanishes off the pairs
+    # (X_l, X_n) and keeps their values off the center; endomorphism_of
+    # returns an f that rebuilds phi_2 exactly then, and raises otherwise
+    r = rng(312)
+    outcomes = Counter()
+    for _ in range(300):
+        h = cat.heisenberg(r.randint(1, 3)).algebra
+        n = h.dim
+        f = [[_sparse_rational(r) for _ in range(n - 1)] for _ in range(n - 1)]
+        phi2 = BilinearMap(h, _perturbed(r, bilinear_from_endomorphism(h, f).values, n))
+        in_form = all(j == n and n not in terms for (_, j), terms in phi2.values.items())
+        try:
+            back = endomorphism_of(phi2)
+        except ValueError:
+            assert not in_form, phi2.values
+            outcomes["raised"] += 1
+            continue
+        assert bilinear_from_endomorphism(h, back) == phi2
+        outcomes["rebuilt"] += 1
+    assert outcomes["raised"] > 50 and outcomes["rebuilt"] > 50, outcomes
+
+
+def test_central_quotient_and_extension_round_trip_or_raise_on_perturbed_tables():
+    # the quotient by the last basis vector and the extension by its 2-form
+    # either raise or give the perturbed table back constant by constant
+    r = rng(313)
+    algebras = _odd_standard_algebras()
+    outcomes = Counter()
+    for _ in range(300):
+        g = r.choice(algebras)
+        h = LieAlgebra(g.dim, _perturbed(r, g.c, g.dim))
+        try:
+            back = central_extension(*central_quotient(h))
+        except (PreconditionError, NotCocycleError, DegenerateFormError):
+            outcomes["raised"] += 1
+            continue
+        assert back.same_constants(h)
+        outcomes["round trip"] += 1
+    assert outcomes["raised"] > 50 and outcomes["round trip"] > 50, outcomes
 
 
 # -- the diagonal-eigenvalue search -------------------------------------------

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from cartanlab.scalars import I, ONE, ZERO, Scalar, sc
+from cartanlab.randgen import random_rational, rng
+from cartanlab.scalars import I, ONE, ZERO, Scalar, parse_scalar, sc
 
 
 def test_arithmetic_is_exact():
@@ -58,6 +59,22 @@ def test_parsing_and_coercion():
     assert str(sc("-3/7")) == "-3/7"
     assert str(Scalar(0, -1)) == "-i"
     assert str(Scalar(1, 2)) == "1+2i"
+
+
+def test_parse_scalar_reads_what_str_prints():
+    for text, value in (("i", I), ("-i", -I), ("-3/7i", Scalar(0, Fraction(-3, 7))),
+                        ("1/2-i", Scalar(Fraction(1, 2), -1)),
+                        ("7/9+4/3i", Scalar(Fraction(7, 9), Fraction(4, 3))), ("-3/7", sc("-3/7"))):
+        assert parse_scalar(text) == value and str(value) == text
+    r = rng(41)
+    for _ in range(500):
+        s = Scalar(random_rational(r), random_rational(r))
+        assert parse_scalar(str(s)) == s
+    # exponent text reads as parse_rational reads it, in either part
+    assert parse_scalar("1e-5+2e-1i") == Scalar(Fraction(1, 100000), Fraction(1, 5))
+    for bad in ("ii", "1+-2i", "1/0i", "xi", "1/2+", "", "1.5.2"):
+        with pytest.raises(ValueError):
+            parse_scalar(bad)
 
 
 def test_hash_consistency():
