@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .linalg import nullspace, rref
+from .linalg import kernel_rref, rref
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -261,6 +261,8 @@ class Subspace:
 
     The stored basis rows are the rref of whatever spanning set was given,
     so equality of subspaces is plain tuple equality of the bases.
+    `kernel_subspace` keeps that invariant: it stores `linalg.kernel_rref`,
+    which is already the canonical rref, without eliminating again.
     """
 
     __slots__ = ("algebra", "rows")
@@ -286,11 +288,13 @@ class Subspace:
         return [Vector(self.algebra, row) for row in self.rows]
 
     def contains(self, v: Vector) -> bool:
-        if v.is_zero:
-            return True
-        stacked = list(self.rows) + [v.comps]
-        reduced, _ = rref(stacked)
-        return len(reduced) == len(self.rows)
+        """v is in the span iff reducing it by the rref rows leaves nothing."""
+        rest = v.comps
+        for row in self.rows:
+            f = rest[next(p for p, x in enumerate(row) if x)]
+            if f:
+                rest = [x - f * y for x, y in zip(rest, row)]
+        return not any(rest)
 
     def __eq__(self, other):
         return (
@@ -307,9 +311,10 @@ class Subspace:
 
 
 def kernel_subspace(algebra, rows) -> Subspace:
-    """Subspace from the nullspace of a constraint matrix (columns = coords)."""
-    basis = nullspace(rows, ncols=algebra.dim)
-    return Subspace(algebra, [Vector(algebra, b) for b in basis])
+    """Kernel of a constraint matrix (columns = coords), one elimination."""
+    space = Subspace.__new__(Subspace)
+    space.algebra, space.rows = algebra, kernel_rref(rows, algebra.dim)
+    return space
 
 
 def change_basis(g: LieAlgebra, p_rows) -> LieAlgebra:

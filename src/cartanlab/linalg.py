@@ -3,6 +3,12 @@
 Matrices are tuples of tuples of Scalar (row major).  Everything is small
 (dimensions rarely above 64), so plain Gauss-Jordan elimination with exact
 pivoting is the right tool.
+
+`kernel_rref` eliminates once for a canonical kernel basis.  A nullspace
+vector of the column-reversed matrix is 1 at its free column, 0 at the
+other free columns, and nonzero elsewhere only to the left; read back in
+the original order, it leads with that 1, so the vectors sorted by it are
+already the rref of the kernel.
 """
 
 from __future__ import annotations
@@ -99,6 +105,13 @@ def nullspace(rows, ncols=None):
     return basis
 
 
+def kernel_rref(rows, ncols=None):
+    """rref of the kernel of A (see the module docstring), equal to
+    rref(nullspace(rows, ncols))[0] at the cost of one elimination."""
+    basis = nullspace([row[::-1] for row in rows], ncols)
+    return tuple(v[::-1] for v in reversed(basis))
+
+
 def det(rows):
     """Exact determinant by plain Gaussian elimination over Q(i) Fractions."""
     m = [list(row) for row in rows]
@@ -132,9 +145,6 @@ def solve(a, b):
     ncols = len(a[0])
     aug = [list(a[i]) + [Scalar.of(b[i])] for i in range(n)]
     red, pivots = rref(aug)
-    for row in red:
-        if all(not x for x in row[:ncols]) and row[ncols]:
-            return None
     x = [ZERO] * ncols
     for r, p in enumerate(pivots):
         if p == ncols:
@@ -145,7 +155,7 @@ def solve(a, b):
 
 def invert(a):
     n = len(a)
-    aug = [list(a[i]) + list(identity(n)[i]) for i in range(n)]
+    aug = [list(row) + list(unit) for row, unit in zip(a, identity(n))]
     red, pivots = rref(aug)
     if tuple(pivots[:n]) != tuple(range(n)) or len(red) < n:
         raise ValueError("matrix is singular")

@@ -6,6 +6,7 @@ from cartanlab.linalg import (
     det,
     identity,
     invert,
+    kernel_rref,
     mat_mul,
     mat_vec,
     nullspace,
@@ -80,3 +81,30 @@ def test_rref_row_space_invariance():
             tuple(x - y for x, y in zip(a[2], a[0])),
         ]
         assert rref(a + tuple([mixed[0]]))[0] == rref(list(a) + list(mixed))[0]
+
+
+def _sparse_matrix(r, n, m, gaussian):
+    """Seeded n x m matrix, ~40 % zeros so that kernels are not trivial."""
+    def entry():
+        if r.random() < 0.4:
+            return ZERO
+        im = Fraction(r.randint(-2, 2), r.randint(1, 3)) if gaussian else 0
+        return Scalar(Fraction(r.randint(-3, 3), r.randint(1, 3)), im)
+
+    return tuple(tuple(entry() for _ in range(m)) for _ in range(n))
+
+
+def test_kernel_rref_matches_rref_of_nullspace():
+    # rref(nullspace(...)) eliminates twice; it stays as the reference
+    r = random.Random(16)
+    cases = [(as_matrix([[0] * 4] * 3), 4), (as_matrix([[1, 2], [3, 4], [5, 7]]), 2), ((), 3)]
+    for gaussian in (False, True):
+        for n, m in ((2, 6), (3, 5), (6, 3), (7, 4), (4, 4), (1, 9)):
+            cases += [(_sparse_matrix(r, n, m, gaussian), m) for _ in range(15)]
+    for a, m in cases:
+        kernel = kernel_rref(a, m)
+        assert kernel == rref(nullspace(a, m))[0], a
+        assert all(not x for v in kernel for x in mat_vec(a, v))
+    assert kernel_rref(cases[0][0], 4) == identity(4)
+    assert kernel_rref(cases[1][0], 2) == ()
+    assert kernel_rref((), 3) == identity(3)

@@ -1,10 +1,11 @@
 import pytest
 
 from cartanlab import catalog as cat
+from cartanlab import forms, structure
 from cartanlab.deformation import BilinearMap, is_derivation
-from cartanlab.forms import cartan_class
-from cartanlab.liealg import LieAlgebra, LinearMap, change_basis
-from cartanlab.linalg import det, mat_mul, mat_sub
+from cartanlab.forms import cartan_class, ce_differential, characteristic_space
+from cartanlab.liealg import LieAlgebra, LinearMap, Subspace, Vector, change_basis, kernel_subspace
+from cartanlab.linalg import det, mat_mul, mat_sub, nullspace, rref
 from cartanlab.randgen import random_covector, random_rational, rng
 from cartanlab.scalars import ONE, ZERO, Scalar
 from cartanlab.structure import (
@@ -149,6 +150,53 @@ def test_center_examples():
     assert center(ab).dim == 4
 
     assert center(cat.dim3("sl2").algebra).dim == 0
+
+
+def test_kernel_subspace_matches_the_two_elimination_reference(monkeypatch):
+    # every kernel that characteristic_space and center build, checked
+    # against the subspace spanned by the nullspace (a second rref)
+    sizes = []
+
+    def checked(g, rows):
+        space = kernel_subspace(g, rows)
+        assert space == Subspace(g, nullspace(rows, ncols=g.dim)), rows
+        sizes.append(space.dim)
+        return space
+
+    monkeypatch.setattr(forms, "kernel_subspace", checked)
+    monkeypatch.setattr(structure, "kernel_subspace", checked)
+    r = rng(16)
+    for entry in cat.standard_entries() + cat.nilpotent_entries():
+        g = entry.algebra
+        for w in [entry.distinguished_form] + [random_covector(g, r) for _ in range(3)]:
+            characteristic_space(w, ce_differential(w))
+        center(g)
+    assert len(sizes) == 5 * (len(cat.standard_entries()) + len(cat.nilpotent_entries()))
+    assert 0 in sizes and max(sizes) > 1
+
+
+def test_contains_agrees_with_the_stacked_rref():
+    g = cat.abelian(6).algebra
+    r = rng(16)
+
+    def vector(zero_share):
+        return [ZERO if r.random() < zero_share else random_rational(r) for _ in range(g.dim)]
+
+    seen = set()
+    for _ in range(60):
+        space = Subspace(g, [vector(0.5) for _ in range(r.randint(0, 4))])
+        for member in (True, False):
+            if member:
+                coeffs = [random_rational(r) for _ in space.rows]
+                comps = [sum((c * row[j] for c, row in zip(coeffs, space.rows)), ZERO) for j in range(g.dim)]
+            else:
+                comps = vector(0.3)
+            v = Vector(g, comps)
+            expected = len(rref(list(space.rows) + [v.comps])[0]) == space.dim
+            assert expected or not member
+            assert space.contains(v) == expected
+            seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_center_requires_jacobi():
