@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .liealg import LieAlgebra
-from .scalars import Scalar, parse_rational
+from .scalars import Scalar, parse_scalar
 
 
 class AlgebraFileError(ValueError):
@@ -77,7 +77,8 @@ def load_algebra(path: str) -> LieAlgebra:
 
 
 def load_matrix_text(text: str):
-    """Matrix of exact rationals from JSON: [["1","0"],["0","1"]] or
+    """Matrix of exact Gaussian rationals from JSON: [["1","i"],["0","1"]]
+    (cells read by `scalars.parse_scalar`) or
     [[{"re": "1", "im": "0"}, ...], ...]."""
     try:
         data = json.loads(text)
@@ -91,7 +92,7 @@ def load_matrix_text(text: str):
                 if isinstance(cell, dict):
                     row.append(Scalar.from_strings(cell["re"], cell.get("im", "0")))
                 elif isinstance(cell, (str, int)):
-                    row.append(Scalar(parse_rational(cell)))
+                    row.append(parse_scalar(cell))
                 else:
                     raise AlgebraFileError(f"bad matrix entry {cell!r}")
             rows.append(tuple(row))
@@ -108,10 +109,10 @@ def load_matrix(path: str):
 
 
 def parse_covector(text: str):
-    """Comma-separated rationals, e.g. "1,0,-2/3"."""
+    """Comma-separated Gaussian rationals, e.g. "1,0,-2/3,1/2-i"."""
     parts = [p.strip() for p in text.split(",")]
     try:
-        return [parse_rational(p) for p in parts]
+        return [parse_scalar(p) for p in parts]
     except ValueError as exc:
         raise AlgebraFileError(f"bad covector coefficient: {exc}") from exc
 

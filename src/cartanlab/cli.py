@@ -19,7 +19,10 @@ class, check and contract read the algebra from exactly one of
 --algebra FILE and --catalog ID.  Catalog ids use the grammar
 name[:key=val,...] with arrays as [v1,v2], e.g.  heisenberg:p=2,
 frobenius:p=3,a=[1,-2],  mu_c9:a=[1,2,3],  dim5:variant=diag_ii_a,a=1,b=0,c=1,d=1.
-Rationals are exact strings; no floats are parsed or printed anywhere.
+Numbers are exact strings: rationals such as "-3/7", and Gaussian
+rationals as str(Scalar) prints them ("i", "1/2-i") in catalog
+parameters, --form coefficients and matrix files; no floats are parsed
+or printed anywhere.
 
 Exit codes: 0 pass, 1 I/O or parse error, 2 precondition violation or
 bad command line, 3 property failure.  `main` alone turns an error into
@@ -263,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_class = sub.add_parser("class", help="Cartan class of a covector", parents=[common, subject])
-    p_class.add_argument("--form", required=True, help='covector "c1,...,cn" (exact rationals)')
+    p_class.add_argument("--form", required=True, help='covector "c1,...,cn" (exact Gaussian rationals)')
     p_class.set_defaults(func=cmd_class)
 
     p_check = sub.add_parser("check", help="run a property suite", parents=[common, subject])

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 from .forms import DualForm, ce_differential, wedge_power
 from .liealg import LieAlgebra, LinearMap, apply_table, bracket_table
+from .linalg import solve, square_matrix, transpose
 from .scalars import ONE, ZERO, Scalar
 from .structure import PreconditionError, cyclic_sums, pair_table, require_jacobi
 
@@ -243,7 +244,7 @@ def coboundary_of_map(f: LinearMap, g: LieAlgebra) -> BilinearMap:
     n = g.dim
     mu = pair_table(g.c)
     # column j of f, f(X_j), as a sparse vector
-    cols = [{m + 1: f.rows[m][j] for m in range(n) if f.rows[m][j]} for j in range(n)]
+    cols = [{m + 1: x for m, x in enumerate(col) if x} for col in transpose(f.rows)]
     values = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -341,9 +342,7 @@ def bilinear_from_endomorphism(base: LieAlgebra, f_rows) -> BilinearMap:
     """
     n = base.dim
     m = n - 1
-    f_rows = tuple(tuple(Scalar.of(x) for x in row) for row in f_rows)
-    if len(f_rows) != m or any(len(r) != m for r in f_rows):
-        raise ValueError("endomorphism must act on the non-central subspace")
+    f_rows = square_matrix(f_rows, m, "an endomorphism of the non-central subspace")
     values = {(l, n): {t + 1: f_rows[t][l - 1] for t in range(m)} for l in range(1, m + 1)}
     return BilinearMap(base, values)
 
@@ -354,7 +353,7 @@ def endomorphism_of(phi2: BilinearMap) -> tuple:
     from that f, i.e. unless phi_2 vanishes off the pairs (X_l, X_n) and
     keeps their values inside span{X_1..X_{n-1}}."""
     n = phi2.algebra.dim
-    f = tuple(zip(*(phi2.at(l, n)[:-1] for l in range(1, n))))
+    f = transpose([phi2.at(l, n)[:-1] for l in range(1, n)])
     if bilinear_from_endomorphism(phi2.algebra, f) != phi2:
         raise ValueError("phi_2 is not of the endomorphism form phi_2(X_l, X_n) = f(X_l)")
     return f
@@ -363,35 +362,34 @@ def endomorphism_of(phi2: BilinearMap) -> tuple:
 def normalize_linear_deformation(base: LieAlgebra, phi1: BilinearMap):
     """Subtract a coboundary so the cocycle vanishes on (X_i, X_n) pairs.
 
-    For a 2-cocycle of the Heisenberg algebra the values phi1(X_i, X_n) are
-    forced into the center; solving the bracket pairing for f(X_n) gives an
-    endomorphism f with (phi1 - df)(X_i, X_n) = 0.  Returns (phi1', f).
+    For a 2-cocycle of the Heisenberg algebra the values phi1(X_i, X_n) =
+    lam_i X_n are forced into the center.  With f zero but for f(X_n),
+    (df)(X_i, X_n) = -[X_i, f(X_n)], so f(X_n) solves the linear system
+    [X_i, f(X_n)] = -lam_i X_n, whose matrix is the pairing
+    base.constant(i, t, n).  Returns (phi1', f) with phi1' = phi1 - df,
+    and raises PreconditionError unless phi1' vanishes on every (X_i, X_n).
     """
     n = base.dim
-    p = (n - 1) // 2
     if n % 2 == 0:
         raise PreconditionError("normalization expects odd dimension")
-    lam = []
+    rhs = []  # -lam_i
     for i in range(1, n):
         comps = phi1.at(i, n)
         if any(comps[t] for t in range(n - 1)):
             raise PreconditionError(
                 "phi1(X_i, X_n) has a non-central component; not a cocycle shape"
             )
-        lam.append(comps[n - 1])
-    if all(not x for x in lam):
+        rhs.append(-comps[n - 1])
+    if not any(rhs):
         return phi1, LinearMap.from_diagonal(base, [ZERO] * n)
-    # need mu(X_i, f(X_n)) = -lam_i * Z; invert the standard pairing
-    # mu(X_{2k-1}, X_{2k}) = Z by hand: c_{2k-1} = lam_{2k}, c_{2k} = -lam_{2k-1}
-    target = [ZERO] * n
-    for k in range(p):
-        target[2 * k] = lam[2 * k + 1]
-        target[2 * k + 1] = -lam[2 * k]
-    rows = [[ZERO] * n for _ in range(n)]
-    for t in range(n):
-        rows[t][n - 1] = target[t]
-    f = LinearMap(base, rows)
+    pairing = [[base.constant(i, t, n) for t in range(1, n + 1)] for i in range(1, n)]
+    image = solve(pairing, rhs)
+    if image is None:
+        raise PreconditionError("no coboundary normalizes phi1: the pairing system is inconsistent")
+    f = LinearMap(base, [[x if c == n - 1 else ZERO for c in range(n)] for x in image])
     adjusted = phi1 - coboundary_of_map(f, base)
+    if any(any(adjusted.at(i, n)) for i in range(1, n)):
+        raise PreconditionError("phi1 - df does not vanish on every (X_i, X_n): not normalized")
     return adjusted, f
 
 

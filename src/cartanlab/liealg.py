@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .linalg import kernel_rref, rref
+from .linalg import diagonal, invert, kernel_rref, mat_vec, rref, square_matrix, transpose
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -118,11 +118,8 @@ class LieAlgebra:
     def adjoint_rows(self, index):
         """Matrix of ad(X_index), column j = coordinates of [X_index, X_j]."""
         n = self.dim
-        cols = []
-        for j in range(1, n + 1):
-            terms = self.pair(index, j)
-            cols.append(tuple(terms.get(k, ZERO) for k in range(1, n + 1)))
-        return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+        cols = [self.pair(index, j) for j in range(1, n + 1)]
+        return transpose([[terms.get(k, ZERO) for k in range(1, n + 1)] for terms in cols])
 
     # -- structural equality ----------------------------------------------
 
@@ -209,38 +206,19 @@ class LinearMap:
     __slots__ = ("algebra", "rows")
 
     def __init__(self, algebra, rows):
-        rows = tuple(tuple(Scalar.of(x) for x in row) for row in rows)
-        n = algebra.dim
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError("matrix shape does not match algebra dimension")
         self.algebra = algebra
-        self.rows = rows
+        self.rows = square_matrix(rows, algebra.dim, "the matrix of an endomorphism")
 
     @staticmethod
     def from_diagonal(algebra, diag):
-        n = algebra.dim
-        diag = list(diag)
-        if len(diag) != n:
-            raise ValueError("diagonal length does not match dimension")
-        return LinearMap(
-            algebra,
-            [
-                [Scalar.of(diag[i]) if i == j else ZERO for j in range(n)]
-                for i in range(n)
-            ],
-        )
+        return LinearMap(algebra, diagonal(diag))
 
     @staticmethod
     def adjoint(algebra, index):
         return LinearMap(algebra, algebra.adjoint_rows(index))
 
     def apply(self, v: Vector) -> Vector:
-        n = self.algebra.dim
-        comps = [
-            sum((self.rows[i][j] * v.comps[j] for j in range(n)), ZERO)
-            for i in range(n)
-        ]
-        return Vector(self.algebra, comps)
+        return Vector(self.algebra, mat_vec(self.rows, v.comps))
 
     def apply_basis(self, j) -> Vector:
         return Vector(self.algebra, [self.rows[i][j - 1] for i in range(self.algebra.dim)])
@@ -319,19 +297,14 @@ def kernel_subspace(algebra, rows) -> Subspace:
 
 def change_basis(g: LieAlgebra, p_rows) -> LieAlgebra:
     """Structure constants of g in the basis Y_j = sum_i P[i][j] X_i."""
-    from .linalg import as_matrix, invert, mat_vec
-
-    p = as_matrix(p_rows)
-    if len(p) != g.dim or any(len(r) != g.dim for r in p):
-        raise ValueError("change of basis matrix has wrong shape")
-    pinv = invert(p)
     n = g.dim
+    p = square_matrix(p_rows, n, "change of basis matrix")
+    pinv = invert(p)
+    ys = [Vector(g, col) for col in transpose(p)]
     new_brackets = {}
     for i in range(1, n + 1):
-        yi = Vector(g, [p[r][i - 1] for r in range(n)])
         for j in range(i + 1, n + 1):
-            yj = Vector(g, [p[r][j - 1] for r in range(n)])
-            w = g.bracket(yi, yj)
+            w = g.bracket(ys[i - 1], ys[j - 1])
             coords = mat_vec(pinv, w.comps)
             terms = {k + 1: coords[k] for k in range(n) if coords[k]}
             if terms:

@@ -1,8 +1,11 @@
 """Dense exact linear algebra over the Gaussian rationals.
 
 Matrices are tuples of tuples of Scalar (row major).  Everything is small
-(dimensions rarely above 64), so plain Gauss-Jordan elimination with exact
-pivoting is the right tool.
+(dimensions rarely above 64), so plain elimination with exact pivoting is
+the right tool.  This module holds every matrix operation of the package
+and one elimination, `_forward`: `rref` is that pass plus
+back-substitution (and `rank`, `nullspace`, `kernel_rref`, `solve` and
+`invert` read `rref`), and `det` is the signed product of its pivots.
 
 `kernel_rref` eliminates once for a canonical kernel basis.  A nullspace
 vector of the column-reversed matrix is 1 at its free column, 0 at the
@@ -13,6 +16,8 @@ already the rref of the kernel.
 
 from __future__ import annotations
 
+from math import prod
+
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -20,10 +25,23 @@ def as_matrix(rows):
     return tuple(tuple(Scalar.of(x) for x in row) for row in rows)
 
 
-def identity(n):
+def square_matrix(rows, n, what="matrix"):
+    """as_matrix(rows), raising ValueError unless it is n x n."""
+    a = as_matrix(rows)
+    if len(a) != n or any(len(row) != n for row in a):
+        raise ValueError(f"{what} must be {n} x {n}")
+    return a
+
+
+def diagonal(entries):
+    entries = [Scalar.of(x) for x in entries]
     return tuple(
-        tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
+        tuple(x if i == j else ZERO for j in range(len(entries))) for i, x in enumerate(entries)
     )
+
+
+def identity(n):
+    return diagonal([ONE] * n)
 
 
 def mat_sub(a, b):
@@ -43,7 +61,40 @@ def mat_vec(a, v):
 
 
 def transpose(a):
-    return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
+    return tuple(zip(*a))
+
+
+def _forward(m):
+    """The one elimination of the package, in place on the row lists m:
+    take the columns in order; at each, swap up the first row at or below
+    the current one that is nonzero there, scale it to a leading 1 and
+    clear the entries below that 1.  Returns (pivot columns, the pivots
+    divided out, row swap count); the first len(pivot columns) rows of m
+    are then a row echelon form and the rows after them are zero."""
+    nrows = len(m)
+    pivots, divisors, swaps = [], [], 0
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            swaps += 1
+        p = m[r][c]
+        inv = ONE / p
+        # left of column c every row from r on is zero already
+        tail = [x * inv for x in m[r][c + 1 :]]
+        m[r] = [ZERO] * c + [ONE] + tail
+        for i in range(r + 1, nrows):
+            f = m[i][c]
+            if f:
+                m[i] = [ZERO] * (c + 1) + [x - f * y for x, y in zip(m[i][c + 1 :], tail)]
+        pivots.append(c)
+        divisors.append(p)
+    return pivots, divisors, swaps
 
 
 def rref(rows):
@@ -51,34 +102,18 @@ def rref(rows):
 
     Zero rows are dropped, so the output is a canonical basis of the row
     space: two row sets span the same space iff their rrefs are equal.
+    `_forward` gives the echelon form; back-substitution, last pivot
+    first, clears the entries above each leading 1.
     """
     m = [list(row) for row in rows]
-    if not m:
-        return (), ()
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    reduced = tuple(tuple(row) for row in m[:r])
-    return reduced, tuple(pivots)
+    pivots, _, _ = _forward(m)
+    for r in range(len(pivots) - 1, 0, -1):
+        c, row = pivots[r], m[r]
+        for i in range(r):
+            f = m[i][c]
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], row)]
+    return tuple(tuple(row) for row in m[: len(pivots)]), tuple(pivots)
 
 
 def rank(rows):
@@ -90,7 +125,7 @@ def nullspace(rows, ncols=None):
     if not rows:
         if ncols is None:
             raise ValueError("nullspace of an empty system needs ncols")
-        return [tuple(ONE if j == k else ZERO for j in range(ncols)) for k in range(ncols)]
+        return list(identity(ncols))
     ncols = len(rows[0]) if ncols is None else ncols
     red, pivots = rref(rows)
     pivot_set = set(pivots)
@@ -113,37 +148,20 @@ def kernel_rref(rows, ncols=None):
 
 
 def det(rows):
-    """Exact determinant by plain Gaussian elimination over Q(i) Fractions."""
-    m = [list(row) for row in rows]
-    n = len(m)
-    sign = ONE
-    out = ONE
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        p = m[c][c]
-        out = out * p
-        inv = ONE / p
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return out * sign
+    """Exact determinant: the product of the pivots `_forward` divides
+    out, negated for an odd number of row swaps, and 0 below full rank."""
+    m = [list(row) for row in square_matrix(rows, len(rows))]
+    pivots, divisors, swaps = _forward(m)
+    if len(pivots) < len(m):
+        return ZERO
+    out = prod(divisors, start=ONE)
+    return -out if swaps % 2 else out
 
 
 def solve(a, b):
     """Solve A x = b exactly; returns None when inconsistent."""
-    n = len(a)
     ncols = len(a[0])
-    aug = [list(a[i]) + [Scalar.of(b[i])] for i in range(n)]
+    aug = [list(row) + [Scalar.of(y)] for row, y in zip(a, b, strict=True)]
     red, pivots = rref(aug)
     x = [ZERO] * ncols
     for r, p in enumerate(pivots):
@@ -157,6 +175,6 @@ def invert(a):
     n = len(a)
     aug = [list(row) + list(unit) for row, unit in zip(a, identity(n))]
     red, pivots = rref(aug)
-    if tuple(pivots[:n]) != tuple(range(n)) or len(red) < n:
+    if pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(red[i][n:]) for i in range(n))

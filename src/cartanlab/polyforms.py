@@ -8,6 +8,7 @@ from __future__ import annotations
 from functools import partial
 
 from . import exterior
+from .linalg import square_matrix
 from .poly import Poly, VariableMismatch
 from .scalars import ONE, Scalar
 
@@ -159,7 +160,7 @@ def pullback_linear(a: PolyForm, matrix) -> PolyForm:
     """Pullback under the linear substitution x_i -> sum_j L[i][j] x_j
     (both in the coefficients and in the differentials)."""
     nv = len(a.vars)
-    l = [[Scalar.of(matrix[i][j]) for j in range(nv)] for i in range(nv)]
+    l = square_matrix(matrix, nv, "substitution")
     images = [
         Poly(a.vars, {
             tuple(1 if t == j else 0 for t in range(nv)): l[i][j]

@@ -13,7 +13,7 @@ from functools import cache
 from math import factorial
 from typing import Optional
 
-from .linalg import as_matrix, det, identity, mat_mul, transpose
+from .linalg import det, identity, mat_mul, square_matrix, transpose
 from .poly import Poly
 from .polyforms import (
     PolyForm,
@@ -222,11 +222,8 @@ def rotation_fields(n: int) -> dict:
 
 def evaluate_singular_equations(n: int, point) -> dict:
     """Evaluate every pairing polynomial at an exact matrix point."""
-    mat = as_matrix(point)
-    m = 2 * n
-    if len(mat) != m or any(len(r) != m for r in mat):
-        raise ValueError("point must be a (2n) x (2n) matrix")
-    flat = [mat[i][j] for i in range(m) for j in range(m)]
+    mat = square_matrix(point, 2 * n, "point")
+    flat = [x for row in mat for x in row]
     return {key: p.eval(flat) for key, p in singular_pairings(n).items()}
 
 
@@ -244,10 +241,8 @@ def so_invariance_check(n: int, m) -> bool:
 
     Preconditions, checked: m^T m = identity exactly and det m = 1.
     """
-    mat = as_matrix(m)
     size = 2 * n
-    if len(mat) != size or any(len(r) != size for r in mat):
-        raise ValueError("matrix must be (2n) x (2n)")
+    mat = square_matrix(m, size)
     if mat_mul(transpose(mat), mat) != identity(size):
         raise OrthogonalityError("matrix is not orthogonal")
     if det(mat) != ONE:

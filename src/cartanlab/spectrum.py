@@ -20,6 +20,7 @@ from math import isqrt, lcm
 
 from . import upoly
 from .liealg import LieAlgebra
+from .linalg import square_matrix
 from .scalars import ONE, Scalar
 from .structure import require_jacobi
 
@@ -132,9 +133,7 @@ def charpoly(rows) -> tuple:
     A Course in Computational Algebraic Number Theory, Alg. 2.2.9).
     """
     n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("charpoly needs a square matrix")
-    h = [[Scalar.of(x) for x in row] for row in rows]
+    h = [list(row) for row in square_matrix(rows, n)]
     for m in range(1, n - 1):
         pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
         if pivot is None:

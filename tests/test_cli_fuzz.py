@@ -187,6 +187,8 @@ FIXED = [
     (["class", "--catalog", "frobenius:p=2,a=[1,]", "--form", "1,0,0,0"], 1),
     # a Gaussian parameter reads as str(Scalar) prints it, as in the entry's id
     (["class", "--catalog", "dim3:kind=sl2,lam=1+2i", "--form", "0,0,1"], 0),
+    # and so does each coefficient of a covector
+    (["class", "--catalog", "frobenius:p=2,a=[i]", "--form", "1,i,0,0"], 0),
 ]
 
 

@@ -189,6 +189,45 @@ def test_normalize_linear_deformation():
     assert adjusted.at(1, 2)[0] == ONE
 
 
+def _standard_pairing_normalization(base, phi1):
+    """The normalization for the pairing [X_{2k-1}, X_{2k}] = X_n inverted
+    by hand: f(X_n) = sum_k lam_{2k} X_{2k-1} - lam_{2k-1} X_{2k}."""
+    n = base.dim
+    lam = [phi1.at(i, n)[n - 1] for i in range(1, n)]
+    image = [ZERO] * n
+    for k in range(0, n - 1, 2):
+        image[k], image[k + 1] = lam[k + 1], -lam[k]
+    f = LinearMap(base, [[image[t] if c == n - 1 else ZERO for c in range(n)] for t in range(n)])
+    return phi1 - coboundary_of_map(f, base), f
+
+
+def test_normalize_reads_the_pairing_off_the_base():
+    # on the Heisenberg algebras it agrees with the hand-inverted pairing
+    r = rng(17)
+    for k in range(60):
+        h = cat.heisenberg(1 + k % 3).algebra
+        n = h.dim
+        f = LinearMap(h, [[_sparse_rational(r) for _ in range(n)] for _ in range(n)])
+        phi1 = coboundary_of_map(f, h)
+        adjusted, f_out = normalize_linear_deformation(h, phi1)
+        assert (adjusted, f_out) == _standard_pairing_normalization(h, phi1)
+        assert all(not any(adjusted.at(i, n)) for i in range(1, n))
+    # another pairing, [X1, X3] = [X2, X4] = X5, with phi1 = df for f(X5) = X1:
+    # the hand-inverted standard pairing leaves phi1'(X2, X5) = -X5 here
+    base = LieAlgebra(5, {(1, 3): {5: 1}, (2, 4): {5: 1}})
+    f = LinearMap(base, [[1 if (i, j) == (0, 4) else 0 for j in range(5)] for i in range(5)])
+    adjusted, f_out = normalize_linear_deformation(base, coboundary_of_map(f, base))
+    assert adjusted.is_zero and f_out == f
+    assert not _standard_pairing_normalization(base, coboundary_of_map(f, base))[0].is_zero
+
+
+def test_normalize_raises_when_no_coboundary_clears_the_pairs():
+    # on abelian(3) every coboundary vanishes, so phi1(X1, X3) = X3 stays
+    ab = cat.abelian(3).algebra
+    with pytest.raises(PreconditionError, match="normaliz"):
+        normalize_linear_deformation(ab, BilinearMap(ab, {(1, 3): {3: 1}}))
+
+
 def test_central_extension_base_cases():
     ab2 = cat.abelian(2).algebra
     h3 = central_extension(ab2, DualForm(ab2, 2, {(1, 2): 1}))

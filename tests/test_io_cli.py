@@ -10,6 +10,7 @@ from cartanlab.algebra_io import (
     algebra_from_dict,
     dump_algebra,
     load_algebra_text,
+    load_matrix_text,
     parse_covector,
     parse_exponents,
 )
@@ -21,12 +22,22 @@ from cartanlab.deformation import (
     bilinear_from_endomorphism,
     check_quadratic_deformation,
 )
+from cartanlab.scalars import ZERO, Scalar
 
 
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_class_form_reads_gaussian_coefficients(capsys):
+    code, out, _ = run_cli(["class", "--catalog", "frobenius:p=2,a=[i]", "--form", "1,i,0,0"], capsys)
+    assert code == 0 and json.loads(out)["results"]["class"] == 4
+    for bad in ("1,1/0,0,0", "1,x,0,0", "1,i i,0,0"):
+        code, out, err = run_cli(["class", "--catalog", "frobenius:p=2,a=[i]", "--form", bad], capsys)
+        assert (code, out) == (1, ""), bad
+        assert "bad covector coefficient" in err
 
 
 def test_algebra_round_trip_fixed_point():
@@ -53,8 +64,15 @@ def test_parse_helpers():
 
     assert parse_covector("1,0,-2/3") == [Fraction(1), Fraction(0), Fraction(-2, 3)]
     assert parse_exponents("1, 1, 2") == (1, 1, 2)
-    with pytest.raises(AlgebraFileError):
-        parse_covector("1,oops")
+    assert parse_covector("i,-1/2+3i") == [Scalar(0, 1), Scalar(Fraction(-1, 2), 3)]
+    for bad in ("1,oops", "1,1/0", "1,", "2ii"):
+        with pytest.raises(AlgebraFileError):
+            parse_covector(bad)
+    rows = load_matrix_text('[["1+i", 0], [{"re": "2", "im": "-1"}, "-i"]]')
+    assert rows == ((Scalar(1, 1), ZERO), (Scalar(2, -1), Scalar(0, -1)))
+    for bad in ('[["1/0"]]', '[["x"]]', '[[1.5]]'):
+        with pytest.raises(AlgebraFileError):
+            load_matrix_text(bad)
     with pytest.raises(AlgebraFileError):
         parse_exponents("1,1/2")
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 from cartanlab.linalg import (
     as_matrix,
@@ -108,3 +109,87 @@ def test_kernel_rref_matches_rref_of_nullspace():
     assert kernel_rref(cases[0][0], 4) == identity(4)
     assert kernel_rref(cases[1][0], 2) == ()
     assert kernel_rref((), 3) == identity(3)
+
+
+def _leibniz(a):
+    """det as the sum over permutations of signed products, the reference."""
+    total = ZERO
+    for perm in permutations(range(len(a))):
+        inversions = sum(1 for i in range(len(perm)) for j in range(i) if perm[j] > perm[i])
+        term = ONE
+        for row, col in enumerate(perm):
+            term = term * a[row][col]
+        total = total + (-term if inversions % 2 else term)
+    return total
+
+
+def test_det_matches_the_leibniz_sum():
+    r = random.Random(17)
+    cases = [()]
+    for gaussian in (False, True):
+        for n in range(1, 6):
+            for _ in range(6):
+                a = _sparse_matrix(r, n, n, gaussian)
+                cases.append(a)
+                if n > 1:
+                    # a zero first pivot forces a row swap and a sign change
+                    zeroed = (tuple(ZERO if j == 0 else x for j, x in enumerate(a[0])),) + a[1:]
+                    cases.append(zeroed)
+                    # rank below n: the last row repeats a combination of two others
+                    mix = tuple(x + y * Scalar(2, 1) for x, y in zip(a[0], a[-1]))
+                    cases.append(a[:-1] + (mix,) if n > 2 else (a[0], a[0]))
+    swapped = as_matrix([[0, 1, 2], [3, 0, 1], [1, 1, 0]])
+    cases.append(swapped)
+    assert det(swapped) == Scalar(7)
+    nonzero = singular = 0
+    for a in cases:
+        d = det(a)
+        assert d == _leibniz(a), a
+        assert (d == ZERO) == (rank(a) < len(a)), a
+        nonzero += bool(d)
+        singular += not d
+    assert nonzero > 40 and singular > 20, (nonzero, singular)
+    assert det(()) == ONE
+
+
+def _gauss_jordan(rows):
+    """rref by full Gauss-Jordan elimination, clearing above and below each
+    pivot as it is found: the reference for the forward pass plus
+    back-substitution of `rref`."""
+    m = [list(row) for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return tuple(tuple(row) for row in m[: len(pivots)]), tuple(pivots)
+
+
+def test_rref_matches_gauss_jordan_and_solvers_check_out():
+    r = random.Random(18)
+    cases = [((), 2), (as_matrix([[0, 0], [0, 0]]), 2)]
+    for gaussian in (False, True):
+        for n, m in ((1, 4), (2, 5), (3, 3), (4, 4), (5, 5), (5, 2), (6, 3)):
+            cases += [(_sparse_matrix(r, n, m, gaussian), m) for _ in range(8)]
+    for a, m in cases:
+        red, pivots = rref(a)
+        assert (red, pivots) == _gauss_jordan(a), a
+        for v in nullspace(a, m):
+            assert not any(mat_vec(a, v))
+        if not a:
+            continue
+        b = [Scalar(k + 1, k % 2) for k in range(len(a))]
+        x = solve(a, b)
+        if x is None:
+            assert rank(a) < rank([row + (y,) for row, y in zip(a, b)])
+        else:
+            assert mat_vec(a, x) == tuple(b)
+        if len(a) == m and det(a):
+            assert mat_mul(a, invert(a)) == identity(m)

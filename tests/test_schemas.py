@@ -1,0 +1,94 @@
+"""The JSON schemas under schemas/ describe what the package writes.  A
+validator for the draft-07 keywords those schemas use, standard library
+only, checks algebra files and one report of each command against them."""
+
+import json
+import re
+from pathlib import Path
+
+from cartanlab import catalog as cat
+from cartanlab.algebra_io import algebra_to_dict
+from cartanlab.cli import main
+from cartanlab.scalars import Scalar
+
+SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
+ANNOTATIONS = {"$schema", "$id", "title", "description"}
+KEYWORDS = {"type", "enum", "pattern", "minimum", "required", "properties",
+            "additionalProperties", "items"}
+TYPES = {"object": dict, "array": list, "string": str, "integer": int}
+
+
+def _schema(name):
+    return json.loads((SCHEMAS / f"{name}.schema.json").read_text(encoding="utf-8"))
+
+
+def violations(value, schema, path="$"):
+    """Every place where value breaks schema, as "path: reason" strings.
+    A keyword the validator does not read fails loudly, so a schema that
+    grows one cannot pass unchecked."""
+    unread = set(schema) - KEYWORDS - ANNOTATIONS
+    assert not unread, f"the validator does not read {sorted(unread)} at {path}"
+    kind = schema.get("type")
+    if kind and (not isinstance(value, TYPES[kind]) or isinstance(value, bool)):
+        return [f"{path}: {value!r} is not of type {kind}"]
+    out = []
+    if "enum" in schema and value not in schema["enum"]:
+        out.append(f"{path}: {value!r} is not one of {schema['enum']}")
+    if "pattern" in schema and not re.search(schema["pattern"], value):
+        out.append(f"{path}: {value!r} does not match {schema['pattern']}")
+    if "minimum" in schema and value < schema["minimum"]:
+        out.append(f"{path}: {value!r} is below {schema['minimum']}")
+    if isinstance(value, dict):
+        declared = schema.get("properties", {})
+        out += [f"{path}: {key!r} is missing" for key in schema.get("required", ()) if key not in value]
+        for key, item in value.items():
+            if key in declared:
+                out += violations(item, declared[key], f"{path}.{key}")
+            elif schema.get("additionalProperties") is False:
+                out.append(f"{path}: {key!r} is not a declared property")
+    if isinstance(value, list) and "items" in schema:
+        for k, item in enumerate(value):
+            out += violations(item, schema["items"], f"{path}[{k}]")
+    return out
+
+
+def test_the_validator_reports_each_kind_of_violation():
+    schema = _schema("algebra_file")
+    good = algebra_to_dict(cat.heisenberg(1).algebra)
+    assert violations(good, schema) == []
+    bad = json.loads(json.dumps(good))
+    bad["extra"] = 1
+    del bad["brackets"][0]["terms"][0]["k"]
+    bad["brackets"][0]["terms"][0]["re"] = "1.5"
+    bad["dim"] = True
+    found = violations(bad, schema)
+    assert len(found) == 4, found
+    assert any("'extra' is not a declared property" in v for v in found)
+    assert any("'k' is missing" in v for v in found)
+    assert any("'1.5' does not match" in v for v in found)
+    assert any("$.dim: True is not of type integer" in v for v in found)
+
+
+def test_algebra_files_follow_their_schema():
+    schema = _schema("algebra_file")
+    entries = cat.standard_entries() + [cat.frobenius_model(2, [Scalar(1, -2)])]
+    for entry in entries:
+        assert violations(algebra_to_dict(entry.algebra), schema) == [], entry.id
+
+
+def test_one_report_of_each_command_follows_the_report_schema(capsys):
+    report_schema, algebra_schema = _schema("report"), _schema("algebra_file")
+    requests = [
+        ["class", "--catalog", "frobenius:p=2,a=[i]", "--form", "1,i,0,0"],
+        ["check", "--catalog", "heisenberg:p=2", "--suite", "center"],
+        ["contract", "--catalog", "heisenberg:p=1", "--exponents", "1,1,2"],
+        ["sl", "--n", "1", "--identity"],
+    ]
+    for argv in requests:
+        assert main(argv) == 0, argv
+        report = json.loads(capsys.readouterr().out)
+        assert violations(report, report_schema) == [], argv
+        assert report["command"] == argv[0]
+        if argv[0] == "contract":
+            # a contraction limit is written as an algebra file
+            assert violations(report["results"]["limit"], algebra_schema) == []
