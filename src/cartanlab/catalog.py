@@ -58,7 +58,7 @@ from .deformation import (
 from .forms import DualForm
 from .liealg import LieAlgebra
 from .scalars import ONE, ZERO, Scalar, parse_rational, parse_scalar
-from .structure import PreconditionError, jacobi_check, jacobi_defects
+from .structure import PreconditionError, heisenberg_table, jacobi_check, jacobi_defects
 
 
 class NonJacobiDisplayError(ValueError):
@@ -111,11 +111,9 @@ def _scalars(values, count: int, message: str) -> list:
 
 def heisenberg(p: int) -> CatalogEntry:
     """h_{2p+1}: [X_{2k-1}, X_{2k}] = X_{2p+1}; the contact model."""
-    if p < 1:
-        raise PreconditionError("p must be >= 1")
+    table = heisenberg_table(p)
     n = 2 * p + 1
-    brackets = {(2 * k - 1, 2 * k): {n: ONE} for k in range(1, p + 1)}
-    g = LieAlgebra(n, brackets)
+    g = LieAlgebra(n, table)
     return _entry(
         _id("heisenberg", {"p": p}),
         {"p": p},
@@ -162,7 +160,7 @@ def dim3(kind: str, **params) -> CatalogEntry:
     if kind == "so3":
         return _so3(p["a"])
     if kind == "heisenberg":
-        table = {(1, 2): {3: ONE}}
+        table = heisenberg_table(1)
         note = "Heisenberg algebra, the odd-dimensional contact model"
     elif kind == "solvable1":
         table = {(1, 2): {3: ONE, 1: ONE}}
@@ -188,7 +186,7 @@ def dim3(kind: str, **params) -> CatalogEntry:
 
 def _so3(a: Scalar) -> CatalogEntry:
     g = LieAlgebra(3, {(1, 2): {3: -ONE}, (2, 3): {1: -ONE}, (1, 3): {2: ONE}})
-    h3 = heisenberg(1).algebra
+    h3 = LieAlgebra(3, heisenberg_table(1))
     spec = DeformationSpec(
         h3,
         BilinearMap.zero(h3),

@@ -23,7 +23,7 @@ Every table here is sparse, in the format of `LieAlgebra.c`: a cochain
 stores {(i, j): {k: coeff}} (a `liealg.bracket_table`), and the trilinear
 results store {(i, j, k): {m: coeff}}.  Only the readers `at`,
 `apply_comps`, `first_nonzero` and `QuadraticCheck.failures` return dense
-coordinate tuples.
+coordinate tuples, through `liealg.table_entry` and `liealg.coordinates`.
 
 Coboundary signs are pinned so that on the Heisenberg algebra a diagonal
 endomorphism f (acting through phi_2(X_l, X_{2p+1}) = f(X_l)) satisfies
@@ -38,25 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .forms import DualForm, ce_differential, wedge_power
-from .liealg import LieAlgebra, LinearMap, apply_table, bracket_table
+from .liealg import LieAlgebra, LinearMap, apply_table, bracket_table, coordinates, table_entry
 from .linalg import solve, square_matrix, transpose
 from .scalars import ONE, ZERO, Scalar
-from .structure import PreconditionError, cyclic_sums, pair_table, require_jacobi
-
-
-def _comps(n, terms):
-    """Coordinate tuple of the sparse vector {k: coeff} in dimension n."""
-    return tuple(terms.get(k, ZERO) for k in range(1, n + 1))
-
-
-def _skew_at(values, n, i, j, rest=()):
-    """Coordinates of the entry (i, j, *rest) of a table stored for i < j
-    and skew in its first two slots."""
-    if i == j:
-        return _comps(n, {})
-    if i < j:
-        return _comps(n, values.get((i, j) + rest, {}))
-    return tuple(-x for x in _comps(n, values.get((j, i) + rest, {})))
+from .structure import PreconditionError, cyclic_sums, heisenberg_table, pair_table, require_jacobi
 
 
 def _table_sum(*tables):
@@ -104,11 +89,11 @@ class BilinearMap:
         return not self.values
 
     def at(self, i, j):
-        return _skew_at(self.values, self.algebra.dim, i, j)
+        return coordinates(self.algebra.dim, table_entry(self.values, i, j))
 
     def apply_comps(self, x, y):
         """Bilinear extension on coordinate tuples (`liealg.apply_table`)."""
-        return _comps(self.algebra.dim, apply_table(self.values, x, y))
+        return coordinates(self.algebra.dim, apply_table(self.values, x, y))
 
     def __add__(self, other):
         if other.algebra is not self.algebra:
@@ -154,21 +139,17 @@ class SkewTrilinear:
         return not self.values
 
     def at(self, i, j, k):
-        if len({i, j, k}) < 3:
-            return _comps(self.algebra.dim, {})
-        order = sorted(((i, 0), (j, 1), (k, 2)))
-        key = tuple(t for t, _ in order)
-        perm = tuple(p for _, p in order)
-        comps = _comps(self.algebra.dim, self.values.get(key, {}))
-        if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            return comps
-        return tuple(-x for x in comps)
+        # a cyclic rotation, an even permutation, puts the largest index
+        # last; the entry is then skew in its first two slots
+        while k < max(i, j):
+            i, j, k = j, k, i
+        return coordinates(self.algebra.dim, table_entry(self.values, i, j, k))
 
     def first_nonzero(self):
         if not self.values:
             return None
         key = min(self.values)
-        return key, _comps(self.algebra.dim, self.values[key])
+        return key, coordinates(self.algebra.dim, self.values[key])
 
 
 def circle_product(phi: BilinearMap, psi: BilinearMap) -> SkewTrilinear:
@@ -194,7 +175,7 @@ class LeftComposite:
         return not self.values
 
     def at(self, i, j, k):
-        return _skew_at(self.values, self.algebra.dim, i, j, (k,))
+        return coordinates(self.algebra.dim, table_entry(self.values, i, j, k))
 
 
 def _left_compose(outer, table):
@@ -408,10 +389,9 @@ def deformation_from_classical_basis(g: LieAlgebra) -> DeformationSpec:
     n = g.dim
     if n % 2 == 0 or n < 3:
         raise PreconditionError("classical contact basis needs odd dimension >= 3")
-    # the h_{2p+1} table: [X_{2k-1}, X_{2k}] = X_{2p+1}
-    pairs = {(2 * k - 1, 2 * k): {n: ONE} for k in range(1, (n - 1) // 2 + 1)}
+    pairs = heisenberg_table((n - 1) // 2)
     for i, j in pairs:
-        if g.c.get((i, j), {}).get(n, ZERO) != ONE:
+        if g.constant(i, j, n) != ONE:
             raise PreconditionError(
                 f"bracket ({i},{j}) must carry the center with coefficient 1"
             )
@@ -463,13 +443,8 @@ def central_extension(k: LieAlgebra, theta: DualForm) -> LieAlgebra:
     if wedge_power(theta, p).is_zero:
         raise DegenerateFormError("not symplectic")
     n = k.dim + 1
-    brackets = {}
-    for (i, j), terms in k.c.items():
-        brackets[(i, j)] = dict(terms)
-    for (i, j), v in theta.coeffs.items():
-        brackets.setdefault((i, j), {})[n] = v
-    labels = tuple(k.basis) + ("Z",)
-    return LieAlgebra(n, brackets, basis=labels)
+    central = {key: {n: v} for key, v in theta.coeffs.items()}
+    return LieAlgebra(n, _table_sum(k.c, central), basis=tuple(k.basis) + ("Z",))
 
 
 def central_quotient(g: LieAlgebra):
@@ -481,15 +456,13 @@ def central_quotient(g: LieAlgebra):
     n = g.dim
     if n < 2:
         raise PreconditionError("a central quotient needs dimension >= 2")
-    last = g.basis_vector(n)
-    for i in range(1, n):
-        if not g.bracket(last, g.basis_vector(i)).is_zero:
-            raise PreconditionError("last basis vector is not central")
+    # the table stores nonzero brackets only, so (i, n) is a key iff
+    # [X_i, X_n] != 0
+    if any((i, n) in g.c for i in range(1, n)):
+        raise PreconditionError("last basis vector is not central")
     brackets = {}
     theta_terms = {}
     for (i, j), terms in g.c.items():
-        if j == n:
-            continue
         reduced = {t: v for t, v in terms.items() if t < n}
         if reduced:
             brackets[(i, j)] = reduced

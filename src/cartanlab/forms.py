@@ -176,21 +176,15 @@ class ClassOracleError(AssertionError):
 def characteristic_space(w: DualForm, dw: DualForm) -> Subspace:
     """C(w) = {X : w(X) = 0, i(X) dw = 0} by exact kernel computation,
     where dw is ce_differential(w)."""
-    alg = w.algebra
-    n = alg.dim
-    rows = [tuple(w.coeffs.get((i,), ZERO) for i in range(1, n + 1))]
-    for j in range(1, n + 1):
-        # row j: dw(X_i, X_j) as i runs over the basis
-        row = []
-        for i in range(1, n + 1):
-            if i < j:
-                row.append(dw.coeffs.get((i, j), ZERO))
-            elif i > j:
-                row.append(-dw.coeffs.get((j, i), ZERO))
-            else:
-                row.append(ZERO)
-        rows.append(tuple(row))
-    return kernel_subspace(alg, rows)
+    n = w.algebra.dim
+    # row 0 is w; row j holds dw(X_i, X_j) as i runs over the basis
+    rows = [[ZERO] * n for _ in range(n + 1)]
+    for (i,), v in w.coeffs.items():
+        rows[0][i - 1] = v
+    for (i, j), v in dw.coeffs.items():
+        rows[j][i - 1] = v
+        rows[i][j - 1] = -v
+    return kernel_subspace(w.algebra, rows)
 
 
 def cartan_class(w: DualForm) -> CartanClass:

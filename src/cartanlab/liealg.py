@@ -3,8 +3,11 @@
 A skew bilinear table has one format across the package: a read-only
 {(i, j): {k: coeff}} with 1-based indices, i < j only (the other half is
 implied by skew symmetry) and zero coefficients dropped.  `bracket_table`
-builds it and `apply_table` evaluates it on coordinates; the bracket `c`
-of a LieAlgebra and the cochains of `deformation` are both such tables.
+builds it, `apply_table` evaluates it on coordinates, `table_entry` reads
+one entry of it (or of a table with more slots, skew in its first two)
+and `coordinates` turns such a sparse {k: coeff} into a coordinate tuple;
+the bracket `c` of a LieAlgebra and the cochains of `deformation` are all
+such tables, and no other module reads them by hand.
 A LieAlgebra is immutable: `c` is a bracket table, and `dim` and `basis`
 cannot be reassigned, so a verdict computed from the table stays true for
 the instance's whole life.  The Jacobi identity is deliberately *not* an
@@ -64,6 +67,22 @@ def apply_table(table, x, y) -> dict:
     return acc
 
 
+def table_entry(table, i, j, *rest) -> dict:
+    """{k: coeff} at (i, j, *rest) of a table skew in its first two slots
+    and stored for i < j only: the stored value, its negation for j < i,
+    and {} for i == j or an absent entry."""
+    if i < j:
+        return table.get((i, j, *rest), {})
+    if i > j:
+        return {k: -v for k, v in table.get((j, i, *rest), {}).items()}
+    return {}
+
+
+def coordinates(n, terms) -> tuple:
+    """Coordinate tuple of the sparse vector {k: coeff} in dimension n."""
+    return tuple(terms.get(k, ZERO) for k in range(1, n + 1))
+
+
 class LieAlgebra:
     """dim, basis labels and the sparse skew bracket table, all read-only."""
 
@@ -97,12 +116,7 @@ class LieAlgebra:
 
     def pair(self, i, j):
         """{k: coeff} for [X_i, X_j], handling order and i == j."""
-        if i == j:
-            return {}
-        if i < j:
-            return self.c.get((i, j), {})
-        flipped = self.c.get((j, i), {})
-        return {k: -v for k, v in flipped.items()}
+        return table_entry(self.c, i, j)
 
     def constant(self, i, j, k):
         return self.pair(i, j).get(k, ZERO)
@@ -118,22 +132,20 @@ class LieAlgebra:
     def adjoint_rows(self, index):
         """Matrix of ad(X_index), column j = coordinates of [X_index, X_j]."""
         n = self.dim
-        cols = [self.pair(index, j) for j in range(1, n + 1)]
-        return transpose([[terms.get(k, ZERO) for k in range(1, n + 1)] for terms in cols])
+        return transpose([coordinates(n, self.pair(index, j)) for j in range(1, n + 1)])
 
     # -- structural equality ----------------------------------------------
 
     def constants(self):
-        out = {}
-        for (i, j), terms in self.c.items():
-            for k, v in terms.items():
-                out[(i, j, k)] = v
-        return out
+        """The table flattened to {(i, j, k): coeff}, i < j."""
+        return {(i, j, k): v for (i, j), terms in self.c.items() for k, v in terms.items()}
 
     def same_constants(self, other: "LieAlgebra") -> bool:
-        return self.dim == other.dim and self.constants() == other.constants()
+        return self.dim == other.dim and self.c == other.c
 
     def basis_vector(self, i) -> "Vector":
+        if not 1 <= i <= self.dim:
+            raise ValueError(f"no basis vector X{i} in dimension {self.dim}")
         return Vector.from_sparse(self, {i: ONE})
 
     def __repr__(self):
@@ -154,10 +166,7 @@ class Vector:
 
     @staticmethod
     def from_sparse(algebra, sparse):
-        comps = [ZERO] * algebra.dim
-        for k, v in sparse.items():
-            comps[k - 1] = Scalar.of(v)
-        return Vector(algebra, comps)
+        return Vector(algebra, coordinates(algebra.dim, sparse))
 
     @property
     def is_zero(self):

@@ -49,15 +49,18 @@ def mat_sub(a, b):
 
 
 def mat_mul(a, b):
-    bt = transpose(b)
+    """a b; ValueError when b is ragged or a row of a is not as long as b
+    is tall."""
+    bt = tuple(zip(*b, strict=True))
     return tuple(
-        tuple(sum((x * y for x, y in zip(row, col) if x and y), ZERO) for col in bt)
+        tuple(sum((x * y for x, y in zip(row, col, strict=True) if x and y), ZERO) for col in bt)
         for row in a
     )
 
 
 def mat_vec(a, v):
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in a)
+    """a v; ValueError unless v is as long as each row of a."""
+    return tuple(sum((x * y for x, y in zip(row, v, strict=True)), ZERO) for row in a)
 
 
 def transpose(a):

@@ -171,7 +171,8 @@ class Scalar:
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, str)):
+        # no str: Scalar(1) == "1" would hold while the hashes differ
+        if isinstance(other, (int, Fraction)):
             other = Scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented

@@ -9,10 +9,11 @@ singular set pairing polynomials.  Everything is an exact polynomial identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from math import factorial
 from typing import Optional
 
+from . import exterior
 from .linalg import det, identity, mat_mul, square_matrix, transpose
 from .poly import Poly
 from .polyforms import (
@@ -44,29 +45,15 @@ def coordinate(n, i, j) -> Poly:
 
 
 def det_poly(n: int) -> Poly:
-    """det of the symbolic (2n) x (2n) matrix, by expansion along the first
-    row of each sub-minor.
+    """det of the symbolic (2n) x (2n) matrix: the one coefficient of the
+    wedge product of its rows, row r read as the 1-form sum_c x_{rc} e_c.
 
-    Each sub-minor is expanded once: a sub-minor sits on the last k rows,
-    so its k columns name it, and ``memo`` maps them to its determinant.
+    Folding the rows in order, the k-form after k rows holds each k x k
+    minor of the first k rows once, on the columns that index it.
     """
     m = 2 * n
-    memo = {}
-
-    def expand(cols):
-        r = m - len(cols) + 1
-        if len(cols) == 1:
-            return coordinate(n, r, cols[0])
-        if cols in memo:
-            return memo[cols]
-        total = Poly.zero(matrix_vars(n))
-        for t, c in enumerate(cols):
-            term = coordinate(n, r, c) * expand(cols[:t] + cols[t + 1 :])
-            total = total + (term if t % 2 == 0 else -term)
-        memo[cols] = total
-        return total
-
-    return expand(tuple(range(1, m + 1)))
+    rows = [{(c,): coordinate(n, r, c) for c in range(1, m + 1)} for r in range(1, m + 1)]
+    return reduce(exterior.wedge, rows)[tuple(range(1, m + 1))]
 
 
 def rotation_pair_form(n: int) -> PolyForm:
@@ -270,13 +257,17 @@ def pythagorean_rotation(a: int, b: int):
 
 
 def block_rotation(n: int, blocks):
-    """Block-diagonal orthogonal matrix from n 2x2 rotation blocks."""
+    """Block-diagonal orthogonal matrix from n 2x2 rotation blocks;
+    ValueError unless there are exactly n blocks, each 2 x 2."""
+    blocks = [square_matrix(block, 2, "a rotation block") for block in blocks]
+    if len(blocks) != n:
+        raise ValueError(f"block_rotation({n}) needs {n} blocks, got {len(blocks)}")
     size = 2 * n
     out = [[ZERO] * size for _ in range(size)]
     for k, block in enumerate(blocks):
         for r in range(2):
             for c in range(2):
-                out[2 * k + r][2 * k + c] = Scalar.of(block[r][c])
+                out[2 * k + r][2 * k + c] = block[r][c]
     return tuple(tuple(row) for row in out)
 
 

@@ -2,8 +2,9 @@
 
 Jacobi verification (with explicit witnesses) on the sparse cyclic-sum
 kernel that also serves deformation's circle products and coboundaries,
-center, lower central series, derivations, and the space of endomorphisms
-compatible with the Heisenberg bracket pairing.
+center, lower central series, derivations, the one table of the
+Heisenberg algebra h_{2p+1}, and the space of endomorphisms compatible
+with its bracket pairing.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .liealg import LieAlgebra, Subspace, Vector, kernel_subspace
+from .liealg import LieAlgebra, Subspace, Vector, bracket_table, kernel_subspace, table_entry
 from .linalg import nullspace
 from .scalars import ONE, ZERO
 
@@ -176,6 +177,14 @@ def diagonal_derivations(g: LieAlgebra) -> list:
     return nullspace(rows, ncols=n)
 
 
+def heisenberg_table(p: int):
+    """The bracket table of h_{2p+1}: [X_{2k-1}, X_{2k}] = X_{2p+1}."""
+    if p < 1:
+        raise PreconditionError("p must be >= 1")
+    n = 2 * p + 1
+    return bracket_table(n, {(2 * k - 1, 2 * k): {n: ONE} for k in range(1, p + 1)})
+
+
 def bracket_compatible_endomorphisms(p: int) -> list:
     """Endomorphisms f of span{X_1..X_2p} inside the Heisenberg algebra
     with mu(f(X_i), X_j) = -mu(X_i, f(X_j)) for all i < j.
@@ -184,14 +193,10 @@ def bracket_compatible_endomorphisms(p: int) -> list:
     Every solution is traceless; the solution space closes under the
     matrix commutator.
     """
-    if p < 1:
-        raise PreconditionError("p must be >= 1")
+    h = heisenberg_table(p)
     m = 2 * p
-    # pairing J from the Heisenberg bracket: mu(X_a, X_b) = J[a][b] * Z
-    j = [[ZERO] * m for _ in range(m)]
-    for k in range(p):
-        j[2 * k][2 * k + 1] = ONE
-        j[2 * k + 1][2 * k] = -ONE
+    # pairing J from the Heisenberg bracket: mu(X_a, X_b) = J[a][b] * X_{2p+1}
+    j = [[table_entry(h, a, b).get(m + 1, ZERO) for b in range(1, m + 1)] for a in range(1, m + 1)]
 
     def unknown(r, c):
         return r * m + c

@@ -324,6 +324,29 @@ def test_classical_split_round_trips_or_raises_on_perturbed_tables():
     assert outcomes["raised"] > 50 and outcomes["split"] > 50, outcomes
 
 
+def test_central_quotient_raises_exactly_when_a_bracket_with_the_last_vector_is_nonzero():
+    # centrality read off the table against the Vector brackets [X_n, X_i],
+    # on the perturbed tables of the round-trip test below
+    r = rng(313)
+    algebras = _odd_standard_algebras()
+    outcomes = Counter()
+    for _ in range(300):
+        g = r.choice(algebras)
+        h = LieAlgebra(g.dim, _perturbed(r, g.c, g.dim))
+        n = h.dim
+        last = h.basis_vector(n)
+        central = all(h.bracket(last, h.basis_vector(i)).is_zero for i in range(1, n))
+        try:
+            central_quotient(h)
+        except PreconditionError as exc:
+            assert not central and "not central" in str(exc), h.c
+            outcomes["raised"] += 1
+            continue
+        assert central, h.c
+        outcomes["quotient"] += 1
+    assert outcomes["raised"] > 20 and outcomes["quotient"] > 50, outcomes
+
+
 def test_endomorphism_form_round_trips_or_raises_on_perturbed_maps():
     # phi_2 has the endomorphism form iff it vanishes off the pairs
     # (X_l, X_n) and keeps their values off the center; endomorphism_of

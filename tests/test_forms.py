@@ -1,18 +1,20 @@
 import pytest
 
 from cartanlab import catalog as cat
+from cartanlab import forms
 from cartanlab.forms import (
     DualForm,
     FormError,
     cartan_class,
     ce_differential,
+    characteristic_space,
     interior_product,
     wedge,
 )
-from cartanlab.liealg import LieAlgebra, Vector
+from cartanlab.liealg import LieAlgebra, Vector, kernel_subspace
 from cartanlab.linalg import det
 from cartanlab.randgen import random_covector, random_form, random_rational, rng
-from cartanlab.scalars import ONE, ZERO, sc
+from cartanlab.scalars import ONE, ZERO, Scalar, sc
 
 
 def test_wedge_basis_products_heisenberg():
@@ -188,3 +190,44 @@ def test_evaluate_matches_the_minor_formula():
                     ZERO,
                 )
                 assert theta.evaluate(*vectors) == minors, (entry.id, theta)
+
+
+def _skew_lookup_rows(w, dw):
+    """The constraint rows of C(w) by n^2 skew lookups: w, then for each j
+    the row dw(X_i, X_j) as i runs over the basis."""
+    n = w.algebra.dim
+    rows = [tuple(w.coeffs.get((i,), ZERO) for i in range(1, n + 1))]
+    for j in range(1, n + 1):
+        row = []
+        for i in range(1, n + 1):
+            if i < j:
+                row.append(dw.coeffs.get((i, j), ZERO))
+            elif i > j:
+                row.append(-dw.coeffs.get((j, i), ZERO))
+            else:
+                row.append(ZERO)
+        rows.append(tuple(row))
+    return rows
+
+
+def test_characteristic_space_matches_the_skew_lookup_reference(monkeypatch):
+    # the rows filled from the nonzero coefficients of w and dw are the
+    # n^2-lookup rows, on every catalog form and seeded rational and
+    # Gaussian covectors
+    built = []
+
+    def recorded(g, rows):
+        built.append([tuple(row) for row in rows])
+        return kernel_subspace(g, rows)
+
+    monkeypatch.setattr(forms, "kernel_subspace", recorded)
+    r = rng(18)
+    for entry in cat.standard_entries() + cat.nilpotent_entries():
+        g = entry.algebra
+        gaussian = [Scalar(random_rational(r), random_rational(r)) for _ in range(g.dim)]
+        for w in (entry.distinguished_form, random_covector(g, r), DualForm.covector(g, gaussian)):
+            dw = ce_differential(w)
+            reference = _skew_lookup_rows(w, dw)
+            space = characteristic_space(w, dw)
+            assert built.pop() == reference, entry.id
+            assert space == kernel_subspace(g, reference), entry.id

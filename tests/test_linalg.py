@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
+
 from cartanlab.linalg import (
     as_matrix,
     det,
@@ -193,3 +195,15 @@ def test_rref_matches_gauss_jordan_and_solvers_check_out():
             assert mat_vec(a, x) == tuple(b)
         if len(a) == m and det(a):
             assert mat_mul(a, invert(a)) == identity(m)
+
+
+def test_mat_mul_and_mat_vec_reject_mismatched_shapes():
+    a = as_matrix([[1, 2, 3], [4, 5, 6]])
+    assert mat_vec(a, [1, 1, 1]) == (6, 15)
+    assert mat_mul(a, as_matrix([[1], [1], [1]])) == ((6,), (15,))
+    for v in ([1, 1], [1, 1, 1, 1]):
+        with pytest.raises(ValueError):
+            mat_vec(a, v)
+    for b in ([[1, 2], [3, 4]], [[1], [1], [1], [1]], [[1, 2], [3], [5, 6]]):
+        with pytest.raises(ValueError):
+            mat_mul(a, as_matrix(b))

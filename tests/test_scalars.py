@@ -81,3 +81,12 @@ def test_hash_consistency():
     assert hash(Scalar(3)) == hash(Fraction(3))
     d = {Scalar(1, 2): "z"}
     assert d[Scalar(Fraction(2, 2), Fraction(4, 2))] == "z"
+
+
+def test_equality_reads_no_strings():
+    # a str is neither parsed nor equal: Scalar(1) == "1" would hold while
+    # the two hashes differ
+    assert (ONE == "abc") is False
+    assert Scalar(1) != "1" and "1" != ONE
+    assert {Scalar(1): "one"}.get("1") is None
+    assert Scalar(1) == 1 and Scalar(1) == Fraction(2, 2) and Scalar(0, 1) == I

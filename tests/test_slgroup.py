@@ -272,3 +272,11 @@ def test_sl_kernels_product_counts(monkeypatch):
     assert _count_products(monkeypatch, lambda: sl_contact_data(3))["Poly"] <= 222
     for n in (1, 2):
         assert sl_contact_data(n).delta == det_poly(n)
+
+
+def test_block_rotation_takes_exactly_n_two_by_two_blocks():
+    q = pythagorean_rotation(2, 1)
+    assert block_rotation(1, [q]) == q
+    for n, blocks in ((2, [q]), (1, [q, q]), (1, [((1, 0, 0), (0, 1, 0))]), (1, [((1,),)])):
+        with pytest.raises(ValueError):
+            block_rotation(n, blocks)

@@ -4,7 +4,16 @@ from cartanlab import catalog as cat
 from cartanlab import forms, structure
 from cartanlab.deformation import BilinearMap, is_derivation
 from cartanlab.forms import cartan_class, ce_differential, characteristic_space
-from cartanlab.liealg import LieAlgebra, LinearMap, Subspace, Vector, change_basis, kernel_subspace
+from cartanlab.liealg import (
+    LieAlgebra,
+    LinearMap,
+    Subspace,
+    Vector,
+    change_basis,
+    coordinates,
+    kernel_subspace,
+    table_entry,
+)
 from cartanlab.linalg import det, mat_mul, mat_sub, nullspace, rref
 from cartanlab.randgen import random_covector, random_rational, rng
 from cartanlab.scalars import ONE, ZERO, Scalar
@@ -14,6 +23,7 @@ from cartanlab.structure import (
     bracket_compatible_endomorphisms,
     center,
     diagonal_derivations,
+    heisenberg_table,
     jacobi_check,
     jacobi_defects,
     lower_central_series,
@@ -268,6 +278,66 @@ def test_bracket_compatible_closure():
         assert in_space(f)
     comm = mat_sub(mat_mul(basis[0], basis[1]), mat_mul(basis[1], basis[0]))
     assert in_space(comm)
+
+
+def _hand_filled_compatible_endomorphisms(p):
+    """bracket_compatible_endomorphisms(p) with the pairing J filled by hand."""
+    m = 2 * p
+    j = [[ZERO] * m for _ in range(m)]
+    for k in range(p):
+        j[2 * k][2 * k + 1] = ONE
+        j[2 * k + 1][2 * k] = -ONE
+    rows = []
+    for a in range(m):
+        for b in range(a + 1, m):
+            row = [ZERO] * (m * m)
+            for s in range(m):
+                if j[s][b]:
+                    row[s * m + a] = row[s * m + a] + j[s][b]
+                if j[a][s]:
+                    row[s * m + b] = row[s * m + b] + j[a][s]
+            if any(row):
+                rows.append(tuple(row))
+    basis = nullspace(rows, ncols=m * m)
+    return [tuple(tuple(vec[r * m + c] for c in range(m)) for r in range(m)) for vec in basis]
+
+
+def test_bracket_compatible_endomorphisms_read_the_heisenberg_table():
+    for p in (1, 2, 3, 4):
+        assert bracket_compatible_endomorphisms(p) == _hand_filled_compatible_endomorphisms(p)
+
+
+def test_table_entry_and_coordinates_read_one_skew_table():
+    h5 = heisenberg_table(2)
+    assert h5 == {(1, 2): {5: ONE}, (3, 4): {5: ONE}}
+    assert cat.heisenberg(2).algebra.c == h5
+    assert table_entry(h5, 3, 4) == {5: ONE}
+    assert table_entry(h5, 4, 3) == {5: -ONE}
+    assert table_entry(h5, 2, 2) == {} and table_entry(h5, 1, 3) == {}
+    assert coordinates(5, table_entry(h5, 2, 1)) == (ZERO, ZERO, ZERO, ZERO, -ONE)
+    # more slots: skew in the first two, the rest looked up as they are
+    left = {(1, 2, 3): {1: Scalar(2)}}
+    assert table_entry(left, 2, 1, 3) == {1: Scalar(-2)}
+    assert table_entry(left, 1, 2, 1) == {}
+    with pytest.raises(PreconditionError):
+        heisenberg_table(0)
+
+
+def test_basis_vector_checks_its_index():
+    h3 = cat.heisenberg(1).algebra
+    assert h3.basis_vector(3).comps == (ZERO, ZERO, ONE)
+    for i in (0, -1, 4):
+        with pytest.raises(ValueError):
+            h3.basis_vector(i)
+
+
+def test_same_constants_compares_dimensions_and_tables():
+    a3, a4 = cat.abelian(3).algebra, cat.abelian(4).algebra
+    assert a3.c == a4.c and not a3.same_constants(a4)
+    assert a3.same_constants(LieAlgebra(3, {}))
+    h3 = cat.heisenberg(1).algebra
+    assert h3.same_constants(LieAlgebra(3, {(1, 2): {3: 1}}))
+    assert not h3.same_constants(LieAlgebra(3, {(1, 2): {3: 2}}))
 
 
 def test_central_vectors_in_characteristic_space():
