@@ -138,17 +138,29 @@ def wedge_power(a: DualForm, k: int) -> DualForm:
 
 def ce_differential(a: DualForm) -> DualForm:
     """Chevalley-Eilenberg differential, antiderivation extension of
-    d w_m = -sum_{i<j} c_ijm  w_i ^ w_j."""
+    d w_m = -sum_{i<j} c_ijm  w_i ^ w_j.
+
+    The terms c_ijm w_i ^ w_j of every d(w_m) come from one scan of the
+    bracket table.  A term c w_I, with m at position r of I, contributes
+    (-1)^r c d(w_m) ^ w_{I - m}, since the 2-form d(w_m) commutes with
+    every form: one Scalar product per output term, signed by the minus of
+    d(w_m), (-1)^r and the `merge_sign` of (i, j) with I - m.
+    """
     alg = a.algebra
     dbasis = {}
+    for ij, tv in alg.c.items():
+        for m, v in tv.items():
+            dbasis.setdefault(m, []).append((ij, v))
     out = {}
     for idx, coeff in a.coeffs.items():
         for r, m in enumerate(idx):
-            if m not in dbasis:
-                dbasis[m] = {ij: -tv[m] for ij, tv in alg.c.items() if tv.get(m)}
-            left = {idx[:r]: coeff if r % 2 == 0 else -coeff}
-            piece = exterior.wedge(exterior.wedge(left, dbasis[m]), {idx[r + 1 :]: ONE})
-            out = exterior.add(out, piece)
+            rest = idx[:r] + idx[r + 1 :]
+            for ij, v in dbasis.get(m, ()):
+                merged, sign = exterior.merge_sign(ij, rest)
+                if merged is None:
+                    continue
+                term = coeff * v
+                exterior.accumulate(out, merged, -term if (sign > 0) == (r % 2 == 0) else term)
     return DualForm(alg, a.grade + 1, out)
 
 

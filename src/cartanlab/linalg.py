@@ -6,6 +6,8 @@ the right tool.  This module holds every matrix operation of the package
 and one elimination, `_forward`: `rref` is that pass plus
 back-substitution (and `rank`, `nullspace`, `kernel_rref`, `solve` and
 `invert` read `rref`), and `det` is the signed product of its pivots.
+Row operations touch only the columns where the row being subtracted is
+nonzero: elsewhere an entry keeps its value, with no Scalar work.
 
 `kernel_rref` eliminates once for a canonical kernel basis.  A nullspace
 vector of the column-reversed matrix is 1 at its free column, 0 at the
@@ -45,7 +47,10 @@ def identity(n):
 
 
 def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    """a - b; ValueError unless a and b have the same shape."""
+    return tuple(
+        tuple(x - y for x, y in zip(ra, rb, strict=True)) for ra, rb in zip(a, b, strict=True)
+    )
 
 
 def mat_mul(a, b):
@@ -94,7 +99,9 @@ def _forward(m):
         for i in range(r + 1, nrows):
             f = m[i][c]
             if f:
-                m[i] = [ZERO] * (c + 1) + [x - f * y for x, y in zip(m[i][c + 1 :], tail)]
+                m[i] = [ZERO] * (c + 1) + [
+                    x - f * y if y else x for x, y in zip(m[i][c + 1 :], tail)
+                ]
         pivots.append(c)
         divisors.append(p)
     return pivots, divisors, swaps
@@ -106,16 +113,19 @@ def rref(rows):
     Zero rows are dropped, so the output is a canonical basis of the row
     space: two row sets span the same space iff their rrefs are equal.
     `_forward` gives the echelon form; back-substitution, last pivot
-    first, clears the entries above each leading 1.
+    first, clears the entries above each leading 1.  Ragged rows raise
+    ValueError.
     """
     m = [list(row) for row in rows]
+    if any(len(row) != len(m[0]) for row in m):
+        raise ValueError("matrix rows must have equal length")
     pivots, _, _ = _forward(m)
     for r in range(len(pivots) - 1, 0, -1):
         c, row = pivots[r], m[r]
         for i in range(r):
             f = m[i][c]
             if f:
-                m[i] = [x - f * y for x, y in zip(m[i], row)]
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], row)]
     return tuple(tuple(row) for row in m[: len(pivots)]), tuple(pivots)
 
 
@@ -124,12 +134,16 @@ def rank(rows):
 
 
 def nullspace(rows, ncols=None):
-    """Canonical basis of {x : A x = 0}, one vector per free column."""
+    """Canonical basis of {x : A x = 0}, one vector per free column.
+    ValueError when ncols is not the length of the rows."""
     if not rows:
         if ncols is None:
             raise ValueError("nullspace of an empty system needs ncols")
         return list(identity(ncols))
-    ncols = len(rows[0]) if ncols is None else ncols
+    if ncols is None:
+        ncols = len(rows[0])
+    elif ncols != len(rows[0]):
+        raise ValueError(f"rows have {len(rows[0])} columns, not {ncols}")
     red, pivots = rref(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -175,7 +189,9 @@ def solve(a, b):
 
 
 def invert(a):
+    """a^-1; ValueError unless a is square and nonsingular."""
     n = len(a)
+    a = square_matrix(a, n)
     aug = [list(row) + list(unit) for row, unit in zip(a, identity(n))]
     red, pivots = rref(aug)
     if pivots[:n] != tuple(range(n)):

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from cartanlab import catalog as cat
-from cartanlab import forms
+from cartanlab import exterior, forms
 from cartanlab.forms import (
     DualForm,
     FormError,
@@ -66,6 +68,78 @@ def test_ce_differential_heisenberg():
 def test_ce_differential_so3_display():
     so3 = cat.dim3("so3").algebra
     assert ce_differential(DualForm.basis(so3, 1)) == DualForm(so3, 2, {(2, 3): 1})
+
+
+def _wedge_antiderivation(a):
+    """d as two generic wedges per term, w_I' ^ d(w_m) ^ w_I'', with d(w_m)
+    read off the table for each m: the reference for `ce_differential`."""
+    alg = a.algebra
+    dbasis = {}
+    out = {}
+    for idx, coeff in a.coeffs.items():
+        for r, m in enumerate(idx):
+            if m not in dbasis:
+                dbasis[m] = {ij: -tv[m] for ij, tv in alg.c.items() if tv.get(m)}
+            left = {idx[:r]: coeff if r % 2 == 0 else -coeff}
+            piece = exterior.wedge(exterior.wedge(left, dbasis[m]), {idx[r + 1 :]: ONE})
+            out = exterior.add(out, piece)
+    return DualForm(alg, a.grade + 1, out)
+
+
+def test_ce_differential_matches_the_wedge_reference():
+    r = rng(19)
+    for entry in cat.standard_entries() + cat.nilpotent_entries():
+        g = entry.algebra
+        gaussian = [Scalar(random_rational(r), random_rational(r)) for _ in range(g.dim)]
+        cases = [entry.distinguished_form, random_covector(g, r), DualForm.covector(g, gaussian)]
+        for grade in range(4):
+            cases.append(random_form(g, grade, r))
+            idxs = random_form(g, grade, r).coeffs
+            cases.append(DualForm(g, grade, {i: Scalar(random_rational(r), 1) for i in idxs}))
+        for w in cases:
+            assert ce_differential(w) == _wedge_antiderivation(w), (entry.id, w)
+
+
+# Scalar operations of `ce_differential` and `characteristic_space` on fixed
+# covectors, (mul, add + sub) each: one product per output term of d, and
+# eliminations that skip the zero entries of a pivot row
+_OP_BOUNDS = {
+    "heisenberg:p=5": [((5, 0), (55, 0)), ((5, 0), (65, 10))],
+    "filiform_contact:p=4,a=[1,2,3]": [((4, 0), (36, 0)), ((16, 0), (68, 32))],
+}
+
+
+def test_ce_differential_and_characteristic_space_skip_zero_work(monkeypatch):
+    counts = [0, 0]
+
+    def counted(slot, fn):
+        def op(a, b):
+            counts[slot] += 1
+            return fn(a, b)
+
+        return op
+
+    mul, add, sub = Scalar.__mul__, Scalar.__add__, Scalar.__sub__
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Scalar, name, counted(0, mul))
+    for name in ("__add__", "__radd__"):
+        monkeypatch.setattr(Scalar, name, counted(1, add))
+    monkeypatch.setattr(Scalar, "__sub__", counted(1, sub))
+
+    def ops(fn, *args):
+        counts[:] = [0, 0]
+        result = fn(*args)
+        return result, tuple(counts)
+
+    for cid, bounds in _OP_BOUNDS.items():
+        entry = cat.resolve(cid)
+        g = entry.algebra
+        fixed = DualForm.covector(g, [Fraction((-1) ** k * (k + 1), k + 2) for k in range(g.dim)])
+        for w, (d_bound, c_bound) in zip((entry.distinguished_form, fixed), bounds):
+            dw, d_ops = ops(ce_differential, w)
+            _, c_ops = ops(characteristic_space, w, dw)
+            assert all(x <= y for x, y in zip(d_ops, d_bound)), (cid, d_ops)
+            assert all(x <= y for x, y in zip(c_ops, c_bound)), (cid, c_ops)
 
 
 def test_antiderivation_random():

@@ -11,6 +11,7 @@ from cartanlab.linalg import (
     invert,
     kernel_rref,
     mat_mul,
+    mat_sub,
     mat_vec,
     nullspace,
     rank,
@@ -86,10 +87,11 @@ def test_rref_row_space_invariance():
         assert rref(a + tuple([mixed[0]]))[0] == rref(list(a) + list(mixed))[0]
 
 
-def _sparse_matrix(r, n, m, gaussian):
-    """Seeded n x m matrix, ~40 % zeros so that kernels are not trivial."""
+def _sparse_matrix(r, n, m, gaussian, zero_share=0.4):
+    """Seeded n x m matrix, ~40 % zeros by default so that kernels are not
+    trivial."""
     def entry():
-        if r.random() < 0.4:
+        if r.random() < zero_share:
             return ZERO
         im = Fraction(r.randint(-2, 2), r.randint(1, 3)) if gaussian else 0
         return Scalar(Fraction(r.randint(-3, 3), r.randint(1, 3)), im)
@@ -180,6 +182,10 @@ def test_rref_matches_gauss_jordan_and_solvers_check_out():
     for gaussian in (False, True):
         for n, m in ((1, 4), (2, 5), (3, 3), (4, 4), (5, 5), (5, 2), (6, 3)):
             cases += [(_sparse_matrix(r, n, m, gaussian), m) for _ in range(8)]
+        # mostly zero, up to the 10 x 11 shape of the class-scan matrices
+        for share in (0.7, 0.9):
+            for n, m in ((4, 5), (7, 6), (8, 9), (10, 11)):
+                cases += [(_sparse_matrix(r, n, m, gaussian, share), m) for _ in range(4)]
     for a, m in cases:
         red, pivots = rref(a)
         assert (red, pivots) == _gauss_jordan(a), a
@@ -207,3 +213,23 @@ def test_mat_mul_and_mat_vec_reject_mismatched_shapes():
     for b in ([[1, 2], [3, 4]], [[1], [1], [1], [1]], [[1, 2], [3], [5, 6]]):
         with pytest.raises(ValueError):
             mat_mul(a, as_matrix(b))
+    square = as_matrix([[1, 2], [3, 4]])
+    assert mat_sub(square, square) == as_matrix([[0, 0], [0, 0]])
+    for b in ([[1, 1]], [[1, 1], [1]], [[1, 1, 1], [1, 1, 1]]):
+        with pytest.raises(ValueError):
+            mat_sub(square, as_matrix(b))
+    with pytest.raises(ValueError):
+        invert(a)
+    for rows in ([[1, 2, 3], [4, 5]], [[1, 2], [3, 4, 5]], [[0, 1], [1]]):
+        rows = as_matrix(rows)
+        for fn in (rref, rank, kernel_rref):
+            with pytest.raises(ValueError):
+                fn(rows)
+    with pytest.raises(ValueError):
+        solve(as_matrix([[1, 2], [3]]), [ONE, ONE])
+    row = as_matrix([[1, 0, 0]])
+    assert len(nullspace(row, 3)) == 2 and kernel_rref(row, 3) == kernel_rref(row)
+    for ncols in (2, 4):
+        for fn in (nullspace, kernel_rref):
+            with pytest.raises(ValueError):
+                fn(row, ncols)
