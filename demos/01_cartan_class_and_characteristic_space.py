@@ -3,9 +3,11 @@
 A covector w on a structure-constant Lie algebra has a wedge-power class
 (the largest q with (dw)^q != 0, refined by whether w ^ (dw)^q survives)
 and a kernel-theoretic class (the codimension of the characteristic space
-{X : w(X) = 0, i(X) dw = 0}).  cartan_class computes both and refuses to
-answer if they ever disagree, so every number printed below has been
-checked against an independent computation.
+{X : w(X) = 0, i(X) dw = 0}).  cartan_class finds q as half the rank of
+dw by skew elimination, and the refinement as whether w survives on the
+radical of dw; it computes the codimension too and refuses to answer if
+the two ever disagree, so every number printed below has been checked
+against an independent computation.
 """
 
 from cartanlab import catalog as cat

@@ -16,6 +16,8 @@ from .forms import (
     interior_product,
     cartan_class,
     characteristic_space,
+    skew_reduce,
+    wedge_power_class,
     CartanClass,
 )
 from .structure import (

@@ -2,7 +2,10 @@
 
 Subcommands
 -----------
-class      Cartan class of a covector on an algebra.
+class      Cartan class of a covector on an algebra, with its branch, its
+           characteristic space and `wedge_power`, the maximal q with
+           (dw)^q != 0; q is read off the skew elimination of dw
+           (`forms.skew_reduce`), not computed by wedge powers.
 check      batch property suites: jacobi | nilpotent-parity | center |
            quadra | extension-roundtrip.
 contract   diagonal contraction by an exponent vector, optionally after a

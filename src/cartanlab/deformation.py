@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .forms import DualForm, ce_differential, wedge_power
+from .forms import DualForm, ce_differential, skew_reduce
 from .liealg import LieAlgebra, LinearMap, apply_table, bracket_table, coordinates, table_entry
 from .linalg import solve, square_matrix, transpose
 from .scalars import ONE, ZERO, Scalar
@@ -429,9 +429,10 @@ class DegenerateFormError(ValueError):
 def central_extension(k: LieAlgebra, theta: DualForm) -> LieAlgebra:
     """Extend k by a 1-dimensional center with bracket twisted by theta.
 
-    Preconditions: theta is a closed 2-form on k (a 2-cocycle) and its top
-    wedge power is nonzero (a symplectic form), so the dual of the new
-    central generator has Cartan class dim(k) + 1.
+    Preconditions: theta is a closed 2-form on k (a 2-cocycle) and
+    nondegenerate (a symplectic form: `forms.skew_reduce` finds rank
+    dim(k)), so the dual of the new central generator has Cartan class
+    dim(k) + 1.
     """
     if theta.algebra is not k or theta.grade != 2:
         raise ValueError("theta must be a 2-form on the base algebra")
@@ -439,8 +440,7 @@ def central_extension(k: LieAlgebra, theta: DualForm) -> LieAlgebra:
         raise PreconditionError("central extensions here take an even-dimensional base")
     if not ce_differential(theta).is_zero:
         raise NotCocycleError("not a 2-cocycle")
-    p = k.dim // 2
-    if wedge_power(theta, p).is_zero:
+    if 2 * skew_reduce(theta)[0] != k.dim:
         raise DegenerateFormError("not symplectic")
     n = k.dim + 1
     central = {key: {n: v} for key, v in theta.coeffs.items()}

@@ -7,10 +7,15 @@ The differential is fixed once and for all by
 on grade 1 and extends as an antiderivation.  Under this convention the
 Heisenberg coframe satisfies d w_{2p+1} = -w_1^w_2 - ... - w_{2p-1}^w_{2p}.
 
-`cartan_class` computes the class twice, by wedge powers and by the exact
-codimension of the characteristic space, and refuses to return if the two
-answers disagree: the second computation is the module's built-in oracle
-for the first.
+`cartan_class` computes the class twice and refuses to return if the two
+answers disagree.  The first route is `skew_reduce`, a pivoted symplectic
+elimination of dw that carries w along: 2q is the rank of dw, and the
+class is 2q+1 when w is nonzero on the radical of dw and 2q otherwise
+(the linear Darboux theorem).  The second, the module's built-in oracle,
+is the exact codimension of the characteristic space.  The wedge-power
+route, q = max{k : (dw)^k != 0}, stays as `wedge_power_class`, the
+reference that the tests compare with; its cost grows exponentially with
+the dimension, the elimination's as its cube.
 """
 
 from __future__ import annotations
@@ -177,12 +182,100 @@ def interior_product(x: Vector, a: DualForm) -> DualForm:
 class CartanClass:
     value: int
     characteristic_space: Subspace
-    branch: str  # "odd" when w ^ (dw)^q != 0, else "even"
-    power: int  # the maximal q with (dw)^q != 0
+    branch: str  # "odd" when w ^ (dw)^q != 0, i.e. w is nonzero on the radical of dw
+    # the maximal q with (dw)^q != 0: half the rank of dw, read off as the
+    # number of pivot pairs of `skew_reduce`
+    power: int
 
 
 class ClassOracleError(AssertionError):
-    """Wedge-power class and characteristic-space codimension disagreed."""
+    """Skew-elimination class and characteristic-space codimension disagreed."""
+
+
+def _require_covector(w: DualForm):
+    if w.grade != 1:
+        raise FormError("Cartan class is defined for grade-1 forms")
+    if w.is_zero:
+        raise FormError("class undefined for the zero form")
+
+
+def skew_reduce(theta: DualForm, w: DualForm | None = None) -> tuple[int, bool]:
+    """(q, odd) for a 2-form theta, with 2q its rank and odd true iff the
+    covector w is nonzero on the radical of theta (false without w).
+
+    Pivoted symplectic elimination: each step takes an entry
+    p = theta(X_a, X_c) != 0, counts one pair and replaces every other X_k
+    by X_k - (theta_kc/p) X_a + (theta_ka/p) X_c, which theta pairs with
+    neither X_a nor X_c:
+
+        theta'_kl = theta_kl - (theta_ka theta_lc - theta_la theta_kc)/p,
+        w'_k = w_k - (theta_kc/p) w_a + (theta_ka/p) w_c.
+
+    Only the k where theta_ka or theta_kc is nonzero change, and theta is
+    kept as sparse skew rows, so zero entries cost nothing.  When no
+    nonzero entry is left, the X_k not taken as pivots span the radical.
+    """
+    if theta.grade != 2:
+        raise FormError("skew elimination is for 2-forms")
+    rows = {}
+    for (i, j), v in theta.coeffs.items():
+        rows.setdefault(i, {})[j] = v
+        rows.setdefault(j, {})[i] = -v
+    cov = {i: v for (i,), v in w.coeffs.items()} if w is not None else {}
+    q = 0
+    while rows:
+        a, ra = rows.popitem()
+        c = next(iter(ra))
+        rc = rows.pop(c)
+        inv = ONE / ra.pop(c)
+        del rc[a]
+        q += 1
+        # ra[k] = theta_ak = -theta_ka, rc[k] = -theta_kc
+        x = {k: v * inv for k, v in ra.items()}
+        y = {k: v * inv for k, v in rc.items()}
+        wa, wc = cov.pop(a, None), cov.pop(c, None)
+        if wa:
+            for k, v in y.items():
+                cov[k] = cov[k] + v * wa if k in cov else v * wa
+        if wc:
+            for k, v in x.items():
+                cov[k] = cov[k] - v * wc if k in cov else -(v * wc)
+        # row k is final once its pairs with the later l are updated
+        support = sorted(ra.keys() | rc.keys())
+        for n, k in enumerate(support):
+            rk, ak, ck = rows[k], ra.get(k), rc.get(k)
+            rk.pop(a, None)
+            rk.pop(c, None)
+            for l in support[n + 1 :]:
+                new = rk.get(l, ZERO)
+                if ak and l in y:
+                    new = new - ak * y[l]
+                if ck and l in x:
+                    new = new + ck * x[l]
+                if new:
+                    rk[l] = new
+                    rows[l][k] = -new
+                elif l in rk:
+                    del rk[l], rows[l][k]
+            if not rk:
+                del rows[k]
+    return q, any(cov.values())
+
+
+def wedge_power_class(w: DualForm) -> tuple[int, bool]:
+    """(q, odd) by wedge powers, the reference route of `cartan_class`:
+    q = max{k : (dw)^k != 0}, and odd iff w ^ (dw)^q != 0."""
+    _require_covector(w)
+    dw = ce_differential(w)
+    q = 0
+    power = DualForm.one(w.algebra)
+    while True:
+        nxt = wedge(power, dw)
+        if nxt.is_zero:
+            break
+        power = nxt
+        q += 1
+    return q, not wedge(w, power).is_zero
 
 
 def characteristic_space(w: DualForm, dw: DualForm) -> Subspace:
@@ -202,32 +295,20 @@ def characteristic_space(w: DualForm, dw: DualForm) -> Subspace:
 def cartan_class(w: DualForm) -> CartanClass:
     """Cartan class of a nonzero grade-1 form, with its characteristic space.
 
-    Wedge-power route: q = max{k : (dw)^k != 0}; the class is 2q+1 when
-    w ^ (dw)^q != 0 and 2q otherwise.  Cross-checked against
-    dim(g) - dim C(w); any disagreement raises ClassOracleError.
+    Two routes run on every call.  `skew_reduce` eliminates dw and carries
+    w along: the class is 2q+1 when w is nonzero on the radical of dw and
+    2q otherwise, where 2q is the rank of dw.  The oracle is
+    dim(g) - dim C(w), by exact kernel computation; any disagreement
+    raises ClassOracleError.
     """
-    if w.grade != 1:
-        raise FormError("Cartan class is defined for grade-1 forms")
-    if w.is_zero:
-        raise FormError("class undefined for the zero form")
+    _require_covector(w)
     dw = ce_differential(w)
-    q = 0
-    power = DualForm.one(w.algebra)
-    while True:
-        nxt = wedge(power, dw)
-        if nxt.is_zero:
-            break
-        power = nxt
-        q += 1
-    top = wedge(w, power)
-    if not top.is_zero:
-        value, branch = 2 * q + 1, "odd"
-    else:
-        value, branch = 2 * q, "even"
+    q, odd = skew_reduce(dw, w)
+    value, branch = (2 * q + 1, "odd") if odd else (2 * q, "even")
     space = characteristic_space(w, dw)
     codim = w.algebra.dim - space.dim
     if codim != value:
         raise ClassOracleError(
-            f"wedge-power class {value} != codimension {codim} of the characteristic space"
+            f"skew-elimination class {value} != codimension {codim} of the characteristic space"
         )
     return CartanClass(value, space, branch, q)

@@ -176,7 +176,10 @@ def det(rows):
 
 
 def solve(a, b):
-    """Solve A x = b exactly; returns None when inconsistent."""
+    """Solve A x = b exactly; returns None when inconsistent.  ValueError
+    for an empty system, whose number of unknowns is unknown."""
+    if not a:
+        raise ValueError("solve of an empty system has no column count")
     ncols = len(a[0])
     aug = [list(row) + [Scalar.of(y)] for row, y in zip(a, b, strict=True)]
     red, pivots = rref(aug)

@@ -21,7 +21,7 @@ from cartanlab.deformation import (
     central_quotient,
     check_quadratic_deformation,
 )
-from cartanlab.forms import cartan_class
+from cartanlab.forms import cartan_class, wedge_power_class
 from cartanlab.heisenberg_group import (
     U_VAR,
     h3_contact_polynomial,
@@ -83,8 +83,10 @@ def test_criterion_02_class_cross_oracle():
         for entry in cat.standard_entries():
             g = entry.algebra
             for _ in range(50):
-                info = cartan_class(random_covector(g, r))  # self-checking
+                w = random_covector(g, r)
+                info = cartan_class(w)  # self-checking
                 assert info.value == g.dim - info.characteristic_space.dim
+                assert wedge_power_class(w) == (info.power, info.branch == "odd")
 
 
 def test_criterion_03_nilpotent_parity():

@@ -252,6 +252,38 @@ def test_central_extension_errors():
         central_extension(frob, bad)
 
 
+def _seeded_two_forms(k, r):
+    """Seeded 2-forms on k, closed because k is abelian: dense, sparse,
+    with a zero row, and the sum of too few pairs to be symplectic."""
+    pairs = [(i, j) for i in range(1, k.dim + 1) for j in range(i + 1, k.dim + 1)]
+    out = []
+    for _ in range(4):
+        out.append({ij: random_rational(r) for ij in pairs})
+        out.append({ij: random_rational(r) for ij in pairs if r.random() < 0.4})
+        row = r.randint(1, k.dim)
+        out.append({ij: random_rational(r) for ij in pairs if row not in ij})
+    out.append({(2 * m - 1, 2 * m): ONE for m in range(1, k.dim // 2)})
+    return [DualForm(k, 2, c) for c in out]
+
+
+def test_central_extension_symplectic_verdict_matches_the_top_wedge_power():
+    # nondegenerate by skew elimination iff theta^(dim k / 2) != 0
+    r = rng(22)
+    verdicts = Counter()
+    for p in (1, 2, 3):
+        k, _ = central_quotient(cat.heisenberg(p).algebra)
+        for theta in _seeded_two_forms(k, r):
+            symplectic = not wedge_power(theta, p).is_zero
+            verdicts[symplectic] += 1
+            if symplectic:
+                ext = central_extension(k, theta)
+                assert cartan_class(DualForm.basis(ext, ext.dim)).value == ext.dim
+            else:
+                with pytest.raises(DegenerateFormError, match="not symplectic"):
+                    central_extension(k, theta)
+    assert verdicts[True] and verdicts[False]
+
+
 def test_central_extension_round_trips():
     for entry in (cat.heisenberg(1), cat.heisenberg(2), cat.mu_c9([1, 2, 3])):
         g = entry.algebra

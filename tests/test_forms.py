@@ -11,7 +11,9 @@ from cartanlab.forms import (
     ce_differential,
     characteristic_space,
     interior_product,
+    skew_reduce,
     wedge,
+    wedge_power_class,
 )
 from cartanlab.liealg import LieAlgebra, Vector, kernel_subspace
 from cartanlab.linalg import det
@@ -208,6 +210,70 @@ def test_cartan_class_examples():
 
     frob = cat.frobenius_model(2, [sc("1/2")])
     assert cartan_class(frob.distinguished_form).value == 4
+
+
+def _sparse_covectors(g, r, count):
+    """Seeded rational and Gaussian covectors with ~40 % zero entries."""
+    out = []
+    while len(out) < count:
+        for draw in (random_rational, lambda r: Scalar(random_rational(r), random_rational(r))):
+            comps = [ZERO if r.random() < 0.4 else draw(r) for _ in range(g.dim)]
+            if any(comps):
+                out.append(DualForm.covector(g, comps))
+    return out
+
+
+def test_cartan_class_matches_the_wedge_power_route():
+    # the skew elimination in cartan_class and the wedge-power loop give
+    # the same (q, branch) on every catalog form
+    r = rng(20)
+    for entry in cat.standard_entries() + cat.nilpotent_entries():
+        g = entry.algebra
+        for w in [entry.distinguished_form, *_sparse_covectors(g, r, 6)]:
+            if w.is_zero:
+                continue
+            info = cartan_class(w)
+            assert (info.power, info.branch == "odd") == wedge_power_class(w), (entry.id, w)
+            assert info.value == 2 * info.power + (info.branch == "odd")
+    # dw = 0: class 1, no pivot
+    ab = DualForm.covector(cat.abelian(3).algebra, [0, 2, 0])
+    assert wedge_power_class(ab) == (0, True)
+    assert (cartan_class(ab).value, cartan_class(ab).power) == (1, 0)
+    # exact-symplectic: dw has full rank 4 and w vanishes on its radical 0
+    frob = cartan_class(cat.frobenius_model(2, [sc("1/2")]).distinguished_form)
+    assert (frob.value, frob.branch, frob.power) == (4, "even", 2)
+    # contact: dw has rank 2p and w is nonzero on its radical, the center
+    h7 = cat.heisenberg(3).distinguished_form
+    assert wedge_power_class(h7) == (3, True)
+    assert (cartan_class(h7).value, cartan_class(h7).branch) == (7, "odd")
+
+
+def test_skew_reduce_rank_and_radical():
+    ab = cat.abelian(5).algebra
+    theta = DualForm(ab, 2, {(1, 2): 1, (1, 3): 2, (2, 3): sc("1/2"), (4, 5): -3})
+    # rank 4, and the radical is spanned by X_1/2 - 2 X_2 + X_3
+    assert skew_reduce(theta) == (2, False)
+    assert interior_product(Vector(ab, [sc("1/2"), -2, 1, 0, 0]), theta).is_zero
+    for comps, odd in (([0, 0, 0, 1, 1], False), ([4, 1, 0, 0, 0], False), ([1, 0, 0, 0, 0], True)):
+        assert skew_reduce(theta, DualForm.covector(ab, comps)) == (2, odd), comps
+    assert skew_reduce(DualForm.zero(ab, 2), DualForm.basis(ab, 2)) == (0, True)
+    with pytest.raises(FormError):
+        skew_reduce(DualForm.basis(ab, 1))
+    with pytest.raises(FormError):
+        wedge_power_class(theta)
+
+
+def test_cartan_class_never_calls_the_wedge(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("exterior.wedge called")
+
+    monkeypatch.setattr(exterior, "wedge", refuse)
+    r = rng(21)
+    for entry in (cat.heisenberg(3), cat.frobenius_model(3, [1, -2]), cat.mu_c9([1, 2, 3])):
+        for w in [entry.distinguished_form, *_sparse_covectors(entry.algebra, r, 2)]:
+            cartan_class(w)
+    with pytest.raises(AssertionError, match="exterior.wedge called"):
+        wedge_power_class(cat.heisenberg(1).distinguished_form)
 
 
 def test_cartan_class_zero_form_error():

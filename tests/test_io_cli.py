@@ -86,6 +86,28 @@ def test_cli_class_catalog(capsys):
     assert report["suite"] == {"pass": 1, "fail": 0}
 
 
+# (catalog id, form) -> class report results as the wedge-power route gave
+# them; the skew elimination must leave each one as it was
+_CLASS_REPORTS = {
+    ("heisenberg:p=3", "0,0,0,0,0,0,1"): (7, "odd", 3, []),
+    ("frobenius:p=2,a=[3]", "1,0,0,0"): (4, "even", 2, []),
+    ("frobenius:p=2,a=[3]", "0,1,0,1"): (2, "even", 1, [["1", "0", "0", "0"], ["0", "0", "1", "0"]]),
+    ("abelian:n=3", "1,0,2"): (1, "odd", 0, [["1", "0", "-1/2"], ["0", "1", "0"]]),
+}
+
+
+def test_cli_class_report_is_pinned(capsys):
+    for (cid, form), (value, branch, power, basis) in _CLASS_REPORTS.items():
+        code, out, _ = run_cli(["class", "--catalog", cid, "--form", form], capsys)
+        assert code == 0
+        assert json.loads(out)["results"] == {
+            "class": value,
+            "branch": branch,
+            "wedge_power": power,
+            "characteristic_space": {"dimension": len(basis), "basis": basis},
+        }, cid
+
+
 def test_cli_class_zero_form_precondition(capsys):
     code, out, err = run_cli(
         ["class", "--catalog", "heisenberg:p=1", "--form", "0,0,0"], capsys

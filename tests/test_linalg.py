@@ -227,6 +227,8 @@ def test_mat_mul_and_mat_vec_reject_mismatched_shapes():
                 fn(rows)
     with pytest.raises(ValueError):
         solve(as_matrix([[1, 2], [3]]), [ONE, ONE])
+    with pytest.raises(ValueError, match="empty system"):
+        solve((), ())
     row = as_matrix([[1, 0, 0]])
     assert len(nullspace(row, 3)) == 2 and kernel_rref(row, 3) == kernel_rref(row)
     for ncols in (2, 4):
