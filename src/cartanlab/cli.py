@@ -13,10 +13,10 @@ contract   diagonal contraction by an exponent vector, optionally after a
 sl         the polynomial contact data on the even special linear group,
            in exactly one mode: top-form identity, Reeb pairings, rotation
            invariance, or singular equations at a point.  --n is capped at
-           3 (SL(6)): the exact expansions grow too fast beyond it (at
-           n = 4 the identity takes ~21 s and 0.3 GB and the Reeb pairings
-           ~45 s and 0.6 GB on a 2-CPU machine; the pairings, not the
-           field, dominate).
+           3 (SL(6)): the exact expansions grow too fast beyond it.  At
+           n = 4 the identity takes ~15 s CPU and 0.27 GB peak RSS and the
+           Reeb pairings ~16 s and 0.30 GB (2-CPU machine, Python 3.11),
+           most of it in 64-variable exponent tuples and Fractions.
 
 class, check and contract read the algebra from exactly one of
 --algebra FILE and --catalog ID.  Catalog ids use the grammar

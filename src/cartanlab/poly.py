@@ -15,10 +15,13 @@ nonzero Scalars is nonzero, Q(i) being a field.
 Most products in the SL(2n) code have a one-term factor (a coordinate
 times a sub-minor, a constant times a form coefficient, a coefficient
 times a substituted image).  ``*`` then shifts the other factor's
-exponents, which is injective, so it neither merges nor tests for zero,
-and a unit coefficient costs no Scalar product at all.  ``**`` is
-`scalars.power`, the square-and-multiply of Scalars too, so ``p ** 1``
-is ``p``.
+exponents, which is injective, so it neither merges nor tests for zero.
+A unit coefficient costs no Scalar product: 1 copies each coefficient
+and -1 negates it.  Of two one-term factors the one with coefficient +-1
+is the one that shifts, and ``p * 1`` and ``p * -1`` take the same path.
+The SL(2n) checks keep their coefficients +-1 for this reason and apply
+each constant once, to a Scalar.  ``**`` is `scalars.power`, the
+square-and-multiply of Scalars too, so ``p ** 1`` is ``p``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,32 @@ from .scalars import ONE, ZERO, Scalar, check_exponent, power
 
 class VariableMismatch(ValueError):
     pass
+
+
+def _unit(c: Scalar) -> int:
+    """1 or -1 when the Scalar c is that unit, else 0.  ONE itself, the
+    coefficient of every coordinate, is caught by identity; the rest by
+    the Fractions' int comparisons, far cheaper than a Scalar ``==``."""
+    if c is ONE:
+        return 1
+    if c.im:
+        return 0
+    r = c.re
+    return 1 if r == 1 else -1 if r == -1 else 0
+
+
+def _times_term(e1: tuple, c1: Scalar, terms: dict) -> dict:
+    """The terms of c1 * x^e1 * (sum of ``terms``).  Shifting by e1 is
+    injective and c1 * c2 != 0, so nothing merges or cancels.  A constant
+    keeps the exponent tuples themselves, and a unit c1 costs a negation
+    or nothing per term, not a Scalar product."""
+    out = {tuple(map(add, e1, e2)): c2 for e2, c2 in terms.items()} if any(e1) else dict(terms)
+    u = _unit(c1)
+    if u == 1:
+        return out
+    if u == -1:
+        return {e: -c for e, c in out.items()}
+    return {e: c1 * c for e, c in out.items()}
 
 
 def _trusted(vars: tuple, terms: dict) -> "Poly":
@@ -87,6 +116,23 @@ class Poly:
         expo = [0] * len(vars)
         expo[i] = 1
         return _trusted(vars, {tuple(expo): ONE})
+
+    @staticmethod
+    def linear(vars, coeffs):
+        """sum_j coeffs[j] x_j, ``coeffs`` a dict from variable indices to
+        coefficients; zero coefficients are dropped."""
+        vars = tuple(vars)
+        nv = len(vars)
+        terms = {}
+        for j, c in coeffs.items():
+            if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < nv:
+                raise ValueError(f"no variable index {j!r} among {nv}")
+            c = Scalar.of(c)
+            if c:
+                expo = [0] * nv
+                expo[j] = 1
+                terms[tuple(expo)] = c
+        return _trusted(vars, terms)
 
     # -- predicates ------------------------------------------------------
 
@@ -149,18 +195,15 @@ class Poly:
             s = Scalar.of(other)
             if not s:
                 return _trusted(self.vars, {})
-            return _trusted(self.vars, {e: c * s for e, c in self.terms.items()})
+            return _trusted(self.vars, _times_term((0,) * len(self.vars), s, self.terms))
         self._check(other)
         a, b = self.terms, other.terms
-        if len(b) == 1:
+        # a one-term factor shifts the other; of two, the unit one shifts
+        if len(b) == 1 and not (len(a) == 1 and _unit(next(iter(a.values())))):
             a, b = b, a
         if len(a) == 1:
-            # a monomial factor shifts the other's exponents: the shift is
-            # injective and c1 * c2 != 0, so nothing merges or cancels
             ((e1, c1),) = a.items()
-            if c1 == ONE:
-                return _trusted(self.vars, {tuple(map(add, e1, e2)): c2 for e2, c2 in b.items()})
-            return _trusted(self.vars, {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()})
+            return _trusted(self.vars, _times_term(e1, c1, b))
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():

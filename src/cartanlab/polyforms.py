@@ -1,6 +1,12 @@
 """Differential forms and vector fields with polynomial coefficients on
 affine space.  Coefficients are exact, so d o d = 0 holds on the nose and
 every identity below is a polynomial identity, not a numerical one.
+
+``PolyForm(vars, grade, coeffs)`` is the one checked constructor.  The
+arithmetic (``+``, ``-``, ``scale``, wedge, d, interior product, pullback)
+builds its coefficient dicts with the `exterior` kernel, which keeps them
+sparse and sorted, and wraps them with ``_trusted_form`` without a second
+pass, as `poly` does for its terms.
 """
 
 from __future__ import annotations
@@ -11,6 +17,17 @@ from . import exterior
 from .linalg import square_matrix
 from .poly import Poly, VariableMismatch
 from .scalars import ONE, Scalar
+
+
+def _trusted_form(vars: tuple, grade: int, coeffs: dict) -> "PolyForm":
+    """Wrap ``coeffs`` as a PolyForm without checking it: a fresh dict of
+    increasing index tuples of length ``grade`` to nonzero Polys over
+    ``vars``, held by no other form."""
+    f = object.__new__(PolyForm)
+    f.vars = vars
+    f.grade = grade
+    f.coeffs = coeffs
+    return f
 
 
 def _as_poly(vars: tuple, p) -> Poly:
@@ -56,18 +73,18 @@ class PolyForm:
         self._check(other)
         if self.grade != other.grade:
             raise ValueError("mismatched grades")
-        return PolyForm(self.vars, self.grade, exterior.add(self.coeffs, other.coeffs))
+        return _trusted_form(self.vars, self.grade, exterior.add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return PolyForm(self.vars, self.grade, exterior.negate(self.coeffs))
+        return _trusted_form(self.vars, self.grade, exterior.negate(self.coeffs))
 
     def scale(self, s):
         if not isinstance(s, Poly):
             s = Scalar.of(s)
-        return PolyForm(self.vars, self.grade, exterior.scale(self.coeffs, s))
+        return _trusted_form(self.vars, self.grade, exterior.scale(self.coeffs, s))
 
     def __eq__(self, other):
         return (
@@ -89,12 +106,12 @@ class PolyForm:
 
 def poly_wedge(a: PolyForm, b: PolyForm) -> PolyForm:
     a._check(b)
-    return PolyForm(a.vars, a.grade + b.grade, exterior.wedge(a.coeffs, b.coeffs))
+    return _trusted_form(a.vars, a.grade + b.grade, exterior.wedge(a.coeffs, b.coeffs))
 
 
 def poly_wedge_power(a: PolyForm, k: int) -> PolyForm:
     one = Poly.constant(a.vars, ONE)
-    return PolyForm(a.vars, a.grade * k, exterior.wedge_power(a.coeffs, k, one))
+    return _trusted_form(a.vars, a.grade * k, exterior.wedge_power(a.coeffs, k, one))
 
 
 def exterior_d(a: PolyForm) -> PolyForm:
@@ -108,7 +125,7 @@ def exterior_d(a: PolyForm) -> PolyForm:
             dp = p.diff(v)
             if dp:
                 exterior.accumulate(out, merged, dp if sign > 0 else -dp)
-    return PolyForm(a.vars, a.grade + 1, out)
+    return _trusted_form(a.vars, a.grade + 1, out)
 
 
 class PolyVectorField:
@@ -145,7 +162,7 @@ def poly_interior(v: PolyVectorField, a: PolyForm) -> PolyForm:
         raise VariableMismatch("mismatched variable sets")
     if a.grade == 0:
         raise ValueError("no interior product of a grade-0 form")
-    return PolyForm(a.vars, a.grade - 1, exterior.interior(a.coeffs, v.comps, 0))
+    return _trusted_form(a.vars, a.grade - 1, exterior.interior(a.coeffs, v.comps, 0))
 
 
 def vf_bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
@@ -159,27 +176,31 @@ def vf_bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
 def pullback_linear(a: PolyForm, matrix) -> PolyForm:
     """Pullback under the linear substitution x_i -> sum_j L[i][j] x_j
     (both in the coefficients and in the differentials)."""
-    nv = len(a.vars)
-    l = square_matrix(matrix, nv, "substitution")
-    images = [
-        Poly(a.vars, {
-            tuple(1 if t == j else 0 for t in range(nv)): l[i][j]
-            for j in range(nv)
-            if l[i][j]
-        })
-        for i in range(nv)
-    ]
-    d_images = [
-        PolyForm(a.vars, 1, {(j,): l[i][j] for j in range(nv) if l[i][j]})
-        for i in range(nv)
-    ]
-    total = PolyForm(a.vars, a.grade)
+    l = square_matrix(matrix, len(a.vars), "substitution")
+    return pullback_rows(a, [{j: c for j, c in enumerate(row) if c} for row in l])
+
+
+def pullback_rows(a: PolyForm, rows) -> PolyForm:
+    """`pullback_linear` for a substitution given as sparse rows: rows[i]
+    maps each j with L[i][j] != 0 to that Scalar.  x_i goes to the
+    linear Poly of row i and dx_i to the constant 1-form of row i, whose
+    Scalar coefficients multiply the Poly coefficients directly."""
+    vars = a.vars
+    if len(rows) != len(vars):
+        raise ValueError(f"substitution needs {len(vars)} rows, got {len(rows)}")
+    images = [Poly.linear(vars, row) for row in rows]
+    d_images = [{(j,): Scalar.of(c) for j, c in row.items() if c} for row in rows]
+    out = {}
     for idx, p in a.coeffs.items():
-        pulled = PolyForm.function(p.subs(images))
+        image = p.subs(images)
+        if not image:
+            continue
+        pulled = {(): image}
         for t in idx:
-            pulled = poly_wedge(pulled, d_images[t])
-        total = total + pulled
-    return total
+            pulled = exterior.wedge(pulled, d_images[t])
+        for k, v in pulled.items():
+            exterior.accumulate(out, k, v)
+    return _trusted_form(vars, a.grade, out)
 
 
 def form_on_field(a: PolyForm, v: PolyVectorField) -> Poly:

@@ -111,12 +111,15 @@ class Scalar:
 
     # -- predicates ----------------------------------------------------
 
+    # a Fraction's own truthiness, not ``== 0``: the comparison with an
+    # int costs a Python-level __eq__ per part
+
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self.re) or bool(self.im)
 
     # -- arithmetic ----------------------------------------------------
 

@@ -4,12 +4,47 @@ All objects live on the (2n)^2 matrix coordinates x_{ij}: the rotation-pair
 1-form, the determinant and its differential, the explicit Reeb-type field
 read off that differential, the rotation-invariance pullback check, and the
 singular set pairing polynomials.  Everything is an exact polynomial identity.
+
+The coordinates come in N/2 = 2n^2 column pairs p = (u, v) = (x_{j,2i-1},
+x_{j,2i}), with v = u + 1 in the row-major variable order, and
+
+    omega = sum_p x_u dx_v - x_v dx_u,   d omega = 2 sigma,
+    sigma = sum_p dx_u ^ dx_v.
+
+Every check below runs on sigma and on fields and forms with coefficients
++-1, and applies each constant (q! 2^q, 2n, 1/2n) once, to a Scalar or
+to det alone.
+
+The constant of the top-form identity.  With q = 2n^2 - 1,
+
+    omega ^ (d omega)^q ^ d(det) = c det vol,   c = -q! n 2^(2n^2).
+
+Proof.  The 2-forms dx_u ^ dx_v commute, so sigma^q = q! sum_p sigma_p'
+with sigma_p' the product, in increasing order, of every pair but p; as
+v = u + 1 it is dx_0 ^ ... ^ dx_{N-1} with dx_u and dx_v left out.  Only
+the terms of omega and of d(det) = sum_k D_k dx_k on the omitted pair p
+survive the wedge with sigma_p', so
+
+    omega ^ sigma^q / q! ^ d(det)
+      = sum_p (x_u D_u dx_v ^ sigma_p' ^ dx_u - x_v D_v dx_u ^ sigma_p' ^ dx_v).
+
+sigma_p' has even grade, so dx_u ^ sigma_p' ^ dx_v = dx_u ^ dx_v ^
+sigma_p' = vol, the 2-form dx_u ^ dx_v moving to its place for free,
+and dx_v ^ sigma_p' ^ dx_u = dx_v ^ dx_u ^ sigma_p' = -vol.  Both terms
+come with the sign -1, and the pairs cover every coordinate once, so the
+sum is -(sum_k x_k D_k) vol = -2n det vol by Euler's identity for det,
+homogeneous of degree 2n.  Then (d omega)^q = 2^q sigma^q gives c =
+-q! 2^q 2n = -q! n 2^(2n^2).  `sl_contact_identity` expands the middle
+line with the generic wedge and reads c' = -2n off its one coefficient;
+the tests assert the closed form for n = 1, 2, 3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache, reduce
+from itertools import combinations
 from math import factorial
 from typing import Optional
 
@@ -23,7 +58,7 @@ from .polyforms import (
     form_on_field,
     poly_interior,
     poly_wedge,
-    pullback_linear,
+    pullback_rows,
 )
 from .scalars import ONE, ZERO, Scalar
 
@@ -44,6 +79,12 @@ def coordinate(n, i, j) -> Poly:
     return Poly.var_index(matrix_vars(n), _vid(n, i, j))
 
 
+def _column_pairs(n: int):
+    """The variable indices (u, v) of (x_{j,2i-1}, x_{j,2i}) for every row
+    j and column pair i, in increasing order; v = u + 1."""
+    return [(_vid(n, j, 2 * i - 1), _vid(n, j, 2 * i)) for j in range(1, 2 * n + 1) for i in range(1, n + 1)]
+
+
 def det_poly(n: int) -> Poly:
     """det of the symbolic (2n) x (2n) matrix: the one coefficient of the
     wedge product of its rows, row r read as the 1-form sum_c x_{rc} e_c.
@@ -60,12 +101,37 @@ def rotation_pair_form(n: int) -> PolyForm:
     """omega = sum_j sum_i x_{j,2i-1} dx_{j,2i} - x_{j,2i} dx_{j,2i-1}."""
     vars = matrix_vars(n)
     coeffs = {}
-    for j in range(1, 2 * n + 1):
-        for i in range(1, n + 1):
-            u, v = _vid(n, j, 2 * i - 1), _vid(n, j, 2 * i)
-            coeffs[(v,)] = coeffs.get((v,), Poly.zero(vars)) + coordinate(n, j, 2 * i - 1)
-            coeffs[(u,)] = coeffs.get((u,), Poly.zero(vars)) - coordinate(n, j, 2 * i)
+    for u, v in _column_pairs(n):
+        coeffs[(v,)] = Poly.var_index(vars, u)
+        coeffs[(u,)] = -Poly.var_index(vars, v)
     return PolyForm(vars, 1, coeffs)
+
+
+def _pair_form(n: int, c) -> PolyForm:
+    """c sigma = sum c dx_{j,2i-1} ^ dx_{j,2i}; d omega = 2 sigma."""
+    vars = matrix_vars(n)
+    c = Poly.constant(vars, c)
+    return PolyForm(vars, 2, {pair: c for pair in _column_pairs(n)})
+
+
+def _half_d_omega(n: int, omega: PolyForm) -> Optional[PolyForm]:
+    """sigma, once d omega = 2 sigma is checked exactly; None if not."""
+    if exterior_d(omega) != _pair_form(n, 2):
+        return None
+    return _pair_form(n, ONE)
+
+
+def _integral_reeb(n: int, d_delta: PolyForm) -> PolyVectorField:
+    """2n Z = sum_{j,i} (D_{j,2i-1} d/dx_{j,2i} - D_{j,2i} d/dx_{j,2i-1}),
+    D_{jl} = d det / dx_{jl} the coefficients of ``d_delta`` = d(det): a
+    cofactor each, with coefficients +-1."""
+    vars = matrix_vars(n)
+    zero = Poly.zero(vars)
+    comps = [zero] * len(vars)
+    for u, v in _column_pairs(n):
+        comps[v] = d_delta.coeffs.get((u,), zero)
+        comps[u] = -d_delta.coeffs.get((v,), zero)
+    return PolyVectorField(vars, comps)
 
 
 def reeb_candidate(n: int, d_delta: PolyForm) -> PolyVectorField:
@@ -74,20 +140,13 @@ def reeb_candidate(n: int, d_delta: PolyForm) -> PolyVectorField:
 
     A cofactor is a partial derivative of det, so this is the field built
     from minors.  Euler's identity for det, homogeneous of degree 2n, gives
-    omega(Z) = (1/2n) sum_{j,l} x_{jl} D_{jl} = det; and d omega = 2 sum
-    dx_{j,2i-1} ^ dx_{j,2i} gives i(Z) d omega = -(1/n) d(det).
-    ``reeb_identities`` checks both exactly, as checks of this construction.
+    omega(Z) = (1/2n) sum_{j,l} x_{jl} D_{jl} = det; and d omega = 2 sigma
+    gives i(Z) d omega = -(1/n) d(det).  It is the integral field 2n Z
+    scaled once; ``reeb_identities`` checks both identities on 2n Z.
     """
-    vars = matrix_vars(n)
-    zero = Poly.zero(vars)
-    scale = ONE / Scalar(2 * n)
-    comps = [zero] * len(vars)
-    for j in range(1, 2 * n + 1):
-        for i in range(1, n + 1):
-            u, v = _vid(n, j, 2 * i - 1), _vid(n, j, 2 * i)
-            comps[v] = d_delta.coeffs.get((u,), zero) * scale
-            comps[u] = d_delta.coeffs.get((v,), zero) * -scale
-    return PolyVectorField(vars, comps)
+    field = _integral_reeb(n, d_delta)
+    scale = Fraction(1, 2 * n)
+    return PolyVectorField(field.vars, [c * scale for c in field.comps])
 
 
 @dataclass(frozen=True)
@@ -120,37 +179,43 @@ def _scalar_multiple(target: PolyForm, unit: PolyForm):
     expo, val = next(iter(p.terms.items()))
     q = target.coeffs.get(idx)
     c = (ZERO if q is None else q.terms.get(expo, ZERO)) / val
-    return c, target - unit.scale(c)
+    return c, target + unit.scale(-c)
+
+
+def _pair_subsets(pair_form: PolyForm, q: int):
+    """(index, coefficients) of each q-subset of the pairs of a 2-form
+    sum c dx_u ^ dx_v whose pairs, in increasing order, concatenate to an
+    increasing tuple (disjoint and not interleaved).  The subset's pairs
+    concatenate to its index, so their wedge is that index with sign +1."""
+    if pair_form.grade != 2:
+        raise ValueError("a pair power needs a 2-form")
+    pairs = sorted(pair_form.coeffs.items())
+    flat = [t for idx, _ in pairs for t in idx]
+    if any(a >= b for a, b in zip(flat, flat[1:])):
+        raise ValueError("a pair power needs disjoint pairs in increasing order")
+    for subset in combinations(pairs, q):
+        yield tuple(t for idx, _ in subset for t in idx), [p for _, p in subset]
 
 
 def two_form_pair_power(domega: PolyForm, q: int) -> PolyForm:
     """(d omega)^q for the constant-coefficient pair form d omega =
-    sum_pairs c dx_u ^ dx_v over disjoint coordinate pairs.
+    sum_pairs c dx_u ^ dx_v over disjoint, non-interleaved coordinate pairs.
 
     Combinatorial route: q! * sum over q-subsets of the pairs of the product
-    of their coefficients on the concatenated (sorted, even-block) index
-    tuple.  Cross-checked in the tests against the generic wedge loop.
+    of their coefficients on the concatenated index tuple.  Cross-checked
+    in the tests against the generic wedge loop.
     """
-    pairs = sorted(domega.coeffs.items())
-    for idx, p in pairs:
+    for p in domega.coeffs.values():
         if not p.is_constant():
             raise ValueError("fast power path needs constant coefficients")
-    flat = [t for idx, _ in pairs for t in idx]
-    if len(set(flat)) != len(flat):
-        raise ValueError("fast power path needs disjoint pairs")
-    from itertools import combinations
-
     vars = domega.vars
-    out = {}
     fact = Scalar(factorial(q))
-    for subset in combinations(pairs, q):
-        coeff = fact
-        merged = []
-        for idx, p in subset:
-            coeff = coeff * p.constant_value()
-            merged.extend(idx)
-        merged = tuple(sorted(merged))
-        out[merged] = out.get(merged, Poly.zero(vars)) + Poly.constant(vars, coeff)
+    out = {}
+    for idx, coeffs in _pair_subsets(domega, q):
+        c = fact
+        for p in coeffs:
+            c = c * p.constant_value()
+        out[idx] = Poly.constant(vars, c)
     return PolyForm(vars, 2 * q, out)
 
 
@@ -159,22 +224,31 @@ class ContactIdentity:
     ok: bool
     q: int
     constant: Optional[Scalar]
-    residual: Optional[Poly]  # nonzero remainder when the identity fails
+    residual: Optional[Poly]  # top coefficient minus c' det where the identity fails
 
 
 def sl_contact_identity(n: int) -> ContactIdentity:
     """Expand omega ^ (d omega)^q ^ d(det) exactly, at the top-degree
     exponent q = ((2n)^2 - 2) / 2, and compare it against
-    constant * det * volume with a nonzero constant."""
+    constant * det * volume with a nonzero constant.
+
+    It checks d omega = 2 sigma, expands omega ^ sigma^q/q! ^ d(det) with
+    coefficients +-1 by the generic wedge, reads c' off its one
+    coefficient and reports c = q! 2^q c' (the proof in the module
+    docstring).  The residual is None when d omega != 2 sigma."""
     omega, delta, d_delta = _contact_forms(n)
     vars = omega.vars
     q = (len(vars) - 2) // 2
-    power = two_form_pair_power(exterior_d(omega), q)
+    sigma = _half_d_omega(n, omega)
+    if sigma is None:
+        return ContactIdentity(False, q, None, None)
+    one = Poly.constant(vars, ONE)
+    power = PolyForm(vars, 2 * q, {idx: one for idx, _ in _pair_subsets(sigma, q)})
     top = poly_wedge(poly_wedge(omega, power), d_delta)
     volume = tuple(range(len(vars)))
     c, residual = _scalar_multiple(top, PolyForm(vars, len(vars), {volume: delta}))
     if c and residual.is_zero:
-        return ContactIdentity(True, q, c, None)
+        return ContactIdentity(True, q, c * (factorial(q) << q), None)
     return ContactIdentity(False, q, None, residual.coeffs.get(volume, Poly.zero(vars)))
 
 
@@ -234,17 +308,11 @@ def so_invariance_check(n: int, m) -> bool:
         raise OrthogonalityError("matrix is not orthogonal")
     if det(mat) != ONE:
         raise OrthogonalityError("matrix must have determinant 1")
-    # x_{jl} -> sum_r m_{jr} x_{rl}: build the (2n)^2 linear substitution
-    nv = size * size
-    sub = [[ZERO] * nv for _ in range(nv)]
-    for j in range(1, size + 1):
-        for l in range(1, size + 1):
-            row = _vid(n, j, l)
-            for r in range(1, size + 1):
-                if mat[j - 1][r - 1]:
-                    sub[row][_vid(n, r, l)] = mat[j - 1][r - 1]
+    # x_{jl} -> sum_r m_{jr} x_{rl}: the sparse rows of the (2n)^2 substitution
+    support = [[(r, c) for r, c in enumerate(row, 1) if c] for row in mat]
+    rows = [{_vid(n, r, l): c for r, c in row} for row in support for l in range(1, size + 1)]
     omega = rotation_pair_form(n)
-    return pullback_linear(omega, sub) == omega
+    return pullback_rows(omega, rows) == omega
 
 
 def pythagorean_rotation(a: int, b: int):
@@ -273,9 +341,18 @@ def block_rotation(n: int, blocks):
 
 def reeb_identities(n: int):
     """Exact pairings of the candidate Reeb field: returns
-    (omega(Z) - det, the scalar c with i(Z) d omega = c * d det)."""
-    data = sl_contact_data(n)
-    pair_defect = form_on_field(data.omega, data.reeb) - data.delta
-    contraction = poly_interior(data.reeb, exterior_d(data.omega))
-    c, defect = _scalar_multiple(contraction, data.d_delta)
-    return pair_defect, (c if defect.is_zero else None)
+    (omega(Z) - det, the scalar c with i(Z) d omega = c * d det).
+
+    Both are checked on the integral field W = 2n Z: omega(W) against
+    2n det, and, once d omega = 2 sigma holds, i(W) sigma = c' d(det).
+    Then omega(Z) - det is (omega(W) - 2n det) / 2n and c = c' / n, each
+    scaled once at the end.  c is None unless d omega = 2 sigma and
+    i(W) sigma is a multiple of d(det)."""
+    omega, delta, d_delta = _contact_forms(n)
+    field = _integral_reeb(n, d_delta)
+    pair_defect = (form_on_field(omega, field) + delta * (-2 * n)) * Fraction(1, 2 * n)
+    sigma = _half_d_omega(n, omega)
+    if sigma is None:
+        return pair_defect, None
+    c, defect = _scalar_multiple(poly_interior(field, sigma), d_delta)
+    return pair_defect, (c / n if defect.is_zero else None)

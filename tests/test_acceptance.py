@@ -78,7 +78,7 @@ def test_criterion_01_heisenberg_contact():
 
 
 def test_criterion_02_class_cross_oracle():
-    with _verdict(2, "wedge-power class == characteristic codimension", 30.0):
+    with _verdict(2, "skew-elimination class == characteristic codimension == wedge-power class", 30.0):
         r = rng(101)
         for entry in cat.standard_entries():
             g = entry.algebra

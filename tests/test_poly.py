@@ -149,6 +149,43 @@ def test_arithmetic_results_keep_the_poly_invariant():
             assert (p + (-p)).is_zero and (p * q - q * p).is_zero
 
 
+def test_unit_one_term_products_match_the_double_loop():
+    # a one-term factor with coefficient +-1 shifts and copies or negates,
+    # one with +-i (or any other) multiplies: both against the double loop
+    r = rng(809)
+    vars = ("a", "b", "c")
+    units = (1, -1, Scalar(0, 1), Scalar(0, -1))
+    for c in units + (Fraction(1, 2), Scalar(2, -1)):
+        for expo in ((0, 0, 0), (1, 0, 2)):
+            m = Poly(vars, {expo: c})
+            p = random_poly(vars, r, max_degree=3, terms=4)
+            gaussian = p * Scalar(1, 2) + random_poly(vars, r)
+            for q in (p, gaussian, Poly.var_index(vars, 1), m):
+                for a, b in ((m, q), (q, m)):
+                    assert a * b == _reference_product(a, b), (a, b)
+                    _assert_clean(a * b)
+    # of two one-term factors either may be the unit one
+    for c1 in units + (3,):
+        for c2 in units + (3,):
+            a, b = Poly(vars, {(1, 0, 0): c1}), Poly(vars, {(0, 2, 1): c2})
+            assert a * b == b * a == _reference_product(a, b)
+    p = random_poly(vars, r, terms=4) * Scalar(1, 1)
+    for s in (1, -1, Fraction(-1), Scalar(1), Scalar(-1), Scalar(0, 1), Scalar(0, -1)):
+        assert p * s == _reference_product(p, Poly.constant(vars, s))
+        _assert_clean(p * s)
+        if not isinstance(s, Scalar):
+            assert s * p == p * s
+    assert (p * 1).terms is not p.terms
+
+
+def test_poly_linear_constructor():
+    assert Poly.linear(V, {0: 2, 2: Scalar(0, 1), 1: 0}) == _x("x") * 2 + _x("z") * Scalar(0, 1)
+    assert Poly.linear(V, {}).is_zero
+    for bad in (3, -1, True, "0"):
+        with pytest.raises(ValueError):
+            Poly.linear(V, {bad: 1})
+
+
 def test_poly_univariate_coeffs():
     u = Poly.variable(("u",), "u")
     p = u * u * 3 - u + 2
@@ -213,6 +250,50 @@ def test_pullback_linear_composition():
     once = pullback_linear(pullback_linear(a, m1), m2)
     composed = [[sum(m1[i][k] * m2[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
     assert once == pullback_linear(a, composed)
+
+
+def _dense_pullback(a, matrix):
+    """x_i -> sum_j L[i][j] x_j through the checked constructors: every
+    image from all of its row, wedged as constant-coefficient 1-forms."""
+    vars, nv = a.vars, len(a.vars)
+    images = [Poly(vars, {tuple(int(t == j) for t in range(nv)): matrix[i][j] for j in range(nv)}) for i in range(nv)]
+    d_images = [PolyForm(vars, 1, {(j,): matrix[i][j] for j in range(nv)}) for i in range(nv)]
+    total = PolyForm(vars, a.grade)
+    for idx, p in a.coeffs.items():
+        pulled = PolyForm.function(p.subs(images))
+        for t in idx:
+            pulled = poly_wedge(pulled, d_images[t])
+        total = total + pulled
+    return total
+
+
+def test_pullback_linear_matches_a_dense_reference():
+    from itertools import combinations
+
+    r = rng(45)
+    w = ("p", "q", "s", "t")
+
+    def entry(gaussian):
+        if r.random() < 0.3:
+            return 0
+        return Scalar(random_rational(r), r.randint(-2, 2)) if gaussian else random_rational(r)
+
+    for trial in range(12):
+        gaussian = trial % 2 == 1
+        m = [[entry(gaussian) for _ in w] for _ in w]
+        if trial % 3 == 0:
+            m[1] = [0] * 4  # singular: a zero row
+        elif trial % 3 == 1:
+            m[3] = [Scalar.of(x) + Scalar.of(y) for x, y in zip(m[0], m[2])]  # singular: dependent rows
+        for grade in range(4):
+            pool = list(combinations(range(4), grade))
+            coeffs = {idx: random_poly(w, r, terms=2) for idx in pool[: r.randint(1, len(pool))]}
+            if gaussian:
+                coeffs = {idx: p * Scalar(1, 1) for idx, p in coeffs.items()}
+            a = PolyForm(w, grade, coeffs)
+            pulled = pullback_linear(a, m)
+            assert pulled == _dense_pullback(a, m), (trial, grade)
+            assert pulled == PolyForm(w, grade, pulled.coeffs)
 
 
 def test_pullback_commutes_with_d():

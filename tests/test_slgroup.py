@@ -9,6 +9,7 @@ import pytest
 from cartanlab.linalg import as_matrix, det, mat_mul, nullspace
 from cartanlab.poly import Poly
 from cartanlab.polyforms import (
+    PolyForm,
     PolyVectorField,
     exterior_d,
     form_on_field,
@@ -26,6 +27,7 @@ from cartanlab.slgroup import (
     is_singular_point,
     matrix_vars,
     pythagorean_rotation,
+    reeb_candidate,
     reeb_identities,
     rotation_fields,
     rotation_pair_form,
@@ -116,6 +118,19 @@ def test_two_form_pair_power_matches_generic_wedge():
             if 2 * q > (2 * n) ** 2:
                 continue
             assert two_form_pair_power(domega, q) == poly_wedge_power(domega, q)
+
+
+def test_two_form_pair_power_refuses_interleaved_or_shared_pairs():
+    # (da^dc + db^dd)^2 = 2 da^dc^db^dd = -2 da^db^dc^dd: pairs that
+    # interleave do not concatenate to their sorted index with sign +1
+    vars = ("a", "b", "c", "d")
+    one = Poly.constant(vars, 1)
+    interleaved = PolyForm(vars, 2, {(0, 2): one, (1, 3): one})
+    assert poly_wedge_power(interleaved, 2) == PolyForm(vars, 4, {(0, 1, 2, 3): Poly.constant(vars, -2)})
+    shared = PolyForm(vars, 2, {(0, 1): one, (1, 2): one})
+    for form in (interleaved, shared, PolyForm(vars, 1, {(0,): one})):
+        with pytest.raises(ValueError):
+            two_form_pair_power(form, 2)
 
 
 def test_rotation_field_pairing_identity():
@@ -272,6 +287,54 @@ def test_sl_kernels_product_counts(monkeypatch):
     assert _count_products(monkeypatch, lambda: sl_contact_data(3))["Poly"] <= 222
     for n in (1, 2):
         assert sl_contact_data(n).delta == det_poly(n)
+
+
+def test_reeb_candidate_is_the_scaled_cofactor_field():
+    # the construction before the integral field: each component read off
+    # d(det) and multiplied by +-1/(2n) on its own
+    for n in (1, 2, 3):
+        data = sl_contact_data(n)
+        vars = matrix_vars(n)
+        zero = Poly.zero(vars)
+        scale = ONE / Scalar(2 * n)
+        comps = [zero] * len(vars)
+        for j in range(1, 2 * n + 1):
+            for i in range(1, n + 1):
+                u, v = vars.index(f"x{j}_{2 * i - 1}"), vars.index(f"x{j}_{2 * i}")
+                comps[v] = data.d_delta.coeffs.get((u,), zero) * scale
+                comps[u] = data.d_delta.coeffs.get((v,), zero) * -scale
+        assert reeb_candidate(n, data.d_delta) == PolyVectorField(vars, comps)
+
+
+def test_sl_checks_scalar_op_counts(monkeypatch):
+    # the checks run on sigma and on +-1 coefficients: the Scalar products
+    # left are 2n det (or c' det in the residual) and c = q! 2^q c', and the
+    # sums are the merges of the expansions themselves
+    counts = [0, 0]
+
+    def counted(slot, fn):
+        def op(a, b):
+            counts[slot] += 1
+            return fn(a, b)
+
+        return op
+
+    mul, add, sub = Scalar.__mul__, Scalar.__add__, Scalar.__sub__
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Scalar, name, counted(0, mul))
+    for name in ("__add__", "__radd__"):
+        monkeypatch.setattr(Scalar, name, counted(1, add))
+    monkeypatch.setattr(Scalar, "__sub__", counted(1, sub))
+    bounds = {
+        (sl_contact_identity, 1): (3, 6),
+        (sl_contact_identity, 2): (25, 104),
+        (reeb_identities, 1): (2, 10),
+        (reeb_identities, 2): (24, 200),
+    }
+    for (fn, n), bound in bounds.items():
+        counts[:] = [0, 0]
+        fn(n)
+        assert all(x <= y for x, y in zip(counts, bound)), (fn.__name__, n, counts)
 
 
 def test_block_rotation_takes_exactly_n_two_by_two_blocks():
