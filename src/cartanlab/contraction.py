@@ -6,19 +6,29 @@ no nonzero constant carries a negative exponent, and the limit keeps the
 exponent-zero terms.  Divergence is data (a witness triple), not a crash:
 exponent grids are meant to be scanned.
 
+The limit's constants are entries of the input's table, which are checked
+and read-only already, so `contract` wraps them with the trusted
+constructor `liealg._trusted` in place of `LieAlgebra(...)`: a pair that
+keeps all its constants shares the input's read-only entry, and the limit
+is as immutable as any LieAlgebra.  The Jacobi check of the limit still
+runs on every call; it is an oracle against a corrupt input table.
+
 The diagonal frobenius model that such limits reach is written once, as
 `frobenius_table(p, a)`; the catalog builds its model family from it.  Its
-two recognizers read the parameters off a table, rebuild the model and
-compare: `frobenius_model_parameters` against the whole table,
-`is_reduced_frobenius_shape` against all of it but the action of X_2.
+two recognizers read the parameters off a table, rebuild the model's
+constants as plain dicts (`_frobenius_brackets`, which `frobenius_table`
+checks and wraps) and compare: `frobenius_model_parameters` against the
+whole table, `is_reduced_frobenius_shape` against all of it but the action
+of X_2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Optional
 
-from .liealg import LieAlgebra, bracket_table
+from .liealg import LieAlgebra, _trusted, bracket_table
 from .scalars import ONE, ZERO
 from .structure import jacobi_check, require_jacobi
 
@@ -50,22 +60,37 @@ def contract(spec: ContractionSpec) -> ContractionResult:
     g = spec.algebra
     require_jacobi(g)
     e = spec.exponents
-    brackets = {}
+    kept = {}
     for (i, j), terms in g.c.items():
+        pair = {}
         for k, v in terms.items():
             # the constant rescales to t^exp * v
             exp = e[i - 1] + e[j - 1] - e[k - 1]
             if exp < 0:
                 return ContractionResult(False, None, (i, j, k, exp))
             if exp == 0:
-                brackets.setdefault((i, j), {})[k] = v
-    limit = LieAlgebra(g.dim, brackets, basis=g.basis)
+                pair[k] = v
+        if pair:
+            kept[(i, j)] = terms if len(pair) == len(terms) else MappingProxyType(pair)
+    limit = _trusted(g.dim, MappingProxyType(kept), g.basis)
     check = jacobi_check(limit)
     if not check.ok:
         raise AssertionError(
             "contraction limit violates Jacobi; the input table must be corrupt"
         )
     return ContractionResult(True, limit, None)
+
+
+def _frobenius_brackets(p: int, a) -> dict:
+    """The constants of `frobenius_table(p, a)` as plain {(i, j): {k: v}}
+    dicts, zero constants dropped, in the table's order."""
+    brackets = {(1, 2): {1: ONE}}
+    for k in range(1, p):
+        brackets[(2 * k + 1, 2 * k + 2)] = {1: ONE}
+        for j, v in ((2 * k + 1, a[k - 1]), (2 * k + 2, -(ONE + a[k - 1]))):
+            if v:
+                brackets[(2, j)] = {j: v}
+    return brackets
 
 
 def frobenius_table(p: int, a):
@@ -77,12 +102,7 @@ def frobenius_table(p: int, a):
     for k = 1..p-1, zero constants dropped.  The basis is normalized so the
     adjoint action of X_2 carries the invariants a_k and -(1+a_k).
     """
-    brackets = {(1, 2): {1: ONE}}
-    for k in range(1, p):
-        brackets[(2 * k + 1, 2 * k + 2)] = {1: ONE}
-        brackets[(2, 2 * k + 1)] = {2 * k + 1: a[k - 1]}
-        brackets[(2, 2 * k + 2)] = {2 * k + 2: -(ONE + a[k - 1])}
-    return bracket_table(2 * p, brackets)
+    return bracket_table(2 * p, _frobenius_brackets(p, a))
 
 
 def is_reduced_frobenius_shape(g: LieAlgebra) -> bool:
@@ -95,7 +115,7 @@ def is_reduced_frobenius_shape(g: LieAlgebra) -> bool:
     row = {(2, j) for j in range(3, n + 1)}
     if any(k < 3 for key in row for k in g.c.get(key, ())):
         return False
-    model = frobenius_table(n // 2, [ZERO] * (n // 2 - 1))
+    model = _frobenius_brackets(n // 2, [ZERO] * (n // 2 - 1))
     return {key: t for key, t in g.c.items() if key not in row} == {
         key: t for key, t in model.items() if key not in row
     }
@@ -108,4 +128,4 @@ def frobenius_model_parameters(g: LieAlgebra):
     if n % 2:
         return None
     a = tuple(g.constant(2, 2 * k + 1, 2 * k + 1) for k in range(1, n // 2))
-    return a if g.c == frobenius_table(n // 2, a) else None
+    return a if g.c == _frobenius_brackets(n // 2, a) else None

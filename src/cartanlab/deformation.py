@@ -17,7 +17,9 @@ bracket mu,
 
 so circle products, coboundaries and the Jacobi defects of
 `structure.jacobi_defects` (mu o mu) all run on the one sparse cyclic-sum
-kernel `structure.cyclic_sums`.
+kernel `structure.cyclic_sums`: phi o psi reads phi through the signed
+rows of `structure.pair_table` and psi as stored.  The left compositions
+and `coboundary_of_map` read the same signed rows.
 
 Every table here is sparse, in the format of `LieAlgebra.c`: a cochain
 stores {(i, j): {k: coeff}} (a `liealg.bracket_table`), and the trilinear
@@ -41,7 +43,14 @@ from .forms import DualForm, ce_differential, skew_reduce
 from .liealg import LieAlgebra, LinearMap, apply_table, bracket_table, coordinates, table_entry
 from .linalg import solve, square_matrix, transpose
 from .scalars import ONE, ZERO, Scalar
-from .structure import PreconditionError, cyclic_sums, heisenberg_table, pair_table, require_jacobi
+from .structure import (
+    PreconditionError,
+    accumulate,
+    cyclic_sums,
+    heisenberg_table,
+    pair_table,
+    require_jacobi,
+)
 
 
 def _table_sum(*tables):
@@ -54,12 +63,6 @@ def _table_sum(*tables):
             for k, v in terms.items():
                 acc[k] = acc[k] + v if k in acc else v
     return out
-
-
-def _accumulate(acc, s, terms):
-    """acc += s * terms on sparse {k: coeff} vectors."""
-    for k, v in terms.items():
-        acc[k] = acc.get(k, ZERO) + s * v
 
 
 class BilinearMap:
@@ -156,8 +159,7 @@ def circle_product(phi: BilinearMap, psi: BilinearMap) -> SkewTrilinear:
     """Cyclic composition; mu o mu = 0 is exactly the Jacobi identity."""
     if phi.algebra is not psi.algebra:
         raise ValueError("mixed spaces")
-    products = [(pair_table(phi.values), pair_table(psi.values))]
-    return SkewTrilinear(phi.algebra, cyclic_sums(products))
+    return SkewTrilinear(phi.algebra, cyclic_sums([(pair_table(phi.values), psi.values)]))
 
 
 class LeftComposite:
@@ -178,14 +180,19 @@ class LeftComposite:
         return coordinates(self.algebra.dim, table_entry(self.values, i, j, k))
 
 
+# the signed entry of a pair-table row for a pair whose bracket vanishes
+_ABSENT = (1, {})
+
+
 def _left_compose(outer, table):
-    """{key + (c,): {m: coeff}} of outer(table[key], X_c), for the rows
-    `outer` of a `structure.pair_table`; zero coefficients and sums dropped."""
+    """{key + (c,): {m: coeff}} of outer(table[key], X_c), for the signed
+    rows `outer` of a `structure.pair_table`; zero coefficients and sums
+    dropped."""
     out = {}
     for key, terms in table.items():
         for l, u in terms.items():
-            for c, values in outer.get(l, {}).items():
-                _accumulate(out.setdefault(key + (c,), {}), u, values)
+            for c, (s, values) in outer.get(l, {}).items():
+                accumulate(out.setdefault(key + (c,), {}), s, u, values)
     nonzero = {}
     for key, acc in out.items():
         acc = {m: v for m, v in acc.items() if v}
@@ -231,11 +238,13 @@ def coboundary_of_map(f: LinearMap, g: LieAlgebra) -> BilinearMap:
         for j in range(i + 1, n + 1):
             acc = {}
             for l, u in g.c.get((i, j), {}).items():  # f([X_i, X_j])
-                _accumulate(acc, u, cols[l - 1])
+                accumulate(acc, 1, u, cols[l - 1])
             for a, u in cols[i - 1].items():  # -[f(X_i), X_j]
-                _accumulate(acc, -u, mu.get(a, {}).get(j, {}))
+                s, terms = mu.get(a, {}).get(j, _ABSENT)
+                accumulate(acc, -s, u, terms)
             for b, u in cols[j - 1].items():  # -[X_i, f(X_j)]
-                _accumulate(acc, -u, mu.get(i, {}).get(b, {}))
+                s, terms = mu.get(i, {}).get(b, _ABSENT)
+                accumulate(acc, -s, u, terms)
             values[(i, j)] = acc
     return BilinearMap(g, values)
 
@@ -250,8 +259,8 @@ def coboundary_of_bilinear(phi: BilinearMap, g: LieAlgebra) -> SkewTrilinear:
     computed as phi o mu + mu o phi."""
     if phi.algebra is not g:
         raise ValueError("cochain lives on a different algebra")
-    mu, t = pair_table(g.c), pair_table(phi.values)
-    return SkewTrilinear(g, cyclic_sums([(t, mu), (mu, t)]))
+    products = [(pair_table(phi.values), g.c), (pair_table(g.c), phi.values)]
+    return SkewTrilinear(g, cyclic_sums(products))
 
 
 @dataclass(frozen=True)
@@ -292,13 +301,15 @@ def check_quadratic_deformation(spec: DeformationSpec) -> QuadraticCheck:
     require_jacobi(base)
     if bullet_power(BilinearMap.of_algebra(base), 2):
         raise PreconditionError("base bracket must be (at most) 2-step nilpotent")
-    mu, p1, p2 = (pair_table(t) for t in (base.c, spec.phi1.values, spec.phi2.values))
+    # phi o psi is the product (rows of phi, table of psi) of `cyclic_sums`
+    mu, p1, p2 = base.c, spec.phi1.values, spec.phi2.values
+    r0, r1, r2 = pair_table(mu), pair_table(p1), pair_table(p2)
     failures = []
     for eq, products in (
-        (1, [(p1, mu), (mu, p1)]),
-        (2, [(p1, p1), (p2, mu), (mu, p2)]),
-        (3, [(p1, p2), (p2, p1)]),
-        (4, [(p2, p2)]),
+        (1, [(r1, mu), (r0, p1)]),
+        (2, [(r1, p1), (r2, mu), (r0, p2)]),
+        (3, [(r1, p2), (r2, p1)]),
+        (4, [(r2, p2)]),
     ):
         table = SkewTrilinear(base, cyclic_sums(products))
         if not table.is_zero:

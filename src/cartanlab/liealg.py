@@ -152,6 +152,21 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, brackets={len(self.c)})"
 
 
+def _trusted(dim, c, basis) -> LieAlgebra:
+    """Wrap c as the bracket of a LieAlgebra without checking it.
+
+    c must be a read-only bracket table on a dim-dimensional space whose
+    pair values are read-only as well (entries of a `bracket_table`, say),
+    and basis a tuple of dim str labels.  The instance is as immutable as a
+    checked one, and its Jacobi verdict is still `structure.jacobi_check`'s.
+    """
+    g = object.__new__(LieAlgebra)
+    object.__setattr__(g, "dim", dim)
+    object.__setattr__(g, "basis", basis)
+    object.__setattr__(g, "c", c)
+    return g
+
+
 class Vector:
     """Element of a LieAlgebra, exact coordinates in the chosen basis."""
 

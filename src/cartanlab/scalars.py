@@ -123,24 +123,40 @@ class Scalar:
 
     # -- arithmetic ----------------------------------------------------
 
+    # An operand that `Scalar.of` cannot coerce returns NotImplemented, so
+    # Python asks the other operand (Scalar(2) * p reaches Poly.__rmul__).
+    # The try costs nothing when no exception is raised.
+
     def __add__(self, other):
-        other = Scalar.of(other)
+        try:
+            other = Scalar.of(other)
+        except TypeError:
+            return NotImplemented
         return Scalar(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = Scalar.of(other)
+        try:
+            other = Scalar.of(other)
+        except TypeError:
+            return NotImplemented
         return Scalar(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        return Scalar.of(other) - self
+        try:
+            return Scalar.of(other) - self
+        except TypeError:
+            return NotImplemented
 
     def __neg__(self):
         return Scalar(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = Scalar.of(other)
+        try:
+            other = Scalar.of(other)
+        except TypeError:
+            return NotImplemented
         return Scalar(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -149,7 +165,10 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Scalar.of(other)
+        try:
+            other = Scalar.of(other)
+        except TypeError:
+            return NotImplemented
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero Scalar")
@@ -159,7 +178,10 @@ class Scalar:
         )
 
     def __rtruediv__(self, other):
-        return Scalar.of(other) / self
+        try:
+            return Scalar.of(other) / self
+        except TypeError:
+            return NotImplemented
 
     def __pow__(self, k: int):
         return power(self, k, ONE)

@@ -5,6 +5,13 @@ kernel that also serves deformation's circle products and coboundaries,
 center, lower central series, derivations, the one table of the
 Heisenberg algebra h_{2p+1}, and the space of endomorphisms compatible
 with its bracket pairing.
+
+The kernel reads a bracket table {(i, j): {m: v}}, i < j, through its
+`pair_table`: signed rows {i: {j: (s, terms)}} that hold each stored
+pair twice, as (1, terms) in row i and (-1, terms) in row j, without
+copying or negating a coefficient.  `accumulate` adds or subtracts each
+product by the sign, so a check costs one Scalar product per nonzero
+product of constants and one addition per merge into a sum.
 """
 
 from __future__ import annotations
@@ -31,46 +38,67 @@ class JacobiResult:
 
 
 def pair_table(table) -> dict:
-    """Skew-completed rows {i: {j: {m: v}}} of a bracket table
-    {(i, j): {m: v}}, i < j: row j holds the negated (i, j) value."""
+    """Both orientations of a bracket table {(i, j): {m: v}}, i < j, as
+    signed rows {i: {j: (s, terms)}}: row i holds (1, terms) at j and row j
+    holds (-1, terms) at i, so [X_a, X_b] = s * terms for
+    (s, terms) = rows[a][b].
+
+    Both rows share the table's own read-only `terms`; nothing is negated.
+    The readers (`cyclic_sums`, `center`, and `deformation`'s left
+    compositions and coboundaries) pass s on to `accumulate`, which adds
+    or subtracts each product by it.
+    """
     rows = {}
     for (i, j), terms in table.items():
         if terms:
-            rows.setdefault(i, {})[j] = terms
-            rows.setdefault(j, {})[i] = {m: -v for m, v in terms.items()}
+            rows.setdefault(i, {})[j] = (1, terms)
+            rows.setdefault(j, {})[i] = (-1, terms)
     return rows
 
 
+def accumulate(acc, s, u, terms):
+    """acc += s * u * terms on sparse {m: coeff} vectors, for s = 1 or -1.
+
+    One Scalar product per term, added or subtracted by s; an entry that
+    acc lacks starts at its first product (negated once for s = -1), not
+    at ZERO plus it.  Cancelled entries stay in acc as zeros.
+    """
+    if s > 0:
+        for m, v in terms.items():
+            t = u * v
+            acc[m] = acc[m] + t if m in acc else t
+    else:
+        for m, v in terms.items():
+            t = u * v
+            acc[m] = acc[m] - t if m in acc else -t
+
+
 def cyclic_sums(products) -> dict:
-    """Sum over the (outer, inner) pair tables in products of
+    """Sum over the (outer, inner) pairs in products of
 
         outer(inner(X_i,X_j),X_k) + outer(inner(X_j,X_k),X_i) + outer(inner(X_k,X_i),X_j),
 
     as {(i, j, k): {m: coeff}} for the nonzero sums, i < j < k, in
-    lexicographic order.  Only nonzero products are visited: each stored
-    inner pair a < b, each l in inner(a, b) and each nonzero outer(l, c) add
-    a term to the sorted triple {a, b, c}, negated when (a, b, c) is an odd
-    permutation of it.
+    lexicographic order.  outer is the `pair_table` of a bracket table and
+    inner a bracket table itself.  Only nonzero products are visited: each
+    stored inner pair a < b, each l in inner(a, b) and each signed entry
+    (s, out) = outer[l][c] add s * u * out to the sorted triple {a, b, c},
+    with s flipped when (a, b, c) is an odd permutation of it.
     """
     sums = {}
     for outer, inner in products:
-        for a, row in inner.items():
-            for b, terms in row.items():
-                if b < a:
-                    continue
-                for l, u in terms.items():
-                    for c, out in outer.get(l, {}).items():
-                        if c > b:
-                            key, w = (a, b, c), u
-                        elif c < a:
-                            key, w = (c, a, b), u
-                        elif c != a and c != b:
-                            key, w = (a, c, b), -u
-                        else:
-                            continue
-                        acc = sums.setdefault(key, {})
-                        for m, v in out.items():
-                            acc[m] = acc.get(m, ZERO) + w * v
+        for (a, b), terms in inner.items():
+            for l, u in terms.items():
+                for c, (s, out) in outer.get(l, {}).items():
+                    if c > b:
+                        key = (a, b, c)
+                    elif c < a:
+                        key = (c, a, b)
+                    elif c != a and c != b:
+                        key, s = (a, c, b), -s
+                    else:
+                        continue
+                    accumulate(sums.setdefault(key, {}), s, u, out)
     return {key: sums[key] for key in sorted(sums) if any(sums[key].values())}
 
 
@@ -82,8 +110,7 @@ def jacobi_defects(g: LieAlgebra, first: int = 1):
     This is `cyclic_sums` with the structure constants as both tables, so
     every sum is computed before the first triple is yielded.
     """
-    table = pair_table(g.c)
-    for (i, j, k), acc in cyclic_sums([(table, table)]).items():
+    for (i, j, k), acc in cyclic_sums([(pair_table(g.c), g.c)]).items():
         if i >= first:
             yield i, j, k, Vector.from_sparse(g, acc)
 
@@ -111,9 +138,25 @@ def require_jacobi(g: LieAlgebra):
 
 
 def center(g: LieAlgebra) -> Subspace:
-    """Exact kernel of the stacked adjoint maps ad(X_1), ..., ad(X_n)."""
+    """Exact kernel of the stacked adjoint maps ad(X_1), ..., ad(X_n).
+
+    Row m of ad(X_a) holds s * c_ab^m in column b for each signed entry
+    (s, terms) = rows[a][b] of `pair_table(g.c)`: only stored constants are
+    read, and only the nonzero rows are built, in the order a, then m.
+    """
     require_jacobi(g)
-    rows = [row for j in range(1, g.dim + 1) for row in g.adjoint_rows(j) if any(row)]
+    n = g.dim
+    rows = []
+    for a, row in sorted(pair_table(g.c).items()):
+        ad = {}
+        for b, (s, terms) in row.items():
+            for m, v in terms.items():
+                ad.setdefault(m, {})[b] = v if s > 0 else -v
+        for m in sorted(ad):
+            dense = [ZERO] * n
+            for b, v in ad[m].items():
+                dense[b - 1] = v
+            rows.append(dense)
     return kernel_subspace(g, rows)
 
 

@@ -5,36 +5,52 @@ the sparse left composition of `deformation`: every triple i < j < k (or
 every basis vector), and every product a dense `BilinearMap.apply_comps`
 on basis-vector coordinate tuples.  Tests compare the sparse routes with
 them, reading the sparse tables through their dense `at`; the references
-are slow on purpose and belong to no library code path.
+are slow on purpose and belong to no library code path.  The seeded
+tables they run on draw their coefficients from one of `COEFFICIENTS`:
+rationals, Gaussian rationals, or units +-1, whose products cancel often
+and whose signs the kernels must carry exactly.
 """
 
 from itertools import combinations
 
 from cartanlab.deformation import BilinearMap
 from cartanlab.liealg import LieAlgebra
+from cartanlab.linalg import det
 from cartanlab.randgen import random_rational
-from cartanlab.scalars import ONE, ZERO
+from cartanlab.scalars import ONE, ZERO, Scalar
 
 
-def random_table(r, n):
+def gaussian_rational(r):
+    """A Gaussian rational with a nonzero imaginary part."""
+    return Scalar(random_rational(r), random_rational(r) or 1)
+
+
+def unit(r):
+    return r.choice((ONE, -ONE))
+
+
+COEFFICIENTS = (random_rational, gaussian_rational, unit)
+
+
+def random_table(r, n, coeff=random_rational):
     """Sparse random bracket table; almost never satisfies Jacobi."""
     brackets = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if r.random() < 0.5:
                 targets = r.sample(range(1, n + 1), r.randint(1, 2))
-                brackets[(i, j)] = {k: random_rational(r) for k in targets}
+                brackets[(i, j)] = {k: coeff(r) for k in targets}
     return LieAlgebra(n, brackets)
 
 
-def random_bilinear(g, r, density=0.4):
+def random_bilinear(g, r, density=0.4, coeff=random_rational):
     """Random skew bilinear map on g's space with sparse random values."""
     n = g.dim
     values = {}
     for i, j in combinations(range(1, n + 1), 2):
         if r.random() < density:
             targets = r.sample(range(1, n + 1), r.randint(1, 2))
-            values[(i, j)] = {k: random_rational(r) for k in targets}
+            values[(i, j)] = {k: coeff(r) for k in targets}
     return BilinearMap(g, values)
 
 
@@ -166,3 +182,15 @@ def dense_quadratic_failures(spec):
             key = next(iter(total))
             failures.append((eq, key, total[key]))
     return tuple(failures)
+
+
+def gaussian_basis(n, r):
+    """A dense invertible n x n matrix with entries a + b*i, a in [-2, 2]
+    and b in {-1, 1} on about 30 % of the entries, else 0."""
+    while True:
+        p = [
+            [Scalar(r.randint(-2, 2), r.choice((-1, 1)) if r.random() < 0.3 else 0) for _ in range(n)]
+            for _ in range(n)
+        ]
+        if det(p):
+            return p

@@ -1,0 +1,53 @@
+"""Basis-change invariance as a metamorphic oracle.
+
+In the basis Y_j = sum_i P_ij X_i the bracket table of g changes, but the
+algebra does not: the Jacobi verdict, dim Z(g) and the Cartan class of a
+covector w, with its branch and power, are the same for the pair
+(g', w') with w'(Y_j) = w(sum_i P_ij X_i).  The catalog's tables and forms
+are sparse; under a dense Gaussian P they fill in, so the zero skips of
+the signed cyclic-sum kernel, `skew_reduce`, `ce_differential` and the
+elimination meet dense input with late pivots and cancellations.
+"""
+
+from cartanlab import catalog as cat
+from cartanlab.forms import DualForm, cartan_class
+from cartanlab.liealg import change_basis
+from cartanlab.randgen import random_covector, rng
+from cartanlab.scalars import ZERO
+from cartanlab.structure import center, jacobi_check
+
+from dense_cochains import gaussian_basis
+
+
+def _rebased_form(w, h, p):
+    """w'(Y_j) = sum_i P_ij w(X_i), as a covector on the rebased algebra h."""
+    n = h.dim
+    comps = [w.coeffs.get((i,), ZERO) for i in range(1, n + 1)]
+    return DualForm.covector(h, [sum((p[i][j] * comps[i] for i in range(n)), ZERO) for j in range(n)])
+
+
+def _invariants(w):
+    info = cartan_class(w)
+    return info.value, info.branch, info.power
+
+
+def test_invariants_survive_a_dense_gaussian_change_of_basis():
+    r = rng(2213)
+    entries = cat.standard_entries() + cat.nilpotent_entries()
+    assert len(entries) == 45
+    for entry in entries:
+        g = entry.algebra
+        p = gaussian_basis(g.dim, r)
+        h = change_basis(g, p)
+        assert jacobi_check(h).ok and jacobi_check(g).ok, entry.id
+        assert center(h).dim == center(g).dim, entry.id
+        for w in (entry.distinguished_form, random_covector(g, r)):
+            assert _invariants(_rebased_form(w, h, p)) == _invariants(w), entry.id
+
+
+def test_an_open_table_stays_open_under_a_dense_gaussian_change_of_basis():
+    r = rng(2214)
+    for a in ((1, 2, 4), (2, -1, 5)):
+        g = cat.mu_c9_table(*a)
+        h = change_basis(g, gaussian_basis(g.dim, r))
+        assert not jacobi_check(g).ok and not jacobi_check(h).ok

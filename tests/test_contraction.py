@@ -1,4 +1,5 @@
 from itertools import product
+from types import MappingProxyType
 
 import pytest
 
@@ -115,6 +116,48 @@ def test_model_family_fixed_point_under_grid():
             found = frobenius_model_parameters(res.limit)
             if found is not None:
                 assert found == original, (exps, found)
+
+
+def test_limits_equal_the_checked_construction_and_stay_read_only():
+    # contract wraps the kept entries of g.c without LieAlgebra's checks;
+    # at every point of the p = 2, 3 grids its limit must equal the checked
+    # LieAlgebra(...) of the exponent-zero constants, entry order included,
+    # and refuse every write
+    models = ((2, [Scalar("3/7")]), (2, [Scalar(1, 1)]), (3, [Scalar("2/5"), Scalar(-1)]))
+    converged = 0
+    for p, a in models:
+        g = cat.frobenius_model(p, a).algebra
+        for exps in product((0, 1, 2), repeat=2 * p):
+            kept = {}
+            for (i, j), terms in g.c.items():
+                for k, v in terms.items():
+                    e = exps[i - 1] + exps[j - 1] - exps[k - 1]
+                    if e < 0:
+                        kept = None
+                        break
+                    if e == 0:
+                        kept.setdefault((i, j), {})[k] = v
+                if kept is None:
+                    break
+            res = contract(ContractionSpec(g, exps))
+            assert res.converges == (kept is not None)
+            if kept is None:
+                continue
+            converged += 1
+            limit, checked = res.limit, LieAlgebra(g.dim, kept, basis=g.basis)
+            assert limit.same_constants(checked) and limit.basis == checked.basis
+            assert list(limit.c.items()) == list(checked.c.items())
+            assert isinstance(limit.c, MappingProxyType)
+            assert all(isinstance(t, MappingProxyType) for t in limit.c.values())
+            with pytest.raises(TypeError):
+                limit.c[(1, 2)] = {1: ONE}
+            for terms in limit.c.values():
+                with pytest.raises(TypeError):
+                    terms[1] = ONE
+            with pytest.raises(AttributeError):
+                limit.dim = 1
+            assert jacobi_check(limit).ok
+    assert converged > 600
 
 
 def test_classical_contact_rescaling_reaches_heisenberg():

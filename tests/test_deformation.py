@@ -33,6 +33,7 @@ from cartanlab.scalars import ONE, ZERO, Scalar
 from cartanlab.structure import PreconditionError, jacobi_check, lower_central_series
 
 from dense_cochains import (
+    COEFFICIENTS,
     dense_add,
     dense_bullet_power,
     dense_bullet_product,
@@ -541,13 +542,15 @@ def test_apply_comps_matches_dense_formula():
 
 
 def _cochain_algebras(r):
-    """Catalog algebras (Jacobi holds) and random tables (it mostly fails)."""
+    """Catalog algebras (Jacobi holds) and random tables (it mostly fails)
+    with rational, Gaussian and +-1 constants."""
     algebras = [
         entry.algebra
         for entry in (cat.heisenberg(2), cat.dim3("sl2", lam=3), cat.filiform_model(6),
                       cat.frobenius_model(3, [1, -2]), cat.mu_c9([1, 2, 3]))
     ]
-    return algebras + [random_table(r, n) for n in (3, 4, 5, 6) for _ in range(2)]
+    return algebras + [random_table(r, n, coeff) for coeff in COEFFICIENTS
+                       for n in (3, 4, 5, 6) for _ in range(2)]
 
 
 def test_sparse_cochains_match_dense_references():
@@ -556,8 +559,8 @@ def test_sparse_cochains_match_dense_references():
     for g in _cochain_algebras(r):
         verdicts.append(jacobi_check(g).ok)
         mu = BilinearMap.of_algebra(g)
-        for _ in range(3):
-            phi, psi = random_bilinear(g, r), random_bilinear(g, r)
+        for coeff in COEFFICIENTS:
+            phi, psi = random_bilinear(g, r, coeff=coeff), random_bilinear(g, r, coeff=coeff)
             for a, b in ((phi, psi), (psi, phi), (phi, mu), (mu, phi), (mu, mu), (phi, phi)):
                 sparse = dense_view(circle_product(a, b))
                 # same keys in the same (lexicographic) order, same comps
@@ -574,9 +577,9 @@ def test_sparse_cochains_match_dense_references():
 def test_sparse_bullets_match_dense_references():
     r = rng(309)
     nilpotency = set()
-    for g in _cochain_algebras(r):
+    for t, g in enumerate(_cochain_algebras(r)):
         mu = BilinearMap.of_algebra(g)
-        phi = random_bilinear(g, r)
+        phi = random_bilinear(g, r, coeff=COEFFICIENTS[t % len(COEFFICIENTS)])
         for a, b in ((mu, mu), (phi, mu), (mu, phi), (phi, phi)):
             assert dense_view(bullet_product(a, b)) == dense_bullet_product(a, b)
         for k in (1, 2, 3, 4):
@@ -591,8 +594,9 @@ def test_sparse_bullets_match_dense_references():
 def test_sparse_coboundary_of_map_matches_dense_reference():
     r = rng(310)
     for g in _cochain_algebras(r):
-        for _ in range(3):
-            f = LinearMap(g, [[_sparse_rational(r) for _ in range(g.dim)] for _ in range(g.dim)])
+        for coeff in COEFFICIENTS:
+            f = LinearMap(g, [[coeff(r) if r.random() < 0.5 else 0 for _ in range(g.dim)]
+                              for _ in range(g.dim)])
             assert dense_view(coboundary_of_map(f, g)) == dense_coboundary_of_map(f, g)
 
 
@@ -607,9 +611,10 @@ def test_quadratic_check_matches_dense_equations():
     for p in (1, 2):
         base = cat.heisenberg(p).algebra
         for density in (0.1, 0.3):
-            specs.append(DeformationSpec(
-                base, random_bilinear(base, r, density), random_bilinear(base, r, density)
-            ))
+            for coeff in COEFFICIENTS:
+                specs.append(DeformationSpec(
+                    base, random_bilinear(base, r, density, coeff), random_bilinear(base, r, density, coeff)
+                ))
     outcomes = set()
     for spec in specs:
         res = check_quadratic_deformation(spec)

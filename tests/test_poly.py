@@ -352,3 +352,25 @@ def test_exterior_kernel_agrees_across_rings(a, b, x):
     contracted = interior_product(Vector(g, x), dual_ab)
     assert shifted(poly_interior(PolyVectorField(w, x), poly_ab)) == contracted.coeffs
     assert not Poly.zero(w) and Poly.constant(w, 2)
+
+
+def test_scalar_operands_defer_to_poly_in_both_orders():
+    # Scalar's operators return NotImplemented for an operand Scalar.of
+    # cannot coerce, so Python falls back on Poly's reflected operators
+    vars = ("x", "y")
+    p = Poly(vars, {(1, 0): 1, (0, 1): Scalar(0, 2), (0, 0): Fraction(-1, 3)})
+    two = Scalar(2)
+    const = Poly.constant(vars, two)
+    assert two * p == p * two == const * p == 2 * p
+    assert two + p == p + two == const + p
+    assert two - p == const - p == -(p - two)
+    assert (p - two) + two == p
+    with pytest.raises(TypeError):
+        two / p
+    for bad in (1.5, None):
+        with pytest.raises(TypeError):
+            two + bad
+        with pytest.raises(TypeError):
+            bad * two
+        with pytest.raises(TypeError):
+            bad - two

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from cartanlab import catalog as cat
 from cartanlab import forms, structure
+from cartanlab.contraction import ContractionSpec, contract
 from cartanlab.deformation import BilinearMap, is_derivation
 from cartanlab.forms import cartan_class, ce_differential, characteristic_space
 from cartanlab.liealg import (
@@ -29,7 +32,7 @@ from cartanlab.structure import (
     lower_central_series,
 )
 
-from dense_cochains import dense_circle_product, random_table
+from dense_cochains import COEFFICIENTS, dense_circle_product, gaussian_basis, random_table
 
 
 def test_jacobi_heisenberg_and_model():
@@ -98,11 +101,12 @@ def _bracket_defects(g, first):
 
 def _jacobi_cases():
     r = rng(211)
-    cases = [random_table(r, n) for n in (3, 4, 5, 6) for _ in range(5)]
+    cases = [random_table(r, n, coeff) for coeff in COEFFICIENTS for n in (3, 4, 5, 6) for _ in range(5)]
     for entry in (cat.heisenberg(2), cat.dim3("sl2", lam=2),
                   cat.frobenius_model(2, [3]), cat.filiform_model(6)):
         cases.append(entry.algebra)
         cases.append(_random_rebasing(entry.algebra, r))
+        cases.append(change_basis(entry.algebra, gaussian_basis(entry.algebra.dim, r)))
     for a in ((1, 1, 1), (2, -1, 5), (0, 1, 3)):
         cases.append(cat.mu_c9_table(*(Scalar.of(x) for x in a)))
     return cases
@@ -123,6 +127,64 @@ def test_sparse_jacobi_defects_match_dense_routes(first):
         assert sparse == circle
         seen[not sparse] += 1
     assert min(seen.values()) >= 10  # both verdicts are exercised
+
+
+# (Scalar products, additions and subtractions, negations) of one
+# jacobi_check on a fresh instance of each table; the last is open
+_JACOBI_OPS = {
+    "frobenius:p=4,a=[2,-1/3,1]": (9, 6, 0),
+    "mu_c9:a=[1,2,3]": (19, 12, 1),
+    "dim5:variant=nondiag_case4,a=1,b=1,c=2/3,d=-2": (60, 42, 7),
+    "heisenberg:p=5": (0, 0, 0),
+    "mu_c9:a=[1,2,4]": (19, 12, 1),
+}
+# the same for contract on a fresh frobenius:p=3,a=[2/5,-4/3] at each
+# exponent vector: the first call checks the input and the limit, the
+# second only the limit
+_CONTRACT_OPS = {
+    (0, 0, 0, 0, 0, 0): ((12, 8, 0), (6, 4, 0)),
+    (2, 0, 1, 1, 0, 2): ((12, 8, 0), (6, 4, 0)),
+    (0, 1, 0, 0, 0, 0): ((6, 4, 0), (0, 0, 0)),
+}
+
+
+def test_jacobi_check_and_contract_make_no_negated_copies(monkeypatch):
+    # one product per nonzero product of constants, added or subtracted by
+    # the pair-table sign; no negated copy of a constant and no ZERO + term
+    counts = [0, 0, 0]
+
+    def counted(slot, fn):
+        def op(*args):
+            counts[slot] += 1
+            return fn(*args)
+
+        return op
+
+    mul, add, sub, neg = Scalar.__mul__, Scalar.__add__, Scalar.__sub__, Scalar.__neg__
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Scalar, name, counted(0, mul))
+    for name in ("__add__", "__radd__"):
+        monkeypatch.setattr(Scalar, name, counted(1, add))
+    monkeypatch.setattr(Scalar, "__sub__", counted(1, sub))
+    monkeypatch.setattr(Scalar, "__neg__", counted(2, neg))
+
+    def ops(fn, *args):
+        counts[:] = [0, 0, 0]
+        result = fn(*args)
+        return result, tuple(counts)
+
+    for cid, bound in _JACOBI_OPS.items():
+        g = cat.resolve(cid, allow_nonjacobi=True).algebra
+        res, found = ops(jacobi_check, LieAlgebra(g.dim, g.c))
+        assert res.ok == (cid != "mu_c9:a=[1,2,4]")
+        assert all(x <= y for x, y in zip(found, bound)), (cid, found)
+    for exps, bounds in _CONTRACT_OPS.items():
+        g = cat.frobenius_model(3, [Fraction(2, 5), Fraction(-4, 3)]).algebra
+        g = LieAlgebra(g.dim, g.c)
+        for bound in bounds:
+            res, found = ops(contract, ContractionSpec(g, exps))
+            assert res.converges
+            assert all(x <= y for x, y in zip(found, bound)), (exps, found)
 
 
 def test_lie_algebra_is_immutable():
