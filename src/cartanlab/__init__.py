@@ -6,7 +6,7 @@ Every computation is over the Gaussian rationals; nothing here touches a
 float.
 """
 
-from .scalars import Scalar, sc, ZERO, ONE, I
+from .scalars import Scalar, ZERO, ONE, I
 from .liealg import LieAlgebra, Vector, LinearMap, Subspace, change_basis
 from .forms import (
     DualForm,
@@ -36,7 +36,6 @@ from .deformation import (
     bullet_product,
     bullet_power,
     coboundary_of_map,
-    is_derivation,
     coboundary_of_bilinear,
     check_quadratic_deformation,
     assemble,
@@ -64,16 +63,14 @@ from .polyforms import (
     exterior_d,
     poly_interior,
     vf_bracket,
-    pullback_linear,
     form_on_field,
 )
-from .sturm import sturm_chain, count_real_roots, count_real_roots_in, has_real_root
+from .sturm import sturm_chain, count_real_roots
 from .slgroup import (
     sl_contact_data,
     sl_contact_identity,
     singular_pairings,
     evaluate_singular_equations,
-    rotation_fields,
     so_invariance_check,
     pythagorean_rotation,
     block_rotation,

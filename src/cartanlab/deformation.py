@@ -24,8 +24,8 @@ and `coboundary_of_map` read the same signed rows.
 Every table here is sparse, in the format of `LieAlgebra.c`: a cochain
 stores {(i, j): {k: coeff}} (a `liealg.bracket_table`), and the trilinear
 results store {(i, j, k): {m: coeff}}.  Only the readers `at`,
-`apply_comps`, `first_nonzero` and `QuadraticCheck.failures` return dense
-coordinate tuples, through `liealg.table_entry` and `liealg.coordinates`.
+`first_nonzero` and `QuadraticCheck.failures` return dense coordinate
+tuples, through `liealg.table_entry` and `liealg.coordinates`.
 
 Coboundary signs are pinned so that on the Heisenberg algebra a diagonal
 endomorphism f (acting through phi_2(X_l, X_{2p+1}) = f(X_l)) satisfies
@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .forms import DualForm, ce_differential, skew_reduce
-from .liealg import LieAlgebra, LinearMap, apply_table, bracket_table, coordinates, table_entry
+from .liealg import LieAlgebra, LinearMap, bracket_table, coordinates, table_entry
 from .linalg import solve, square_matrix, transpose
 from .scalars import ONE, ZERO, Scalar
 from .structure import (
@@ -93,10 +93,6 @@ class BilinearMap:
 
     def at(self, i, j):
         return coordinates(self.algebra.dim, table_entry(self.values, i, j))
-
-    def apply_comps(self, x, y):
-        """Bilinear extension on coordinate tuples (`liealg.apply_table`)."""
-        return coordinates(self.algebra.dim, apply_table(self.values, x, y))
 
     def __add__(self, other):
         if other.algebra is not self.algebra:
@@ -247,11 +243,6 @@ def coboundary_of_map(f: LinearMap, g: LieAlgebra) -> BilinearMap:
                 accumulate(acc, -s, u, terms)
             values[(i, j)] = acc
     return BilinearMap(g, values)
-
-
-def is_derivation(f: LinearMap, g: LieAlgebra) -> bool:
-    """f([X,Y]) = [f(X),Y] + [X,f(Y)] on all basis pairs, i.e. df = 0."""
-    return coboundary_of_map(f, g).is_zero
 
 
 def coboundary_of_bilinear(phi: BilinearMap, g: LieAlgebra) -> SkewTrilinear:

@@ -107,7 +107,7 @@ class DualForm:
     def pair(self, v: Vector) -> Scalar:
         if self.grade != 1:
             raise FormError("pair() is for grade-1 forms")
-        return exterior.interior(self.coeffs, v.comps, 1).get((), ZERO)
+        return self.evaluate(v)
 
     def evaluate(self, *vectors) -> Scalar:
         """theta(v_1, ..., v_q), one interior product per vector."""
@@ -115,6 +115,8 @@ class DualForm:
             raise FormError("wrong number of arguments")
         coeffs = self.coeffs
         for v in vectors:
+            if v.algebra is not self.algebra:
+                raise FormError("mismatched algebras")
             coeffs = exterior.interior(coeffs, v.comps, 1)
         return coeffs.get((), ZERO)
 

@@ -121,9 +121,6 @@ class LieAlgebra:
     def constant(self, i, j, k):
         return self.pair(i, j).get(k, ZERO)
 
-    def bracket_basis(self, i, j):
-        return Vector.from_sparse(self, self.pair(i, j))
-
     def bracket(self, x: "Vector", y: "Vector") -> "Vector":
         if x.algebra is not self or y.algebra is not self:
             raise ValueError("vectors belong to a different algebra")
@@ -241,12 +238,6 @@ class LinearMap:
     def adjoint(algebra, index):
         return LinearMap(algebra, algebra.adjoint_rows(index))
 
-    def apply(self, v: Vector) -> Vector:
-        return Vector(self.algebra, mat_vec(self.rows, v.comps))
-
-    def apply_basis(self, j) -> Vector:
-        return Vector(self.algebra, [self.rows[i][j - 1] for i in range(self.algebra.dim)])
-
     def __eq__(self, other):
         return (
             isinstance(other, LinearMap)
@@ -291,6 +282,8 @@ class Subspace:
 
     def contains(self, v: Vector) -> bool:
         """v is in the span iff reducing it by the rref rows leaves nothing."""
+        if v.algebra is not self.algebra:
+            raise ValueError("vector from a different algebra")
         rest = v.comps
         for row in self.rows:
             f = rest[next(p for p, x in enumerate(row) if x)]

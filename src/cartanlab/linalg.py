@@ -46,13 +46,6 @@ def identity(n):
     return diagonal([ONE] * n)
 
 
-def mat_sub(a, b):
-    """a - b; ValueError unless a and b have the same shape."""
-    return tuple(
-        tuple(x - y for x, y in zip(ra, rb, strict=True)) for ra, rb in zip(a, b, strict=True)
-    )
-
-
 def mat_mul(a, b):
     """a b; ValueError when b is ragged or a row of a is not as long as b
     is tall."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 from functools import partial
 
 from . import exterior
-from .linalg import square_matrix
 from .poly import Poly, VariableMismatch
 from .scalars import ONE, Scalar
 
@@ -173,18 +172,13 @@ def vf_bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
     return PolyVectorField(v.vars, comps)
 
 
-def pullback_linear(a: PolyForm, matrix) -> PolyForm:
-    """Pullback under the linear substitution x_i -> sum_j L[i][j] x_j
-    (both in the coefficients and in the differentials)."""
-    l = square_matrix(matrix, len(a.vars), "substitution")
-    return pullback_rows(a, [{j: c for j, c in enumerate(row) if c} for row in l])
-
-
 def pullback_rows(a: PolyForm, rows) -> PolyForm:
-    """`pullback_linear` for a substitution given as sparse rows: rows[i]
-    maps each j with L[i][j] != 0 to that Scalar.  x_i goes to the
-    linear Poly of row i and dx_i to the constant 1-form of row i, whose
-    Scalar coefficients multiply the Poly coefficients directly."""
+    """Pullback under the linear substitution x_i -> sum_j L[i][j] x_j, in
+    the coefficients and in the differentials, with L given as sparse
+    rows: rows[i] maps each j with L[i][j] != 0 to that coefficient.  x_i
+    goes to the linear Poly of row i and dx_i to the constant 1-form of
+    row i, whose Scalar coefficients multiply the Poly coefficients
+    directly."""
     vars = a.vars
     if len(rows) != len(vars):
         raise ValueError(f"substitution needs {len(vars)} rows, got {len(rows)}")

@@ -33,18 +33,6 @@ def random_covector(g: LieAlgebra, r: random.Random) -> DualForm:
             return DualForm.covector(g, comps)
 
 
-def random_form(g: LieAlgebra, grade: int, r: random.Random) -> DualForm:
-    """A grade-`grade` form with up to three random rational coefficients."""
-    from itertools import combinations
-
-    tuples = list(combinations(range(1, g.dim + 1), grade))
-    r.shuffle(tuples)
-    coeffs = {}
-    for idx in tuples[:3]:
-        coeffs[idx] = random_rational(r)
-    return DualForm(g, grade, coeffs)
-
-
 def random_poly(vars, r: random.Random, max_degree=2, terms=3) -> Poly:
     nv = len(tuple(vars))
     acc = {}

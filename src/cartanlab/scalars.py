@@ -186,9 +186,6 @@ class Scalar:
     def __pow__(self, k: int):
         return power(self, k, ONE)
 
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
-
     def norm(self) -> Fraction:
         """re^2 + im^2, a rational."""
         return self.re * self.re + self.im * self.im
@@ -231,8 +228,3 @@ class Scalar:
 ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
-
-
-def sc(x) -> Scalar:
-    """Shorthand coercion used all over the test-suites and demos."""
-    return Scalar.of(x)

@@ -267,30 +267,11 @@ def singular_pairings(n: int) -> dict:
     return out
 
 
-def rotation_fields(n: int) -> dict:
-    """A_{ij} = sum_l (x_{jl} d/dx_{il} - x_{il} d/dx_{jl}), i < j."""
-    vars = matrix_vars(n)
-    out = {}
-    for i in range(1, 2 * n + 1):
-        for j in range(i + 1, 2 * n + 1):
-            comps = [Poly.zero(vars) for _ in vars]
-            for l in range(1, 2 * n + 1):
-                comps[_vid(n, i, l)] = comps[_vid(n, i, l)] + coordinate(n, j, l)
-                comps[_vid(n, j, l)] = comps[_vid(n, j, l)] - coordinate(n, i, l)
-            out[(i, j)] = PolyVectorField(vars, comps)
-    return out
-
-
 def evaluate_singular_equations(n: int, point) -> dict:
     """Evaluate every pairing polynomial at an exact matrix point."""
     mat = square_matrix(point, 2 * n, "point")
     flat = [x for row in mat for x in row]
     return {key: p.eval(flat) for key, p in singular_pairings(n).items()}
-
-
-def is_singular_point(n: int, point) -> bool:
-    values = evaluate_singular_equations(n, point)
-    return all(not v for v in values.values())
 
 
 class OrthogonalityError(ValueError):

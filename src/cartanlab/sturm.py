@@ -51,11 +51,6 @@ def _variations(signs):
     )
 
 
-def _sign_at(p, x: Fraction):
-    v = upoly.evaluate(p, x)
-    return (v > 0) - (v < 0)
-
-
 def _sign_at_inf(p, positive: bool):
     lead = p[-1]
     deg = len(p) - 1
@@ -73,20 +68,3 @@ def count_real_roots(p) -> int:
     v_neg = _variations([_sign_at_inf(q, False) for q in chain])
     v_pos = _variations([_sign_at_inf(q, True) for q in chain])
     return v_neg - v_pos
-
-
-def count_real_roots_in(p, a, b) -> int:
-    """Distinct real roots in the half-open interval (a, b]."""
-    a, b = Fraction(a), Fraction(b)
-    if a >= b:
-        raise ValueError("need a < b")
-    chain = sturm_chain(p)
-    if len(chain[0]) == 1:
-        return 0
-    va = _variations([_sign_at(q, a) for q in chain])
-    vb = _variations([_sign_at(q, b) for q in chain])
-    return va - vb
-
-
-def has_real_root(p) -> bool:
-    return count_real_roots(p) > 0

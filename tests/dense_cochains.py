@@ -1,21 +1,24 @@
-"""Dense references for the sparse cochain routes.
+"""Dense references for the sparse cochain routes, and seeded test data.
 
-These are the loops the library used before `structure.cyclic_sums` and
-the sparse left composition of `deformation`: every triple i < j < k (or
-every basis vector), and every product a dense `BilinearMap.apply_comps`
-on basis-vector coordinate tuples.  Tests compare the sparse routes with
-them, reading the sparse tables through their dense `at`; the references
-are slow on purpose and belong to no library code path.  The seeded
-tables they run on draw their coefficients from one of `COEFFICIENTS`:
-rationals, Gaussian rationals, or units +-1, whose products cancel often
-and whose signs the kernels must carry exactly.
+The references are the loops the library used before
+`structure.cyclic_sums` and the sparse left composition of `deformation`:
+every triple i < j < k (or every basis vector), and every product a dense
+`apply_comps` on basis-vector coordinate tuples.  The deformation and
+structure tests compare the sparse routes with them, reading the sparse
+tables through their dense `at`; the references are slow on purpose and
+belong to no library code path.  The seeded tables they run on draw their
+coefficients from one of `COEFFICIENTS`: rationals, Gaussian rationals, or
+units +-1, whose products cancel often and whose signs the kernels must
+carry exactly.  The forms tests draw seeded forms from `random_form`, and
+the basis-change tests their dense Gaussian bases from `gaussian_basis`.
 """
 
 from itertools import combinations
 
 from cartanlab.deformation import BilinearMap
-from cartanlab.liealg import LieAlgebra
-from cartanlab.linalg import det
+from cartanlab.forms import DualForm
+from cartanlab.liealg import LieAlgebra, Vector, apply_table, coordinates
+from cartanlab.linalg import det, mat_vec
 from cartanlab.randgen import random_rational
 from cartanlab.scalars import ONE, ZERO, Scalar
 
@@ -54,6 +57,19 @@ def random_bilinear(g, r, density=0.4, coeff=random_rational):
     return BilinearMap(g, values)
 
 
+def random_form(g, grade, r):
+    """A grade-`grade` form on g with up to three random rational coefficients."""
+    tuples = list(combinations(range(1, g.dim + 1), grade))
+    r.shuffle(tuples)
+    return DualForm(g, grade, {idx: random_rational(r) for idx in tuples[:3]})
+
+
+def apply_comps(phi, x, y):
+    """phi(x, y) on coordinate tuples, by the bilinear extension
+    `liealg.apply_table` that `LieAlgebra.bracket` uses too."""
+    return coordinates(phi.algebra.dim, apply_table(phi.values, x, y))
+
+
 def _basis(n):
     return [tuple(ONE if t == m else ZERO for t in range(n)) for m in range(n)]
 
@@ -73,9 +89,9 @@ def dense_circle_product(phi, psi):
     values = {}
     for i, j, k in combinations(range(1, n + 1), 3):
         acc = _sum(
-            phi.apply_comps(psi.at(i, j), e[k - 1]),
-            phi.apply_comps(psi.at(j, k), e[i - 1]),
-            phi.apply_comps(psi.at(k, i), e[j - 1]),
+            apply_comps(phi, psi.at(i, j), e[k - 1]),
+            apply_comps(phi, psi.at(j, k), e[i - 1]),
+            apply_comps(phi, psi.at(k, i), e[j - 1]),
         )
         if any(acc):
             values[(i, j, k)] = acc
@@ -90,12 +106,12 @@ def dense_coboundary(phi, g):
     values = {}
     for i, j, k in combinations(range(1, n + 1), 3):
         acc = _sum(
-            phi.apply_comps(mu.at(i, j), e[k - 1]),
-            phi.apply_comps(mu.at(j, k), e[i - 1]),
-            phi.apply_comps(mu.at(k, i), e[j - 1]),
-            _neg(mu.apply_comps(e[i - 1], phi.at(j, k))),
-            _neg(mu.apply_comps(e[j - 1], phi.at(k, i))),
-            _neg(mu.apply_comps(e[k - 1], phi.at(i, j))),
+            apply_comps(phi, mu.at(i, j), e[k - 1]),
+            apply_comps(phi, mu.at(j, k), e[i - 1]),
+            apply_comps(phi, mu.at(k, i), e[j - 1]),
+            _neg(apply_comps(mu, e[i - 1], phi.at(j, k))),
+            _neg(apply_comps(mu, e[j - 1], phi.at(k, i))),
+            _neg(apply_comps(mu, e[k - 1], phi.at(i, j))),
         )
         if any(acc):
             values[(i, j, k)] = acc
@@ -115,7 +131,7 @@ def dense_bullet_product(psi1, psi2):
     values = {}
     for i, j in psi2.values:
         for k in range(1, n + 1):
-            acc = psi1.apply_comps(psi2.at(i, j), e[k - 1])
+            acc = apply_comps(psi1, psi2.at(i, j), e[k - 1])
             if any(acc):
                 values[(i, j, k)] = acc
     return values
@@ -130,7 +146,7 @@ def dense_bullet_power(mu, k):
         nxt = {}
         for key, comps in table.items():
             for l in range(1, n + 1):
-                acc = mu.apply_comps(comps, e[l - 1])
+                acc = apply_comps(mu, comps, e[l - 1])
                 if any(acc):
                     nxt[key + (l,)] = acc
         table = nxt
@@ -142,12 +158,14 @@ def dense_bullet_power(mu, k):
 def dense_coboundary_of_map(f, g):
     """{(i, j): comps} of (df)(X_i, X_j) = f([X_i, X_j]) - [f(X_i), X_j] - [X_i, f(X_j)]
     on Vectors, zeros dropped."""
+    n = g.dim
+    images = [Vector(g, [row[m] for row in f.rows]) for m in range(n)]  # f(X_m): column m
     values = {}
-    for i, j in combinations(range(1, g.dim + 1), 2):
+    for i, j in combinations(range(1, n + 1), 2):
         v = (
-            f.apply(g.bracket_basis(i, j))
-            - g.bracket(f.apply_basis(i), g.basis_vector(j))
-            - g.bracket(g.basis_vector(i), f.apply_basis(j))
+            Vector(g, mat_vec(f.rows, Vector.from_sparse(g, g.pair(i, j)).comps))
+            - g.bracket(images[i - 1], g.basis_vector(j))
+            - g.bracket(g.basis_vector(i), images[j - 1])
         )
         if not v.is_zero:
             values[(i, j)] = v.comps

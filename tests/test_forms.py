@@ -15,10 +15,12 @@ from cartanlab.forms import (
     wedge,
     wedge_power_class,
 )
-from cartanlab.liealg import LieAlgebra, Vector, kernel_subspace
+from cartanlab.liealg import LieAlgebra, Subspace, Vector, kernel_subspace
 from cartanlab.linalg import det
-from cartanlab.randgen import random_covector, random_form, random_rational, rng
-from cartanlab.scalars import ONE, ZERO, Scalar, sc
+from cartanlab.randgen import random_covector, random_rational, rng
+from cartanlab.scalars import ONE, ZERO, Scalar
+
+from dense_cochains import random_form
 
 
 def test_wedge_basis_products_heisenberg():
@@ -47,6 +49,22 @@ def test_wedge_mixed_algebras_error():
     a, b = cat.heisenberg(1).algebra, cat.heisenberg(1).algebra
     with pytest.raises(FormError):
         wedge(DualForm.basis(a, 1), DualForm.basis(b, 1))
+
+
+def test_pairing_and_membership_refuse_vectors_of_another_algebra():
+    h3, h5 = cat.heisenberg(1).algebra, cat.heisenberg(2).algebra
+    x1, v5 = h3.basis_vector(1), Vector(h5, [1, 0, 0, 0, 7])
+    with pytest.raises(ValueError):
+        Subspace(h3, [x1]).contains(v5)
+    for form, v in ((DualForm.basis(h3, 1), v5), (DualForm.basis(h5, 1), x1)):
+        with pytest.raises(FormError):
+            form.pair(v)
+        with pytest.raises(FormError):
+            form.evaluate(v)
+    # an algebra of the same dimension is still another algebra
+    other = cat.heisenberg(1).algebra
+    with pytest.raises(FormError):
+        DualForm(h3, 2, {(1, 2): 1}).evaluate(x1, other.basis_vector(2))
 
 
 def test_graded_commutativity_random():
@@ -145,7 +163,7 @@ def test_ce_differential_and_characteristic_space_skip_zero_work(monkeypatch):
 
 
 def test_antiderivation_random():
-    g = cat.frobenius_model(2, [sc("1/2")]).algebra
+    g = cat.frobenius_model(2, [Scalar.of("1/2")]).algebra
     r = rng(6)
     for _ in range(20):
         p = r.randint(1, 2)
@@ -208,7 +226,7 @@ def test_cartan_class_examples():
     so3 = cat.dim3("so3").algebra
     assert cartan_class(DualForm.covector(so3, [1, 1, 0])).value == 3
 
-    frob = cat.frobenius_model(2, [sc("1/2")])
+    frob = cat.frobenius_model(2, [Scalar.of("1/2")])
     assert cartan_class(frob.distinguished_form).value == 4
 
 
@@ -240,7 +258,7 @@ def test_cartan_class_matches_the_wedge_power_route():
     assert wedge_power_class(ab) == (0, True)
     assert (cartan_class(ab).value, cartan_class(ab).power) == (1, 0)
     # exact-symplectic: dw has full rank 4 and w vanishes on its radical 0
-    frob = cartan_class(cat.frobenius_model(2, [sc("1/2")]).distinguished_form)
+    frob = cartan_class(cat.frobenius_model(2, [Scalar.of("1/2")]).distinguished_form)
     assert (frob.value, frob.branch, frob.power) == (4, "even", 2)
     # contact: dw has rank 2p and w is nonzero on its radical, the center
     h7 = cat.heisenberg(3).distinguished_form
@@ -250,10 +268,10 @@ def test_cartan_class_matches_the_wedge_power_route():
 
 def test_skew_reduce_rank_and_radical():
     ab = cat.abelian(5).algebra
-    theta = DualForm(ab, 2, {(1, 2): 1, (1, 3): 2, (2, 3): sc("1/2"), (4, 5): -3})
+    theta = DualForm(ab, 2, {(1, 2): 1, (1, 3): 2, (2, 3): Scalar.of("1/2"), (4, 5): -3})
     # rank 4, and the radical is spanned by X_1/2 - 2 X_2 + X_3
     assert skew_reduce(theta) == (2, False)
-    assert interior_product(Vector(ab, [sc("1/2"), -2, 1, 0, 0]), theta).is_zero
+    assert interior_product(Vector(ab, [Scalar.of("1/2"), -2, 1, 0, 0]), theta).is_zero
     for comps, odd in (([0, 0, 0, 1, 1], False), ([4, 1, 0, 0, 0], False), ([1, 0, 0, 0, 0], True)):
         assert skew_reduce(theta, DualForm.covector(ab, comps)) == (2, odd), comps
     assert skew_reduce(DualForm.zero(ab, 2), DualForm.basis(ab, 2)) == (0, True)

@@ -22,7 +22,7 @@ from cartanlab.polyforms import (
     vf_bracket,
 )
 from cartanlab.randgen import random_poly, random_rational, rng
-from cartanlab.scalars import ONE, Scalar, sc
+from cartanlab.scalars import ONE, Scalar
 from cartanlab.structure import PreconditionError
 from cartanlab.sturm import count_real_roots
 
@@ -64,7 +64,7 @@ def test_contact_polynomial_examples():
     p = h3_contact_polynomial(0, one, zero, u)
     assert p == 1 - u * u
     assert count_real_roots(p) == 2
-    assert p.eval([ONE]) == 0 and p.eval([sc(-1)]) == 0
+    assert p.eval([ONE]) == 0 and p.eval([Scalar.of(-1)]) == 0
     assert not h3_is_contact_everywhere(0, one, zero, u)
 
     c = Poly.constant(U_VAR, 3)
@@ -78,7 +78,7 @@ def test_contact_polynomial_examples():
 def test_singular_system():
     u = Poly.variable(U_VAR, "u")
     one = Poly.constant(U_VAR, 1)
-    b3, combo = h3_singular_system(sc(2), one, u, u - 1)
+    b3, combo = h3_singular_system(Scalar.of(2), one, u, u - 1)
     assert b3 == u - 1
     assert combo == 1 + 2 * u
 
@@ -87,7 +87,7 @@ def test_invariant_form_against_exterior_calculus():
     # w ^ dw = (contact polynomial at u = y - alpha x) dx^dy^dz, exactly
     r = rng(51)
     for _ in range(8):
-        alpha = sc(random_rational(r))
+        alpha = Scalar.of(random_rational(r))
         profiles = []
         for _ in range(3):
             deg = r.randint(0, 2)

@@ -11,7 +11,6 @@ from cartanlab.linalg import (
     invert,
     kernel_rref,
     mat_mul,
-    mat_sub,
     mat_vec,
     nullspace,
     rank,
@@ -213,11 +212,6 @@ def test_mat_mul_and_mat_vec_reject_mismatched_shapes():
     for b in ([[1, 2], [3, 4]], [[1], [1], [1], [1]], [[1, 2], [3], [5, 6]]):
         with pytest.raises(ValueError):
             mat_mul(a, as_matrix(b))
-    square = as_matrix([[1, 2], [3, 4]])
-    assert mat_sub(square, square) == as_matrix([[0, 0], [0, 0]])
-    for b in ([[1, 1]], [[1, 1], [1]], [[1, 1, 1], [1, 1, 1]]):
-        with pytest.raises(ValueError):
-            mat_sub(square, as_matrix(b))
     with pytest.raises(ValueError):
         invert(a)
     for rows in ([[1, 2, 3], [4, 5]], [[1, 2], [3, 4, 5]], [[0, 1], [1]]):

@@ -1,7 +1,11 @@
 """The README's examples run: every `cartanlab` command line of its `sh`
 block that names no file, in process through `cli.main`, and the Python
-block of its library tour."""
+block of its library tour.  The names its prose quotes exist: a quoted
+`module.name` or `Class.name` resolves in the package, and a quoted
+snake_case name is one the package defines."""
 
+import ast
+import importlib
 import json
 import re
 import shlex
@@ -9,9 +13,14 @@ from pathlib import Path
 
 import pytest
 
+import cartanlab
 from cartanlab.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+PACKAGE = Path(cartanlab.__file__).resolve().parent
+QUOTED = re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", README, flags=re.DOTALL))
+# report keys and a dim5 variant that the prose quotes; the package defines none of them
+NOT_PACKAGE_NAMES = {"inputs_digest", "model_family", "diag_ii_b"}
 
 
 def _blocks(lang):
@@ -43,3 +52,37 @@ def test_readme_library_tour_runs():
     exec(tour, scope)
     assert scope["info"].value == 5
     assert scope["info"].characteristic_space.dim == 0
+
+
+def test_readme_dotted_names_resolve():
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    dotted = [q.split(".") for q in QUOTED if re.fullmatch(r"[A-Za-z_]\w*\.\w+", q)]
+    assert dotted
+    missing = []
+    for owner, name in dotted:
+        if owner in modules:
+            scope = importlib.import_module(f"cartanlab.{owner}")
+        else:
+            scope = getattr(cartanlab, owner, None)
+        if scope is None or not hasattr(scope, name):
+            missing.append(f"{owner}.{name}")
+    assert not missing, missing
+
+
+def test_readme_snake_case_names_are_package_names():
+    defined = {path.stem for path in PACKAGE.glob("*.py")}
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.update(
+            node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        )
+        defined.update(
+            target.id
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        )
+    snake = {q for q in QUOTED if re.fullmatch(r"_?[a-z][a-z0-9]*(?:_[a-z0-9]+)+|_[a-z0-9]+", q)}
+    assert snake
+    assert not snake - defined - NOT_PACKAGE_NAMES, sorted(snake - defined - NOT_PACKAGE_NAMES)

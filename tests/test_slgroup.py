@@ -16,20 +16,19 @@ from cartanlab.polyforms import (
     poly_interior,
     poly_wedge,
     poly_wedge_power,
-    pullback_linear,
+    pullback_rows,
 )
 from cartanlab.scalars import ONE, ZERO, Scalar
 from cartanlab.slgroup import (
     OrthogonalityError,
     block_rotation,
+    coordinate,
     det_poly,
     evaluate_singular_equations,
-    is_singular_point,
     matrix_vars,
     pythagorean_rotation,
     reeb_candidate,
     reeb_identities,
-    rotation_fields,
     rotation_pair_form,
     singular_pairings,
     sl_contact_data,
@@ -133,6 +132,20 @@ def test_two_form_pair_power_refuses_interleaved_or_shared_pairs():
             two_form_pair_power(form, 2)
 
 
+def _rotation_fields(n):
+    """A_ij = sum_l (x_jl d/dx_il - x_il d/dx_jl), i < j."""
+    vars = matrix_vars(n)
+    m = 2 * n
+    out = {}
+    for i, j in combinations(range(1, m + 1), 2):
+        comps = [Poly.zero(vars) for _ in vars]
+        for l in range(1, m + 1):
+            comps[(i - 1) * m + l - 1] = coordinate(n, j, l)
+            comps[(j - 1) * m + l - 1] = -coordinate(n, i, l)
+        out[(i, j)] = PolyVectorField(vars, comps)
+    return out
+
+
 def test_rotation_field_pairing_identity():
     # omega(A_ij) is exactly twice the singular pairing polynomial (each of
     # the two rows touched by A_ij contributes one copy); the cut-out
@@ -140,7 +153,7 @@ def test_rotation_field_pairing_identity():
     for n in (1, 2):
         data = sl_contact_data(n)
         pairings = singular_pairings(n)
-        for (i, j), field in rotation_fields(n).items():
+        for (i, j), field in _rotation_fields(n).items():
             assert form_on_field(data.omega, field) == pairings[(i, j)] * 2
 
 
@@ -152,7 +165,6 @@ def test_singular_pairings_diagonal_vanish():
 def test_singular_point_evaluations():
     vals = evaluate_singular_equations(1, ((1, 0), (0, 1)))
     assert vals[(1, 2)] == ONE
-    assert not is_singular_point(1, ((1, 0), (0, 1)))
     vals = evaluate_singular_equations(1, ((2, 0), (0, Fraction(1, 2))))
     assert vals[(1, 2)] == ONE
 
@@ -178,9 +190,9 @@ def test_so_invariance_rejects_non_orthogonal():
     # the verdict it refuses to give: x_{jl} -> sum_r m_{jr} x_{rl} on the
     # coordinates (x1_1, x1_2, x2_1, x2_2) moves the rotation form
     half = Fraction(1, 2)
-    sub = ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, half, 0), (0, 0, 0, half))
+    sub = [{0: 2}, {1: 2}, {2: half}, {3: half}]
     omega = rotation_pair_form(1)
-    assert pullback_linear(omega, sub) != omega
+    assert pullback_rows(omega, sub) != omega
 
 
 def _random_sl2(r):
