@@ -19,7 +19,8 @@ so circle products, coboundaries and the Jacobi defects of
 `structure.jacobi_defects` (mu o mu) all run on the one sparse cyclic-sum
 kernel `structure.cyclic_sums`: phi o psi reads phi through the signed
 rows of `structure.pair_table` and psi as stored.  The left compositions
-and `coboundary_of_map` read the same signed rows.
+and `coboundary_of_map` read the same signed rows, and every sum here
+merges through `exterior.accumulate`, so no result holds a zero.
 
 Every table here is sparse, in the format of `LieAlgebra.c`: a cochain
 stores {(i, j): {k: coeff}} (a `liealg.bracket_table`), and the trilinear
@@ -39,13 +40,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import exterior
 from .forms import DualForm, ce_differential, skew_reduce
 from .liealg import LieAlgebra, LinearMap, bracket_table, coordinates, table_entry
 from .linalg import solve, square_matrix, transpose
 from .scalars import ONE, ZERO, Scalar
 from .structure import (
     PreconditionError,
-    accumulate,
     cyclic_sums,
     heisenberg_table,
     pair_table,
@@ -53,15 +54,13 @@ from .structure import (
 )
 
 
-def _table_sum(*tables):
-    """Entrywise sum of sparse {(i, j): {k: coeff}} tables, as fresh dicts
-    that may hold zeros: `bracket_table` drops them, once, afterwards."""
-    out = {}
-    for table in tables:
-        for key, terms in table.items():
-            acc = out.setdefault(key, {})
-            for k, v in terms.items():
-                acc[k] = acc[k] + v if k in acc else v
+def _table_sum(a, b, s=1):
+    """a + s * b on sparse {(i, j): {k: coeff}} tables, s = 1 or -1:
+    `exterior.add` merges each pair, and `bracket_table` drops the pairs
+    that cancel."""
+    out = dict(a)
+    for key, terms in b.items():
+        out[key] = exterior.add(out.get(key, {}), terms, s)
     return out
 
 
@@ -94,16 +93,16 @@ class BilinearMap:
     def at(self, i, j):
         return coordinates(self.algebra.dim, table_entry(self.values, i, j))
 
-    def __add__(self, other):
+    def __add__(self, other, s=1):
         if other.algebra is not self.algebra:
             raise ValueError("mixed spaces")
-        return BilinearMap(self.algebra, _table_sum(self.values, other.values))
+        return BilinearMap(self.algebra, _table_sum(self.values, other.values, s))
 
     def __neg__(self):
-        return self.scale(-ONE)
+        return BilinearMap(self.algebra, _table_sum({}, self.values, -1))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def scale(self, s):
         s = Scalar.of(s)
@@ -182,19 +181,13 @@ _ABSENT = (1, {})
 
 def _left_compose(outer, table):
     """{key + (c,): {m: coeff}} of outer(table[key], X_c), for the signed
-    rows `outer` of a `structure.pair_table`; zero coefficients and sums
-    dropped."""
+    rows `outer` of a `structure.pair_table`; zero sums dropped."""
     out = {}
     for key, terms in table.items():
         for l, u in terms.items():
             for c, (s, values) in outer.get(l, {}).items():
-                accumulate(out.setdefault(key + (c,), {}), s, u, values)
-    nonzero = {}
-    for key, acc in out.items():
-        acc = {m: v for m, v in acc.items() if v}
-        if acc:
-            nonzero[key] = acc
-    return nonzero
+                exterior.add_scaled(out.setdefault(key + (c,), {}), values, u, s)
+    return {key: acc for key, acc in out.items() if acc}
 
 
 def bullet_product(psi1: BilinearMap, psi2: BilinearMap) -> LeftComposite:
@@ -234,13 +227,13 @@ def coboundary_of_map(f: LinearMap, g: LieAlgebra) -> BilinearMap:
         for j in range(i + 1, n + 1):
             acc = {}
             for l, u in g.c.get((i, j), {}).items():  # f([X_i, X_j])
-                accumulate(acc, 1, u, cols[l - 1])
+                exterior.add_scaled(acc, cols[l - 1], u)
             for a, u in cols[i - 1].items():  # -[f(X_i), X_j]
                 s, terms = mu.get(a, {}).get(j, _ABSENT)
-                accumulate(acc, -s, u, terms)
+                exterior.add_scaled(acc, terms, u, -s)
             for b, u in cols[j - 1].items():  # -[X_i, f(X_j)]
                 s, terms = mu.get(i, {}).get(b, _ABSENT)
-                accumulate(acc, -s, u, terms)
+                exterior.add_scaled(acc, terms, u, -s)
             values[(i, j)] = acc
     return BilinearMap(g, values)
 
@@ -312,7 +305,7 @@ def assemble(spec: DeformationSpec) -> LieAlgebra:
     """The deformed bracket mu_0 + phi_1 + phi_2 (parameter specialized to 1:
     all nonzero parameter values give isomorphic brackets)."""
     base = spec.base
-    total = _table_sum(base.c, spec.phi1.values, spec.phi2.values)
+    total = _table_sum(_table_sum(base.c, spec.phi1.values), spec.phi2.values)
     return LieAlgebra(base.dim, total, basis=base.basis)
 
 

@@ -6,6 +6,12 @@ coefficients, so the same code serves `forms.DualForm` (Scalar
 coefficients on a Lie coalgebra) and `polyforms.PolyForm` (Poly
 coefficients on affine space).  What differs between the two, the space,
 the index range and the coercion of coefficients, stays with the callers.
+
+`accumulate` is the package's one merge of sparse coefficient dicts
+(forms, `poly.Poly` terms, bracket tables, cyclic sums and cochains), and
+`add` and `add_scaled` loop over it.  It takes a term's sign s = 1 or -1,
+so a difference or an odd-sign term subtracts rather than negating a
+copy, and it drops an entry whose sum cancels.
 """
 
 from __future__ import annotations
@@ -57,21 +63,32 @@ def normalize(coeffs, grade: int, lo: int, hi: int, coerce, error):
     return clean
 
 
-def accumulate(out: dict, idx: tuple, v):
-    """out[idx] += v, dropping the entry when the sum vanishes."""
-    w = out.get(idx)
-    w = v if w is None else w + v
-    if w:
-        out[idx] = w
+def accumulate(out: dict, key, v, s=1):
+    """out[key] += s * v for s = 1 or -1, v nonzero.  A new entry takes v,
+    or -v with one negation; an entry whose sum cancels is dropped."""
+    w = out.get(key)
+    if w is None:
+        out[key] = v if s > 0 else -v
     else:
-        out.pop(idx, None)
+        w = w + v if s > 0 else w - v
+        if w:
+            out[key] = w
+        else:
+            del out[key]
 
 
-def add(a: dict, b: dict) -> dict:
+def add(a: dict, b: dict, s=1) -> dict:
+    """a + s * b as a fresh dict."""
     out = dict(a)
-    for idx, v in b.items():
-        accumulate(out, idx, v)
+    for key, v in b.items():
+        accumulate(out, key, v, s)
     return out
+
+
+def add_scaled(out: dict, terms: dict, u, s=1):
+    """out += s * u * terms in place, one product u * v per term."""
+    for key, v in terms.items():
+        accumulate(out, key, u * v, s)
 
 
 def negate(a: dict) -> dict:
@@ -92,8 +109,7 @@ def wedge(a: dict, b: dict) -> dict:
             idx, sign = merge_sign(ia, ib)
             if idx is None:
                 continue
-            v = va * vb
-            accumulate(out, idx, v if sign > 0 else -v)
+            accumulate(out, idx, va * vb, sign)
     return out
 
 
@@ -114,6 +130,5 @@ def interior(a: dict, comps, first: int) -> dict:
             x = comps[t - first]
             if not x:
                 continue
-            term = v * x
-            accumulate(out, idx[:r] + idx[r + 1 :], -term if r % 2 else term)
+            accumulate(out, idx[:r] + idx[r + 1 :], v * x, -1 if r % 2 else 1)
     return out

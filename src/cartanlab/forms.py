@@ -70,12 +70,12 @@ class DualForm:
     def is_zero(self):
         return not self.coeffs
 
-    def __add__(self, other):
+    def __add__(self, other, s=1):
         self._check(other)
-        return DualForm(self.algebra, self.grade, exterior.add(self.coeffs, other.coeffs))
+        return DualForm(self.algebra, self.grade, exterior.add(self.coeffs, other.coeffs, s))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __neg__(self):
         return DualForm(self.algebra, self.grade, exterior.negate(self.coeffs))
@@ -166,8 +166,7 @@ def ce_differential(a: DualForm) -> DualForm:
                 merged, sign = exterior.merge_sign(ij, rest)
                 if merged is None:
                     continue
-                term = coeff * v
-                exterior.accumulate(out, merged, -term if (sign > 0) == (r % 2 == 0) else term)
+                exterior.accumulate(out, merged, coeff * v, sign if r % 2 else -sign)
     return DualForm(alg, a.grade + 1, out)
 
 
@@ -237,11 +236,9 @@ def skew_reduce(theta: DualForm, w: DualForm | None = None) -> tuple[int, bool]:
         y = {k: v * inv for k, v in rc.items()}
         wa, wc = cov.pop(a, None), cov.pop(c, None)
         if wa:
-            for k, v in y.items():
-                cov[k] = cov[k] + v * wa if k in cov else v * wa
+            exterior.add_scaled(cov, y, wa)
         if wc:
-            for k, v in x.items():
-                cov[k] = cov[k] - v * wc if k in cov else -(v * wc)
+            exterior.add_scaled(cov, x, wc, -1)
         # row k is final once its pairs with the later l are updated
         support = sorted(ra.keys() | rc.keys())
         for n, k in enumerate(support):
@@ -249,19 +246,17 @@ def skew_reduce(theta: DualForm, w: DualForm | None = None) -> tuple[int, bool]:
             rk.pop(a, None)
             rk.pop(c, None)
             for l in support[n + 1 :]:
-                new = rk.get(l, ZERO)
                 if ak and l in y:
-                    new = new - ak * y[l]
+                    exterior.accumulate(rk, l, ak * y[l], -1)
                 if ck and l in x:
-                    new = new + ck * x[l]
-                if new:
-                    rk[l] = new
-                    rows[l][k] = -new
-                elif l in rk:
-                    del rk[l], rows[l][k]
+                    exterior.accumulate(rk, l, ck * x[l])
+                if l in rk:
+                    rows[l][k] = -rk[l]
+                else:
+                    rows[l].pop(k, None)
             if not rk:
                 del rows[k]
-    return q, any(cov.values())
+    return q, bool(cov)
 
 
 def wedge_power_class(w: DualForm) -> tuple[int, bool]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
+from . import exterior
 from .linalg import diagonal, invert, kernel_rref, mat_vec, rref, square_matrix, transpose
 from .scalars import ONE, ZERO, Scalar
 
@@ -46,7 +47,7 @@ def bracket_table(dim, brackets):
 
 def apply_table(table, x, y) -> dict:
     """{k: coeff} of the bilinear extension of a bracket table to the
-    coordinate sequences x and y (coefficients may cancel to zero).
+    coordinate sequences x and y, merged by `exterior.add_scaled`.
 
     Products with a zero factor are skipped: the callers mostly pass
     basis vectors, where at most one of the two products survives.
@@ -60,10 +61,8 @@ def apply_table(table, x, y) -> dict:
             w = -(xj * yi)
         else:
             continue
-        if not w:
-            continue
-        for k, v in terms.items():
-            acc[k] = acc.get(k, ZERO) + w * v
+        if w:
+            exterior.add_scaled(acc, terms, w)
     return acc
 
 
@@ -269,6 +268,8 @@ class Subspace:
                 raw.append(v.comps)
             else:
                 raw.append(tuple(Scalar.of(x) for x in v))
+                if len(raw[-1]) != algebra.dim:
+                    raise ValueError("component count does not match dimension")
         reduced, _ = rref(raw) if raw else ((), ())
         self.algebra = algebra
         self.rows = reduced

@@ -7,7 +7,8 @@ and one elimination, `_forward`: `rref` is that pass plus
 back-substitution (and `rank`, `nullspace`, `kernel_rref`, `solve` and
 `invert` read `rref`), and `det` is the signed product of its pivots.
 Row operations touch only the columns where the row being subtracted is
-nonzero: elsewhere an entry keeps its value, with no Scalar work.
+nonzero, and scaling a pivot row only its nonzero entries: elsewhere an
+entry keeps its value, with no Scalar work.
 
 `kernel_rref` eliminates once for a canonical kernel basis.  A nullspace
 vector of the column-reversed matrix is 1 at its free column, 0 at the
@@ -87,7 +88,7 @@ def _forward(m):
         p = m[r][c]
         inv = ONE / p
         # left of column c every row from r on is zero already
-        tail = [x * inv for x in m[r][c + 1 :]]
+        tail = [x * inv if x else x for x in m[r][c + 1 :]]
         m[r] = [ZERO] * c + [ONE] + tail
         for i in range(r + 1, nrows):
             f = m[i][c]

@@ -9,8 +9,8 @@ the one checked constructor and establishes it for outside input.  The
 arithmetic (``+``, ``-``, ``*``, ``diff``, ``subs``, ``**``) and the
 named constructors build fresh dicts that already keep it, and wrap them
 with ``_trusted`` without checking them again.  Only a merge of two terms
-can cancel, so those are the only places that test for zero; a product of
-nonzero Scalars is nonzero, Q(i) being a field.
+can cancel, and every merge is `exterior.accumulate`, which drops a term
+that cancels; a product of nonzero Scalars is nonzero, Q(i) being a field.
 
 Most products in the SL(2n) code have a one-term factor (a coordinate
 times a sub-minor, a constant times a form coefficient, a coefficient
@@ -29,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
+from . import exterior
 from .scalars import ONE, ZERO, Scalar, check_exponent, power
 
 
@@ -86,12 +87,8 @@ class Poly:
             if len(expo) != nv:
                 raise ValueError("bad exponent tuple")
             c = Scalar.of(c)
-            if expo in clean:
-                c = clean[expo] + c
             if c:
-                clean[expo] = c
-            else:
-                clean.pop(expo, None)
+                exterior.accumulate(clean, expo, c)
         self.terms = clean
 
     # -- constructors ---------------------------------------------------
@@ -160,32 +157,19 @@ class Poly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, s=1):
         if isinstance(other, (int, Fraction, Scalar)):
             other = Poly.constant(self.vars, other)
         self._check(other)
-        out = dict(self.terms)
-        for expo, c in other.terms.items():
-            w = out.get(expo)
-            if w is None:
-                out[expo] = c
-            else:
-                w = w + c
-                if w:
-                    out[expo] = w
-                else:
-                    del out[expo]
-        return _trusted(self.vars, out)
+        return _trusted(self.vars, exterior.add(self.terms, other.terms, s))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = Poly.constant(self.vars, other)
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return Poly.constant(self.vars, other) - self
 
     def __neg__(self):
         return _trusted(self.vars, {e: -c for e, c in self.terms.items()})
@@ -207,16 +191,7 @@ class Poly:
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                expo = tuple(map(add, e1, e2))
-                w = out.get(expo)
-                if w is None:
-                    out[expo] = c1 * c2
-                else:
-                    w = w + c1 * c2
-                    if w:
-                        out[expo] = w
-                    else:
-                        del out[expo]
+                exterior.accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
         return _trusted(self.vars, out)
 
     __rmul__ = __mul__

@@ -68,14 +68,14 @@ class PolyForm:
         if self.vars != other.vars:
             raise VariableMismatch("mismatched variable sets")
 
-    def __add__(self, other):
+    def __add__(self, other, s=1):
         self._check(other)
         if self.grade != other.grade:
             raise ValueError("mismatched grades")
-        return _trusted_form(self.vars, self.grade, exterior.add(self.coeffs, other.coeffs))
+        return _trusted_form(self.vars, self.grade, exterior.add(self.coeffs, other.coeffs, s))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __neg__(self):
         return _trusted_form(self.vars, self.grade, exterior.negate(self.coeffs))
@@ -123,7 +123,7 @@ def exterior_d(a: PolyForm) -> PolyForm:
                 continue
             dp = p.diff(v)
             if dp:
-                exterior.accumulate(out, merged, dp if sign > 0 else -dp)
+                exterior.accumulate(out, merged, dp, sign)
     return _trusted_form(a.vars, a.grade + 1, out)
 
 

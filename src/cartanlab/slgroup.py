@@ -179,7 +179,7 @@ def _scalar_multiple(target: PolyForm, unit: PolyForm):
     expo, val = next(iter(p.terms.items()))
     q = target.coeffs.get(idx)
     c = (ZERO if q is None else q.terms.get(expo, ZERO)) / val
-    return c, target + unit.scale(-c)
+    return c, target - unit.scale(c)
 
 
 def _pair_subsets(pair_form: PolyForm, q: int):

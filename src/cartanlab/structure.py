@@ -9,9 +9,9 @@ with its bracket pairing.
 The kernel reads a bracket table {(i, j): {m: v}}, i < j, through its
 `pair_table`: signed rows {i: {j: (s, terms)}} that hold each stored
 pair twice, as (1, terms) in row i and (-1, terms) in row j, without
-copying or negating a coefficient.  `accumulate` adds or subtracts each
-product by the sign, so a check costs one Scalar product per nonzero
-product of constants and one addition per merge into a sum.
+copying or negating a coefficient.  `exterior.add_scaled` adds or
+subtracts each product by the sign, so a check costs one Scalar product
+per nonzero product of constants and one addition per merge into a sum.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from . import exterior
 from .liealg import LieAlgebra, Subspace, Vector, bracket_table, kernel_subspace, table_entry
 from .linalg import nullspace
 from .scalars import ONE, ZERO
@@ -45,8 +46,8 @@ def pair_table(table) -> dict:
 
     Both rows share the table's own read-only `terms`; nothing is negated.
     The readers (`cyclic_sums`, `center`, and `deformation`'s left
-    compositions and coboundaries) pass s on to `accumulate`, which adds
-    or subtracts each product by it.
+    compositions and coboundaries) pass s on to `exterior.add_scaled`,
+    which adds or subtracts each product by it.
     """
     rows = {}
     for (i, j), terms in table.items():
@@ -54,23 +55,6 @@ def pair_table(table) -> dict:
             rows.setdefault(i, {})[j] = (1, terms)
             rows.setdefault(j, {})[i] = (-1, terms)
     return rows
-
-
-def accumulate(acc, s, u, terms):
-    """acc += s * u * terms on sparse {m: coeff} vectors, for s = 1 or -1.
-
-    One Scalar product per term, added or subtracted by s; an entry that
-    acc lacks starts at its first product (negated once for s = -1), not
-    at ZERO plus it.  Cancelled entries stay in acc as zeros.
-    """
-    if s > 0:
-        for m, v in terms.items():
-            t = u * v
-            acc[m] = acc[m] + t if m in acc else t
-    else:
-        for m, v in terms.items():
-            t = u * v
-            acc[m] = acc[m] - t if m in acc else -t
 
 
 def cyclic_sums(products) -> dict:
@@ -98,8 +82,8 @@ def cyclic_sums(products) -> dict:
                         key, s = (a, c, b), -s
                     else:
                         continue
-                    accumulate(sums.setdefault(key, {}), s, u, out)
-    return {key: sums[key] for key in sorted(sums) if any(sums[key].values())}
+                    exterior.add_scaled(sums.setdefault(key, {}), out, u, s)
+    return {key: sums[key] for key in sorted(sums) if sums[key]}
 
 
 def jacobi_defects(g: LieAlgebra, first: int = 1):

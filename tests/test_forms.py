@@ -67,6 +67,16 @@ def test_pairing_and_membership_refuse_vectors_of_another_algebra():
         DualForm(h3, 2, {(1, 2): 1}).evaluate(x1, other.basis_vector(2))
 
 
+def test_subspace_rows_need_one_entry_per_dimension():
+    h3 = cat.heisenberg(1).algebra
+    for rows in ([[1, 0]], [[1, 0, 0, 0]], [[1, 0, 0], [0, 1]]):
+        with pytest.raises(ValueError):
+            Subspace(h3, rows)
+    line = Subspace(h3, [[1, 0, 0]])
+    assert line.contains(Vector(h3, [2, 0, 0]))
+    assert not line.contains(Vector(h3, [1, 0, 5]))
+
+
 def test_graded_commutativity_random():
     g = cat.heisenberg(2).algebra
     r = rng(5)

@@ -202,6 +202,30 @@ def test_rref_matches_gauss_jordan_and_solvers_check_out():
             assert mat_mul(a, invert(a)) == identity(m)
 
 
+def test_rref_of_one_nonzero_per_row_makes_no_product_by_zero(monkeypatch):
+    # the stacked ad-rows of a Heisenberg algebra have this shape: scaling
+    # a pivot row and clearing below it touch no zero entry
+    rows = as_matrix(
+        [[0, 3, 0, 0, 0], [Fraction(1, 2), 0, 0, 0, 0], [0, 0, 0, 0, Scalar(0, -7)],
+         [0, Fraction(-2, 5), 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 4]]
+    )
+    zero_products = []
+    mul = Scalar.__mul__
+
+    def counted(a, b):
+        if not (a and Scalar.of(b)):
+            zero_products.append((a, b))
+        return mul(a, b)
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Scalar, name, counted)
+    red, pivots = rref(rows)
+    assert pivots == (0, 1, 4)
+    assert red == tuple(tuple(ONE if c == p else ZERO for c in range(5)) for p in pivots)
+    assert kernel_rref(rows, 5) == as_matrix([[0, 0, 1, 0, 0], [0, 0, 0, 1, 0]])
+    assert zero_products == []
+
+
 def test_mat_mul_and_mat_vec_reject_mismatched_shapes():
     a = as_matrix([[1, 2, 3], [4, 5, 6]])
     assert mat_vec(a, [1, 1, 1]) == (6, 15)

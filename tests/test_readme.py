@@ -1,10 +1,12 @@
 """The README's examples run: every `cartanlab` command line of its `sh`
 block that names no file, in process through `cli.main`, and the Python
 block of its library tour.  The names its prose quotes exist: a quoted
-`module.name` or `Class.name` resolves in the package, and a quoted
-snake_case name is one the package defines."""
+`module.name` or `Class.name` resolves in the package, as it must in the
+package's own docstrings too, and a quoted snake_case name is one the
+package defines."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import re
@@ -54,18 +56,36 @@ def test_readme_library_tour_runs():
     assert scope["info"].characteristic_space.dim == 0
 
 
+def _docstring_quotes(path):
+    """The quoted text of every module, class and function docstring in path."""
+    nodes = ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef)
+    docs = [ast.get_docstring(node) or "" for node in nodes if isinstance(node, kinds)]
+    return re.findall(r"`([^`\n]+)`", "\n".join(docs))
+
+
 def test_readme_dotted_names_resolve():
+    # the README prose, then the docstrings of each package module; a class
+    # owner resolves in the package for the README and in the module itself
+    # for a docstring, and a dataclass field counts as an attribute
     modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
-    dotted = [q.split(".") for q in QUOTED if re.fullmatch(r"[A-Za-z_]\w*\.\w+", q)]
-    assert dotted
-    missing = []
-    for owner, name in dotted:
-        if owner in modules:
-            scope = importlib.import_module(f"cartanlab.{owner}")
-        else:
-            scope = getattr(cartanlab, owner, None)
-        if scope is None or not hasattr(scope, name):
-            missing.append(f"{owner}.{name}")
+    sources = [(cartanlab, QUOTED)]
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = cartanlab if path.stem == "__init__" else importlib.import_module(f"cartanlab.{path.stem}")
+        sources.append((module, _docstring_quotes(path)))
+    counts, missing = [], []
+    for home, quoted in sources:
+        dotted = [q.split(".") for q in quoted if re.fullmatch(r"[A-Za-z_]\w*\.\w+", q)]
+        counts.append(len(dotted))
+        for owner, name in dotted:
+            if owner in modules:
+                scope = importlib.import_module(f"cartanlab.{owner}")
+            else:
+                scope = getattr(home, owner, None)
+            fields = {f.name for f in dataclasses.fields(scope)} if dataclasses.is_dataclass(scope) else ()
+            if scope is None or not (hasattr(scope, name) or name in fields):
+                missing.append(f"{home.__name__}: {owner}.{name}")
+    assert counts[0] and sum(counts[1:]), counts
     assert not missing, missing
 
 

@@ -187,6 +187,29 @@ def test_jacobi_check_and_contract_make_no_negated_copies(monkeypatch):
             assert all(x <= y for x, y in zip(found, bound)), (exps, found)
 
 
+def test_bracket_of_basis_vectors_makes_no_scalar_addition(monkeypatch):
+    # each coordinate of [X_a, X_b] starts at its product, not at ZERO + it
+    algebras = [entry.algebra for entry in (cat.heisenberg(2), cat.dim3("sl2", lam=2),
+                                            cat.frobenius_model(2, [3]), cat.filiform_model(6))]
+    additions = []
+
+    def counted(fn):
+        def op(a, b):
+            additions.append((a, b))
+            return fn(a, b)
+
+        return op
+
+    for name in ("__add__", "__radd__", "__sub__"):
+        monkeypatch.setattr(Scalar, name, counted(getattr(Scalar, name)))
+    for g in algebras:
+        for a in range(1, g.dim + 1):
+            for b in range(1, g.dim + 1):
+                bracket = g.bracket(g.basis_vector(a), g.basis_vector(b))
+                assert bracket == Vector.from_sparse(g, g.pair(a, b)), (g, a, b)
+    assert additions == []
+
+
 def test_lie_algebra_is_immutable():
     g = cat.heisenberg(2).algebra
     with pytest.raises(TypeError):
