@@ -44,7 +44,10 @@ def algebra_from_dict(data: dict) -> LieAlgebra:
             i, j = _index(entry["i"]), _index(entry["j"])
             terms = {}
             for term in entry["terms"]:
-                terms[_index(term["k"])] = Scalar.from_strings(term["re"], term.get("im", "0"))
+                k = _index(term["k"])
+                if k in terms:
+                    raise AlgebraFileError(f"duplicate target {k} in bracket pair ({i},{j})")
+                terms[k] = Scalar.from_strings(term["re"], term.get("im", "0"))
             if (i, j) in brackets:
                 raise AlgebraFileError(f"duplicate bracket pair ({i},{j})")
             brackets[(i, j)] = terms

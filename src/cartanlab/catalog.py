@@ -563,6 +563,8 @@ def resolve(catalog_id: str, allow_nonjacobi: bool = False) -> CatalogEntry:
         key, _, value = (part.strip() for part in item.partition("="))
         if key not in parsers:
             raise ValueError(f"bad parameter {key}={value} for {name}: no such parameter")
+        if key in kw:
+            raise ValueError(f"bad parameter {key}={value} for {name}: {key} is given twice")
         try:
             kw[key] = parsers[key](value)
         except ValueError as exc:

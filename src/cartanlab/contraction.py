@@ -10,8 +10,14 @@ The limit's constants are entries of the input's table, which are checked
 and read-only already, so `contract` wraps them with the trusted
 constructor `liealg._trusted` in place of `LieAlgebra(...)`: a pair that
 keeps all its constants shares the input's read-only entry, and the limit
-is as immutable as any LieAlgebra.  The Jacobi check of the limit still
-runs on every call; it is an oracle against a corrupt input table.
+is as immutable as any LieAlgebra.  The Jacobi check of the limit is an
+oracle against a corrupt input table.  It runs once per limit: the limit
+is a function of the input's immutable table and of the kept constants,
+so the input keeps each limit it built in its write-once `_limits` dict,
+keyed by the kept (i, j, k) in table order, and a later call that keeps
+the same constants returns the same checked instance.  A scan over an
+exponent grid reaches few distinct limits (8 for the 543 converging
+points of the p = 3 grid), and a diverging call is never kept.
 
 The diagonal frobenius model that such limits reach is written once, as
 `frobenius_table(p, a)`; the catalog builds its model family from it.  Its
@@ -41,7 +47,8 @@ class ContractionSpec:
     def __post_init__(self):
         if len(self.exponents) != self.algebra.dim:
             raise ValueError("exponent count does not match dimension")
-        if any(not isinstance(e, int) for e in self.exponents):
+        # a bool is an int to isinstance, but True is no exponent
+        if any(isinstance(e, bool) or not isinstance(e, int) for e in self.exponents):
             raise ValueError("exponents must be integers")
 
 
@@ -60,25 +67,41 @@ def contract(spec: ContractionSpec) -> ContractionResult:
     g = spec.algebra
     require_jacobi(g)
     e = spec.exponents
-    kept = {}
+    key = []
     for (i, j), terms in g.c.items():
-        pair = {}
-        for k, v in terms.items():
-            # the constant rescales to t^exp * v
+        for k in terms:
+            # the constant rescales to t^exp * c_ij^k
             exp = e[i - 1] + e[j - 1] - e[k - 1]
             if exp < 0:
                 return ContractionResult(False, None, (i, j, k, exp))
             if exp == 0:
-                pair[k] = v
-        if pair:
-            kept[(i, j)] = terms if len(pair) == len(terms) else MappingProxyType(pair)
+                key.append((i, j, k))
+    key = tuple(key)
+    try:
+        limits = g._limits
+    except AttributeError:
+        limits = g._limits = {}
+    limit = limits.get(key)
+    if limit is None:
+        limit = limits[key] = _checked_limit(g, key)
+    return ContractionResult(True, limit, None)
+
+
+def _checked_limit(g: LieAlgebra, key) -> LieAlgebra:
+    """The limit keeping the constants c_ij^k of g for (i, j, k) in key,
+    given in table order, after its Jacobi check."""
+    kept = {}
+    for i, j, k in key:
+        kept.setdefault((i, j), {})[k] = g.c[(i, j)][k]
+    for ij, pair in kept.items():
+        terms = g.c[ij]
+        kept[ij] = terms if len(pair) == len(terms) else MappingProxyType(pair)
     limit = _trusted(g.dim, MappingProxyType(kept), g.basis)
-    check = jacobi_check(limit)
-    if not check.ok:
+    if not jacobi_check(limit).ok:
         raise AssertionError(
             "contraction limit violates Jacobi; the input table must be corrupt"
         )
-    return ContractionResult(True, limit, None)
+    return limit
 
 
 def _frobenius_brackets(p: int, a) -> dict:

@@ -246,9 +246,12 @@ def skew_reduce(theta: DualForm, w: DualForm | None = None) -> tuple[int, bool]:
             rk.pop(a, None)
             rk.pop(c, None)
             for l in support[n + 1 :]:
-                if ak and l in y:
+                dy, dx = ak and l in y, ck and l in x
+                if not (dy or dx):
+                    continue  # untouched, so its mirror is still right
+                if dy:
                     exterior.accumulate(rk, l, ak * y[l], -1)
-                if ck and l in x:
+                if dx:
                     exterior.accumulate(rk, l, ck * x[l])
                 if l in rk:
                     rows[l][k] = -rk[l]

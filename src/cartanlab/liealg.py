@@ -12,8 +12,10 @@ A LieAlgebra is immutable: `c` is a bracket table, and `dim` and `basis`
 cannot be reassigned, so a verdict computed from the table stays true for
 the instance's whole life.  The Jacobi identity is deliberately *not* an
 invariant of the type: deformation intermediates are allowed to violate
-it, and `structure.jacobi_check` is the gatekeeper (it keeps its verdict
-in the instance's one write-once slot).
+it, and `structure.jacobi_check` is the gatekeeper.  Two write-once slots
+hold what is computed from the table: `_jacobi`, the verdict of
+`structure.jacobi_check`, and `_limits`, the checked limits that
+`contraction.contract` built from it, keyed by the kept constants.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def coordinates(n, terms) -> tuple:
 class LieAlgebra:
     """dim, basis labels and the sparse skew bracket table, all read-only."""
 
-    __slots__ = ("dim", "basis", "c", "_jacobi")
+    __slots__ = ("dim", "basis", "c", "_jacobi", "_limits")
 
     def __init__(self, dim, brackets, basis=None):
         """brackets: {(i, j): {k: coeff}} with 1 <= i < j <= dim."""
@@ -102,8 +104,9 @@ class LieAlgebra:
         object.__setattr__(self, "c", bracket_table(dim, brackets))
 
     def __setattr__(self, name, value):
-        # `_jacobi` is the one write-once slot, for structure.jacobi_check
-        if name == "_jacobi" and not hasattr(self, name):
+        # the write-once slots: `_jacobi` for structure.jacobi_check and
+        # `_limits` for contraction.contract
+        if name in ("_jacobi", "_limits") and not hasattr(self, name):
             object.__setattr__(self, name, value)
         else:
             raise AttributeError("LieAlgebra is immutable")

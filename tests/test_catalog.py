@@ -208,6 +208,10 @@ def test_catalog_resolve():
         cat.resolve("filiform_contact:p=3")  # the array a is required
     with pytest.raises(ValueError):
         cat.resolve("dim3:kind=so3,lam=7")
+    # a repeated key is refused, not read as its last value
+    for cid in ("heisenberg:p=1,p=2", "frobenius:p=2,a=[1],a=[2]", "dim3:kind=so3,kind=sl2"):
+        with pytest.raises(ValueError, match="given twice"):
+            cat.resolve(cid)
     with pytest.raises(cat.NonJacobiDisplayError):
         cat.resolve("mu_c9:a=[0,2,1]")
     assert cat.resolve("mu_c9:a=[0,2,1]", allow_nonjacobi=True).algebra.dim == 9

@@ -189,7 +189,13 @@ FIXED = [
     (["class", "--catalog", "dim3:kind=sl2,lam=1+2i", "--form", "0,0,1"], 0),
     # and so does each coefficient of a covector
     (["class", "--catalog", "frobenius:p=2,a=[i]", "--form", "1,i,0,0"], 0),
+    # a parameter given twice, and an algebra file (REPEATED_TARGET) giving
+    # one target twice in a bracket pair
+    (["class", "--catalog", "heisenberg:p=1,p=2", "--form", "0,0,1"], 1),
+    (["check", "--algebra", "{repeated_target}", "--suite", "jacobi"], 1),
 ]
+REPEATED_TARGET = {"dim": 3, "brackets": [
+    {"i": 1, "j": 2, "terms": [{"k": 3, "re": "1"}, {"k": 3, "re": "5"}]}]}
 
 
 def _exit_code(argv):
@@ -201,9 +207,13 @@ def _exit_code(argv):
 
 
 @pytest.mark.parametrize("argv,code", FIXED)
-def test_cli_fixed_malformed_inputs(argv, code, capsys):
+def test_cli_fixed_malformed_inputs(argv, code, capsys, tmp_path):
+    path = tmp_path / "repeated-target.json"
+    path.write_text(json.dumps(REPEATED_TARGET), encoding="utf-8")
+    argv = [str(path) if a == "{repeated_target}" else a for a in argv]
     assert _exit_code(argv) == code
     out, err = capsys.readouterr()
+    assert "Traceback" not in err
     if "--catalog" in argv and code == 1:
         assert "cannot resolve catalog id" in err
     if "frobenius:p=2,a=[1,]" in argv:

@@ -4,6 +4,7 @@ from types import MappingProxyType
 import pytest
 
 from cartanlab import catalog as cat
+from cartanlab import structure
 from cartanlab.contraction import (
     ContractionSpec,
     contract,
@@ -42,6 +43,16 @@ def test_contract_exponent_count_checked():
     h3 = cat.heisenberg(1).algebra
     with pytest.raises(ValueError):
         ContractionSpec(h3, (1, 1))
+
+
+def test_exponents_are_integers_and_not_bools():
+    sl2 = cat.dim3("sl2").algebra
+    for exps in ((True, True, 2), (1, False, 2), (1, 1, 2.0), (1, 1, "2")):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            ContractionSpec(sl2, exps)
+    # negative exponents stay allowed
+    h3 = cat.heisenberg(1).algebra
+    assert contract(ContractionSpec(h3, (-1, -1, -2))).limit.same_constants(h3)
 
 
 def _jordan_sample(a):
@@ -118,32 +129,42 @@ def test_model_family_fixed_point_under_grid():
                 assert found == original, (exps, found)
 
 
+def _kept_constants(g, exps):
+    """{(i, j): {k: v}} of the exponent-zero constants of g under t^exps,
+    in table order, or None when some constant diverges."""
+    kept = {}
+    for (i, j), terms in g.c.items():
+        for k, v in terms.items():
+            e = exps[i - 1] + exps[j - 1] - exps[k - 1]
+            if e < 0:
+                return None
+            if e == 0:
+                kept.setdefault((i, j), {})[k] = v
+    return kept
+
+
 def test_limits_equal_the_checked_construction_and_stay_read_only():
     # contract wraps the kept entries of g.c without LieAlgebra's checks;
     # at every point of the p = 2, 3 grids its limit must equal the checked
     # LieAlgebra(...) of the exponent-zero constants, entry order included,
-    # and refuse every write
+    # and refuse every write.  Each grid is scanned twice, the second time
+    # in reverse order: equal kept sets give the same limit object, and
+    # distinct kept sets distinct ones
     models = ((2, [Scalar("3/7")]), (2, [Scalar(1, 1)]), (3, [Scalar("2/5"), Scalar(-1)]))
     converged = 0
     for p, a in models:
         g = cat.frobenius_model(p, a).algebra
-        for exps in product((0, 1, 2), repeat=2 * p):
-            kept = {}
-            for (i, j), terms in g.c.items():
-                for k, v in terms.items():
-                    e = exps[i - 1] + exps[j - 1] - exps[k - 1]
-                    if e < 0:
-                        kept = None
-                        break
-                    if e == 0:
-                        kept.setdefault((i, j), {})[k] = v
-                if kept is None:
-                    break
+        grid = list(product((0, 1, 2), repeat=2 * p))
+        limits = {}
+        for exps in grid + grid[::-1]:
+            kept = _kept_constants(g, exps)
             res = contract(ContractionSpec(g, exps))
             assert res.converges == (kept is not None)
             if kept is None:
                 continue
             converged += 1
+            key = tuple((i, j, k) for (i, j), terms in kept.items() for k in terms)
+            assert limits.setdefault(key, res.limit) is res.limit, exps
             limit, checked = res.limit, LieAlgebra(g.dim, kept, basis=g.basis)
             assert limit.same_constants(checked) and limit.basis == checked.basis
             assert list(limit.c.items()) == list(checked.c.items())
@@ -157,7 +178,41 @@ def test_limits_equal_the_checked_construction_and_stay_read_only():
             with pytest.raises(AttributeError):
                 limit.dim = 1
             assert jacobi_check(limit).ok
-    assert converged > 600
+        assert len({id(limit) for limit in limits.values()}) == len(limits)
+    assert converged > 1200
+
+
+def test_instances_with_equal_tables_share_no_limit():
+    g = cat.frobenius_model(3, [Scalar("2/5"), Scalar(-1)]).algebra
+    twin = LieAlgebra(g.dim, g.c, basis=g.basis)
+    for exps in product((0, 1, 2), repeat=g.dim):
+        res, twin_res = contract(ContractionSpec(g, exps)), contract(ContractionSpec(twin, exps))
+        assert res.converges == twin_res.converges
+        if res.converges:
+            assert res.limit is not twin_res.limit
+            assert list(res.limit.c.items()) == list(twin_res.limit.c.items())
+    # the kept limits are the input's own, and the slot is write-once
+    with pytest.raises(AttributeError):
+        g._limits = {}
+
+
+def test_a_grid_scan_checks_each_distinct_limit_once(monkeypatch):
+    # the 543 converging points of a fresh p = 3 grid reach 8 distinct
+    # limits: one Jacobi check of the input and one of each limit
+    model = cat.frobenius_model(3, [Scalar("2/5"), Scalar("-4/3")]).algebra
+    g = LieAlgebra(model.dim, model.c)
+    calls = []
+    defects = structure.jacobi_defects
+
+    def counted(h, *args):
+        calls.append(h)
+        return defects(h, *args)
+
+    monkeypatch.setattr(structure, "jacobi_defects", counted)
+    results = [contract(ContractionSpec(g, exps)) for exps in product((0, 1, 2), repeat=6)]
+    limits = [res.limit for res in results if res.converges]
+    assert len(limits) == 543 and len({id(limit) for limit in limits}) == 8
+    assert len(calls) <= 1 + 8
 
 
 def test_classical_contact_rescaling_reaches_heisenberg():

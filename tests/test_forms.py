@@ -291,6 +291,32 @@ def test_skew_reduce_rank_and_radical():
         wedge_power_class(theta)
 
 
+def test_skew_reduce_mirrors_only_updated_entries(monkeypatch):
+    # one seeded covector w per catalog entry: dw has 217 entries, each
+    # negated once into its mirror row, and the elimination negates 8 more
+    # (new entries of a subtracted update and the mirrors of updated
+    # entries); rewriting the mirror of every pair of the pivot support,
+    # updated or not, made 258
+    entries = cat.standard_entries() + cat.nilpotent_entries()
+    r = rng(5)
+    pairs = []
+    for entry in entries:
+        w = random_covector(entry.algebra, r)
+        pairs.append((ce_differential(w), w))
+    assert sum(len(dw.coeffs) for dw, _ in pairs) == 217
+    negations = []
+    neg = Scalar.__neg__
+
+    def counted(a):
+        negations.append(a)
+        return neg(a)
+
+    monkeypatch.setattr(Scalar, "__neg__", counted)
+    for dw, w in pairs:
+        skew_reduce(dw, w)
+    assert len(negations) <= 217 + 8
+
+
 def test_cartan_class_never_calls_the_wedge(monkeypatch):
     def refuse(a, b):
         raise AssertionError("exterior.wedge called")

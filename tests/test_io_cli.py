@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -57,6 +58,23 @@ def test_algebra_file_errors():
         algebra_from_dict(
             {"dim": 2, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 5, "re": "1"}]}]}
         )
+
+
+def test_algebra_file_refuses_a_repeated_pair_or_target():
+    # a repeated pair or target would silently keep only the last value
+    term = {"k": 3, "re": "1"}
+    repeated_pair = {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [term]},
+                                            {"i": 1, "j": 2, "terms": [term]}]}
+    repeated_target = {"dim": 3, "brackets": [
+        {"i": 1, "j": 2, "terms": [{"k": 3, "re": "1"}, {"k": 3, "re": "5"}]}]}
+    for data, message in ((repeated_pair, "duplicate bracket pair (1,2)"),
+                          (repeated_target, "duplicate target 3 in bracket pair (1,2)")):
+        with pytest.raises(AlgebraFileError, match=re.escape(message)):
+            algebra_from_dict(data)
+    # distinct targets in one pair stay one bracket
+    g = algebra_from_dict({"dim": 3, "brackets": [
+        {"i": 1, "j": 2, "terms": [{"k": 3, "re": "1"}, {"k": 1, "re": "5"}]}]})
+    assert g.pair(1, 2) == {3: Scalar(1), 1: Scalar(5)}
 
 
 def test_parse_helpers():
