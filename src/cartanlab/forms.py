@@ -283,9 +283,7 @@ def characteristic_space(w: DualForm, dw: DualForm) -> Subspace:
     where dw is ce_differential(w)."""
     n = w.algebra.dim
     # row 0 is w; row j holds dw(X_i, X_j) as i runs over the basis
-    rows = [[ZERO] * n for _ in range(n + 1)]
-    for (i,), v in w.coeffs.items():
-        rows[0][i - 1] = v
+    rows = [{i - 1: v for (i,), v in w.coeffs.items()}] + [{} for _ in range(n)]
     for (i, j), v in dw.coeffs.items():
         rows[j][i - 1] = v
         rows[i][j - 1] = -v

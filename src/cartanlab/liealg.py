@@ -23,7 +23,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from . import exterior
-from .linalg import diagonal, invert, kernel_rref, mat_vec, rref, square_matrix, transpose
+from .linalg import diagonal, invert, kernel_rref, mat_vec, rref, sparse_rows, square_matrix, transpose
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -263,19 +263,17 @@ class Subspace:
     __slots__ = ("algebra", "rows")
 
     def __init__(self, algebra, vectors=()):
+        n = algebra.dim
         raw = []
         for v in vectors:
             if isinstance(v, Vector):
                 if v.algebra is not algebra:
                     raise ValueError("vector from a different algebra")
-                raw.append(v.comps)
-            else:
-                raw.append(tuple(Scalar.of(x) for x in v))
-                if len(raw[-1]) != algebra.dim:
-                    raise ValueError("component count does not match dimension")
-        reduced, _ = rref(raw) if raw else ((), ())
+                v = v.comps
+            raw.append(v)
+        reduced, _ = rref(sparse_rows(raw, n), n)
         self.algebra = algebra
-        self.rows = reduced
+        self.rows = tuple(tuple(row.get(c, ZERO) for c in range(n)) for row in reduced)
 
     @property
     def dim(self):
@@ -310,7 +308,8 @@ class Subspace:
 
 
 def kernel_subspace(algebra, rows) -> Subspace:
-    """Kernel of a constraint matrix (columns = coords), one elimination."""
+    """Kernel of sparse constraint rows {column: Scalar}, column c for
+    coordinate c + 1 and zeros left out, in one elimination."""
     space = Subspace.__new__(Subspace)
     space.algebra, space.rows = algebra, kernel_rref(rows, algebra.dim)
     return space

@@ -1,26 +1,29 @@
-"""Dense exact linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals, on sparse rows.
 
-Matrices are tuples of tuples of Scalar (row major).  Everything is small
-(dimensions rarely above 64), so plain elimination with exact pivoting is
-the right tool.  This module holds every matrix operation of the package
-and one elimination, `_forward`: `rref` is that pass plus
-back-substitution (and `rank`, `nullspace`, `kernel_rref`, `solve` and
-`invert` read `rref`), and `det` is the signed product of its pivots.
-Row operations touch only the columns where the row being subtracted is
-nonzero, and scaling a pivot row only its nonzero entries: elsewhere an
-entry keeps its value, with no Scalar work.
+An elimination reads sparse rows, dicts {column: Scalar} with the zeros
+left out (the idiom of `exterior` and `liealg`), and a column count.
+Callers hand over rows as they build them; `sparse_rows` reads a dense
+matrix into that form and holds the one shape check.  The one
+elimination is `_forward`: `rref` is that pass plus back-substitution
+(`nullspace`, `kernel_rref`, `solve` and `invert` read `rref`), and `det`
+is the signed product of its pivots.  A row operation is
+`exterior.add_scaled`: Scalar work only at the entries of the row it
+subtracts.  `mat_mul`, `mat_vec` and `transpose` stay dense, tuples of
+tuples of Scalar: `charpoly` on `adjoint_rows`, matrix files and
+`change_basis` are dense math.
 
 `kernel_rref` eliminates once for a canonical kernel basis.  A nullspace
 vector of the column-reversed matrix is 1 at its free column, 0 at the
 other free columns, and nonzero elsewhere only to the left; read back in
 the original order, it leads with that 1, so the vectors sorted by it are
-already the rref of the kernel.
+already the rref of the kernel.  Kernel vectors come out dense.
 """
 
 from __future__ import annotations
 
 from math import prod
 
+from .exterior import add_scaled
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -34,6 +37,17 @@ def square_matrix(rows, n, what="matrix"):
     if len(a) != n or any(len(row) != n for row in a):
         raise ValueError(f"{what} must be {n} x {n}")
     return a
+
+
+def sparse_rows(rows, ncols):
+    """The dense rows as sparse rows; ValueError unless each has ncols
+    entries."""
+    out = []
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError(f"matrix rows must have {ncols} entries")
+        out.append({c: x for c, x in enumerate(map(Scalar.of, row)) if x})
+    return out
 
 
 def diagonal(entries):
@@ -66,131 +80,126 @@ def transpose(a):
     return tuple(zip(*a))
 
 
-def _forward(m):
-    """The one elimination of the package, in place on the row lists m:
+def _forward(m, ncols):
+    """The one elimination of the package, in place on the sparse rows m:
     take the columns in order; at each, swap up the first row at or below
-    the current one that is nonzero there, scale it to a leading 1 and
-    clear the entries below that 1.  Returns (pivot columns, the pivots
-    divided out, row swap count); the first len(pivot columns) rows of m
-    are then a row echelon form and the rows after them are zero."""
+    the current one that holds it, scale that row to a leading 1 and clear
+    the column below.  Returns (pivot columns, the pivots divided out, row
+    swap count).  The first len(pivot columns) rows of m are then a row
+    echelon form with each leading 1 left implicit, row r holding only its
+    entries right of pivot column r; the rows after them are empty."""
     nrows = len(m)
     pivots, divisors, swaps = [], [], 0
-    for c in range(len(m[0]) if m else 0):
+    for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
+        pivot = next((i for i in range(r, nrows) if c in m[i]), None)
         if pivot is None:
             continue
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
             swaps += 1
-        p = m[r][c]
+        p = m[r].pop(c)
         inv = ONE / p
-        # left of column c every row from r on is zero already
-        tail = [x * inv if x else x for x in m[r][c + 1 :]]
-        m[r] = [ZERO] * c + [ONE] + tail
+        tail = m[r] = {k: x * inv for k, x in m[r].items()}
         for i in range(r + 1, nrows):
-            f = m[i][c]
-            if f:
-                m[i] = [ZERO] * (c + 1) + [
-                    x - f * y if y else x for x, y in zip(m[i][c + 1 :], tail)
-                ]
+            f = m[i].pop(c, None)
+            if f is not None:
+                add_scaled(m[i], tail, f, -1)
         pivots.append(c)
         divisors.append(p)
     return pivots, divisors, swaps
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (rref rows, pivot column list).
+def rref(rows, ncols):
+    """Reduced row echelon form of sparse rows with ncols columns; returns
+    (rref rows, pivot column tuple), the rows sparse.
 
     Zero rows are dropped, so the output is a canonical basis of the row
     space: two row sets span the same space iff their rrefs are equal.
     `_forward` gives the echelon form; back-substitution, last pivot
-    first, clears the entries above each leading 1.  Ragged rows raise
-    ValueError.
+    first, clears the entries above each leading 1.
     """
-    m = [list(row) for row in rows]
-    if any(len(row) != len(m[0]) for row in m):
-        raise ValueError("matrix rows must have equal length")
-    pivots, _, _ = _forward(m)
+    m = [dict(row) for row in rows]
+    pivots, _, _ = _forward(m, ncols)
     for r in range(len(pivots) - 1, 0, -1):
         c, row = pivots[r], m[r]
         for i in range(r):
-            f = m[i][c]
-            if f:
-                m[i] = [x - f * y if y else x for x, y in zip(m[i], row)]
-    return tuple(tuple(row) for row in m[: len(pivots)]), tuple(pivots)
+            f = m[i].pop(c, None)
+            if f is not None:
+                add_scaled(m[i], row, f, -1)
+    return [{c: ONE, **row} for c, row in zip(pivots, m)], tuple(pivots)
 
 
-def rank(rows):
-    return len(rref(rows)[0])
-
-
-def nullspace(rows, ncols=None):
-    """Canonical basis of {x : A x = 0}, one vector per free column.
-    ValueError when ncols is not the length of the rows."""
-    if not rows:
-        if ncols is None:
-            raise ValueError("nullspace of an empty system needs ncols")
-        return list(identity(ncols))
-    if ncols is None:
-        ncols = len(rows[0])
-    elif ncols != len(rows[0]):
-        raise ValueError(f"rows have {len(rows[0])} columns, not {ncols}")
-    red, pivots = rref(rows)
+def nullspace(rows, ncols):
+    """Canonical basis of {x : A x = 0} for the sparse rows A with ncols
+    columns, one dense vector per free column."""
+    red, pivots = rref(rows, ncols)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
         v = [ZERO] * ncols
         v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
+        for p, row in zip(pivots, red):
+            x = row.get(f)
+            if x is not None:
+                v[p] = -x
         basis.append(tuple(v))
     return basis
 
 
-def kernel_rref(rows, ncols=None):
-    """rref of the kernel of A (see the module docstring), equal to
-    rref(nullspace(rows, ncols))[0] at the cost of one elimination."""
-    basis = nullspace([row[::-1] for row in rows], ncols)
+def kernel_rref(rows, ncols):
+    """rref of the kernel of the sparse rows A (see the module docstring),
+    dense, equal to rref(nullspace(rows, ncols)) at the cost of one
+    elimination."""
+    last = ncols - 1
+    basis = nullspace([{last - c: x for c, x in row.items()} for row in rows], ncols)
     return tuple(v[::-1] for v in reversed(basis))
 
 
 def det(rows):
-    """Exact determinant: the product of the pivots `_forward` divides
-    out, negated for an odd number of row swaps, and 0 below full rank."""
-    m = [list(row) for row in square_matrix(rows, len(rows))]
-    pivots, divisors, swaps = _forward(m)
-    if len(pivots) < len(m):
+    """Exact determinant of a dense square matrix: the product of the
+    pivots `_forward` divides out, negated for an odd number of row swaps,
+    and 0 below full rank."""
+    n = len(rows)
+    pivots, divisors, swaps = _forward(sparse_rows(rows, n), n)
+    if len(pivots) < n:
         return ZERO
     out = prod(divisors, start=ONE)
     return -out if swaps % 2 else out
 
 
 def solve(a, b):
-    """Solve A x = b exactly; returns None when inconsistent.  ValueError
-    for an empty system, whose number of unknowns is unknown."""
+    """Solve the dense system A x = b exactly; returns None when
+    inconsistent.  ValueError for an empty system, whose number of
+    unknowns is unknown."""
     if not a:
         raise ValueError("solve of an empty system has no column count")
     ncols = len(a[0])
-    aug = [list(row) + [Scalar.of(y)] for row, y in zip(a, b, strict=True)]
-    red, pivots = rref(aug)
+    aug = sparse_rows(a, ncols)
+    for row, y in zip(aug, b, strict=True):
+        y = Scalar.of(y)
+        if y:
+            row[ncols] = y
+    red, pivots = rref(aug, ncols + 1)
     x = [ZERO] * ncols
-    for r, p in enumerate(pivots):
+    for row, p in zip(red, pivots):
         if p == ncols:
             return None
-        x[p] = red[r][ncols]
+        x[p] = row.get(ncols, ZERO)
     return tuple(x)
 
 
 def invert(a):
-    """a^-1; ValueError unless a is square and nonsingular."""
+    """a^-1 for a dense a; ValueError unless a is square and nonsingular."""
     n = len(a)
-    a = square_matrix(a, n)
-    aug = [list(row) + list(unit) for row, unit in zip(a, identity(n))]
-    red, pivots = rref(aug)
+    aug = sparse_rows(a, n)
+    for i, row in enumerate(aug):
+        row[n + i] = ONE
+    red, pivots = rref(aug, 2 * n)
     if pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(red[i][n:]) for i in range(n))
+    return tuple(tuple(row.get(n + j, ZERO) for j in range(n)) for row in red[:n])

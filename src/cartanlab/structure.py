@@ -126,21 +126,17 @@ def center(g: LieAlgebra) -> Subspace:
 
     Row m of ad(X_a) holds s * c_ab^m in column b for each signed entry
     (s, terms) = rows[a][b] of `pair_table(g.c)`: only stored constants are
-    read, and only the nonzero rows are built, in the order a, then m.
+    read, and only the nonzero rows are built, in the order a, then m, as
+    the sparse rows that `kernel_subspace` eliminates.
     """
     require_jacobi(g)
-    n = g.dim
     rows = []
     for a, row in sorted(pair_table(g.c).items()):
         ad = {}
         for b, (s, terms) in row.items():
             for m, v in terms.items():
-                ad.setdefault(m, {})[b] = v if s > 0 else -v
-        for m in sorted(ad):
-            dense = [ZERO] * n
-            for b, v in ad[m].items():
-                dense[b - 1] = v
-            rows.append(dense)
+                ad.setdefault(m, {})[b - 1] = v if s > 0 else -v
+        rows.extend(ad[m] for m in sorted(ad))
     return kernel_subspace(g, rows)
 
 
@@ -194,14 +190,12 @@ def diagonal_derivations(g: LieAlgebra) -> list:
     n = g.dim
     rows = []
     for (i, j), terms in g.c.items():
-        for k, v in terms.items():
-            if v:
-                row = [ZERO] * n
-                row[i - 1] = row[i - 1] + ONE
-                row[j - 1] = row[j - 1] + ONE
-                row[k - 1] = row[k - 1] - ONE
-                rows.append(tuple(row))
-    return nullspace(rows, ncols=n)
+        for k in terms:
+            row = {}
+            for col, s in ((i, 1), (j, 1), (k, -1)):
+                exterior.accumulate(row, col - 1, ONE, s)
+            rows.append(row)
+    return nullspace(rows, n)
 
 
 def heisenberg_table(p: int):
@@ -232,15 +226,15 @@ def bracket_compatible_endomorphisms(p: int) -> list:
     for a in range(m):
         for b in range(a + 1, m):
             # sum_s f[s][a] J[s][b] + J[a][s] f[s][b] = 0
-            row = [ZERO] * (m * m)
+            row = {}
             for s in range(m):
                 if j[s][b]:
-                    row[unknown(s, a)] = row[unknown(s, a)] + j[s][b]
+                    exterior.accumulate(row, unknown(s, a), j[s][b])
                 if j[a][s]:
-                    row[unknown(s, b)] = row[unknown(s, b)] + j[a][s]
-            if any(row):
-                rows.append(tuple(row))
-    basis = nullspace(rows, ncols=m * m)
+                    exterior.accumulate(row, unknown(s, b), j[a][s])
+            if row:
+                rows.append(row)
+    basis = nullspace(rows, m * m)
     return [
         tuple(tuple(vec[r * m + c] for c in range(m)) for r in range(m))
         for vec in basis

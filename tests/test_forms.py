@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from cartanlab import catalog as cat
-from cartanlab import exterior, forms
+from cartanlab import exterior, forms, liealg, structure
 from cartanlab.forms import (
+    ClassOracleError,
     DualForm,
     FormError,
     cartan_class,
@@ -346,6 +347,32 @@ def test_class_equals_characteristic_codimension_random():
             assert info.value == g.dim - info.characteristic_space.dim
 
 
+def test_the_codimension_oracle_fires_when_the_kernel_loses_a_row(monkeypatch):
+    # X1* on h_5 has class 1 and a 4-dimensional characteristic space; a
+    # kernel that drops its last row reads codimension 2
+    g = cat.heisenberg(2).algebra
+    w = DualForm.covector(g, [1, 0, 0, 0, 0])
+    assert cartan_class(w).value == 1
+    kernel_rref = liealg.kernel_rref
+    monkeypatch.setattr(liealg, "kernel_rref", lambda rows, ncols: kernel_rref(rows, ncols)[:-1])
+    with pytest.raises(ClassOracleError, match="class 1 != codimension 2"):
+        cartan_class(w)
+
+
+def test_the_codimension_oracle_fires_when_skew_reduce_overcounts(monkeypatch):
+    entry = cat.heisenberg(2)
+    skew = forms.skew_reduce
+
+    def overcount(theta, w=None):
+        q, odd = skew(theta, w)
+        return q + 1, odd
+
+    monkeypatch.setattr(forms, "skew_reduce", overcount)
+    for w, value in ((DualForm.covector(entry.algebra, [1, 0, 0, 0, 0]), 1), (entry.distinguished_form, 5)):
+        with pytest.raises(ClassOracleError, match=f"class {value + 2} != codimension {value}"):
+            cartan_class(w)
+
+
 def test_parity_on_nilpotent_entries():
     r = rng(9)
     for entry in cat.nilpotent_entries():
@@ -386,11 +413,15 @@ def test_evaluate_matches_the_minor_formula():
                 assert theta.evaluate(*vectors) == minors, (entry.id, theta)
 
 
+def _sparse(entries):
+    return {c: x for c, x in enumerate(entries) if x}
+
+
 def _skew_lookup_rows(w, dw):
-    """The constraint rows of C(w) by n^2 skew lookups: w, then for each j
-    the row dw(X_i, X_j) as i runs over the basis."""
+    """The constraint rows of C(w) by n^2 skew lookups, zeros left out: w,
+    then for each j the row dw(X_i, X_j) as i runs over the basis."""
     n = w.algebra.dim
-    rows = [tuple(w.coeffs.get((i,), ZERO) for i in range(1, n + 1))]
+    rows = [_sparse(w.coeffs.get((i,), ZERO) for i in range(1, n + 1))]
     for j in range(1, n + 1):
         row = []
         for i in range(1, n + 1):
@@ -400,21 +431,36 @@ def _skew_lookup_rows(w, dw):
                 row.append(-dw.coeffs.get((j, i), ZERO))
             else:
                 row.append(ZERO)
-        rows.append(tuple(row))
+        rows.append(_sparse(row))
     return rows
 
 
+def _ad_lookup_rows(g):
+    """The nonzero rows of ad(X_1), ..., ad(X_n) by n^3 constant lookups,
+    zeros left out: row m of ad(X_a) holds c_ab^m as b runs over the
+    basis."""
+    n = g.dim
+    rows = [
+        _sparse(g.constant(a, b, m) for b in range(1, n + 1))
+        for a in range(1, n + 1)
+        for m in range(1, n + 1)
+    ]
+    return [row for row in rows if row]
+
+
 def test_characteristic_space_matches_the_skew_lookup_reference(monkeypatch):
-    # the rows filled from the nonzero coefficients of w and dw are the
-    # n^2-lookup rows, on every catalog form and seeded rational and
-    # Gaussian covectors
+    # the rows filled from the nonzero coefficients of w and dw, and the
+    # ad-rows of `center`, are the lookup rows as sparse dicts, on every
+    # catalog entry and seeded rational and Gaussian covectors: a caller
+    # that densified its rows would hand over zeros
     built = []
 
     def recorded(g, rows):
-        built.append([tuple(row) for row in rows])
+        built.append(list(rows))
         return kernel_subspace(g, rows)
 
     monkeypatch.setattr(forms, "kernel_subspace", recorded)
+    monkeypatch.setattr(structure, "kernel_subspace", recorded)
     r = rng(18)
     for entry in cat.standard_entries() + cat.nilpotent_entries():
         g = entry.algebra
@@ -425,3 +471,7 @@ def test_characteristic_space_matches_the_skew_lookup_reference(monkeypatch):
             space = characteristic_space(w, dw)
             assert built.pop() == reference, entry.id
             assert space == kernel_subspace(g, reference), entry.id
+        reference = _ad_lookup_rows(g)
+        space = structure.center(g)
+        assert built.pop() == reference, entry.id
+        assert space == kernel_subspace(g, reference), entry.id

@@ -13,9 +13,9 @@ from cartanlab.linalg import (
     mat_mul,
     mat_vec,
     nullspace,
-    rank,
     rref,
     solve,
+    sparse_rows,
 )
 from cartanlab.scalars import ONE, ZERO, Scalar
 
@@ -26,27 +26,31 @@ def _rand_matrix(r, n, m):
     )
 
 
+def _rank(a, m):
+    return len(rref(sparse_rows(a, m), m)[1])
+
+
 def test_rref_canonical():
     a = as_matrix([[2, 4], [1, 2]])
-    red, pivots = rref(a)
-    assert red == as_matrix([[1, 2]])
+    red, pivots = rref(sparse_rows(a, 2), 2)
+    assert red == sparse_rows([[1, 2]], 2)
     assert pivots == (0,)
     b = as_matrix([[1, 2], [3, 7]])
-    red_b, _ = rref(b)
-    assert red_b == identity(2)
+    red_b, _ = rref(sparse_rows(b, 2), 2)
+    assert red_b == sparse_rows(identity(2), 2)
 
 
 def test_rank_and_nullspace():
     a = as_matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    assert rank(a) == 2
-    basis = nullspace(a)
+    assert _rank(a, 3) == 2
+    basis = nullspace(sparse_rows(a, 3), 3)
     assert len(basis) == 1
     for v in basis:
         assert all(x == ZERO for x in mat_vec(a, v))
 
 
 def test_nullspace_empty_system():
-    assert len(nullspace([], ncols=3)) == 3
+    assert nullspace([], 3) == list(identity(3))
 
 
 def test_det_and_invert():
@@ -83,7 +87,8 @@ def test_rref_row_space_invariance():
             a[1],
             tuple(x - y for x, y in zip(a[2], a[0])),
         ]
-        assert rref(a + tuple([mixed[0]]))[0] == rref(list(a) + list(mixed))[0]
+        first, second = sparse_rows(a + tuple([mixed[0]]), 5), sparse_rows(list(a) + list(mixed), 5)
+        assert rref(first, 5)[0] == rref(second, 5)[0]
 
 
 def _sparse_matrix(r, n, m, gaussian, zero_share=0.4):
@@ -106,12 +111,13 @@ def test_kernel_rref_matches_rref_of_nullspace():
         for n, m in ((2, 6), (3, 5), (6, 3), (7, 4), (4, 4), (1, 9)):
             cases += [(_sparse_matrix(r, n, m, gaussian), m) for _ in range(15)]
     for a, m in cases:
-        kernel = kernel_rref(a, m)
-        assert kernel == rref(nullspace(a, m))[0], a
+        rows = sparse_rows(a, m)
+        kernel = kernel_rref(rows, m)
+        assert sparse_rows(kernel, m) == rref(sparse_rows(nullspace(rows, m), m), m)[0], a
         assert all(not x for v in kernel for x in mat_vec(a, v))
-    assert kernel_rref(cases[0][0], 4) == identity(4)
-    assert kernel_rref(cases[1][0], 2) == ()
-    assert kernel_rref((), 3) == identity(3)
+    assert kernel_rref(sparse_rows(cases[0][0], 4), 4) == identity(4)
+    assert kernel_rref(sparse_rows(cases[1][0], 2), 2) == ()
+    assert kernel_rref([], 3) == identity(3)
 
 
 def _leibniz(a):
@@ -148,20 +154,20 @@ def test_det_matches_the_leibniz_sum():
     for a in cases:
         d = det(a)
         assert d == _leibniz(a), a
-        assert (d == ZERO) == (rank(a) < len(a)), a
+        assert (d == ZERO) == (_rank(a, len(a)) < len(a)), a
         nonzero += bool(d)
         singular += not d
     assert nonzero > 40 and singular > 20, (nonzero, singular)
     assert det(()) == ONE
 
 
-def _gauss_jordan(rows):
-    """rref by full Gauss-Jordan elimination, clearing above and below each
-    pivot as it is found: the reference for the forward pass plus
-    back-substitution of `rref`."""
+def _gauss_jordan(rows, ncols):
+    """rref of dense rows by full Gauss-Jordan elimination, clearing above
+    and below each pivot as it is found: the reference for the forward
+    pass plus back-substitution of `rref`, its rows read back sparse."""
     m = [list(row) for row in rows]
     pivots = []
-    for c in range(len(m[0]) if m else 0):
+    for c in range(ncols):
         r = len(pivots)
         pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
@@ -172,7 +178,7 @@ def _gauss_jordan(rows):
             if i != r:
                 m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
-    return tuple(tuple(row) for row in m[: len(pivots)]), tuple(pivots)
+    return sparse_rows(m[: len(pivots)], ncols), tuple(pivots)
 
 
 def test_rref_matches_gauss_jordan_and_solvers_check_out():
@@ -186,16 +192,24 @@ def test_rref_matches_gauss_jordan_and_solvers_check_out():
             for n, m in ((4, 5), (7, 6), (8, 9), (10, 11)):
                 cases += [(_sparse_matrix(r, n, m, gaussian, share), m) for _ in range(4)]
     for a, m in cases:
-        red, pivots = rref(a)
-        assert (red, pivots) == _gauss_jordan(a), a
-        for v in nullspace(a, m):
+        rows = sparse_rows(a, m)
+        red, pivots = rref(rows, m)
+        assert (red, pivots) == _gauss_jordan(a, m), a
+        for v in nullspace(rows, m):
             assert not any(mat_vec(a, v))
+        # the same rows with their keys stored in another order and empty
+        # rows between them
+        shuffled = []
+        for row in rows:
+            shuffled += [{}] * r.randint(0, 1) + [{c: row[c] for c in r.sample(list(row), len(row))}]
+        dense = [tuple(row.get(c, ZERO) for c in range(m)) for row in shuffled]
+        assert rref(shuffled + [{}], m) == _gauss_jordan(dense + [(ZERO,) * m], m), a
         if not a:
             continue
         b = [Scalar(k + 1, k % 2) for k in range(len(a))]
         x = solve(a, b)
         if x is None:
-            assert rank(a) < rank([row + (y,) for row, y in zip(a, b)])
+            assert _rank(a, m) < _rank([row + (y,) for row, y in zip(a, b)], m + 1)
         else:
             assert mat_vec(a, x) == tuple(b)
         if len(a) == m and det(a):
@@ -205,9 +219,9 @@ def test_rref_matches_gauss_jordan_and_solvers_check_out():
 def test_rref_of_one_nonzero_per_row_makes_no_product_by_zero(monkeypatch):
     # the stacked ad-rows of a Heisenberg algebra have this shape: scaling
     # a pivot row and clearing below it touch no zero entry
-    rows = as_matrix(
+    rows = sparse_rows(
         [[0, 3, 0, 0, 0], [Fraction(1, 2), 0, 0, 0, 0], [0, 0, 0, 0, Scalar(0, -7)],
-         [0, Fraction(-2, 5), 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 4]]
+         [0, Fraction(-2, 5), 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 4]], 5
     )
     zero_products = []
     mul = Scalar.__mul__
@@ -219,9 +233,9 @@ def test_rref_of_one_nonzero_per_row_makes_no_product_by_zero(monkeypatch):
 
     for name in ("__mul__", "__rmul__"):
         monkeypatch.setattr(Scalar, name, counted)
-    red, pivots = rref(rows)
+    red, pivots = rref(rows, 5)
     assert pivots == (0, 1, 4)
-    assert red == tuple(tuple(ONE if c == p else ZERO for c in range(5)) for p in pivots)
+    assert red == [{p: ONE} for p in pivots]
     assert kernel_rref(rows, 5) == as_matrix([[0, 0, 1, 0, 0], [0, 0, 0, 1, 0]])
     assert zero_products == []
 
@@ -238,18 +252,18 @@ def test_mat_mul_and_mat_vec_reject_mismatched_shapes():
             mat_mul(a, as_matrix(b))
     with pytest.raises(ValueError):
         invert(a)
+    # the one shape check of dense input to an elimination
     for rows in ([[1, 2, 3], [4, 5]], [[1, 2], [3, 4, 5]], [[0, 1], [1]]):
         rows = as_matrix(rows)
-        for fn in (rref, rank, kernel_rref):
+        for fn in (lambda a: sparse_rows(a, len(a[0])), det, invert):
             with pytest.raises(ValueError):
                 fn(rows)
     with pytest.raises(ValueError):
         solve(as_matrix([[1, 2], [3]]), [ONE, ONE])
     with pytest.raises(ValueError, match="empty system"):
         solve((), ())
-    row = as_matrix([[1, 0, 0]])
-    assert len(nullspace(row, 3)) == 2 and kernel_rref(row, 3) == kernel_rref(row)
+    row = sparse_rows(as_matrix([[1, 0, 0]]), 3)
+    assert row == [{0: ONE}] and len(nullspace(row, 3)) == 2
     for ncols in (2, 4):
-        for fn in (nullspace, kernel_rref):
-            with pytest.raises(ValueError):
-                fn(row, ncols)
+        with pytest.raises(ValueError):
+            sparse_rows(as_matrix([[1, 0, 0]]), ncols)

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from cartanlab.linalg import as_matrix, det, mat_mul, nullspace
+from cartanlab.linalg import as_matrix, det, mat_mul, nullspace, sparse_rows
 from cartanlab.poly import Poly
 from cartanlab.polyforms import (
     PolyForm,
@@ -226,7 +226,7 @@ def test_reeb_pairings_at_unimodular_points():
             data.d_delta.coeffs.get((v,), Poly.zero(data.omega.vars)).eval(flat)
             for v in range(4)
         ]
-        for tangent in nullspace([tuple(ddet)], ncols=4):
+        for tangent in nullspace(sparse_rows([ddet], 4), 4):
             paired = sum((c * t for c, t in zip(cov, tangent)), ZERO)
             assert paired == ZERO
 

@@ -17,7 +17,7 @@ from cartanlab.liealg import (
     kernel_subspace,
     table_entry,
 )
-from cartanlab.linalg import det, mat_mul, nullspace, rref
+from cartanlab.linalg import det, mat_mul, nullspace, rref, sparse_rows
 from cartanlab.randgen import random_covector, random_rational, rng
 from cartanlab.scalars import ONE, ZERO, Scalar
 from cartanlab.structure import (
@@ -287,7 +287,8 @@ def test_contains_agrees_with_the_stacked_rref():
             else:
                 comps = vector(0.3)
             v = Vector(g, comps)
-            expected = len(rref(list(space.rows) + [v.comps])[0]) == space.dim
+            stacked = sparse_rows(list(space.rows) + [v.comps], g.dim)
+            expected = len(rref(stacked, g.dim)[0]) == space.dim
             assert expected or not member
             assert space.contains(v) == expected
             seen.add(expected)
@@ -385,7 +386,7 @@ def _hand_filled_compatible_endomorphisms(p):
                     row[s * m + b] = row[s * m + b] + j[a][s]
             if any(row):
                 rows.append(tuple(row))
-    basis = nullspace(rows, ncols=m * m)
+    basis = nullspace(sparse_rows(rows, m * m), m * m)
     return [tuple(tuple(vec[r * m + c] for c in range(m)) for r in range(m)) for vec in basis]
 
 
