@@ -117,13 +117,13 @@ def exterior_d(a: PolyForm) -> PolyForm:
     """d(f dx_I) = sum_v (df/dx_v) dx_v ^ dx_I, with the insertion sign."""
     out = {}
     for idx, p in a.coeffs.items():
-        for v in range(len(a.vars)):
-            merged, sign = exterior.merge_sign((v,), idx)
-            if merged is None:
+        # only a variable that occurs in p differentiates it to nonzero
+        for v, exponents in enumerate(zip(*p.terms)):
+            if not any(exponents):
                 continue
-            dp = p.diff(v)
-            if dp:
-                exterior.accumulate(out, merged, dp, sign)
+            merged, sign = exterior.merge_sign((v,), idx)
+            if merged is not None:
+                exterior.accumulate(out, merged, p.diff(v), sign)
     return _trusted_form(a.vars, a.grade + 1, out)
 
 

@@ -4,6 +4,8 @@ The routines use only field arithmetic and truthiness of the coefficients,
 so the same code serves Q(i) (Scalar coefficients, for adjoint spectra)
 and Q (Fraction coefficients, for Sturm chains).  Results are trimmed: the
 leading coefficient is nonzero and the zero polynomial is the empty tuple.
+`mul` skips zero factors, so a sparse polynomial costs one product per
+pair of nonzero coefficients.
 """
 
 from __future__ import annotations
@@ -33,10 +35,17 @@ def evaluate(p, x):
 def mul(a, b) -> tuple:
     if not a or not b:
         return ()
-    return trim(
-        sum(a[i] * b[k - i] for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1))
-        for k in range(len(a) + len(b) - 1)
-    )
+    out = [None] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            if y:
+                xy = x * y
+                k = i + j
+                out[k] = xy if out[k] is None else out[k] + xy
+    zero = a[-1] - a[-1]
+    return trim(zero if c is None else c for c in out)
 
 
 def sub(a, b) -> tuple:

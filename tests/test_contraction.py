@@ -4,7 +4,7 @@ from types import MappingProxyType
 import pytest
 
 from cartanlab import catalog as cat
-from cartanlab import structure
+from cartanlab import contraction, liealg, structure
 from cartanlab.contraction import (
     ContractionSpec,
     contract,
@@ -12,7 +12,7 @@ from cartanlab.contraction import (
     is_reduced_frobenius_shape,
 )
 from cartanlab.forms import DualForm, cartan_class
-from cartanlab.liealg import LieAlgebra
+from cartanlab.liealg import LieAlgebra, bracket_table
 from cartanlab.randgen import random_rational, rng
 from cartanlab.scalars import ONE, ZERO, Scalar
 from cartanlab.structure import center, jacobi_check
@@ -213,6 +213,18 @@ def test_a_grid_scan_checks_each_distinct_limit_once(monkeypatch):
     limits = [res.limit for res in results if res.converges]
     assert len(limits) == 543 and len({id(limit) for limit in limits}) == 8
     assert len(calls) <= 1 + 8
+
+
+def test_the_limit_jacobi_oracle_fires_on_a_corrupt_table(monkeypatch):
+    # [X1, X2] = X2 and [X2, X3] = X1 break Jacobi by -X1; with the input
+    # check passed over, exponents 0 keep every constant and only the
+    # Jacobi check of the limit is left to refuse the table
+    table = bracket_table(3, {(1, 2): {2: 1}, (2, 3): {1: 1}})
+    g = liealg._trusted(3, table, ("X1", "X2", "X3"))
+    assert not jacobi_check(g).ok
+    monkeypatch.setattr(contraction, "require_jacobi", lambda h: None)
+    with pytest.raises(AssertionError, match="contraction limit violates Jacobi"):
+        contract(ContractionSpec(g, (0, 0, 0)))
 
 
 def test_classical_contact_rescaling_reaches_heisenberg():

@@ -213,6 +213,35 @@ def test_d_squared_zero_random():
         assert exterior_d(exterior_d(form)).is_zero
 
 
+def _exterior_d_every_variable(a):
+    """d by its definition: sum over every variable v of dx_v ^ (d/dx_v of
+    each coefficient), zero derivatives included."""
+    w = a.vars
+    total = PolyForm(w, a.grade + 1)
+    for idx, p in a.coeffs.items():
+        for v in range(len(w)):
+            dx = PolyForm(w, 1, {(v,): Poly.constant(w, 1)})
+            total = total + poly_wedge(dx, PolyForm(w, a.grade, {idx: p.diff(v)}))
+    return total
+
+
+def test_exterior_d_reads_only_the_occurring_variables():
+    # five variables and three-term coefficients: most coefficients miss
+    # some variable, which exterior_d skips and the reference does not
+    from itertools import combinations
+
+    w = ("a", "b", "c", "d", "e")
+    r = rng(43)
+    for grade in range(4):
+        pool = list(combinations(range(len(w)), grade))
+        for _ in range(10):
+            coeffs = {idx: random_poly(w, r) for idx in r.sample(pool, r.randint(1, min(4, len(pool))))}
+            form = PolyForm(w, grade, coeffs)
+            d = exterior_d(form)
+            assert d == _exterior_d_every_variable(form)
+            assert d.grade == grade + 1 and exterior_d(d).is_zero
+
+
 def test_wedge_antiderivation_random():
     r = rng(42)
     for _ in range(10):

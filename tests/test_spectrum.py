@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cartanlab import catalog as cat
-from cartanlab import upoly
+from cartanlab import spectrum, upoly
 from cartanlab.linalg import invert, mat_mul
 from cartanlab.scalars import I, ONE, ZERO, Scalar
 from cartanlab.spectrum import adjoint_spectrum, charpoly, scalar_roots
@@ -29,6 +29,23 @@ def test_squarefree_decomposition():
     p = upoly.mul(upoly.mul(_p(-1, 1), _p(-1, 1)), _p(2, 1))
     parts = upoly.squarefree_decomposition(p)
     assert ( _p(2, 1), 1) in parts and (_p(-1, 1), 2) in parts
+
+
+def test_squarefree_decomposition_guard_fires_on_a_gcd_that_stops_dividing(monkeypatch):
+    # the first gcd, (x - 1), is right; every later one is a constant, so
+    # the loop would divide by 1 forever without its guard
+    calls = []
+    gcd = upoly.gcd
+
+    def stalls(a, b):
+        calls.append(a)
+        if len(calls) > 100:
+            raise RuntimeError("the guard let the loop run on")
+        return gcd(a, b) if len(calls) == 1 else (ONE,)
+
+    monkeypatch.setattr(upoly, "gcd", stalls)
+    with pytest.raises(AssertionError, match="did not terminate"):
+        upoly.squarefree_decomposition(upoly.mul(upoly.mul(_p(-1, 1), _p(-1, 1)), _p(2, 1)))
 
 
 def test_charpoly_2x2():
@@ -159,9 +176,10 @@ def test_scalar_roots_keeps_irreducible_factor():
     assert mult == 1 and factor == _p(-2, 0, 1)
 
 
-def test_scalar_roots_finds_seeded_gaussian_roots():
-    # products of (x - r_k), r_k in Q(i) of height up to 10^6, times a
-    # non-monic Gaussian lead and sometimes a cofactor with no root in Q(i)
+def _seeded_gaussian_cases():
+    """(p, roots, unfactored): products of (x - r_k), r_k in Q(i) of height
+    up to 10^6, times a non-monic Gaussian lead and sometimes a cofactor
+    with no root in Q(i); every fifth case repeats a root."""
     r = random.Random(6)
 
     def height():
@@ -177,9 +195,115 @@ def test_scalar_roots_finds_seeded_gaussian_roots():
         cofactor = cofactors[case % 4]
         if cofactor:
             p = upoly.mul(p, cofactor)
+        yield p, Counter(roots), (((cofactor, 1),) if cofactor else ())
+
+
+def test_scalar_roots_finds_seeded_gaussian_roots():
+    for case, (p, roots, unfactored) in enumerate(_seeded_gaussian_cases()):
         res = scalar_roots(p)
-        assert dict(res.eigenvalues) == Counter(roots), case
-        assert res.unfactored == (((cofactor, 1),) if cofactor else ()), case
+        assert dict(res.eigenvalues) == roots, case
+        assert res.unfactored == unfactored, case
+
+
+def _catalog_charpolys():
+    for entry in cat.standard_entries() + cat.nilpotent_entries():
+        g = entry.algebra
+        for k in range(1, g.dim + 1):
+            yield charpoly(g.adjoint_rows(k))
+
+
+def test_scalar_roots_without_the_certificate_gives_the_same_results(monkeypatch):
+    inputs = [p for p, _, _ in _seeded_gaussian_cases()] + list(_catalog_charpolys())
+    certified = [scalar_roots(p) for p in inputs]
+    yun_runs = []
+    decompose = upoly.squarefree_decomposition
+
+    def counted(p):
+        yun_runs.append(p)
+        return decompose(p)
+
+    monkeypatch.setattr(spectrum, "_CERTIFICATE_TRIES", 0)
+    monkeypatch.setattr(upoly, "squarefree_decomposition", counted)
+    assert [scalar_roots(p) for p in inputs] == certified
+    assert len(yun_runs) == len(inputs)
+
+
+def test_squared_factors_are_never_certified_and_keep_their_multiplicities():
+    half = Fraction(-1, 2)
+    x2_xi3 = upoly.mul(_p(0, 0, 1), upoly.mul((-I, ONE), upoly.mul((-I, ONE), (-I, ONE))))
+    cases = [
+        (charpoly(cat.frobenius_model(2, [half]).algebra.adjoint_rows(2)),
+         {ZERO: 1, Scalar(-1): 1, Scalar(half): 2}),
+        (charpoly(cat.frobenius_model(2, [0]).algebra.adjoint_rows(2)), {ZERO: 2, Scalar(-1): 2}),
+        (x2_xi3, {ZERO: 2, I: 3}),
+    ]
+    for p, eigenvalues in cases:
+        # far more primes than the certificate tries: none can certify
+        assert spectrum._squarefree_prime(spectrum._cleared(p), 40) is None
+        res = scalar_roots(p)
+        assert dict(res.eigenvalues) == eigenvalues and res.unfactored == ()
+
+
+def test_the_gaussian_integer_check_rejects_a_planted_candidate(monkeypatch):
+    # (x - 1)(x - 2i)(x + 3) has p(0) != 0; a lift that also hands back 0
+    # under both images makes the candidate z = 0, inside the bound
+    p = upoly.mul(upoly.mul(_p(-1, 1), (Scalar(0, -2), ONE)), _p(3, 1))
+    expected = scalar_roots(p)
+    lift = spectrum._lift
+    vanishes = spectrum._vanishes
+    checked = []
+
+    def planted(*args):
+        m, t, roots = lift(*args)
+        return m, t, [rs + [0] for rs in roots]
+
+    def spied(ints, x, y):
+        checked.append((x, y))
+        return vanishes(ints, x, y)
+
+    monkeypatch.setattr(spectrum, "_lift", planted)
+    monkeypatch.setattr(spectrum, "_vanishes", spied)
+    assert scalar_roots(p) == expected
+    assert (0, 0) in checked
+    assert dict(expected.eigenvalues) == {ONE: 1, Scalar(0, 2): 1, Scalar(-3): 1}
+
+
+def _count_root_work(monkeypatch):
+    """Calls of Yun's algorithm, and evaluations of a polynomial at a Scalar."""
+    work = {"yun": 0, "scalar_evaluations": 0}
+    decompose, evaluate = upoly.squarefree_decomposition, upoly.evaluate
+
+    def counted_decompose(p):
+        work["yun"] += 1
+        return decompose(p)
+
+    def counted_evaluate(p, x):
+        work["scalar_evaluations"] += isinstance(x, Scalar)
+        return evaluate(p, x)
+
+    monkeypatch.setattr(upoly, "squarefree_decomposition", counted_decompose)
+    monkeypatch.setattr(upoly, "evaluate", counted_evaluate)
+    return work
+
+
+def test_a_certified_spectrum_skips_yun_and_scalar_evaluation(monkeypatch):
+    a = [Scalar(Fraction(3, 7), 2), Scalar(Fraction(2, 9)), Scalar(Fraction(-5, 2))]
+    p = charpoly(cat.frobenius_model(4, a).algebra.adjoint_rows(2))
+    assert upoly.degree(p) == 8
+    work = _count_root_work(monkeypatch)
+    res = scalar_roots(p)
+    assert work == {"yun": 0, "scalar_evaluations": 0}
+    assert dict(res.eigenvalues) == Counter([ZERO, Scalar(-1)] + [x for ak in a for x in (ak, -(ONE + ak))])
+
+
+def test_a_repeated_eigenvalue_runs_yun_once(monkeypatch):
+    # a_1 = 0 repeats the eigenvalues 0 and -1
+    a = [ZERO, Scalar(Fraction(2, 9)), Scalar(Fraction(-5, 2), 1)]
+    p = charpoly(cat.frobenius_model(4, a).algebra.adjoint_rows(2))
+    work = _count_root_work(monkeypatch)
+    res = scalar_roots(p)
+    assert work == {"yun": 1, "scalar_evaluations": 0}
+    assert dict(res.eigenvalues) == Counter([ZERO, Scalar(-1)] + [x for ak in a for x in (ak, -(ONE + ak))])
 
 
 def test_scalar_roots_root_at_the_coefficient_bound():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -343,6 +344,19 @@ def test_diagonal_derivation_pairing():
 def test_bracket_compatible_dimension():
     for p in (1, 2, 3):
         assert bracket_compatible_dimension(p) == p * (2 * p + 1)
+
+
+def test_the_trace_check_fires_on_a_compatible_basis_with_trace(monkeypatch):
+    # a nullspace that also hands back the identity, trace 2p, is refused
+    solve = structure.nullspace
+
+    def with_identity(rows, ncols):
+        m = isqrt(ncols)
+        return solve(rows, ncols) + [tuple(ONE if r == c else ZERO for r in range(m) for c in range(m))]
+
+    monkeypatch.setattr(structure, "nullspace", with_identity)
+    with pytest.raises(AssertionError, match="nonzero trace"):
+        bracket_compatible_dimension(2)
 
 
 def test_bracket_compatible_closure():
