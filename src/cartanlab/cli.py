@@ -175,8 +175,6 @@ def cmd_class(args):
 
 
 def cmd_check(args):
-    if args.suite not in SUITES:
-        raise _Failure(EXIT_PRECONDITION, f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
     g, entry, source = _load_subject(args)
     ok, results = run_suite(args.suite, g, entry, _seed(args))
     return _report(args, (source, args.suite), {args.suite: results}, ok)
@@ -273,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_class.set_defaults(func=cmd_class)
 
     p_check = sub.add_parser("check", help="run a property suite", parents=[common, subject])
-    p_check.add_argument("--suite", required=True, help="|".join(SUITES))
+    p_check.add_argument("--suite", required=True, choices=SUITES, help="the property suite to run")
     p_check.set_defaults(func=cmd_check)
 
     p_contract = sub.add_parser("contract", help="diagonal contraction", parents=[common, subject])

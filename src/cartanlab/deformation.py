@@ -24,7 +24,10 @@ merges through `exterior.accumulate`, so no result holds a zero.
 
 Every table here is sparse, in the format of `LieAlgebra.c`: a cochain
 stores {(i, j): {k: coeff}} (a `liealg.bracket_table`), and the trilinear
-results store {(i, j, k): {m: coeff}}.  Only the readers `at`,
+results store {(i, j, k): {m: coeff}}, wrapped as a `SkewTrilinear` when
+fully skew and returned as the plain table by `bullet_product` and
+`bullet_power`.  An endomorphism f is its n x n matrix, column j = f(X_j),
+as `LieAlgebra.adjoint_rows` returns it.  Only the readers `at`,
 `first_nonzero` and `QuadraticCheck.failures` return dense coordinate
 tuples, through `liealg.table_entry` and `liealg.coordinates`.
 
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 
 from . import exterior
 from .forms import DualForm, ce_differential, skew_reduce
-from .liealg import LieAlgebra, LinearMap, bracket_table, coordinates, table_entry
+from .liealg import LieAlgebra, bracket_table, coordinates, table_entry
 from .linalg import solve, square_matrix, transpose
 from .scalars import ONE, ZERO, Scalar
 from .structure import (
@@ -157,24 +160,6 @@ def circle_product(phi: BilinearMap, psi: BilinearMap) -> SkewTrilinear:
     return SkewTrilinear(phi.algebra, cyclic_sums([(pair_table(phi.values), psi.values)]))
 
 
-class LeftComposite:
-    """psi1(psi2(X,Y),Z): skew in the first two slots only, stored as
-    {(i, j, k): {m: coeff}} for i < j."""
-
-    __slots__ = ("algebra", "values")
-
-    def __init__(self, algebra, values):
-        self.algebra = algebra
-        self.values = values
-
-    @property
-    def is_zero(self):
-        return not self.values
-
-    def at(self, i, j, k):
-        return coordinates(self.algebra.dim, table_entry(self.values, i, j, k))
-
-
 # the signed entry of a pair-table row for a pair whose bracket vanishes
 _ABSENT = (1, {})
 
@@ -190,10 +175,12 @@ def _left_compose(outer, table):
     return {key: acc for key, acc in out.items() if acc}
 
 
-def bullet_product(psi1: BilinearMap, psi2: BilinearMap) -> LeftComposite:
+def bullet_product(psi1: BilinearMap, psi2: BilinearMap) -> dict:
+    """psi1(psi2(X_i, X_j), X_k) as {(i, j, k): {m: coeff}} for i < j,
+    the format of `bullet_power`; empty when the product vanishes."""
     if psi1.algebra is not psi2.algebra:
         raise ValueError("mixed spaces")
-    return LeftComposite(psi1.algebra, _left_compose(pair_table(psi1.values), psi2.values))
+    return _left_compose(pair_table(psi1.values), psi2.values)
 
 
 def bullet_power(mu: BilinearMap, k: int):
@@ -214,14 +201,14 @@ def bullet_power(mu: BilinearMap, k: int):
     return table
 
 
-def coboundary_of_map(f: LinearMap, g: LieAlgebra) -> BilinearMap:
-    """(df)(X,Y) = f([X,Y]) - [f(X),Y] - [X,f(Y)]."""
-    if f.algebra is not g:
-        raise ValueError("map is not an endomorphism of this algebra")
+def coboundary_of_map(f, g: LieAlgebra) -> BilinearMap:
+    """(df)(X,Y) = f([X,Y]) - [f(X),Y] - [X,f(Y)] for the n x n matrix f of
+    an endomorphism of g's space, column j = f(X_j)."""
     n = g.dim
+    f = square_matrix(f, n, "the matrix of an endomorphism")
     mu = pair_table(g.c)
     # column j of f, f(X_j), as a sparse vector
-    cols = [{m + 1: x for m, x in enumerate(col) if x} for col in transpose(f.rows)]
+    cols = [{m + 1: x for m, x in enumerate(col) if x} for col in transpose(f)]
     values = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -342,8 +329,9 @@ def normalize_linear_deformation(base: LieAlgebra, phi1: BilinearMap):
     lam_i X_n are forced into the center.  With f zero but for f(X_n),
     (df)(X_i, X_n) = -[X_i, f(X_n)], so f(X_n) solves the linear system
     [X_i, f(X_n)] = -lam_i X_n, whose matrix is the pairing
-    base.constant(i, t, n).  Returns (phi1', f) with phi1' = phi1 - df,
-    and raises PreconditionError unless phi1' vanishes on every (X_i, X_n).
+    base.constant(i, t, n).  Returns (phi1', f) with phi1' = phi1 - df and
+    f the n x n matrix of the endomorphism, and raises PreconditionError
+    unless phi1' vanishes on every (X_i, X_n).
     """
     n = base.dim
     if n % 2 == 0:
@@ -357,12 +345,12 @@ def normalize_linear_deformation(base: LieAlgebra, phi1: BilinearMap):
             )
         rhs.append(-comps[n - 1])
     if not any(rhs):
-        return phi1, LinearMap.from_diagonal(base, [ZERO] * n)
+        return phi1, ((ZERO,) * n,) * n
     pairing = [[base.constant(i, t, n) for t in range(1, n + 1)] for i in range(1, n)]
     image = solve(pairing, rhs)
     if image is None:
         raise PreconditionError("no coboundary normalizes phi1: the pairing system is inconsistent")
-    f = LinearMap(base, [[x if c == n - 1 else ZERO for c in range(n)] for x in image])
+    f = tuple(tuple(x if c == n - 1 else ZERO for c in range(n)) for x in image)
     adjusted = phi1 - coboundary_of_map(f, base)
     if any(any(adjusted.at(i, n)) for i in range(1, n)):
         raise PreconditionError("phi1 - df does not vanish on every (X_i, X_n): not normalized")

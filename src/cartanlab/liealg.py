@@ -7,7 +7,9 @@ builds it, `apply_table` evaluates it on coordinates, `table_entry` reads
 one entry of it (or of a table with more slots, skew in its first two)
 and `coordinates` turns such a sparse {k: coeff} into a coordinate tuple;
 the bracket `c` of a LieAlgebra and the cochains of `deformation` are all
-such tables, and no other module reads them by hand.
+such tables, and no other module reads them by hand.  A linear map of the
+space is a plain n x n matrix, column j = image of X_j, as `adjoint_rows`
+returns ad(X_index); there is no wrapper type for it.
 A LieAlgebra is immutable: `c` is a bracket table, and `dim` and `basis`
 cannot be reassigned, so a verdict computed from the table stays true for
 the instance's whole life.  The Jacobi identity is deliberately *not* an
@@ -23,7 +25,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from . import exterior
-from .linalg import diagonal, invert, kernel_rref, mat_vec, rref, sparse_rows, square_matrix, transpose
+from .linalg import invert, kernel_rref, mat_vec, rref, sparse_rows, square_matrix, transpose
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -221,34 +223,6 @@ class Vector:
             f"{v}*{labels[i]}" for i, v in enumerate(self.comps) if v
         ]
         return " + ".join(parts) if parts else "0"
-
-
-class LinearMap:
-    """Endomorphism of the underlying space; column j = image of X_j."""
-
-    __slots__ = ("algebra", "rows")
-
-    def __init__(self, algebra, rows):
-        self.algebra = algebra
-        self.rows = square_matrix(rows, algebra.dim, "the matrix of an endomorphism")
-
-    @staticmethod
-    def from_diagonal(algebra, diag):
-        return LinearMap(algebra, diagonal(diag))
-
-    @staticmethod
-    def adjoint(algebra, index):
-        return LinearMap(algebra, algebra.adjoint_rows(index))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearMap)
-            and self.algebra is other.algebra
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash(self.rows)
 
 
 class Subspace:

@@ -119,8 +119,8 @@ def dense_coboundary(phi, g):
 
 
 def dense_view(table):
-    """{key: coordinate tuple} of a sparse BilinearMap, SkewTrilinear or
-    LeftComposite, read through its `at` in stored key order."""
+    """{key: coordinate tuple} of a sparse BilinearMap or SkewTrilinear,
+    read through its `at` in stored key order."""
     return {key: table.at(*key) for key in table.values}
 
 
@@ -159,11 +159,11 @@ def dense_coboundary_of_map(f, g):
     """{(i, j): comps} of (df)(X_i, X_j) = f([X_i, X_j]) - [f(X_i), X_j] - [X_i, f(X_j)]
     on Vectors, zeros dropped."""
     n = g.dim
-    images = [Vector(g, [row[m] for row in f.rows]) for m in range(n)]  # f(X_m): column m
+    images = [Vector(g, [row[m] for row in f]) for m in range(n)]  # f(X_m): column m
     values = {}
     for i, j in combinations(range(1, n + 1), 2):
         v = (
-            Vector(g, mat_vec(f.rows, Vector.from_sparse(g, g.pair(i, j)).comps))
+            Vector(g, mat_vec(f, Vector.from_sparse(g, g.pair(i, j)).comps))
             - g.bracket(images[i - 1], g.basis_vector(j))
             - g.bracket(g.basis_vector(i), images[j - 1])
         )

@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from cartanlab import catalog as cat
+from cartanlab import deformation
 from cartanlab.deformation import (
     BilinearMap,
     DeformationSpec,
@@ -26,7 +27,8 @@ from cartanlab.deformation import (
     normalize_linear_deformation,
 )
 from cartanlab.forms import DualForm, cartan_class, ce_differential, wedge_power
-from cartanlab.liealg import LieAlgebra, LinearMap, Vector
+from cartanlab.liealg import LieAlgebra, Vector
+from cartanlab.linalg import as_matrix
 from cartanlab.poly import Poly
 from cartanlab.randgen import random_rational, rng
 from cartanlab.scalars import ONE, ZERO, Scalar
@@ -69,22 +71,22 @@ def test_circle_detects_jacobi():
 def test_bullet_examples():
     h3 = cat.heisenberg(1).algebra
     mu = BilinearMap.of_algebra(h3)
-    assert bullet_product(mu, mu).is_zero
+    assert not bullet_product(mu, mu)
     assert not bullet_power(mu, 2)
 
     L5 = cat.filiform_model(5).algebra
     muL = BilinearMap.of_algebra(L5)
-    val = bullet_product(muL, muL).at(1, 2, 1)  # mu(mu(e0, e1), e0) = -e3
-    assert val == (ZERO, ZERO, ZERO, -ONE, ZERO)
+    val = bullet_product(muL, muL)[(1, 2, 1)]  # mu(mu(e0, e1), e0) = -e3
+    assert val == {4: -ONE}
     assert bullet_power(muL, 3) and not bullet_power(muL, 4)
 
-    assert bullet_product(BilinearMap.zero(h3), mu).is_zero
+    assert not bullet_product(BilinearMap.zero(h3), mu)
 
 
 def test_coboundary_of_inner_map():
     for entry in (cat.dim3("sl2"), cat.heisenberg(2)):
         g = entry.algebra
-        ad3 = LinearMap.adjoint(g, g.dim)
+        ad3 = g.adjoint_rows(g.dim)
         assert coboundary_of_bilinear(coboundary_of_map(ad3, g), g).is_zero
 
 
@@ -110,8 +112,7 @@ def test_coboundary_squared_random_maps():
         g = entry.algebra
         for _ in range(5):
             rows = [[r.randint(-3, 3) for _ in range(g.dim)] for _ in range(g.dim)]
-            lm = LinearMap(g, rows)
-            assert coboundary_of_bilinear(coboundary_of_map(lm, g), g).is_zero
+            assert coboundary_of_bilinear(coboundary_of_map(rows, g), g).is_zero
 
 
 def test_quadratic_check_positive_cases():
@@ -199,7 +200,7 @@ def _standard_pairing_normalization(base, phi1):
     image = [ZERO] * n
     for k in range(0, n - 1, 2):
         image[k], image[k + 1] = lam[k + 1], -lam[k]
-    f = LinearMap(base, [[image[t] if c == n - 1 else ZERO for c in range(n)] for t in range(n)])
+    f = tuple(tuple(image[t] if c == n - 1 else ZERO for c in range(n)) for t in range(n))
     return phi1 - coboundary_of_map(f, base), f
 
 
@@ -209,7 +210,7 @@ def test_normalize_reads_the_pairing_off_the_base():
     for k in range(60):
         h = cat.heisenberg(1 + k % 3).algebra
         n = h.dim
-        f = LinearMap(h, [[_sparse_rational(r) for _ in range(n)] for _ in range(n)])
+        f = [[_sparse_rational(r) for _ in range(n)] for _ in range(n)]
         phi1 = coboundary_of_map(f, h)
         adjusted, f_out = normalize_linear_deformation(h, phi1)
         assert (adjusted, f_out) == _standard_pairing_normalization(h, phi1)
@@ -217,7 +218,7 @@ def test_normalize_reads_the_pairing_off_the_base():
     # another pairing, [X1, X3] = [X2, X4] = X5, with phi1 = df for f(X5) = X1:
     # the hand-inverted standard pairing leaves phi1'(X2, X5) = -X5 here
     base = LieAlgebra(5, {(1, 3): {5: 1}, (2, 4): {5: 1}})
-    f = LinearMap(base, [[1 if (i, j) == (0, 4) else 0 for j in range(5)] for i in range(5)])
+    f = as_matrix([[1 if (i, j) == (0, 4) else 0 for j in range(5)] for i in range(5)])
     adjusted, f_out = normalize_linear_deformation(base, coboundary_of_map(f, base))
     assert adjusted.is_zero and f_out == f
     assert not _standard_pairing_normalization(base, coboundary_of_map(f, base))[0].is_zero
@@ -228,6 +229,29 @@ def test_normalize_raises_when_no_coboundary_clears_the_pairs():
     ab = cat.abelian(3).algebra
     with pytest.raises(PreconditionError, match="normaliz"):
         normalize_linear_deformation(ab, BilinearMap(ab, {(1, 3): {3: 1}}))
+
+
+def test_normalize_refuses_a_coboundary_that_does_not_clear_the_pairs(monkeypatch):
+    # a coboundary planted as zero leaves phi1(X1, X5) = 2 X5 in place;
+    # the pairing system is consistent, so only the post-check can refuse
+    h5 = cat.heisenberg(2).algebra
+    phi1 = BilinearMap(h5, {(1, 2): {1: 1}, (1, 5): {5: 2}, (3, 5): {5: -1}})
+    monkeypatch.setattr(deformation, "coboundary_of_map", lambda f, g: BilinearMap.zero(g))
+    with pytest.raises(PreconditionError, match="does not vanish"):
+        normalize_linear_deformation(h5, phi1)
+
+
+def test_classical_split_refuses_a_sum_that_does_not_reassemble(monkeypatch):
+    # assemble planted to drop the last bracket of its sum: the split of
+    # sl2 meets every precondition, so only the reassembly check can refuse
+    def dropped(spec):
+        table = dict(assemble(spec).c)
+        table.pop(max(table))
+        return LieAlgebra(spec.base.dim, table)
+
+    monkeypatch.setattr(deformation, "assemble", dropped)
+    with pytest.raises(PreconditionError, match="does not reassemble"):
+        deformation_from_classical_basis(cat.dim3("sl2").algebra)
 
 
 def test_central_extension_base_cases():
@@ -582,7 +606,10 @@ def test_sparse_bullets_match_dense_references():
         mu = BilinearMap.of_algebra(g)
         phi = random_bilinear(g, r, coeff=COEFFICIENTS[t % len(COEFFICIENTS)])
         for a, b in ((mu, mu), (phi, mu), (mu, phi), (phi, phi)):
-            assert dense_view(bullet_product(a, b)) == dense_bullet_product(a, b)
+            sparse = bullet_product(a, b)
+            assert {key: _dense(g.dim, terms) for key, terms in sparse.items()} == (
+                dense_bullet_product(a, b)
+            )
         for k in (1, 2, 3, 4):
             sparse = bullet_power(mu, k)
             dense = dense_bullet_power(mu, k)
@@ -596,8 +623,8 @@ def test_sparse_coboundary_of_map_matches_dense_reference():
     r = rng(310)
     for g in _cochain_algebras(r):
         for coeff in COEFFICIENTS:
-            f = LinearMap(g, [[coeff(r) if r.random() < 0.5 else 0 for _ in range(g.dim)]
-                              for _ in range(g.dim)])
+            f = as_matrix([[coeff(r) if r.random() < 0.5 else 0 for _ in range(g.dim)]
+                           for _ in range(g.dim)])
             assert dense_view(coboundary_of_map(f, g)) == dense_coboundary_of_map(f, g)
 
 

@@ -245,10 +245,10 @@ def test_cli_out_to_a_directory_exits_1_with_no_report(tmp_path):
 
 
 def test_cli_unknown_suite(capsys):
-    code, _, err = run_cli(
-        ["check", "--catalog", "heisenberg:p=1", "--suite", "bogus"], capsys
-    )
-    assert code == 2 and "unknown suite" in err
+    # argparse refuses the suite name before any command runs
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--catalog", "heisenberg:p=1", "--suite", "bogus"])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
 def test_cli_contract_limit_and_divergence(capsys):

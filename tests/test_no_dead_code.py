@@ -1,23 +1,35 @@
 """Every function, class and method of the package is used by the system.
 
 A name counts as used when code in the package, the demos or the
-benchmark names it: as a name, an attribute, an import, a keyword
-argument, or a word in a string constant (the benchmark's tracer lists the
-functions it wraps in strings).  The package's `__init__.py` does not
-count, so a re-export alone keeps nothing alive, and neither do the tests,
-so a wrapper that only tests call is caught.  Docstrings and comments do
-not count, so prose that mentions a name does not keep it alive.  The
-check reads names, not references, so it cannot see that a name used in
-one class is dead in another; it catches code that nothing names at all.
+benchmark uses it: as a name, an attribute, an import outside the
+package, a keyword argument, or a string constant that is an identifier
+or a dotted identifier (the benchmark's tracer lists the functions it
+wraps as strings such as "LieAlgebra.bracket").  Four kinds of
+occurrence do not count:
+
+- one inside the definition it names, a class's own methods included,
+  so a function that names itself in a message or recurses stays dead;
+- an import inside the package, so `from .liealg import X` alone keeps
+  nothing alive;
+- one inside the body of a `TEST_ONLY` or a dead definition, repeated
+  until no new dead name turns up, so code that only test-only code
+  calls is caught too;
+- a word inside a string constant that is not one whole (dotted)
+  identifier, so prose in a message keeps nothing alive.
+
+The package's `__init__.py` does not count, so a re-export alone keeps
+nothing alive, and neither do the tests, so a wrapper that only tests
+call is caught.  Docstrings and comments do not count either.  The check
+reads names, not references: it cannot see dunder methods, nor a method
+that shares its name with a used one.
 
 A name that only the tests reach stays only with an entry in `TEST_ONLY`
 that says why.  An entry goes stale, and fails the check, when the
 package no longer defines the name, when the package, a demo or the
-benchmark names it after all, or when no test names it either.
+benchmark uses it after all, or when no test names it either.
 """
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -25,92 +37,131 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cartanlab"
 USERS = ("src", "demos", "perfbench")
 SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 TEST_ONLY = {
     "psi_cocycles": "the diagonal 2-cocycles whose sums rebuild the frobenius models in acceptance criterion 08",
     "bracket_compatible_dimension": "the closed form p(2p+1) that acceptance criterion 07 asserts",
+    "bracket_compatible_endomorphisms": "the basis that bracket_compatible_dimension counts, checked by the structure tests",
     "wedge_power_class": "the wedge-power reference route that skew_reduce is checked against",
     "poly_wedge_power": "the generic wedge-power reference that two_form_pair_power is checked against",
+    "solve": "the linear solve of normalize_linear_deformation, checked by the linalg tests",
     "circle_product": "paper notion: the circle product of two 2-cochains",
     "bullet_product": "paper notion: the bullet product psi1(psi2(X, Y), Z)",
+    "coboundary_of_map": "paper notion: the coboundary df of an endomorphism",
     "coboundary_of_bilinear": "paper notion: the adjoint-valued coboundary of a 2-cochain",
     "normalize_linear_deformation": "paper notion: a linear deformation normalized off the center",
     "endomorphism_of": "paper notion: the endomorphism f that phi_2 encodes",
+    "at": "the dense reader of a cochain entry that the paper notions and the tests read values through",
     "interior_product": "paper notion: the interior product i(X) on the Lie coalgebra",
     "diagonal_derivations": "paper notion: the diagonal derivations of a Lie algebra",
 }
 
 
-def _definitions():
-    """(name, path, line) of every non-dunder top-level function, class
-    and method in the package."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            members = node.body if isinstance(node, ast.ClassDef) else []
-            for d in (node, *members):
-                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not (
-                    d.name.startswith("__") and d.name.endswith("__")
-                ):
-                    yield d.name, path, d.lineno
+def _members(tree):
+    """(qualified name, node) of every top-level function, class and
+    method of one parsed file."""
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for d in node.body:
+                if isinstance(d, DEFINITIONS):
+                    yield f"{node.name}.{d.name}", d
 
 
-def _names_in(tree):
-    """Every name the code of one parsed file uses, docstrings left out."""
+def _definitions(package):
+    """(qualified name, path, line) of every non-dunder top-level function,
+    class and method in the package directory."""
+    for path in sorted(package.glob("*.py")):
+        for qualname, node in _members(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield qualname, path, node.lineno
+
+
+def _named(s):
+    """The parts of a string that is an identifier or a dotted identifier,
+    else nothing."""
+    parts = s.split(".")
+    return parts if all(p.isidentifier() for p in parts) else []
+
+
+def _uses(tree, in_package):
+    """(name, enclosing) for every name the code of one parsed file uses,
+    docstrings left out.  In a package file, enclosing is the set of names
+    of the package definitions around the use and imports are left out;
+    elsewhere it is empty."""
     docstrings = set()
     for scope in ast.walk(tree):
         if isinstance(scope, SCOPES) and scope.body:
             first = scope.body[0]
             if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
                 docstrings.add(id(first.value))
-    for node in ast.walk(tree):
+    scopes = {id(node): node.name for _, node in _members(tree)} if in_package else {}
+    stack = [(tree, frozenset())]
+    while stack:
+        node, around = stack.pop()
         if isinstance(node, ast.Name):
-            yield node.id
+            yield node.id, around
         elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.alias):
-            yield from node.name.split(".")
-            if node.asname:
-                yield node.asname
+            yield node.attr, around
+        elif isinstance(node, ast.alias) and not in_package:
+            for name in (*node.name.split("."), node.asname):
+                if name:
+                    yield name, around
         elif isinstance(node, ast.keyword) and node.arg:
-            yield node.arg
+            yield node.arg, around
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and id(node) not in docstrings
         ):
-            yield from re.findall(r"\w+", node.value)
+            for name in _named(node.value):
+                yield name, around
+        if id(node) in scopes:
+            around = around | {scopes[id(node)]}
+        stack.extend((child, around) for child in ast.iter_child_nodes(node))
 
 
-def _used(paths):
-    used = Counter()
+def _parsed_uses(paths, package=None):
     for path in paths:
-        used.update(_names_in(ast.parse(path.read_text(encoding="utf-8"))))
-    return used
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        yield from _uses(tree, package is not None and path.parent == package)
 
 
-def _used_by_system():
-    return _used(
-        path
-        for top in USERS
-        for path in (ROOT / top).rglob("*.py")
-        if path != PACKAGE / "__init__.py"
-    )
+def _used_by_system(root, package, test_only=TEST_ONLY):
+    """Counter of the names the package, demos and benchmark under root use,
+    by the four rules of the module docstring."""
+    paths = [p for top in USERS for p in (root / top).rglob("*.py") if p != package / "__init__.py"]
+    uses = list(_parsed_uses(paths, package))
+    defined = {qualname.rsplit(".", 1)[-1] for qualname, _, _ in _definitions(package)}
+    idle = set(test_only)
+    while True:
+        used = Counter(name for name, around in uses if name not in around and not around & idle)
+        dead = defined - used.keys() - idle
+        if not dead:
+            return used
+        idle |= dead
+
+
+def _dead(root, package, test_only=TEST_ONLY):
+    used = _used_by_system(root, package, test_only)
+    return [
+        f"{path.relative_to(root)}:{lineno} {qualname}"
+        for qualname, path, lineno in _definitions(package)
+        if not used[name := qualname.rsplit(".", 1)[-1]] and name not in test_only
+    ]
 
 
 def test_every_definition_is_referenced():
-    used = _used_by_system()
-    dead = sorted(
-        f"{path.relative_to(ROOT)}:{lineno} {name}"
-        for name, path, lineno in _definitions()
-        if not used[name] and name not in TEST_ONLY
-    )
-    assert not dead, "defined but named only by tests, or not at all:\n" + "\n".join(dead)
+    dead = _dead(ROOT, PACKAGE)
+    assert not dead, "defined but used only by tests, or not at all:\n" + "\n".join(dead)
 
 
 def test_test_only_entries_are_current():
-    defined = {name for name, _, _ in _definitions()}
-    used = _used_by_system()
-    tested = _used((ROOT / "tests").rglob("*.py"))
+    defined = {qualname.rsplit(".", 1)[-1] for qualname, _, _ in _definitions(PACKAGE)}
+    used = _used_by_system(ROOT, PACKAGE)
+    tested = Counter(name for name, _ in _parsed_uses((ROOT / "tests").rglob("*.py")))
     stale = sorted(
         f"{name}: {why}"
         for name in TEST_ONLY
@@ -122,3 +173,51 @@ def test_test_only_entries_are_current():
         if bad
     )
     assert not stale, "stale TEST_ONLY entries:\n" + "\n".join(stale)
+
+
+def test_the_check_counts_uses_not_words(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("from .core import init_only\n")
+    (package / "core.py").write_text(
+        '"""names_in_docstring"""\n'
+        "from .util import import_only\n"
+        "def self_only(n):\n"
+        "    return self_only(n - 1) if n else 0\n"
+        "class Owner:\n"
+        "    def method(self):\n"
+        "        return Owner()\n"
+        "def reference(x):\n"
+        "    return inner_of_reference(x)\n"
+        "def inner_of_reference(x):\n"
+        "    return inner_of_dead(x)\n"
+        "def inner_of_dead(x):\n"
+        "    return x\n"
+        "def prose():\n"
+        "    raise ValueError('no prose_only here')\n"
+        "def by_string():\n"
+        "    return 'tracer.traced'\n"
+    )
+    (package / "util.py").write_text(
+        "def import_only(): pass\n"
+        "def init_only(): pass\n"
+        "def prose_only(): pass\n"
+        "def names_in_docstring(): pass\n"
+        "def traced(): pass\n"
+        "def live(): return by_string(), prose(), live_helper()\n"
+        "def live_helper(): pass\n"
+    )
+    (tmp_path / "demos").mkdir()
+    (tmp_path / "demos" / "demo.py").write_text("from pkg.util import live\nlive()\n")
+    dead = {entry.split()[-1] for entry in _dead(tmp_path, package, {"reference"})}
+    assert dead == {
+        "self_only",
+        "Owner",
+        "Owner.method",
+        "import_only",
+        "init_only",
+        "inner_of_reference",
+        "inner_of_dead",
+        "prose_only",
+        "names_in_docstring",
+    }

@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from cartanlab import slgroup
 from cartanlab.linalg import as_matrix, det, mat_mul, nullspace, sparse_rows
 from cartanlab.poly import Poly
 from cartanlab.polyforms import (
@@ -355,3 +356,43 @@ def test_block_rotation_takes_exactly_n_two_by_two_blocks():
     for n, blocks in ((2, [q]), (1, [q, q]), (1, [((1, 0, 0), (0, 1, 0))]), (1, [((1,),)])):
         with pytest.raises(ValueError):
             block_rotation(n, blocks)
+
+
+def _plant(monkeypatch, name, grade, index):
+    """Patch the slgroup binding of a polyforms function so that each
+    result of the given grade gains the constant 1 at `index`."""
+    fn = getattr(slgroup, name)
+
+    def planted(*args):
+        out = fn(*args)
+        if out.grade != grade:
+            return out
+        return out + PolyForm(out.vars, grade, {index: Poly.constant(out.vars, ONE)})
+
+    monkeypatch.setattr(slgroup, name, planted)
+
+
+def test_the_d_omega_check_refuses_a_wrong_differential(monkeypatch):
+    # d omega gains dx_0 ^ dx_2, which pairs no column pair: with the check
+    # passed over, sigma would be taken as given and both identities hold
+    _plant(monkeypatch, "exterior_d", 2, (0, 2))
+    assert sl_contact_identity(1) == slgroup.ContactIdentity(False, 1, None, None)
+    assert reeb_identities(1)[1] is None
+
+
+def test_the_top_form_check_refuses_a_residual(monkeypatch):
+    # the top coefficient gains the constant 1, which no multiple of det
+    # has; c' is still read off a term of det, so only the residual test
+    # can refuse it
+    _plant(monkeypatch, "poly_wedge", 4, (0, 1, 2, 3))
+    res = sl_contact_identity(1)
+    assert not res.ok and res.constant is None
+    assert res.residual == Poly.constant(matrix_vars(1), ONE)
+
+
+def test_the_reeb_check_refuses_a_non_multiple_of_d_det(monkeypatch):
+    # i(2n Z) sigma gains the constant 1 at dx_0, which no multiple of
+    # d(det) has: its coefficients are homogeneous of degree 2n - 1
+    _plant(monkeypatch, "poly_interior", 1, (0,))
+    pair_defect, multiple = reeb_identities(1)
+    assert pair_defect.is_zero and multiple is None
