@@ -16,7 +16,6 @@ phi_1(X1,X2) = X1 forces f(X1) = 0 and lands in the solvable families.
 
 from cartanlab import catalog as cat
 from cartanlab.deformation import (
-    BilinearMap,
     DeformationSpec,
     assemble,
     bilinear_from_endomorphism,
@@ -41,7 +40,7 @@ print("The forced failure: phi_1(X1,X2) = X1 against a split diagonal f")
 h3 = cat.heisenberg(1).algebra
 spec = DeformationSpec(
     h3,
-    BilinearMap(h3, {(1, 2): {1: 1}}),
+    {(1, 2): {1: 1}},
     bilinear_from_endomorphism(h3, ((1, 0), (0, -1))),
 )
 res = check_quadratic_deformation(spec)

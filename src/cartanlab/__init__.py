@@ -30,7 +30,6 @@ from .structure import (
     PreconditionError,
 )
 from .deformation import (
-    BilinearMap,
     DeformationSpec,
     circle_product,
     bullet_product,

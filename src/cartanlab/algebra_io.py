@@ -35,15 +35,34 @@ def _index(value) -> int:
     return value
 
 
+def _fields(obj, allowed, where) -> dict:
+    """obj, checked to be a JSON object with no key outside `allowed`: the
+    schema sets additionalProperties false, so a misspelled key such as
+    "imag" is refused rather than read as absent."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{where} must be an object, not {obj!r}")
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise AlgebraFileError(f"unknown key {unknown[0]!r} in {where}")
+    return obj
+
+
 def algebra_from_dict(data: dict) -> LieAlgebra:
     try:
+        data = _fields(data, {"dim", "basis", "brackets"}, "the algebra file")
         dim = _index(data["dim"])
         basis = data.get("basis")
+        if "basis" in data and not (
+            isinstance(basis, list) and all(isinstance(b, str) for b in basis)
+        ):
+            raise AlgebraFileError(f"basis must be a list of strings, not {basis!r}")
         brackets = {}
         for entry in data.get("brackets", []):
+            entry = _fields(entry, {"i", "j", "terms"}, "a bracket")
             i, j = _index(entry["i"]), _index(entry["j"])
             terms = {}
             for term in entry["terms"]:
+                term = _fields(term, {"k", "re", "im"}, f"a term of bracket pair ({i},{j})")
                 k = _index(term["k"])
                 if k in terms:
                     raise AlgebraFileError(f"duplicate target {k} in bracket pair ({i},{j})")
@@ -93,6 +112,7 @@ def load_matrix_text(text: str):
             row = []
             for cell in raw:
                 if isinstance(cell, dict):
+                    cell = _fields(cell, {"re", "im"}, "a matrix entry")
                     row.append(Scalar.from_strings(cell["re"], cell.get("im", "0")))
                 elif isinstance(cell, (str, int)):
                     row.append(parse_scalar(cell))

@@ -48,15 +48,15 @@ from functools import partial
 from math import comb
 from typing import Optional
 
+from . import exterior
 from .contraction import frobenius_table
 from .deformation import (
-    BilinearMap,
     DeformationSpec,
     bilinear_from_endomorphism,
     deformation_from_classical_basis,
 )
 from .forms import DualForm
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, bracket_table
 from .scalars import ONE, ZERO, Scalar, parse_rational, parse_scalar
 from .structure import PreconditionError, heisenberg_table, jacobi_check, jacobi_defects
 
@@ -189,7 +189,7 @@ def _so3(a: Scalar) -> CatalogEntry:
     h3 = LieAlgebra(3, heisenberg_table(1))
     spec = DeformationSpec(
         h3,
-        BilinearMap.zero(h3),
+        {},
         bilinear_from_endomorphism(h3, ((ZERO, a), (-a, ZERO))),
     )
     return _entry(
@@ -339,7 +339,7 @@ def filiform_model(n: int) -> CatalogEntry:
     )
 
 
-def filiform_cocycle(p: int, k: int, base: LieAlgebra) -> BilinearMap:
+def filiform_cocycle(p: int, k: int, base: LieAlgebra):
     """psi_{k, 2k+2} on the space of L_{2p+1}:
 
         psi(e_i, e_j) = (-1)^(k-i) * binom(j-k-1, k-i) * e_{2k+2 + i+j-2k-1}
@@ -362,7 +362,7 @@ def filiform_cocycle(p: int, k: int, base: LieAlgebra) -> BilinearMap:
                 continue
             # basis positions are shifted by one: e_m sits at index m+1
             values[(i + 1, j + 1)] = {target + 1: Scalar(coeff)}
-    return BilinearMap(base, values)
+    return bracket_table(n, values)
 
 
 def filiform_contact_conditions(p: int, coeffs) -> list:
@@ -403,14 +403,15 @@ def filiform_contact(p: int, a, allow_nonjacobi: bool = False) -> CatalogEntry:
     a = _scalars(a, p - 1, "need p-1 cocycle coefficients")
     n = 2 * p + 1
     base = filiform_model(n).algebra
-    total = BilinearMap.of_algebra(base)
+    total = {key: dict(terms) for key, terms in base.c.items()}
     for k in range(1, p):
         if a[k - 1]:
-            total = total + filiform_cocycle(p, k, base).scale(a[k - 1])
+            for key, terms in filiform_cocycle(p, k, base).items():
+                exterior.add_scaled(total.setdefault(key, {}), terms, a[k - 1])
     return _filiform_entry(
         "filiform_contact",
         {"p": p, "a": tuple(a)},
-        LieAlgebra(n, total.values, basis=_filiform_labels(n)),
+        LieAlgebra(n, total, basis=_filiform_labels(n)),
         allow_nonjacobi,
         "filiform contact family; contact iff every condition A_i != 0",
     )
@@ -490,8 +491,8 @@ def psi_cocycles(p: int, base: LieAlgebra) -> list:
     out = []
     for k in range(1, p):
         out.append(
-            BilinearMap(
-                base,
+            bracket_table(
+                base.dim,
                 {
                     (2, 2 * k + 1): {2 * k + 1: ONE},
                     (2, 2 * k + 2): {2 * k + 2: -ONE},

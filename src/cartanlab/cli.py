@@ -291,11 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_list_values(argv) -> list:
-    """Spell "--form -1,0,1" as "--form=-1,0,1" (likewise --exponents):
-    argparse reads a separate value that starts with a minus as an option."""
+    """Spell "--form -1,0,1" as "--form=-1,0,1", and "--form -i,1" as
+    "--form=-i,1" (likewise --exponents): argparse reads a separate value
+    that starts with a minus as an option."""
     out = []
     for tok in argv:
-        if out and out[-1] in ("--form", "--exponents") and tok[:1] == "-" and tok[1:2].isdigit():
+        if out and out[-1] in ("--form", "--exponents") and tok[:1] == "-" and (
+            tok[1:2].isdigit() or tok[1:2] == "i"
+        ):
             out[-1] += "=" + tok
         else:
             out.append(tok)

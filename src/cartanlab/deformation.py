@@ -22,14 +22,16 @@ rows of `structure.pair_table` and psi as stored.  The left compositions
 and `coboundary_of_map` read the same signed rows, and every sum here
 merges through `exterior.accumulate`, so no result holds a zero.
 
-Every table here is sparse, in the format of `LieAlgebra.c`: a cochain
-stores {(i, j): {k: coeff}} (a `liealg.bracket_table`), and the trilinear
-results store {(i, j, k): {m: coeff}}, wrapped as a `SkewTrilinear` when
-fully skew and returned as the plain table by `bullet_product` and
-`bullet_power`.  An endomorphism f is its n x n matrix, column j = f(X_j),
-as `LieAlgebra.adjoint_rows` returns it.  Only the readers `at`,
-`first_nonzero` and `QuadraticCheck.failures` return dense coordinate
-tuples, through `liealg.table_entry` and `liealg.coordinates`.
+Every cochain is its sparse table; there is no wrapper type.  A
+2-cochain is a `liealg.bracket_table` {(i, j): {k: coeff}}, the format of
+`LieAlgebra.c`, and a 3-cochain is the {(i, j, k): {m: coeff}} of
+`structure.cyclic_sums`, stored on i < j < k.  The left compositions
+`bullet_product` and `bullet_power` return the same format with only the
+first two slots ordered.  A table does not carry its dimension, so the
+functions that need it take the base algebra.  An endomorphism f is its
+n x n matrix, column j = f(X_j), as `LieAlgebra.adjoint_rows` returns it.
+Only `QuadraticCheck.failures` holds dense coordinate tuples, through
+`liealg.coordinates`.
 
 Coboundary signs are pinned so that on the Heisenberg algebra a diagonal
 endomorphism f (acting through phi_2(X_l, X_{2p+1}) = f(X_l)) satisfies
@@ -41,13 +43,14 @@ which together with d o d = 0 fixes every other sign.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import exterior
 from .forms import DualForm, ce_differential, skew_reduce
-from .liealg import LieAlgebra, bracket_table, coordinates, table_entry
+from .liealg import LieAlgebra, bracket_table, coordinates
 from .linalg import solve, square_matrix, transpose
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO
 from .structure import (
     PreconditionError,
     cyclic_sums,
@@ -67,97 +70,10 @@ def _table_sum(a, b, s=1):
     return out
 
 
-class BilinearMap:
-    """Skew bilinear map on a LieAlgebra's space with values in the space.
-
-    `values` is a `liealg.bracket_table`, the format of `LieAlgebra.c`.
-    """
-
-    __slots__ = ("algebra", "values")
-
-    def __init__(self, algebra: LieAlgebra, values=None):
-        """values: {(i, j): {k: coeff}} exactly as for LieAlgebra."""
-        self.algebra = algebra
-        self.values = bracket_table(algebra.dim, values or {})
-
-    @staticmethod
-    def zero(algebra):
-        return BilinearMap(algebra)
-
-    @staticmethod
-    def of_algebra(g: LieAlgebra):
-        """The bracket of g itself, as a BilinearMap on g's space."""
-        return BilinearMap(g, g.c)
-
-    @property
-    def is_zero(self):
-        return not self.values
-
-    def at(self, i, j):
-        return coordinates(self.algebra.dim, table_entry(self.values, i, j))
-
-    def __add__(self, other, s=1):
-        if other.algebra is not self.algebra:
-            raise ValueError("mixed spaces")
-        return BilinearMap(self.algebra, _table_sum(self.values, other.values, s))
-
-    def __neg__(self):
-        return BilinearMap(self.algebra, _table_sum({}, self.values, -1))
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
-
-    def scale(self, s):
-        s = Scalar.of(s)
-        return BilinearMap(
-            self.algebra,
-            {key: {k: v * s for k, v in terms.items()} for key, terms in self.values.items()},
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BilinearMap)
-            and self.algebra is other.algebra
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash(frozenset((key, frozenset(t.items())) for key, t in self.values.items()))
-
-
-class SkewTrilinear:
-    """Fully skew trilinear table, stored on i < j < k as the output of
-    `structure.cyclic_sums`: {(i, j, k): {m: coeff}}, nonzero sums only."""
-
-    __slots__ = ("algebra", "values")
-
-    def __init__(self, algebra, values):
-        self.algebra = algebra
-        self.values = values
-
-    @property
-    def is_zero(self):
-        return not self.values
-
-    def at(self, i, j, k):
-        # a cyclic rotation, an even permutation, puts the largest index
-        # last; the entry is then skew in its first two slots
-        while k < max(i, j):
-            i, j, k = j, k, i
-        return coordinates(self.algebra.dim, table_entry(self.values, i, j, k))
-
-    def first_nonzero(self):
-        if not self.values:
-            return None
-        key = min(self.values)
-        return key, coordinates(self.algebra.dim, self.values[key])
-
-
-def circle_product(phi: BilinearMap, psi: BilinearMap) -> SkewTrilinear:
-    """Cyclic composition; mu o mu = 0 is exactly the Jacobi identity."""
-    if phi.algebra is not psi.algebra:
-        raise ValueError("mixed spaces")
-    return SkewTrilinear(phi.algebra, cyclic_sums([(pair_table(phi.values), psi.values)]))
+def circle_product(phi, psi) -> dict:
+    """Cyclic composition phi o psi of two 2-cochains, as a 3-cochain;
+    mu o mu = 0 is exactly the Jacobi identity."""
+    return cyclic_sums([(pair_table(phi), psi)])
 
 
 # the signed entry of a pair-table row for a pair whose bracket vanishes
@@ -175,15 +91,13 @@ def _left_compose(outer, table):
     return {key: acc for key, acc in out.items() if acc}
 
 
-def bullet_product(psi1: BilinearMap, psi2: BilinearMap) -> dict:
+def bullet_product(psi1, psi2) -> dict:
     """psi1(psi2(X_i, X_j), X_k) as {(i, j, k): {m: coeff}} for i < j,
     the format of `bullet_power`; empty when the product vanishes."""
-    if psi1.algebra is not psi2.algebra:
-        raise ValueError("mixed spaces")
-    return _left_compose(pair_table(psi1.values), psi2.values)
+    return _left_compose(pair_table(psi1), psi2)
 
 
-def bullet_power(mu: BilinearMap, k: int):
+def bullet_power(mu, k: int) -> dict:
     """Left-iterated table mu(mu(...mu(X,Y)...), Z): arity k+1 entries.
 
     Returns {index tuple: {m: coeff}}; the first two indices satisfy i < j,
@@ -192,8 +106,8 @@ def bullet_power(mu: BilinearMap, k: int):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    outer = pair_table(mu.values)
-    table = dict(mu.values)
+    outer = pair_table(mu)
+    table = dict(mu)
     for _ in range(k - 1):
         table = _left_compose(outer, table)
         if not table:
@@ -201,7 +115,7 @@ def bullet_power(mu: BilinearMap, k: int):
     return table
 
 
-def coboundary_of_map(f, g: LieAlgebra) -> BilinearMap:
+def coboundary_of_map(f, g: LieAlgebra):
     """(df)(X,Y) = f([X,Y]) - [f(X),Y] - [X,f(Y)] for the n x n matrix f of
     an endomorphism of g's space, column j = f(X_j)."""
     n = g.dim
@@ -222,27 +136,28 @@ def coboundary_of_map(f, g: LieAlgebra) -> BilinearMap:
                 s, terms = mu.get(i, {}).get(b, _ABSENT)
                 exterior.add_scaled(acc, terms, u, -s)
             values[(i, j)] = acc
-    return BilinearMap(g, values)
+    return bracket_table(n, values)
 
 
-def coboundary_of_bilinear(phi: BilinearMap, g: LieAlgebra) -> SkewTrilinear:
+def coboundary_of_bilinear(phi, g: LieAlgebra) -> dict:
     """(d phi)(X,Y,Z) = sum_cyc phi([X,Y],Z) - sum_cyc [X, phi(Y,Z)],
     computed as phi o mu + mu o phi."""
-    if phi.algebra is not g:
-        raise ValueError("cochain lives on a different algebra")
-    products = [(pair_table(phi.values), g.c), (pair_table(g.c), phi.values)]
-    return SkewTrilinear(g, cyclic_sums(products))
+    return cyclic_sums([(pair_table(phi), g.c), (pair_table(g.c), phi)])
 
 
 @dataclass(frozen=True)
 class DeformationSpec:
+    """mu_0 + phi_1 + phi_2 over the bracket of `base`; the cochains are
+    stored as `bracket_table`s on base's space, so an index out of its
+    range raises ValueError."""
+
     base: LieAlgebra
-    phi1: BilinearMap
-    phi2: BilinearMap
+    phi1: Mapping
+    phi2: Mapping
 
     def __post_init__(self):
-        if self.phi1.algebra is not self.base or self.phi2.algebra is not self.base:
-            raise ValueError("cochains must live on the base algebra's space")
+        for name in ("phi1", "phi2"):
+            object.__setattr__(self, name, bracket_table(self.base.dim, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -270,10 +185,10 @@ def check_quadratic_deformation(spec: DeformationSpec) -> QuadraticCheck:
     """
     base = spec.base
     require_jacobi(base)
-    if bullet_power(BilinearMap.of_algebra(base), 2):
+    if bullet_power(base.c, 2):
         raise PreconditionError("base bracket must be (at most) 2-step nilpotent")
     # phi o psi is the product (rows of phi, table of psi) of `cyclic_sums`
-    mu, p1, p2 = base.c, spec.phi1.values, spec.phi2.values
+    mu, p1, p2 = base.c, spec.phi1, spec.phi2
     r0, r1, r2 = pair_table(mu), pair_table(p1), pair_table(p2)
     failures = []
     for eq, products in (
@@ -282,9 +197,10 @@ def check_quadratic_deformation(spec: DeformationSpec) -> QuadraticCheck:
         (3, [(r1, p2), (r2, p1)]),
         (4, [(r2, p2)]),
     ):
-        table = SkewTrilinear(base, cyclic_sums(products))
-        if not table.is_zero:
-            failures.append((eq, *table.first_nonzero()))
+        table = cyclic_sums(products)
+        if table:
+            key = next(iter(table))  # the least triple: the sums come sorted
+            failures.append((eq, key, coordinates(base.dim, table[key])))
     return QuadraticCheck(not failures, tuple(failures))
 
 
@@ -292,11 +208,11 @@ def assemble(spec: DeformationSpec) -> LieAlgebra:
     """The deformed bracket mu_0 + phi_1 + phi_2 (parameter specialized to 1:
     all nonzero parameter values give isomorphic brackets)."""
     base = spec.base
-    total = _table_sum(_table_sum(base.c, spec.phi1.values), spec.phi2.values)
+    total = _table_sum(_table_sum(base.c, spec.phi1), spec.phi2)
     return LieAlgebra(base.dim, total, basis=base.basis)
 
 
-def bilinear_from_endomorphism(base: LieAlgebra, f_rows) -> BilinearMap:
+def bilinear_from_endomorphism(base: LieAlgebra, f_rows):
     """phi_2 with phi_2(X_l, X_n) = f(X_l) for l < n and zero on the rest.
 
     f_rows is a (n-1)x(n-1) matrix acting on span{X_1..X_{n-1}} whose image
@@ -307,22 +223,22 @@ def bilinear_from_endomorphism(base: LieAlgebra, f_rows) -> BilinearMap:
     m = n - 1
     f_rows = square_matrix(f_rows, m, "an endomorphism of the non-central subspace")
     values = {(l, n): {t + 1: f_rows[t][l - 1] for t in range(m)} for l in range(1, m + 1)}
-    return BilinearMap(base, values)
+    return bracket_table(n, values)
 
 
-def endomorphism_of(phi2: BilinearMap) -> tuple:
+def endomorphism_of(base: LieAlgebra, phi2) -> tuple:
     """Inverse of `bilinear_from_endomorphism`: f read off phi_2(X_l, X_n).
     Raises ValueError unless `bilinear_from_endomorphism` rebuilds phi_2
     from that f, i.e. unless phi_2 vanishes off the pairs (X_l, X_n) and
     keeps their values inside span{X_1..X_{n-1}}."""
-    n = phi2.algebra.dim
-    f = transpose([phi2.at(l, n)[:-1] for l in range(1, n)])
-    if bilinear_from_endomorphism(phi2.algebra, f) != phi2:
+    n = base.dim
+    f = transpose([coordinates(n, phi2.get((l, n), {}))[:-1] for l in range(1, n)])
+    if bilinear_from_endomorphism(base, f) != phi2:
         raise ValueError("phi_2 is not of the endomorphism form phi_2(X_l, X_n) = f(X_l)")
     return f
 
 
-def normalize_linear_deformation(base: LieAlgebra, phi1: BilinearMap):
+def normalize_linear_deformation(base: LieAlgebra, phi1):
     """Subtract a coboundary so the cocycle vanishes on (X_i, X_n) pairs.
 
     For a 2-cocycle of the Heisenberg algebra the values phi1(X_i, X_n) =
@@ -336,14 +252,15 @@ def normalize_linear_deformation(base: LieAlgebra, phi1: BilinearMap):
     n = base.dim
     if n % 2 == 0:
         raise PreconditionError("normalization expects odd dimension")
+    phi1 = bracket_table(n, phi1)
     rhs = []  # -lam_i
     for i in range(1, n):
-        comps = phi1.at(i, n)
-        if any(comps[t] for t in range(n - 1)):
+        terms = phi1.get((i, n), {})
+        if any(t != n for t in terms):
             raise PreconditionError(
                 "phi1(X_i, X_n) has a non-central component; not a cocycle shape"
             )
-        rhs.append(-comps[n - 1])
+        rhs.append(-terms.get(n, ZERO))
     if not any(rhs):
         return phi1, ((ZERO,) * n,) * n
     pairing = [[base.constant(i, t, n) for t in range(1, n + 1)] for i in range(1, n)]
@@ -351,8 +268,8 @@ def normalize_linear_deformation(base: LieAlgebra, phi1: BilinearMap):
     if image is None:
         raise PreconditionError("no coboundary normalizes phi1: the pairing system is inconsistent")
     f = tuple(tuple(x if c == n - 1 else ZERO for c in range(n)) for x in image)
-    adjusted = phi1 - coboundary_of_map(f, base)
-    if any(any(adjusted.at(i, n)) for i in range(1, n)):
+    adjusted = bracket_table(n, _table_sum(phi1, coboundary_of_map(f, base), -1))
+    if any((i, n) in adjusted for i in range(1, n)):
         raise PreconditionError("phi1 - df does not vanish on every (X_i, X_n): not normalized")
     return adjusted, f
 
@@ -393,9 +310,7 @@ def deformation_from_classical_basis(g: LieAlgebra) -> DeformationSpec:
             if central:
                 raise PreconditionError("brackets with the center must stay horizontal")
             phi2_vals[(i, j)] = terms
-    spec = DeformationSpec(
-        base, BilinearMap(base, phi1_vals), BilinearMap(base, phi2_vals)
-    )
+    spec = DeformationSpec(base, phi1_vals, phi2_vals)
     if assemble(spec).c != g.c:
         raise PreconditionError("the split does not reassemble the bracket table")
     return spec

@@ -46,14 +46,6 @@ class DualForm:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def zero(algebra, grade=1):
-        return DualForm(algebra, grade)
-
-    @staticmethod
-    def one(algebra):
-        return DualForm(algebra, 0, {(): ONE})
-
-    @staticmethod
     def basis(algebra, *indices):
         return DualForm(algebra, len(indices), {tuple(indices): ONE})
 
@@ -268,7 +260,7 @@ def wedge_power_class(w: DualForm) -> tuple[int, bool]:
     _require_covector(w)
     dw = ce_differential(w)
     q = 0
-    power = DualForm.one(w.algebra)
+    power = DualForm(w.algebra, 0, {(): ONE})
     while True:
         nxt = wedge(power, dw)
         if nxt.is_zero:

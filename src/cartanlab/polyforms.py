@@ -53,10 +53,6 @@ class PolyForm:
         )
 
     @staticmethod
-    def zero(vars, grade=1):
-        return PolyForm(vars, grade)
-
-    @staticmethod
     def function(poly: Poly):
         return PolyForm(poly.vars, 0, {(): poly})
 

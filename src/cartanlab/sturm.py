@@ -7,24 +7,21 @@ over the whole line uses the sign limits at +-infinity.  No floats.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import upoly
 from .scalars import Scalar
 
 
 def _coeffs(p):
-    """Accept a Poly in one variable, a Scalar list, or a Fraction list."""
+    """Accept a Poly in one variable or a list of what `Scalar.of` takes;
+    every coefficient must be real."""
     if hasattr(p, "univariate_coeffs"):
         p = p.univariate_coeffs()
     out = []
     for c in p:
-        if isinstance(c, Scalar):
-            if c.im != 0:
-                raise ValueError("Sturm sequences need real coefficients")
-            out.append(c.re)
-        else:
-            out.append(Fraction(c))
+        c = Scalar.of(c)
+        if c.im != 0:
+            raise ValueError("Sturm sequences need real coefficients")
+        out.append(c.re)
     return upoly.trim(out)
 
 

@@ -5,19 +5,20 @@ The references are the loops the library used before
 every triple i < j < k (or every basis vector), and every product a dense
 `apply_comps` on basis-vector coordinate tuples.  The deformation and
 structure tests compare the sparse routes with them, reading the sparse
-tables through their dense `at`; the references are slow on purpose and
-belong to no library code path.  The seeded tables they run on draw their
-coefficients from one of `COEFFICIENTS`: rationals, Gaussian rationals, or
-units +-1, whose products cancel often and whose signs the kernels must
-carry exactly.  The forms tests draw seeded forms from `random_form`, and
+tables through the dense `at`; the references are slow on purpose and
+belong to no library code path.  A cochain is its sparse table and does
+not carry its dimension, so the dense readers take it.  The seeded
+tables they run on draw their coefficients from one of `COEFFICIENTS`:
+rationals, Gaussian rationals, or units +-1, whose products cancel often
+and whose signs the kernels must carry exactly.  The forms tests draw seeded forms from `random_form`, and
 the basis-change tests their dense Gaussian bases from `gaussian_basis`.
 """
 
 from itertools import combinations
 
-from cartanlab.deformation import BilinearMap
+from cartanlab import exterior
 from cartanlab.forms import DualForm
-from cartanlab.liealg import LieAlgebra, Vector, apply_table, coordinates
+from cartanlab.liealg import LieAlgebra, Vector, apply_table, bracket_table, coordinates, table_entry
 from cartanlab.linalg import det, mat_vec
 from cartanlab.randgen import random_rational
 from cartanlab.scalars import ONE, ZERO, Scalar
@@ -47,14 +48,24 @@ def random_table(r, n, coeff=random_rational):
 
 
 def random_bilinear(g, r, density=0.4, coeff=random_rational):
-    """Random skew bilinear map on g's space with sparse random values."""
+    """Random 2-cochain on g's space, a bracket table with sparse random values."""
     n = g.dim
     values = {}
     for i, j in combinations(range(1, n + 1), 2):
         if r.random() < density:
             targets = r.sample(range(1, n + 1), r.randint(1, 2))
             values[(i, j)] = {k: coeff(r) for k in targets}
-    return BilinearMap(g, values)
+    return bracket_table(n, values)
+
+
+def combine(n, *scaled):
+    """The sum of u * table over the (u, table) pairs of 2-cochains, as a
+    bracket table in dimension n, merged by `exterior.add_scaled`."""
+    out = {}
+    for u, table in scaled:
+        for key, terms in table.items():
+            exterior.add_scaled(out.setdefault(key, {}), terms, Scalar.of(u))
+    return bracket_table(n, out)
 
 
 def random_form(g, grade, r):
@@ -64,10 +75,21 @@ def random_form(g, grade, r):
     return DualForm(g, grade, {idx: random_rational(r) for idx in tuples[:3]})
 
 
+def at(n, table, *key):
+    """Coordinate tuple of a cochain entry in dimension n: a 2-cochain at
+    (i, j), or a fully skew 3-cochain, stored on i < j < k, at (i, j, k)."""
+    if len(key) == 3:
+        # a cyclic rotation, an even permutation, puts the largest index
+        # last; the entry is then skew in its first two slots
+        while key[2] < max(key[:2]):
+            key = key[1:] + key[:1]
+    return coordinates(n, table_entry(table, *key))
+
+
 def apply_comps(phi, x, y):
     """phi(x, y) on coordinate tuples, by the bilinear extension
     `liealg.apply_table` that `LieAlgebra.bracket` uses too."""
-    return coordinates(phi.algebra.dim, apply_table(phi.values, x, y))
+    return coordinates(len(x), apply_table(phi, x, y))
 
 
 def _basis(n):
@@ -82,16 +104,15 @@ def _neg(v):
     return tuple(-x for x in v)
 
 
-def dense_circle_product(phi, psi):
+def dense_circle_product(n, phi, psi):
     """{(i, j, k): comps} of phi o psi on every triple, lexicographic order."""
-    n = phi.algebra.dim
     e = _basis(n)
     values = {}
     for i, j, k in combinations(range(1, n + 1), 3):
         acc = _sum(
-            apply_comps(phi, psi.at(i, j), e[k - 1]),
-            apply_comps(phi, psi.at(j, k), e[i - 1]),
-            apply_comps(phi, psi.at(k, i), e[j - 1]),
+            apply_comps(phi, at(n, psi, i, j), e[k - 1]),
+            apply_comps(phi, at(n, psi, j, k), e[i - 1]),
+            apply_comps(phi, at(n, psi, k, i), e[j - 1]),
         )
         if any(acc):
             values[(i, j, k)] = acc
@@ -100,48 +121,45 @@ def dense_circle_product(phi, psi):
 
 def dense_coboundary(phi, g):
     """(d phi)(X,Y,Z) = sum_cyc phi([X,Y],Z) - sum_cyc [X, phi(Y,Z)]."""
-    n = g.dim
-    mu = BilinearMap.of_algebra(g)
+    n, mu = g.dim, g.c
     e = _basis(n)
     values = {}
     for i, j, k in combinations(range(1, n + 1), 3):
         acc = _sum(
-            apply_comps(phi, mu.at(i, j), e[k - 1]),
-            apply_comps(phi, mu.at(j, k), e[i - 1]),
-            apply_comps(phi, mu.at(k, i), e[j - 1]),
-            _neg(apply_comps(mu, e[i - 1], phi.at(j, k))),
-            _neg(apply_comps(mu, e[j - 1], phi.at(k, i))),
-            _neg(apply_comps(mu, e[k - 1], phi.at(i, j))),
+            apply_comps(phi, at(n, mu, i, j), e[k - 1]),
+            apply_comps(phi, at(n, mu, j, k), e[i - 1]),
+            apply_comps(phi, at(n, mu, k, i), e[j - 1]),
+            _neg(apply_comps(mu, e[i - 1], at(n, phi, j, k))),
+            _neg(apply_comps(mu, e[j - 1], at(n, phi, k, i))),
+            _neg(apply_comps(mu, e[k - 1], at(n, phi, i, j))),
         )
         if any(acc):
             values[(i, j, k)] = acc
     return values
 
 
-def dense_view(table):
-    """{key: coordinate tuple} of a sparse BilinearMap or SkewTrilinear,
-    read through its `at` in stored key order."""
-    return {key: table.at(*key) for key in table.values}
+def dense_view(n, table):
+    """{key: coordinate tuple} of a sparse 2- or 3-cochain, read through
+    `at` in stored key order."""
+    return {key: at(n, table, *key) for key in table}
 
 
-def dense_bullet_product(psi1, psi2):
+def dense_bullet_product(n, psi1, psi2):
     """{(i, j, k): comps} of psi1(psi2(X_i, X_j), X_k), i < j, zeros dropped."""
-    n = psi1.algebra.dim
     e = _basis(n)
     values = {}
-    for i, j in psi2.values:
+    for i, j in psi2:
         for k in range(1, n + 1):
-            acc = apply_comps(psi1, psi2.at(i, j), e[k - 1])
+            acc = apply_comps(psi1, at(n, psi2, i, j), e[k - 1])
             if any(acc):
                 values[(i, j, k)] = acc
     return values
 
 
-def dense_bullet_power(mu, k):
+def dense_bullet_power(n, mu, k):
     """{index tuple: comps} of mu(mu(...mu(X, Y)...), Z) with arity k + 1."""
-    n = mu.algebra.dim
     e = _basis(n)
-    table = {key: mu.at(*key) for key in mu.values}
+    table = dense_view(n, mu)
     for _ in range(k - 1):
         nxt = {}
         for key, comps in table.items():
@@ -187,11 +205,12 @@ def dense_quadratic_failures(spec):
     """The four compatibility equations, each judged on dense tables:
     ((equation, first failing triple, defect comps), ...)."""
     base, phi1, phi2 = spec.base, spec.phi1, spec.phi2
+    n = base.dim
     equations = (
         (1, [dense_coboundary(phi1, base)]),
-        (2, [dense_circle_product(phi1, phi1), dense_coboundary(phi2, base)]),
-        (3, [dense_circle_product(phi1, phi2), dense_circle_product(phi2, phi1)]),
-        (4, [dense_circle_product(phi2, phi2)]),
+        (2, [dense_circle_product(n, phi1, phi1), dense_coboundary(phi2, base)]),
+        (3, [dense_circle_product(n, phi1, phi2), dense_circle_product(n, phi2, phi1)]),
+        (4, [dense_circle_product(n, phi2, phi2)]),
     )
     failures = []
     for eq, tables in equations:

@@ -13,7 +13,6 @@ from cartanlab.contraction import (
     frobenius_model_parameters,
 )
 from cartanlab.deformation import (
-    BilinearMap,
     DeformationSpec,
     assemble,
     bilinear_from_endomorphism,
@@ -43,6 +42,7 @@ from cartanlab.spectrum import adjoint_spectrum
 from cartanlab.structure import jacobi_check
 from cartanlab.sturm import count_real_roots
 
+from dense_cochains import combine
 from test_slgroup import closed_form_constant
 
 
@@ -133,7 +133,7 @@ def test_criterion_04_quadratic_system_implies_jacobi():
         h3 = cat.heisenberg(1).algebra
         spec = DeformationSpec(
             h3,
-            BilinearMap(h3, {(1, 2): {1: 1}}),
+            {(1, 2): {1: 1}},
             bilinear_from_endomorphism(h3, ((1, 0), (0, -1))),
         )
         assert check_quadratic_deformation(spec).failing_equations() == (3,)
@@ -181,10 +181,8 @@ def test_criterion_08_frobenius_model_battery():
                 entry = cat.frobenius_model(p, a)
                 assert jacobi_check(entry.algebra).ok
                 assert cartan_class(entry.distinguished_form).value == 2 * p
-                total = BilinearMap.of_algebra(base_entry.algebra)
-                for ak, psi in zip(a, psis):
-                    total = total + psi.scale(ak)
-                rebuilt = LieAlgebra(2 * p, total.values)
+                total = combine(2 * p, (1, base_entry.algebra.c), *zip(a, psis))
+                rebuilt = LieAlgebra(2 * p, total)
                 assert rebuilt.same_constants(entry.algebra)
                 spectrum = adjoint_spectrum(entry.algebra, 2)
                 for ak in a:

@@ -193,6 +193,10 @@ FIXED = [
     # one target twice in a bracket pair
     (["class", "--catalog", "heisenberg:p=1,p=2", "--form", "0,0,1"], 1),
     (["check", "--algebra", "{repeated_target}", "--suite", "jacobi"], 1),
+    # a list value whose leading minus comes before an i, separate and
+    # attached (appended last, so the ids of the cases above stay put)
+    (["class", "--catalog", "frobenius:p=2,a=[i]", "--form", "-i,1,0,0"], 0),
+    (["class", "--catalog", "frobenius:p=2,a=[i]", "--form=-i,1,0,0"], 0),
 ]
 REPEATED_TARGET = {"dim": 3, "brackets": [
     {"i": 1, "j": 2, "terms": [{"k": 3, "re": "1"}, {"k": 3, "re": "5"}]}]}

@@ -17,7 +17,6 @@ from cartanlab.algebra_io import (
 )
 from cartanlab.cli import main
 from cartanlab.deformation import (
-    BilinearMap,
     DeformationSpec,
     assemble,
     bilinear_from_endomorphism,
@@ -75,6 +74,30 @@ def test_algebra_file_refuses_a_repeated_pair_or_target():
     g = algebra_from_dict({"dim": 3, "brackets": [
         {"i": 1, "j": 2, "terms": [{"k": 3, "re": "1"}, {"k": 1, "re": "5"}]}]})
     assert g.pair(1, 2) == {3: Scalar(1), 1: Scalar(5)}
+
+
+def test_algebra_file_refuses_what_the_schema_rejects():
+    # the schema wants a basis of strings and no key beyond its own at the
+    # top, bracket or term level; each of these loaded before, one of them
+    # as the wrong algebra (the misspelled "imag" read as an absent "im")
+    term = {"k": 3, "re": "1"}
+    cases = (
+        ({"dim": 3, "basis": "XYZ", "brackets": []}, "basis must be a list of strings"),
+        ({"dim": 3, "basis": [1, None, True], "brackets": []}, "basis must be a list of strings"),
+        ({"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "re": "1", "imag": "2"}]}]},
+         "unknown key 'imag'"),
+        ({"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [term], "k": 3}]}, "unknown key 'k'"),
+        ({"dim": 3, "bracket": [{"i": 1, "j": 2, "terms": [term]}]}, "unknown key 'bracket'"),
+    )
+    for data, message in cases:
+        with pytest.raises(AlgebraFileError, match=re.escape(message)):
+            algebra_from_dict(data)
+    with pytest.raises(AlgebraFileError, match="unknown key 'imag'"):
+        load_matrix_text('[[{"re": "1", "imag": "2"}]]')
+    # the keys the schema names still load
+    g = algebra_from_dict({"dim": 3, "basis": ["a", "b", "c"], "brackets": [
+        {"i": 1, "j": 2, "terms": [{"k": 3, "re": "1", "im": "2"}]}]})
+    assert g.basis == ("a", "b", "c") and g.pair(1, 2) == {3: Scalar(1, 2)}
 
 
 def test_parse_helpers():
@@ -196,7 +219,7 @@ def test_cli_check_quadra_reports_failing_equations(capsys, tmp_path):
     h3 = cat.heisenberg(1).algebra
     spec = DeformationSpec(
         h3,
-        BilinearMap(h3, {(1, 2): {1: 1}}),
+        {(1, 2): {1: 1}},
         bilinear_from_endomorphism(h3, ((1, 0), (0, -1))),
     )
     failures = check_quadratic_deformation(spec).failures

@@ -52,7 +52,6 @@ TEST_ONLY = {
     "coboundary_of_bilinear": "paper notion: the adjoint-valued coboundary of a 2-cochain",
     "normalize_linear_deformation": "paper notion: a linear deformation normalized off the center",
     "endomorphism_of": "paper notion: the endomorphism f that phi_2 encodes",
-    "at": "the dense reader of a cochain entry that the paper notions and the tests read values through",
     "interior_product": "paper notion: the interior product i(X) on the Lie coalgebra",
     "diagonal_derivations": "paper notion: the diagonal derivations of a Lie algebra",
 }

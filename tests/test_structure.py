@@ -6,7 +6,7 @@ import pytest
 from cartanlab import catalog as cat
 from cartanlab import forms, structure
 from cartanlab.contraction import ContractionSpec, contract
-from cartanlab.deformation import BilinearMap, coboundary_of_map
+from cartanlab.deformation import coboundary_of_map
 from cartanlab.forms import cartan_class, ce_differential, characteristic_space
 from cartanlab.liealg import (
     LieAlgebra,
@@ -119,9 +119,8 @@ def test_sparse_jacobi_defects_match_dense_routes(first):
         sparse = [(i, j, k, d.comps) for i, j, k, d in jacobi_defects(g, first=first)]
         assert sparse == _dense_defects(g, first)
         assert sparse == _bracket_defects(g, first)
-        mu = BilinearMap.of_algebra(g)
         circle = [
-            key + (comps,) for key, comps in dense_circle_product(mu, mu).items()
+            key + (comps,) for key, comps in dense_circle_product(g.dim, g.c, g.c).items()
             if key[0] >= first
         ]
         assert sparse == circle
@@ -322,10 +321,10 @@ def test_lower_central_series():
 def test_is_derivation():
     h3 = cat.heisenberg(1).algebra
     # f is a derivation exactly when its coboundary vanishes
-    assert coboundary_of_map(diagonal([5, -5, 0]), h3).is_zero
-    assert not coboundary_of_map(diagonal([1, 1, 1]), h3).is_zero
+    assert not coboundary_of_map(diagonal([5, -5, 0]), h3)
+    assert coboundary_of_map(diagonal([1, 1, 1]), h3)
     ab = cat.abelian(3).algebra
-    assert coboundary_of_map(diagonal([1, 1, 1]), ab).is_zero
+    assert not coboundary_of_map(diagonal([1, 1, 1]), ab)
 
 
 def test_diagonal_derivation_pairing():

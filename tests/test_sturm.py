@@ -41,6 +41,13 @@ def test_constants():
         sturm_chain([])
 
 
+def test_float_coefficients_are_refused():
+    # a binary float is not an exact rational: Scalar.of refuses it
+    for coeffs in ([0.1, 1], [Fraction(1), 0.5]):
+        with pytest.raises(TypeError):
+            count_real_roots(coeffs)
+
+
 def test_rational_coefficients():
     u = _u()
     p = u * u * Fraction(4, 9) - Fraction(1, 9)  # roots +-1/2
