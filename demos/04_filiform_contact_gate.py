@@ -48,5 +48,6 @@ print("but is not a Lie bracket; its Jacobi defect is purely central:")
 bad = cat.filiform_contact(4, [0, 2, 1], allow_nonjacobi=True).algebra
 res = jacobi_check(bad)
 i, j, k, defect = res.witness
-print(f"  defect at (e{i-1}, e{j-1}, e{k-1}) = {defect}")
+terms = " + ".join(f"{x}*{label}" for x, label in zip(defect, bad.basis) if x)
+print(f"  defect at (e{i-1}, e{j-1}, e{k-1}) = {terms}")
 print("  closure obstruction values:", [str(x) for x in cat.filiform_contact_closure(4, [0, 2, 1])])

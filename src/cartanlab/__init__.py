@@ -7,7 +7,7 @@ float.
 """
 
 from .scalars import Scalar, ZERO, ONE, I
-from .liealg import LieAlgebra, Vector, Subspace, change_basis
+from .liealg import LieAlgebra, Subspace, change_basis
 from .forms import (
     DualForm,
     wedge,

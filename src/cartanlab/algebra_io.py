@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .liealg import LieAlgebra
-from .scalars import Scalar, parse_scalar
+from .scalars import Scalar, check_int, parse_scalar
 
 
 class AlgebraFileError(ValueError):
@@ -28,13 +28,6 @@ def algebra_to_dict(g: LieAlgebra) -> dict:
     return {"dim": g.dim, "basis": list(g.basis), "brackets": brackets}
 
 
-def _index(value) -> int:
-    # int() would truncate a JSON float and take a bool, so check the type
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"index must be an integer, not {value!r}")
-    return value
-
-
 def _fields(obj, allowed, where) -> dict:
     """obj, checked to be a JSON object with no key outside `allowed`: the
     schema sets additionalProperties false, so a misspelled key such as
@@ -50,27 +43,26 @@ def _fields(obj, allowed, where) -> dict:
 def algebra_from_dict(data: dict) -> LieAlgebra:
     try:
         data = _fields(data, {"dim", "basis", "brackets"}, "the algebra file")
-        dim = _index(data["dim"])
         basis = data.get("basis")
         if "basis" in data and not (
             isinstance(basis, list) and all(isinstance(b, str) for b in basis)
         ):
             raise AlgebraFileError(f"basis must be a list of strings, not {basis!r}")
         brackets = {}
-        for entry in data.get("brackets", []):
+        for entry in data["brackets"]:
             entry = _fields(entry, {"i", "j", "terms"}, "a bracket")
-            i, j = _index(entry["i"]), _index(entry["j"])
+            i, j = check_int(entry["i"], 1, "index"), check_int(entry["j"], 1, "index")
             terms = {}
             for term in entry["terms"]:
                 term = _fields(term, {"k", "re", "im"}, f"a term of bracket pair ({i},{j})")
-                k = _index(term["k"])
+                k = check_int(term["k"], 1, "index")
                 if k in terms:
                     raise AlgebraFileError(f"duplicate target {k} in bracket pair ({i},{j})")
                 terms[k] = Scalar.from_strings(term["re"], term.get("im", "0"))
             if (i, j) in brackets:
                 raise AlgebraFileError(f"duplicate bracket pair ({i},{j})")
             brackets[(i, j)] = terms
-        return LieAlgebra(dim, brackets, basis=basis)
+        return LieAlgebra(data["dim"], brackets, basis=basis)
     except AlgebraFileError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -442,7 +442,7 @@ def filiform_contact_closure(p: int, coeffs) -> list:
     """
     a = _scalars(coeffs, p - 1, "need p-1 cocycle coefficients")
     g = filiform_contact(p, a, allow_nonjacobi=True).algebra
-    return [comp for *_, defect in jacobi_defects(g, first=2) for comp in defect.comps if comp]
+    return [comp for *_, defect in jacobi_defects(g, first=2) for comp in defect if comp]
 
 
 def mu_c9(a, allow_nonjacobi: bool = False) -> CatalogEntry:

@@ -7,6 +7,12 @@ The differential is fixed once and for all by
 on grade 1 and extends as an antiderivation.  Under this convention the
 Heisenberg coframe satisfies d w_{2p+1} = -w_1^w_2 - ... - w_{2p-1}^w_{2p}.
 
+A vector is its coordinate tuple, as in `liealg`: `DualForm.evaluate` and
+`interior_product` take one coordinate sequence per vector argument and
+raise FormError on one whose length is not the dimension of the form's
+algebra.  The characteristic space is a `liealg.Subspace`, whose rows
+are such tuples.
+
 `cartan_class` computes the class twice and refuses to return if the two
 answers disagree.  The first route is `skew_reduce`, a pivoted symplectic
 elimination of dw that carries w along: 2q is the rank of dw, and the
@@ -23,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exterior
-from .liealg import LieAlgebra, Subspace, Vector, kernel_subspace
-from .scalars import ONE, ZERO, Scalar
+from .liealg import LieAlgebra, Subspace, check_length, kernel_subspace
+from .scalars import ONE, ZERO, Scalar, check_int
 
 
 class FormError(ValueError):
@@ -37,10 +43,8 @@ class DualForm:
     __slots__ = ("algebra", "grade", "coeffs")
 
     def __init__(self, algebra: LieAlgebra, grade: int, coeffs=None):
-        if grade < 0:
-            raise FormError("grade must be nonnegative")
         self.algebra = algebra
-        self.grade = grade
+        self.grade = check_int(grade, 0, "grade")
         self.coeffs = exterior.normalize(coeffs, grade, 1, algebra.dim + 1, Scalar.of, FormError)
 
     # -- constructors -----------------------------------------------------
@@ -96,20 +100,14 @@ class DualForm:
 
     # -- evaluation ---------------------------------------------------------
 
-    def pair(self, v: Vector) -> Scalar:
-        if self.grade != 1:
-            raise FormError("pair() is for grade-1 forms")
-        return self.evaluate(v)
-
     def evaluate(self, *vectors) -> Scalar:
-        """theta(v_1, ..., v_q), one interior product per vector."""
+        """theta(v_1, ..., v_q) for coordinate sequences v_1, ..., v_q, one
+        interior product per vector."""
         if len(vectors) != self.grade:
             raise FormError("wrong number of arguments")
         coeffs = self.coeffs
         for v in vectors:
-            if v.algebra is not self.algebra:
-                raise FormError("mismatched algebras")
-            coeffs = exterior.interior(coeffs, v.comps, 1)
+            coeffs = exterior.interior(coeffs, check_length(v, self.algebra.dim, FormError), 1)
         return coeffs.get((), ZERO)
 
     def __repr__(self):
@@ -162,13 +160,13 @@ def ce_differential(a: DualForm) -> DualForm:
     return DualForm(alg, a.grade + 1, out)
 
 
-def interior_product(x: Vector, a: DualForm) -> DualForm:
-    """i(X)theta(X_1,..,X_{q-1}) = theta(X, X_1, .., X_{q-1})."""
-    if x.algebra is not a.algebra:
-        raise FormError("mismatched algebras")
+def interior_product(x, a: DualForm) -> DualForm:
+    """i(X)theta(X_1,..,X_{q-1}) = theta(X, X_1, .., X_{q-1}) for the
+    coordinate sequence x of X."""
     if a.grade == 0:
         raise FormError("no interior product of a grade-0 form")
-    return DualForm(a.algebra, a.grade - 1, exterior.interior(a.coeffs, x.comps, 1))
+    x = check_length(x, a.algebra.dim, FormError)
+    return DualForm(a.algebra, a.grade - 1, exterior.interior(a.coeffs, x, 1))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,12 @@ builds it, `apply_table` evaluates it on coordinates, `table_entry` reads
 one entry of it (or of a table with more slots, skew in its first two)
 and `coordinates` turns such a sparse {k: coeff} into a coordinate tuple;
 the bracket `c` of a LieAlgebra and the cochains of `deformation` are all
-such tables, and no other module reads them by hand.  A linear map of the
-space is a plain n x n matrix, column j = image of X_j, as `adjoint_rows`
-returns ad(X_index); there is no wrapper type for it.
+such tables, and no other module reads them by hand.  A vector of the
+space is its coordinate tuple of length dim (X_i is row i of
+`linalg.identity`), which `LieAlgebra.bracket` takes and returns, a
+`Subspace` spans and holds as its rows, and `check_length` checks; a
+linear map is a plain n x n matrix, column j = image of X_j, as
+`adjoint_rows` returns ad(X_index).  There is no wrapper type for either.
 A LieAlgebra is immutable: `c` is a bracket table, and `dim` and `basis`
 cannot be reassigned, so a verdict computed from the table stays true for
 the instance's whole life.  The Jacobi identity is deliberately *not* an
@@ -26,7 +29,7 @@ from types import MappingProxyType
 
 from . import exterior
 from .linalg import invert, kernel_rref, mat_vec, rref, sparse_rows, square_matrix, transpose
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ZERO, Scalar, check_int
 
 
 def bracket_table(dim, brackets):
@@ -86,6 +89,14 @@ def coordinates(n, terms) -> tuple:
     return tuple(terms.get(k, ZERO) for k in range(1, n + 1))
 
 
+def check_length(v, n, error=ValueError):
+    """v itself when it has n coordinates, as a vector of an n-dimensional
+    algebra does; error otherwise."""
+    if len(v) != n:
+        raise error(f"a vector of a {n}-dimensional algebra has {n} coordinates, not {len(v)}")
+    return v
+
+
 class LieAlgebra:
     """dim, basis labels and the sparse skew bracket table, all read-only."""
 
@@ -93,9 +104,7 @@ class LieAlgebra:
 
     def __init__(self, dim, brackets, basis=None):
         """brackets: {(i, j): {k: coeff}} with 1 <= i < j <= dim."""
-        if dim <= 0:
-            raise ValueError("dimension must be positive")
-        dim = int(dim)
+        dim = check_int(dim, 1, "dimension")
         if basis is None:
             basis = tuple(f"X{i}" for i in range(1, dim + 1))
         basis = tuple(str(b) for b in basis)
@@ -125,10 +134,10 @@ class LieAlgebra:
     def constant(self, i, j, k):
         return self.pair(i, j).get(k, ZERO)
 
-    def bracket(self, x: "Vector", y: "Vector") -> "Vector":
-        if x.algebra is not self or y.algebra is not self:
-            raise ValueError("vectors belong to a different algebra")
-        return Vector.from_sparse(self, apply_table(self.c, x.comps, y.comps))
+    def bracket(self, x, y) -> tuple:
+        """Coordinate tuple of [x, y] for the coordinate sequences x and y."""
+        n = self.dim
+        return coordinates(n, apply_table(self.c, check_length(x, n), check_length(y, n)))
 
     def adjoint_rows(self, index):
         """Matrix of ad(X_index), column j = coordinates of [X_index, X_j]."""
@@ -143,11 +152,6 @@ class LieAlgebra:
 
     def same_constants(self, other: "LieAlgebra") -> bool:
         return self.dim == other.dim and self.c == other.c
-
-    def basis_vector(self, i) -> "Vector":
-        if not 1 <= i <= self.dim:
-            raise ValueError(f"no basis vector X{i} in dimension {self.dim}")
-        return Vector.from_sparse(self, {i: ONE})
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, brackets={len(self.c)})"
@@ -168,63 +172,6 @@ def _trusted(dim, c, basis) -> LieAlgebra:
     return g
 
 
-class Vector:
-    """Element of a LieAlgebra, exact coordinates in the chosen basis."""
-
-    __slots__ = ("algebra", "comps")
-
-    def __init__(self, algebra, comps):
-        comps = tuple(Scalar.of(x) for x in comps)
-        if len(comps) != algebra.dim:
-            raise ValueError("component count does not match dimension")
-        self.algebra = algebra
-        self.comps = comps
-
-    @staticmethod
-    def from_sparse(algebra, sparse):
-        return Vector(algebra, coordinates(algebra.dim, sparse))
-
-    @property
-    def is_zero(self):
-        return all(not x for x in self.comps)
-
-    def __add__(self, other):
-        self._check(other)
-        return Vector(self.algebra, [a + b for a, b in zip(self.comps, other.comps)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return Vector(self.algebra, [a - b for a, b in zip(self.comps, other.comps)])
-
-    def __neg__(self):
-        return Vector(self.algebra, [-a for a in self.comps])
-
-    def scale(self, s):
-        s = Scalar.of(s)
-        return Vector(self.algebra, [a * s for a in self.comps])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Vector)
-            and self.algebra is other.algebra
-            and self.comps == other.comps
-        )
-
-    def __hash__(self):
-        return hash(self.comps)
-
-    def _check(self, other):
-        if not isinstance(other, Vector) or other.algebra is not self.algebra:
-            raise ValueError("mixed algebras in vector arithmetic")
-
-    def __repr__(self):
-        labels = self.algebra.basis
-        parts = [
-            f"{v}*{labels[i]}" for i, v in enumerate(self.comps) if v
-        ]
-        return " + ".join(parts) if parts else "0"
-
-
 class Subspace:
     """Subspace of a LieAlgebra in canonical reduced-echelon form.
 
@@ -237,15 +184,9 @@ class Subspace:
     __slots__ = ("algebra", "rows")
 
     def __init__(self, algebra, vectors=()):
+        """The span of the coordinate sequences in vectors."""
         n = algebra.dim
-        raw = []
-        for v in vectors:
-            if isinstance(v, Vector):
-                if v.algebra is not algebra:
-                    raise ValueError("vector from a different algebra")
-                v = v.comps
-            raw.append(v)
-        reduced, _ = rref(sparse_rows(raw, n), n)
+        reduced, _ = rref(sparse_rows(vectors, n), n)
         self.algebra = algebra
         self.rows = tuple(tuple(row.get(c, ZERO) for c in range(n)) for row in reduced)
 
@@ -253,14 +194,10 @@ class Subspace:
     def dim(self):
         return len(self.rows)
 
-    def vectors(self):
-        return [Vector(self.algebra, row) for row in self.rows]
-
-    def contains(self, v: Vector) -> bool:
-        """v is in the span iff reducing it by the rref rows leaves nothing."""
-        if v.algebra is not self.algebra:
-            raise ValueError("vector from a different algebra")
-        rest = v.comps
+    def contains(self, v) -> bool:
+        """The coordinate sequence v is in the span iff reducing it by the
+        rref rows leaves nothing."""
+        rest = check_length(v, self.algebra.dim)
         for row in self.rows:
             f = rest[next(p for p, x in enumerate(row) if x)]
             if f:
@@ -294,12 +231,11 @@ def change_basis(g: LieAlgebra, p_rows) -> LieAlgebra:
     n = g.dim
     p = square_matrix(p_rows, n, "change of basis matrix")
     pinv = invert(p)
-    ys = [Vector(g, col) for col in transpose(p)]
+    ys = transpose(p)
     new_brackets = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            w = g.bracket(ys[i - 1], ys[j - 1])
-            coords = mat_vec(pinv, w.comps)
+            coords = mat_vec(pinv, g.bracket(ys[i - 1], ys[j - 1]))
             terms = {k + 1: coords[k] for k in range(n) if coords[k]}
             if terms:
                 new_brackets[(i, j)] = terms

@@ -30,7 +30,7 @@ from fractions import Fraction
 from operator import add
 
 from . import exterior
-from .scalars import ONE, ZERO, Scalar, check_exponent, power
+from .scalars import ONE, ZERO, Scalar, check_int, power
 
 
 class VariableMismatch(ValueError):
@@ -83,7 +83,7 @@ class Poly:
         nv = len(self.vars)
         clean = {}
         for expo, c in (terms or {}).items():
-            expo = tuple(check_exponent(e) for e in expo)
+            expo = tuple(check_int(e) for e in expo)
             if len(expo) != nv:
                 raise ValueError("bad exponent tuple")
             c = Scalar.of(c)

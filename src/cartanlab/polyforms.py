@@ -15,7 +15,7 @@ from functools import partial
 
 from . import exterior
 from .poly import Poly, VariableMismatch
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, check_int
 
 
 def _trusted_form(vars: tuple, grade: int, coeffs: dict) -> "PolyForm":
@@ -45,9 +45,7 @@ class PolyForm:
 
     def __init__(self, vars, grade, coeffs=None):
         self.vars = tuple(vars)
-        self.grade = int(grade)
-        if self.grade < 0:
-            raise ValueError("grade must be nonnegative")
+        self.grade = check_int(grade, 0, "grade")
         self.coeffs = exterior.normalize(
             coeffs, self.grade, 0, len(self.vars), partial(_as_poly, self.vars), ValueError
         )

@@ -29,6 +29,10 @@ def parse_rational(text) -> Fraction:
         raise ValueError(f"not an exact rational: {text!r}") from None
 
 
+# the pattern of "re" and "im" in schemas/algebra_file.schema.json
+_FILE_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_scalar(text) -> "Scalar":
     """Exact Gaussian rational from the text `str(Scalar)` prints: "-3/7",
     "i", "-i", "-3/7i", "1/2-i", "7/9+4/3i".  Text that does not end in i
@@ -53,20 +57,20 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
-def check_exponent(e) -> int:
-    """e itself when it is a non-bool int >= 0, the one rule for powers and
-    monomial exponents; int() would truncate 1.5, parse "2" and take True,
-    so the type is checked."""
-    if isinstance(e, bool) or not isinstance(e, int) or e < 0:
-        raise ValueError(f"exponent must be an integer >= 0, not {e!r}")
-    return e
+def check_int(n, least=0, what="exponent") -> int:
+    """n itself when it is a non-bool int >= least, the one rule for powers,
+    monomial exponents, file indices, dimensions and grades; int() would
+    truncate 1.5, parse "2" and take True, so the type is checked."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < least:
+        raise ValueError(f"{what} must be an integer >= {least}, not {n!r}")
+    return n
 
 
 def power(x, k, one):
     """x ** k by square-and-multiply, one when k = 0.  It starts from x and
     stops squaring after the highest bit: x ** 1 is x, x ** 3 costs two
     products."""
-    k = check_exponent(k)
+    k = check_int(k)
     if not k:
         return one
     base, out = x, None
@@ -107,6 +111,12 @@ class Scalar:
 
     @staticmethod
     def from_strings(re: str, im: str = "0") -> "Scalar":
+        """re + im*i from the two strings of a term of an algebra file or a
+        cell of a matrix file, each "-p/q" or "-p" as the file schema's
+        pattern says: no space, decimal point, exponent or JSON number."""
+        for part in (re, im):
+            if not (isinstance(part, str) and _FILE_RATIONAL.fullmatch(part)):
+                raise ValueError(f"not an exact rational string: {part!r}")
         return Scalar(parse_rational(re), parse_rational(im))
 
     # -- predicates ----------------------------------------------------

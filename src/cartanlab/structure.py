@@ -4,7 +4,9 @@ Jacobi verification (with explicit witnesses) on the sparse cyclic-sum
 kernel that also serves deformation's circle products and coboundaries,
 center, lower central series, derivations, the one table of the
 Heisenberg algebra h_{2p+1}, and the space of endomorphisms compatible
-with its bracket pairing.
+with its bracket pairing.  A vector is its coordinate tuple, as in
+`liealg`: a Jacobi witness carries its defect as one, and the center and
+the terms of the lower central series hold theirs as `Subspace` rows.
 
 The kernel reads a bracket table {(i, j): {m: v}}, i < j, through its
 `pair_table`: signed rows {i: {j: (s, terms)}} that hold each stored
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import exterior
-from .liealg import LieAlgebra, Subspace, Vector, bracket_table, kernel_subspace, table_entry
-from .linalg import nullspace
+from .liealg import LieAlgebra, Subspace, bracket_table, coordinates, kernel_subspace, table_entry
+from .linalg import identity, nullspace
 from .scalars import ONE, ZERO
 
 
@@ -32,7 +34,7 @@ class PreconditionError(ValueError):
 @dataclass(frozen=True)
 class JacobiResult:
     ok: bool
-    witness: Optional[tuple] = None  # (i, j, k, defect Vector)
+    witness: Optional[tuple] = None  # (i, j, k, coordinate tuple of the defect)
 
     def __bool__(self):
         return self.ok
@@ -87,16 +89,17 @@ def cyclic_sums(products) -> dict:
 
 
 def jacobi_defects(g: LieAlgebra, first: int = 1):
-    """Yield (i, j, k, defect Vector) for every triple first <= i < j < k
+    """Yield (i, j, k, defect) for every triple first <= i < j < k
     whose cyclic sum [[X_i,X_j],X_k] + [[X_j,X_k],X_i] + [[X_k,X_i],X_j]
-    is nonzero, in lexicographic order.
+    is nonzero, in lexicographic order; the defect is that sum's
+    coordinate tuple.
 
     This is `cyclic_sums` with the structure constants as both tables, so
     every sum is computed before the first triple is yielded.
     """
     for (i, j, k), acc in cyclic_sums([(pair_table(g.c), g.c)]).items():
         if i >= first:
-            yield i, j, k, Vector.from_sparse(g, acc)
+            yield i, j, k, coordinates(g.dim, acc)
 
 
 def jacobi_check(g: LieAlgebra) -> JacobiResult:
@@ -140,16 +143,6 @@ def center(g: LieAlgebra) -> Subspace:
     return kernel_subspace(g, rows)
 
 
-def _bracket_with_space(g: LieAlgebra, space: Subspace) -> Subspace:
-    gens = []
-    for v in space.vectors():
-        for i in range(1, g.dim + 1):
-            w = g.bracket(g.basis_vector(i), v)
-            if not w.is_zero:
-                gens.append(w)
-    return Subspace(g, gens)
-
-
 @dataclass(frozen=True)
 class LowerCentralSeries:
     terms: tuple  # (C^1, C^2, ...) down to stabilization or zero
@@ -164,21 +157,24 @@ class LowerCentralSeries:
 
 
 def lower_central_series(g: LieAlgebra) -> LowerCentralSeries:
-    """C^1 = [g,g], C^{k+1} = [g, C^k]; detects non-nilpotency by stabilization."""
+    """C^1 = [g,g], C^{k+1} = [g, C^k]; detects non-nilpotency by stabilization.
+
+    [g, V] is the span of the brackets [X_i, v] of the basis vectors X_i,
+    the rows of the identity, with the rows v of V.
+    """
     require_jacobi(g)
-    whole = Subspace(g, [g.basis_vector(i) for i in range(1, g.dim + 1)])
-    terms = []
-    current = _bracket_with_space(g, whole)
-    k = 1
-    while True:
-        terms.append(current)
-        if current.dim == 0:
-            return LowerCentralSeries(tuple(terms), k)
-        nxt = _bracket_with_space(g, current)
-        if nxt == current:
+    basis = identity(g.dim)
+
+    def bracket_with(space):
+        return Subspace(g, [g.bracket(x, v) for v in space.rows for x in basis])
+
+    terms = [bracket_with(Subspace(g, basis))]
+    while terms[-1].dim:
+        nxt = bracket_with(terms[-1])
+        if nxt == terms[-1]:
             return LowerCentralSeries(tuple(terms), None)
-        current = nxt
-        k += 1
+        terms.append(nxt)
+    return LowerCentralSeries(tuple(terms), len(terms))
 
 
 def diagonal_derivations(g: LieAlgebra) -> list:

@@ -32,7 +32,7 @@ def suite_jacobi(g: LieAlgebra, entry, seed):
     i, j, k, defect = res.witness
     return False, {
         "ok": False,
-        "witness": {"triple": [i, j, k], "defect": _vector_str(defect.comps)},
+        "witness": {"triple": [i, j, k], "defect": _vector_str(defect)},
     }
 
 
@@ -65,8 +65,8 @@ def suite_center(g: LieAlgebra, entry, seed):
         results["class_of_form"] = info.value
         # central vectors annihilated by the form lie in its characteristic space
         containment = True
-        for v in z.vectors():
-            if form.pair(v) == ZERO and not info.characteristic_space.contains(v):
+        for v in z.rows:
+            if form.evaluate(v) == ZERO and not info.characteristic_space.contains(v):
                 containment = False
         results["central_in_characteristic_space"] = containment
         ok = ok and containment

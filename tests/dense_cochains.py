@@ -18,8 +18,8 @@ from itertools import combinations
 
 from cartanlab import exterior
 from cartanlab.forms import DualForm
-from cartanlab.liealg import LieAlgebra, Vector, apply_table, bracket_table, coordinates, table_entry
-from cartanlab.linalg import det, mat_vec
+from cartanlab.liealg import LieAlgebra, Subspace, apply_table, bracket_table, coordinates, table_entry
+from cartanlab.linalg import det, identity, mat_vec
 from cartanlab.randgen import random_rational
 from cartanlab.scalars import ONE, ZERO, Scalar
 
@@ -92,11 +92,8 @@ def apply_comps(phi, x, y):
     return coordinates(len(x), apply_table(phi, x, y))
 
 
-def _basis(n):
-    return [tuple(ONE if t == m else ZERO for t in range(n)) for m in range(n)]
-
-
-def _sum(*vectors):
+def vector_sum(*vectors):
+    """The coordinatewise sum of coordinate tuples of one length."""
     return tuple(sum(parts, ZERO) for parts in zip(*vectors))
 
 
@@ -106,10 +103,10 @@ def _neg(v):
 
 def dense_circle_product(n, phi, psi):
     """{(i, j, k): comps} of phi o psi on every triple, lexicographic order."""
-    e = _basis(n)
+    e = identity(n)
     values = {}
     for i, j, k in combinations(range(1, n + 1), 3):
-        acc = _sum(
+        acc = vector_sum(
             apply_comps(phi, at(n, psi, i, j), e[k - 1]),
             apply_comps(phi, at(n, psi, j, k), e[i - 1]),
             apply_comps(phi, at(n, psi, k, i), e[j - 1]),
@@ -122,10 +119,10 @@ def dense_circle_product(n, phi, psi):
 def dense_coboundary(phi, g):
     """(d phi)(X,Y,Z) = sum_cyc phi([X,Y],Z) - sum_cyc [X, phi(Y,Z)]."""
     n, mu = g.dim, g.c
-    e = _basis(n)
+    e = identity(n)
     values = {}
     for i, j, k in combinations(range(1, n + 1), 3):
-        acc = _sum(
+        acc = vector_sum(
             apply_comps(phi, at(n, mu, i, j), e[k - 1]),
             apply_comps(phi, at(n, mu, j, k), e[i - 1]),
             apply_comps(phi, at(n, mu, k, i), e[j - 1]),
@@ -146,7 +143,7 @@ def dense_view(n, table):
 
 def dense_bullet_product(n, psi1, psi2):
     """{(i, j, k): comps} of psi1(psi2(X_i, X_j), X_k), i < j, zeros dropped."""
-    e = _basis(n)
+    e = identity(n)
     values = {}
     for i, j in psi2:
         for k in range(1, n + 1):
@@ -158,7 +155,7 @@ def dense_bullet_product(n, psi1, psi2):
 
 def dense_bullet_power(n, mu, k):
     """{index tuple: comps} of mu(mu(...mu(X, Y)...), Z) with arity k + 1."""
-    e = _basis(n)
+    e = identity(n)
     table = dense_view(n, mu)
     for _ in range(k - 1):
         nxt = {}
@@ -175,19 +172,33 @@ def dense_bullet_power(n, mu, k):
 
 def dense_coboundary_of_map(f, g):
     """{(i, j): comps} of (df)(X_i, X_j) = f([X_i, X_j]) - [f(X_i), X_j] - [X_i, f(X_j)]
-    on Vectors, zeros dropped."""
+    from `LieAlgebra.bracket` on coordinate tuples, zeros dropped."""
     n = g.dim
-    images = [Vector(g, [row[m] for row in f]) for m in range(n)]  # f(X_m): column m
+    e = identity(n)
+    images = [tuple(row[m] for row in f) for m in range(n)]  # f(X_m): column m
     values = {}
     for i, j in combinations(range(1, n + 1), 2):
-        v = (
-            Vector(g, mat_vec(f, Vector.from_sparse(g, g.pair(i, j)).comps))
-            - g.bracket(images[i - 1], g.basis_vector(j))
-            - g.bracket(g.basis_vector(i), images[j - 1])
+        v = vector_sum(
+            mat_vec(f, coordinates(n, g.pair(i, j))),
+            _neg(g.bracket(images[i - 1], e[j - 1])),
+            _neg(g.bracket(e[i - 1], images[j - 1])),
         )
-        if not v.is_zero:
-            values[(i, j)] = v.comps
+        if any(v):
+            values[(i, j)] = v
     return values
+
+
+def dense_lower_central_series(g, length):
+    """The first `length` terms of the lower central series of g from the
+    dense adjoint matrices: C^{k+1} is the span of the
+    ad(X_i) v = mat_vec(g.adjoint_rows(i), v) over the rows v of C^k, and
+    C^0 = g, the rows of the identity."""
+    ads = [g.adjoint_rows(i) for i in range(1, g.dim + 1)]
+    rows, terms = identity(g.dim), []
+    for _ in range(length):
+        terms.append(Subspace(g, [mat_vec(ad, v) for v in rows for ad in ads]))
+        rows = terms[-1].rows
+    return terms
 
 
 def dense_add(n, *tables):
@@ -195,7 +206,7 @@ def dense_add(n, *tables):
     entries dropped, keys sorted."""
     out = {}
     for key in sorted(set().union(*tables)):
-        acc = _sum(*(t.get(key, (ZERO,) * n) for t in tables))
+        acc = vector_sum(*(t.get(key, (ZERO,) * n) for t in tables))
         if any(acc):
             out[key] = acc
     return out

@@ -3,9 +3,10 @@
 In the basis Y_j = sum_i P_ij X_i the bracket table of g changes, but the
 algebra does not: the Jacobi verdict, dim Z(g) and the Cartan class of a
 covector w, with its branch and power, are the same for the pair
-(g', w') with w'(Y_j) = w(sum_i P_ij X_i).  When P fixes X_2 (Y_2 = X_2),
-ad(Y_2) is ad(X_2) in another basis, so the adjoint spectrum of X_2 is the
-same too.  The catalog's tables and forms
+(g', w') with w'(Y_j) = w(sum_i P_ij X_i), and so is the nilindex of the
+lower central series, whose terms the dense reference rebuilds.  When P
+fixes X_2 (Y_2 = X_2), ad(Y_2) is ad(X_2) in another basis, so the adjoint
+spectrum of X_2 is the same too.  The catalog's tables and forms
 are sparse; under a dense Gaussian P they fill in, so the zero skips of
 the signed cyclic-sum kernel, `skew_reduce`, `ce_differential` and the
 elimination meet dense input with late pivots and cancellations.
@@ -18,9 +19,9 @@ from cartanlab.linalg import det
 from cartanlab.randgen import random_covector, rng
 from cartanlab.scalars import I, ONE, ZERO
 from cartanlab.spectrum import adjoint_spectrum
-from cartanlab.structure import center, jacobi_check
+from cartanlab.structure import center, jacobi_check, lower_central_series
 
-from dense_cochains import gaussian_basis
+from dense_cochains import dense_lower_central_series, gaussian_basis
 
 
 def _rebased_form(w, h, p):
@@ -37,14 +38,22 @@ def _invariants(w):
 
 def test_invariants_survive_a_dense_gaussian_change_of_basis():
     r = rng(2213)
-    entries = cat.standard_entries() + cat.nilpotent_entries()
+    standard = cat.standard_entries()
+    entries = standard + cat.nilpotent_entries()
     assert len(entries) == 45
-    for entry in entries:
+    for index, entry in enumerate(entries):
         g = entry.algebra
         p = gaussian_basis(g.dim, r)
         h = change_basis(g, p)
         assert jacobi_check(h).ok and jacobi_check(g).ok, entry.id
         assert center(h).dim == center(g).dim, entry.id
+        if index < len(standard):
+            # each term of the lower central series of h against the dense
+            # reference, and the nilindex, the same as g's
+            series = lower_central_series(h)
+            terms = list(series.terms)
+            assert dense_lower_central_series(h, len(terms) + 1) == terms + terms[-1:], entry.id
+            assert series.nilindex == lower_central_series(g).nilindex, entry.id
         for w in (entry.distinguished_form, random_covector(g, r)):
             assert _invariants(_rebased_form(w, h, p)) == _invariants(w), entry.id
 

@@ -16,8 +16,8 @@ from cartanlab.forms import (
     wedge,
     wedge_power_class,
 )
-from cartanlab.liealg import LieAlgebra, Subspace, Vector, kernel_subspace
-from cartanlab.linalg import det
+from cartanlab.liealg import LieAlgebra, Subspace, kernel_subspace
+from cartanlab.linalg import det, identity
 from cartanlab.randgen import random_covector, random_rational, rng
 from cartanlab.scalars import ONE, ZERO, Scalar
 
@@ -52,20 +52,44 @@ def test_wedge_mixed_algebras_error():
         wedge(DualForm.basis(a, 1), DualForm.basis(b, 1))
 
 
+@pytest.mark.parametrize("grade", [1.5, True, "1", -1])
+def test_dual_form_grade_is_a_nonnegative_int(grade):
+    # a grade of 1.5 was kept as it was, and True was taken as 1
+    with pytest.raises(ValueError, match="grade must be an integer >= 0"):
+        DualForm(cat.heisenberg(1).algebra, grade, {})
+
+
 def test_pairing_and_membership_refuse_vectors_of_another_algebra():
+    # a vector of an algebra of another dimension has the wrong length
     h3, h5 = cat.heisenberg(1).algebra, cat.heisenberg(2).algebra
-    x1, v5 = h3.basis_vector(1), Vector(h5, [1, 0, 0, 0, 7])
+    x1, v5 = identity(3)[0], (1, 0, 0, 0, 7)
     with pytest.raises(ValueError):
         Subspace(h3, [x1]).contains(v5)
     for form, v in ((DualForm.basis(h3, 1), v5), (DualForm.basis(h5, 1), x1)):
         with pytest.raises(FormError):
-            form.pair(v)
-        with pytest.raises(FormError):
             form.evaluate(v)
-    # an algebra of the same dimension is still another algebra
-    other = cat.heisenberg(1).algebra
-    with pytest.raises(FormError):
-        DualForm(h3, 2, {(1, 2): 1}).evaluate(x1, other.basis_vector(2))
+
+
+def test_vector_arguments_need_one_coordinate_per_dimension():
+    h3 = cat.heisenberg(1).algebra
+    x1, line, w12 = identity(3)[0], Subspace(h3, [[1, 0, 0]]), DualForm(h3, 2, {(1, 2): 1})
+    for v in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            h3.bracket(x1, v)
+        with pytest.raises(ValueError):
+            h3.bracket(v, x1)
+        with pytest.raises(ValueError):
+            line.contains(v)
+        with pytest.raises(FormError):
+            w12.evaluate(x1, v)
+        with pytest.raises(FormError):
+            w12.evaluate(v, x1)
+        with pytest.raises(FormError):
+            interior_product(v, w12)
+    # the checks let a vector of the right length through
+    assert h3.bracket(x1, identity(3)[1]) == (ZERO, ZERO, ONE)
+    assert line.contains(x1) and w12.evaluate(x1, identity(3)[1]) == 1
+    assert interior_product(x1, w12) == DualForm.basis(h3, 2)
 
 
 def test_subspace_rows_need_one_entry_per_dimension():
@@ -74,8 +98,8 @@ def test_subspace_rows_need_one_entry_per_dimension():
         with pytest.raises(ValueError):
             Subspace(h3, rows)
     line = Subspace(h3, [[1, 0, 0]])
-    assert line.contains(Vector(h3, [2, 0, 0]))
-    assert not line.contains(Vector(h3, [1, 0, 5]))
+    assert line.contains((2, 0, 0))
+    assert not line.contains((1, 0, 5))
 
 
 def test_graded_commutativity_random():
@@ -201,7 +225,7 @@ def test_d_squared_detects_jacobi_failure():
 
 def test_interior_product_examples():
     h3 = cat.heisenberg(1).algebra
-    x1, x2, x3 = (h3.basis_vector(i) for i in (1, 2, 3))
+    x1, x2, x3 = identity(3)
     w12 = DualForm(h3, 2, {(1, 2): 1})
     assert interior_product(x1, w12) == DualForm.basis(h3, 2)
     assert interior_product(x2, w12) == -DualForm.basis(h3, 1)
@@ -216,14 +240,14 @@ def test_interior_product_nilpotency_and_linearity():
     for _ in range(10):
         w = random_form(g, 3, r)
         v = random_covector(g, r)
-        x = g.basis_vector(1).scale(v.coeffs.get((1,), ONE))
+        x = tuple(c * v.coeffs.get((1,), ONE) for c in identity(g.dim)[0])
         assert interior_product(x, interior_product(x, w)).is_zero
 
 
 def test_interior_grade0_error():
     h3 = cat.heisenberg(1).algebra
     with pytest.raises(FormError):
-        interior_product(h3.basis_vector(1), DualForm(h3, 0, {(): ONE}))
+        interior_product(identity(3)[0], DualForm(h3, 0, {(): ONE}))
 
 
 def test_cartan_class_examples():
@@ -282,7 +306,7 @@ def test_skew_reduce_rank_and_radical():
     theta = DualForm(ab, 2, {(1, 2): 1, (1, 3): 2, (2, 3): Scalar.of("1/2"), (4, 5): -3})
     # rank 4, and the radical is spanned by X_1/2 - 2 X_2 + X_3
     assert skew_reduce(theta) == (2, False)
-    assert interior_product(Vector(ab, [Scalar.of("1/2"), -2, 1, 0, 0]), theta).is_zero
+    assert interior_product((Scalar.of("1/2"), -2, 1, 0, 0), theta).is_zero
     for comps, odd in (([0, 0, 0, 1, 1], False), ([4, 1, 0, 0, 0], False), ([1, 0, 0, 0, 0], True)):
         assert skew_reduce(theta, DualForm.covector(ab, comps)) == (2, odd), comps
     assert skew_reduce(DualForm(ab, 2), DualForm.basis(ab, 2)) == (0, True)
@@ -389,11 +413,12 @@ def test_semisimple_rank_one_bound():
 
 def test_evaluate_and_pair():
     h3 = cat.heisenberg(1).algebra
+    x1, x2, x3 = identity(3)
     w = DualForm.covector(h3, [1, 2, 3])
-    assert w.pair(h3.basis_vector(2)) == 2
+    assert w.evaluate(x2) == 2
     vol = DualForm(h3, 3, {(1, 2, 3): 2})
-    assert vol.evaluate(*(h3.basis_vector(i) for i in (1, 2, 3))) == 2
-    assert vol.evaluate(*(h3.basis_vector(i) for i in (2, 1, 3))) == -2
+    assert vol.evaluate(x1, x2, x3) == 2
+    assert vol.evaluate(x2, x1, x3) == -2
 
 
 def test_evaluate_matches_the_minor_formula():
@@ -404,9 +429,9 @@ def test_evaluate_matches_the_minor_formula():
         for grade in (1, 2, 3):
             for _ in range(5):
                 theta = random_form(g, grade, r)
-                vectors = [Vector(g, [random_rational(r) for _ in range(g.dim)]) for _ in range(grade)]
+                vectors = [tuple(random_rational(r) for _ in range(g.dim)) for _ in range(grade)]
                 minors = sum(
-                    (c * det([[v.comps[t - 1] for t in idx] for v in vectors])
+                    (c * det([[v[t - 1] for t in idx] for v in vectors])
                      for idx, c in theta.coeffs.items()),
                     ZERO,
                 )

@@ -27,6 +27,10 @@ A name that only the tests reach stays only with an entry in `TEST_ONLY`
 that says why.  An entry goes stale, and fails the check, when the
 package no longer defines the name, when the package, a demo or the
 benchmark uses it after all, or when no test names it either.
+
+A second check reads imports: no module of the package (its re-exporting
+`__init__.py` aside), the demos or the tests imports a name that it never
+reads.
 """
 
 import ast
@@ -172,6 +176,44 @@ def test_test_only_entries_are_current():
         if bad
     )
     assert not stale, "stale TEST_ONLY entries:\n" + "\n".join(stale)
+
+
+def _unused_imports(paths):
+    """"path:line name" for each name that a file imports and never reads
+    as a plain name; `from __future__` imports change the compiler, not the
+    namespace, and are left out."""
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        yield f"{path}:{node.lineno} {name}"
+
+
+def test_every_import_is_read():
+    paths = [p for top in ("src", "demos", "tests") for p in sorted((ROOT / top).rglob("*.py"))]
+    unused = list(_unused_imports(p for p in paths if p != PACKAGE / "__init__.py"))
+    assert len(paths) > 40 and not unused, "imported but never read:\n" + "\n".join(unused)
+
+
+def test_the_import_check_reports_a_name_never_read(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as j\n"
+        "from .scalars import ONE, ZERO\n"
+        "from .linalg import identity\n"
+        "identity = None\n"
+        "def f(x: ZERO) -> str:\n"
+        "    return j.dumps(x)\n"
+    )
+    assert {entry.split()[-1] for entry in _unused_imports([path])} == {"os", "ONE", "identity"}
 
 
 def test_the_check_counts_uses_not_words(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 
 from cartanlab import catalog as cat
 from cartanlab.forms import DualForm, interior_product, wedge
-from cartanlab.liealg import Vector
 from cartanlab.poly import Poly, VariableMismatch
 from cartanlab.polyforms import (
     PolyForm,
@@ -64,7 +63,7 @@ def test_poly_subs():
 
 @pytest.mark.parametrize("expo", [(1.5,), ("2",), (True,), (-1,), (1, 0)])
 def test_poly_rejects_bad_exponents(expo):
-    # the same rule as algebra_io._index: a non-bool int, here also >= 0
+    # the rule of scalars.check_int: a non-bool int, here also >= 0
     with pytest.raises(ValueError):
         Poly(("x",), {expo: 1})
 
@@ -73,6 +72,13 @@ def test_poly_rejects_bad_exponents(expo):
 def test_poly_power_rejects_bad_exponents(k):
     with pytest.raises(ValueError, match="integer >= 0"):
         _x("x") ** k
+
+
+@pytest.mark.parametrize("grade", [1.7, True, "1", -1])
+def test_poly_form_grade_is_a_nonnegative_int(grade):
+    # int() made 1.7, True and "1" grade 1
+    with pytest.raises(ValueError, match="grade must be an integer >= 0"):
+        PolyForm(V, grade)
 
 
 def _assert_clean(p):
@@ -383,7 +389,7 @@ def test_exterior_kernel_agrees_across_rings(a, b, x):
     dual_ab, poly_ab = wedge(dual(a), dual(b)), poly_wedge(poly(a), poly(b))
     assert not dual_ab.is_zero
     assert shifted(poly_ab) == dual_ab.coeffs
-    contracted = interior_product(Vector(g, x), dual_ab)
+    contracted = interior_product(x, dual_ab)
     assert shifted(poly_interior(PolyVectorField(w, x), poly_ab)) == contracted.coeffs
     assert not Poly.zero(w) and Poly.constant(w, 2)
 

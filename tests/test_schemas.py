@@ -6,8 +6,10 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 from cartanlab import catalog as cat
-from cartanlab.algebra_io import algebra_to_dict
+from cartanlab.algebra_io import AlgebraFileError, algebra_from_dict, algebra_to_dict, load_matrix_text
 from cartanlab.cli import main
 from cartanlab.scalars import Scalar
 
@@ -74,6 +76,41 @@ def test_algebra_files_follow_their_schema():
     entries = cat.standard_entries() + [cat.frobenius_model(2, [Scalar(1, -2)])]
     for entry in entries:
         assert violations(algebra_to_dict(entry.algebra), schema) == [], entry.id
+
+
+def _mutated_algebra_files():
+    """(label, algebra file) pairs that each break the schema in one place."""
+    good = {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "re": "1", "im": "0"}]}]}
+    yield "no brackets", {"dim": 3}
+    for key in ("re", "im"):
+        for value in ("0.5", " 1/2 ", "1e2", "1_000", "+1", 1):
+            bad = json.loads(json.dumps(good))
+            bad["brackets"][0]["terms"][0][key] = value
+            yield f"{key} {value!r}", bad
+
+
+MUTATED = list(_mutated_algebra_files())
+
+
+@pytest.mark.parametrize("label,data", MUTATED, ids=[label for label, _ in MUTATED])
+def test_the_loader_refuses_what_the_schema_rejects(label, data):
+    # the loader holds the schema's required keys, coefficient pattern and
+    # string type; a {"re", "im"} cell of a matrix file holds the same rule
+    assert violations(data, _schema("algebra_file")), label
+    with pytest.raises(AlgebraFileError):
+        algebra_from_dict(data)
+    if "brackets" in data:
+        cell = {key: value for key, value in data["brackets"][0]["terms"][0].items() if key != "k"}
+        with pytest.raises(AlgebraFileError):
+            load_matrix_text(json.dumps([[cell]]))
+
+
+def test_the_loader_reads_the_coefficients_the_schema_allows():
+    terms = [{"k": 3, "re": "-3/7", "im": "2"}, {"k": 1, "re": "0"}, {"k": 2, "re": "12/8", "im": "-1"}]
+    data = {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": terms}]}
+    assert violations(data, _schema("algebra_file")) == []
+    assert algebra_from_dict(data).pair(1, 2) == {3: Scalar("-3/7", 2), 2: Scalar("3/2", -1)}
+    assert load_matrix_text('[[{"re": "-3/7", "im": "2"}, {"re": "5"}]]') == ((Scalar("-3/7", 2), Scalar(5)),)
 
 
 def test_one_report_of_each_command_follows_the_report_schema(capsys):
