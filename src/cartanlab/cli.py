@@ -13,10 +13,11 @@ contract   diagonal contraction by an exponent vector, optionally after a
 sl         the polynomial contact data on the even special linear group,
            in exactly one mode: top-form identity, Reeb pairings, rotation
            invariance, or singular equations at a point.  --n is capped at
-           3 (SL(6)): the exact expansions grow too fast beyond it.  At
-           n = 4 the identity takes ~15 s CPU and 0.27 GB peak RSS and the
-           Reeb pairings ~16 s and 0.30 GB (2-CPU machine, Python 3.11),
-           most of it in 64-variable exponent tuples and Fractions.
+           4 (SL(8)): the exact expansions grow too fast beyond it.  At
+           n = 4 the identity takes ~3.2 s CPU and 0.10 GB peak RSS and the
+           Reeb pairings ~4.0 s and 0.11 GB (2-CPU machine, Python 3.11),
+           about a quarter of the 15 s budget of each in acceptance
+           criterion 10d.
 
 class, check and contract read the algebra from exactly one of
 --algebra FILE and --catalog ID.  Catalog ids use the grammar
@@ -73,7 +74,7 @@ EXIT_IO = 1
 EXIT_PRECONDITION = 2
 EXIT_PROPERTY = 3
 
-SL_MAX_N = 3  # the largest --n of `sl`; see the module docstring
+SL_MAX_N = 4  # the largest --n of `sl`; see the module docstring
 
 
 class _Failure(Exception):

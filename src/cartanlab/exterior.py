@@ -16,12 +16,32 @@ copy, and it drops an entry whose sum cancels.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
+from .scalars import check_int
+
 
 def merge_sign(a: tuple, b: tuple):
     """Sign of sorting the concatenation of two increasing index tuples.
 
-    Returns (sorted tuple, sign) or (None, 0) when an index repeats.
+    Returns (sorted tuple, sign) or (None, 0) when an index repeats.  A
+    lone index is placed by bisection, and the sign counts the entries of
+    the other tuple that it passes; other shapes are merged.
     """
+    if not b:
+        return a, 1
+    if len(b) == 1:
+        y = b[0]
+        k = bisect_left(a, y)
+        if k < len(a) and a[k] == y:
+            return None, 0
+        return a[:k] + b + a[k:], -1 if (len(a) - k) & 1 else 1
+    if len(a) == 1:
+        x = a[0]
+        k = bisect_left(b, x)
+        if k < len(b) and b[k] == x:
+            return None, 0
+        return b[:k] + a + b[k:], -1 if k & 1 else 1
     inversions = 0
     out = []
     i = j = 0
@@ -114,9 +134,9 @@ def wedge(a: dict, b: dict) -> dict:
 
 
 def wedge_power(a: dict, k: int, one) -> dict:
-    """a^k, starting from the grade-0 form `one`."""
+    """a^k, starting from the grade-0 form `one`; k is a non-bool int >= 0."""
     out = {(): one}
-    for _ in range(k):
+    for _ in range(check_int(k)):
         out = wedge(out, a)
     return out
 

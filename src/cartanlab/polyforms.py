@@ -112,9 +112,7 @@ def exterior_d(a: PolyForm) -> PolyForm:
     out = {}
     for idx, p in a.coeffs.items():
         # only a variable that occurs in p differentiates it to nonzero
-        for v, exponents in enumerate(zip(*p.terms)):
-            if not any(exponents):
-                continue
+        for v in p.occurring():
             merged, sign = exterior.merge_sign((v,), idx)
             if merged is not None:
                 exterior.accumulate(out, merged, p.diff(v), sign)
@@ -172,7 +170,8 @@ def pullback_rows(a: PolyForm, rows) -> PolyForm:
     rows: rows[i] maps each j with L[i][j] != 0 to that coefficient.  x_i
     goes to the linear Poly of row i and dx_i to the constant 1-form of
     row i, whose Scalar coefficients multiply the Poly coefficients
-    directly."""
+    directly.  The images are built here, so each coefficient substitutes
+    them through ``Poly._subs`` without checking them again."""
     vars = a.vars
     if len(rows) != len(vars):
         raise ValueError(f"substitution needs {len(vars)} rows, got {len(rows)}")
@@ -180,7 +179,7 @@ def pullback_rows(a: PolyForm, rows) -> PolyForm:
     d_images = [{(j,): Scalar.of(c) for j, c in row.items() if c} for row in rows]
     out = {}
     for idx, p in a.coeffs.items():
-        image = p.subs(images)
+        image = p._subs(images, vars)
         if not image:
             continue
         pulled = {(): image}

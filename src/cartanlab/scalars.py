@@ -237,4 +237,5 @@ class Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
+MINUS_ONE = Scalar(-1)
 I = Scalar(0, 1)

@@ -36,7 +36,7 @@ sum is -(sum_k x_k D_k) vol = -2n det vol by Euler's identity for det,
 homogeneous of degree 2n.  Then (d omega)^q = 2^q sigma^q gives c =
 -q! 2^q 2n = -q! n 2^(2n^2).  `sl_contact_identity` expands the middle
 line with the generic wedge and reads c' = -2n off its one coefficient;
-the tests assert the closed form for n = 1, 2, 3.
+the tests assert the closed form for n = 1, 2, 3, 4.
 """
 
 from __future__ import annotations
@@ -174,12 +174,16 @@ def sl_contact_data(n: int) -> SLContactData:
 
 def _scalar_multiple(target: PolyForm, unit: PolyForm):
     """(c, target - c * unit), c read off one term of the nonzero ``unit``:
-    target = c * unit exactly iff the residual is zero."""
+    target = c * unit exactly iff the residual is zero.  The equality is
+    tested first, so an exact multiple builds no difference."""
     idx, p = next(iter(unit.coeffs.items()))
-    expo, val = next(iter(p.terms.items()))
+    key, val = next(iter(p.terms.items()))
     q = target.coeffs.get(idx)
-    c = (ZERO if q is None else q.terms.get(expo, ZERO)) / val
-    return c, target - unit.scale(c)
+    c = (ZERO if q is None else q.terms.get(key, ZERO)) / val
+    scaled = unit.scale(c)
+    if target == scaled:
+        return c, PolyForm(target.vars, target.grade)
+    return c, target - scaled
 
 
 def _pair_subsets(pair_form: PolyForm, q: int):

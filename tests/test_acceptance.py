@@ -34,6 +34,7 @@ from cartanlab.randgen import random_covector, random_poly, random_rational, rng
 from cartanlab.scalars import ONE, Scalar
 from cartanlab.slgroup import (
     pythagorean_rotation,
+    reeb_identities,
     sl_contact_data,
     sl_contact_identity,
     so_invariance_check,
@@ -235,6 +236,17 @@ def test_criterion_10c_sl_rank_6_closed_form():
         res = sl_contact_identity(3)
         assert res.ok and res.q == 17
         assert res.constant == closed_form_constant(3)
+
+
+def test_criterion_10d_sl_rank_8_closed_form():
+    # the largest n that `sl --n` takes: each check has its own budget
+    with _verdict(10, "rank-8 constant equals the closed form", 15.0):
+        res = sl_contact_identity(4)
+        assert res.ok and res.q == 31
+        assert res.constant == closed_form_constant(4)
+    with _verdict(10, "rank-8 Reeb field pairs to det and -d(det)/n", 15.0):
+        pair_defect, multiple = reeb_identities(4)
+        assert pair_defect.is_zero and multiple == Scalar(Fraction(-1, 4))
 
 
 def test_criterion_11_h3_contact_polynomials():

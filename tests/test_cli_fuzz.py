@@ -116,7 +116,7 @@ def _argv(r, write):
     """(subcommand or suite, argv)."""
     command = r.choice(["class", "check", "contract", "sl"])
     if command == "sl":
-        n = r.choice([-1, 0, 1, 2, 4, 5])  # 3 is valid but takes seconds
+        n = r.choice([-1, 0, 1, 2, 5, 6])  # 3 and 4 are valid but take seconds
         argv = ["sl", "--n", str(n)]
         mode = r.choice(["--identity", "--reeb", "--invariance", "--singular", None])
         if mode in ("--identity", "--reeb"):
@@ -163,7 +163,7 @@ FIXED = [
     (["class", "--catalog", "mu_c9:a=1", "--form", "1"], 1),
     (["class", "--catalog", "frobenius:p=2,a=[[1]]", "--form", "1"], 1),
     (["check", "--catalog", "abelian:n=1", "--suite", "extension-roundtrip"], 2),
-    (["sl", "--n", "4", "--identity"], 2),
+    (["sl", "--n", "5", "--identity"], 2),
     # a list value with a leading minus, as a separate argument and attached
     (["class", "--catalog", "heisenberg:p=1", "--form", "-1,0,1"], 0),
     (["class", "--catalog", "heisenberg:p=1", "--form=-1,0,1"], 0),

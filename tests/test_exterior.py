@@ -4,6 +4,7 @@ negated copy."""
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 from cartanlab import catalog as cat
 from cartanlab import exterior
@@ -64,3 +65,19 @@ def test_differences_and_odd_sign_terms_make_no_negated_copy(monkeypatch):
     # every odd-sign term of w ^ w lands on the even-sign term before it
     assert exterior.wedge(w.coeffs, w.coeffs) == {}
     assert counts["neg"] == 0
+
+
+def _merge_reference(a, b):
+    """(sorted a + b, (-1) ** inversions), or (None, 0) on a repeat."""
+    if set(a) & set(b):
+        return None, 0
+    return tuple(sorted(a + b)), (-1) ** sum(1 for x in a for y in b if x > y)
+
+
+def test_merge_sign_matches_the_inversion_count_on_every_shape():
+    # a lone index on either side is placed by bisection, an empty tuple
+    # returns the other, and longer pairs run the merge loop
+    tuples = [t for k in range(5) for t in combinations(range(7), k)]
+    for a in tuples:
+        for b in tuples:
+            assert exterior.merge_sign(a, b) == _merge_reference(a, b), (a, b)

@@ -14,6 +14,7 @@ from cartanlab.forms import (
     interior_product,
     skew_reduce,
     wedge,
+    wedge_power,
     wedge_power_class,
 )
 from cartanlab.liealg import LieAlgebra, Subspace, kernel_subspace
@@ -50,6 +51,19 @@ def test_wedge_mixed_algebras_error():
     a, b = cat.heisenberg(1).algebra, cat.heisenberg(1).algebra
     with pytest.raises(FormError):
         wedge(DualForm.basis(a, 1), DualForm.basis(b, 1))
+
+
+def test_wedge_power_takes_a_nonnegative_int():
+    # True read as 1 and 1.5 as a range bound before exterior.wedge_power
+    # checked its k
+    d = ce_differential(DualForm.basis(cat.heisenberg(2).algebra, 5))
+    assert wedge_power(d, 0) == DualForm(d.algebra, 0, {(): 1})
+    assert wedge_power(d, 1) == d and not wedge_power(d, 2).is_zero
+    with pytest.raises(FormError, match="negative"):
+        wedge_power(d, -1)
+    for k in (True, False, 1.5):
+        with pytest.raises(ValueError, match="integer >= 0"):
+            wedge_power(d, k)
 
 
 @pytest.mark.parametrize("grade", [1.5, True, "1", -1])

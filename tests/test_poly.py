@@ -4,7 +4,7 @@ import pytest
 
 from cartanlab import catalog as cat
 from cartanlab.forms import DualForm, interior_product, wedge
-from cartanlab.poly import Poly, VariableMismatch
+from cartanlab.poly import Poly, VariableMismatch, exponents
 from cartanlab.polyforms import (
     PolyForm,
     PolyVectorField,
@@ -81,11 +81,15 @@ def test_poly_form_grade_is_a_nonnegative_int(grade):
         PolyForm(V, grade)
 
 
+def _tuple_terms(p):
+    """The terms of p keyed by exponent tuples, as `Poly` takes them."""
+    return {exponents(key, len(p.vars)): c for key, c in p.terms.items()}
+
+
 def _assert_clean(p):
     """The Poly invariant, as the checked constructor would establish it."""
     assert all(p.terms.values()), p.terms
-    assert all(len(e) == len(p.vars) for e in p.terms)
-    assert p == Poly(p.vars, dict(p.terms))
+    assert p == Poly(p.vars, _tuple_terms(p))
     assert p.is_zero == (p == Poly.zero(p.vars))
 
 
@@ -103,8 +107,8 @@ def _reference_product(p, q):
     """The plain double loop over both term lists, merged by the checked
     constructor."""
     out = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
+    for e1, c1 in _tuple_terms(p).items():
+        for e2, c2 in _tuple_terms(q).items():
             e = tuple(a + b for a, b in zip(e1, e2))
             out[e] = out.get(e, Scalar(0)) + c1 * c2
     return Poly(p.vars, out)
@@ -360,6 +364,16 @@ def test_wedge_power_top():
     assert top == PolyForm(
         ("a", "b", "c", "d"), 4, {(0, 1, 2, 3): Poly.constant(("a", "b", "c", "d"), 2)}
     )
+
+
+@pytest.mark.parametrize("k", [-1, True, False, 1.5, "2"])
+def test_poly_wedge_power_rejects_bad_exponents(k):
+    # -1 gave a grade -1 form holding the constant 1, and True read as 1
+    w = ("a", "b", "c", "d")
+    omega = PolyForm(w, 2, {(0, 1): Poly.variable(w, "c"), (2, 3): Poly.constant(w, 1)})
+    assert poly_wedge_power(omega, 1) == omega
+    with pytest.raises(ValueError, match="integer >= 0"):
+        poly_wedge_power(omega, k)
 
 
 @pytest.mark.parametrize(

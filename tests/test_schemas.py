@@ -24,6 +24,13 @@ def _schema(name):
     return json.loads((SCHEMAS / f"{name}.schema.json").read_text(encoding="utf-8"))
 
 
+def _ecma_pattern(pattern):
+    """A schema pattern for Python's `re`: ECMA-262 reads an unescaped $
+    (no multiline flag) as the end of the input, where Python's $ also
+    matches before a final newline, so it becomes \\Z."""
+    return re.sub(r"(?<!\\)\$", r"\\Z", pattern)
+
+
 def violations(value, schema, path="$"):
     """Every place where value breaks schema, as "path: reason" strings.
     A keyword the validator does not read fails loudly, so a schema that
@@ -36,7 +43,7 @@ def violations(value, schema, path="$"):
     out = []
     if "enum" in schema and value not in schema["enum"]:
         out.append(f"{path}: {value!r} is not one of {schema['enum']}")
-    if "pattern" in schema and not re.search(schema["pattern"], value):
+    if "pattern" in schema and not re.search(_ecma_pattern(schema["pattern"]), value):
         out.append(f"{path}: {value!r} does not match {schema['pattern']}")
     if "minimum" in schema and value < schema["minimum"]:
         out.append(f"{path}: {value!r} is below {schema['minimum']}")
@@ -83,7 +90,7 @@ def _mutated_algebra_files():
     good = {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "re": "1", "im": "0"}]}]}
     yield "no brackets", {"dim": 3}
     for key in ("re", "im"):
-        for value in ("0.5", " 1/2 ", "1e2", "1_000", "+1", 1):
+        for value in ("0.5", " 1/2 ", "1e2", "1_000", "+1", 1, "1/2\n"):
             bad = json.loads(json.dumps(good))
             bad["brackets"][0]["terms"][0][key] = value
             yield f"{key} {value!r}", bad

@@ -320,32 +320,35 @@ def test_reeb_candidate_is_the_scaled_cofactor_field():
 
 
 def test_sl_checks_scalar_op_counts(monkeypatch):
-    # the checks run on sigma and on +-1 coefficients: the Scalar products
-    # left are 2n det (or c' det in the residual) and c = q! 2^q c', and the
-    # sums are the merges of the expansions themselves
-    counts = [0, 0]
+    # the checks run on sigma and on +-1 coefficients: the one Scalar
+    # product left is c = q! 2^q c', c' det is built from c' and -c' with
+    # no product, and the sums are the merges of the expansions themselves;
+    # negating a coefficient +-1 builds no Scalar, so the negations left
+    # are the new terms of the differences that those merges subtract
+    counts = [0, 0, 0]
 
     def counted(slot, fn):
-        def op(a, b):
+        def op(*args):
             counts[slot] += 1
-            return fn(a, b)
+            return fn(*args)
 
         return op
 
-    mul, add, sub = Scalar.__mul__, Scalar.__add__, Scalar.__sub__
+    mul, add, sub, neg = Scalar.__mul__, Scalar.__add__, Scalar.__sub__, Scalar.__neg__
     for name in ("__mul__", "__rmul__"):
         monkeypatch.setattr(Scalar, name, counted(0, mul))
     for name in ("__add__", "__radd__"):
         monkeypatch.setattr(Scalar, name, counted(1, add))
     monkeypatch.setattr(Scalar, "__sub__", counted(1, sub))
+    monkeypatch.setattr(Scalar, "__neg__", counted(2, neg))
     bounds = {
-        (sl_contact_identity, 1): (3, 6),
-        (sl_contact_identity, 2): (25, 104),
-        (reeb_identities, 1): (2, 10),
-        (reeb_identities, 2): (24, 200),
+        (sl_contact_identity, 1): (1, 4, 2),
+        (sl_contact_identity, 2): (1, 80, 33),
+        (reeb_identities, 1): (0, 6, 2),
+        (reeb_identities, 2): (0, 104, 27),
     }
     for (fn, n), bound in bounds.items():
-        counts[:] = [0, 0]
+        counts[:] = [0, 0, 0]
         fn(n)
         assert all(x <= y for x, y in zip(counts, bound)), (fn.__name__, n, counts)
 
