@@ -2,7 +2,9 @@
 
 Rationals serialize as strings ("-3/7"), never floats; the canonical form
 (sorted bracket pairs, sorted targets, two-space indent) is a fixed point
-of parse -> serialize, so files can be diffed byte for byte.
+of parse -> serialize, so files can be diffed byte for byte.  Every
+coefficient, matrix cell, covector coefficient and exponent is read in
+the one number grammar of `scalars`.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .liealg import LieAlgebra
-from .scalars import Scalar, check_int, parse_scalar
+from .scalars import Scalar, check_int, parse_integer, parse_scalar
 
 
 class AlgebraFileError(ValueError):
@@ -133,8 +135,10 @@ def parse_covector(text: str):
 
 
 def parse_exponents(text: str):
+    """Comma-separated integers, each read by `scalars.parse_integer`, so
+    "4/2" is 2, e.g. "1,0,-1"."""
     parts = [p.strip() for p in text.split(",")]
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(parse_integer(p) for p in parts)
     except ValueError as exc:
         raise AlgebraFileError(f"exponents must be integers: {exc}") from exc

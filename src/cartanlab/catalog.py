@@ -15,11 +15,15 @@ Each catalog concept has one implementation:
   verdict the immutable algebra keeps, and raises `NonJacobiDisplayError`
   unless the caller allows non-Jacobi tables.
 * `_FAMILIES` is the one owner of the id grammar name[:key=value,...]:
-  each name's constructor and the parser of each of its parameters.
-  `resolve` reads every id through those parsers and `_id` prints every
-  entry's id from the same table (Gaussian values as `str(Scalar)` prints
-  them), so every entry's id resolves back to that entry.  A constructor
-  rejects a parameter its table does not read.
+  each name's constructor and the parser of each of its parameters, whose
+  numbers are read by `scalars.parse_integer` and `scalars.parse_scalar`
+  as every number from outside is.  `resolve` reads every id through those
+  parsers and `_id` prints every entry's id from the same table (Gaussian
+  values as `str(Scalar)` prints them), so every entry's id resolves back
+  to that entry.  Each entry has one id: a dim3 kind is named only as
+  dim3:kind=..., and the base frobenius model only as
+  frobenius:p=...,a=[0,...].  A constructor rejects a parameter its table
+  does not read.
 
 Conventions fixed here once:
 
@@ -42,9 +46,8 @@ Conventions fixed here once:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import comb
 from typing import Optional
 
@@ -57,7 +60,7 @@ from .deformation import (
 )
 from .forms import DualForm
 from .liealg import LieAlgebra, bracket_table
-from .scalars import ONE, ZERO, Scalar, parse_rational, parse_scalar
+from .scalars import ONE, ZERO, Scalar, parse_integer, parse_scalar
 from .structure import PreconditionError, heisenberg_table, jacobi_check, jacobi_defects
 
 
@@ -73,7 +76,6 @@ class CatalogEntry:
     distinguished_form: DualForm
     expected_class: int
     constraints_hold: bool = True
-    provenance: str = ""
     deformation: Optional[DeformationSpec] = None
 
 
@@ -113,27 +115,12 @@ def heisenberg(p: int) -> CatalogEntry:
     """h_{2p+1}: [X_{2k-1}, X_{2k}] = X_{2p+1}; the contact model."""
     table = heisenberg_table(p)
     n = 2 * p + 1
-    g = LieAlgebra(n, table)
-    return _entry(
-        _id("heisenberg", {"p": p}),
-        {"p": p},
-        g,
-        {n: ONE},
-        n,
-        provenance="Heisenberg algebra, the odd-dimensional contact model",
-    )
+    return _entry(_id("heisenberg", {"p": p}), {"p": p}, LieAlgebra(n, table), {n: ONE}, n)
 
 
 def abelian(n: int) -> CatalogEntry:
-    g = LieAlgebra(n, {})
-    return _entry(
-        _id("abelian", {"n": n}),
-        {"n": n},
-        g,
-        {1: ONE},
-        1,
-        provenance="abelian algebra; every nonzero covector is closed",
-    )
+    """The abelian algebra; every nonzero covector is closed."""
+    return _entry(_id("abelian", {"n": n}), {"n": n}, LieAlgebra(n, {}), {1: ONE}, 1)
 
 
 # -- dimension 3 ---------------------------------------------------------------
@@ -161,17 +148,13 @@ def dim3(kind: str, **params) -> CatalogEntry:
         return _so3(p["a"])
     if kind == "heisenberg":
         table = heisenberg_table(1)
-        note = "Heisenberg algebra, the odd-dimensional contact model"
-    elif kind == "solvable1":
+    elif kind == "solvable1":  # the linear deformation phi1(X1,X2) = X1
         table = {(1, 2): {3: ONE, 1: ONE}}
-        note = "linear deformation with phi1(X1,X2) = X1"
-    elif kind == "solvable_b":
+    elif kind == "solvable_b":  # quadratic, with nilpotent f = [[0,b],[0,0]]
         table = {(1, 2): {3: ONE, 1: ONE}, (2, 3): {1: p["b"]}}
-        note = "quadratic deformation with nilpotent f = [[0,b],[0,0]]"
-    else:
+    else:  # sl2: quadratic, with split diagonal f; rank-1 simple
         lam = p["lam"]
         table = {(1, 2): {3: ONE}, (1, 3): {1: lam}, (2, 3): {2: -lam}}
-        note = "quadratic deformation with split diagonal f; rank-1 simple"
     g = LieAlgebra(3, table)
     return _entry(
         _id("dim3", {"kind": kind, **p}),
@@ -179,12 +162,15 @@ def dim3(kind: str, **params) -> CatalogEntry:
         g,
         {3: ONE},
         3,
-        provenance=note,
         deformation=deformation_from_classical_basis(g),
     )
 
 
 def _so3(a: Scalar) -> CatalogEntry:
+    """The compact real form.  Its brackets are stored negated so the
+    cyclic coframe equations hold under d w(X,Y) = -w([X,Y]); the
+    deformation spec realizes the rotation f in the swapped basis
+    (X1 <-> X2)."""
     g = LieAlgebra(3, {(1, 2): {3: -ONE}, (2, 3): {1: -ONE}, (1, 3): {2: ONE}})
     h3 = LieAlgebra(3, heisenberg_table(1))
     spec = DeformationSpec(
@@ -198,12 +184,6 @@ def _so3(a: Scalar) -> CatalogEntry:
         g,
         {1: ONE, 2: Scalar(2), 3: -ONE},
         3,
-        provenance=(
-            "compact real form; brackets are stored negated so the cyclic"
-            " coframe equations hold under d w(X,Y) = -w([X,Y]); the"
-            " deformation spec realizes the rotation f in the swapped"
-            " basis (X1 <-> X2)"
-        ),
         deformation=spec,
     )
 
@@ -311,7 +291,6 @@ def dim5(variant: str, allow_nonjacobi: bool = False, **params) -> CatalogEntry:
         g,
         {5: ONE},
         5,
-        provenance=f"dimension-5 quadratic deformation family {variant}",
         deformation=deformation_from_classical_basis(g),
     )
 
@@ -324,7 +303,8 @@ def _filiform_labels(n):
 
 
 def filiform_model(n: int) -> CatalogEntry:
-    """L_n: [e0, e_i] = e_{i+1} for i = 1..n-2 (graded filiform model)."""
+    """L_n: [e0, e_i] = e_{i+1} for i = 1..n-2 (graded filiform model); a
+    generic covector has class 1 or 3."""
     if n < 3:
         raise PreconditionError("filiform model needs dimension >= 3")
     brackets = {(1, i + 1): {i + 2: ONE} for i in range(1, n - 1)}
@@ -335,7 +315,6 @@ def filiform_model(n: int) -> CatalogEntry:
         g,
         {n: ONE},
         3,
-        provenance="graded filiform model L_n; generic covector class lies in {1,3}",
     )
 
 
@@ -379,7 +358,7 @@ def filiform_contact_conditions(p: int, coeffs) -> list:
     return out
 
 
-def _filiform_entry(name, params, g, allow_nonjacobi, provenance) -> CatalogEntry:
+def _filiform_entry(name, params, g, allow_nonjacobi) -> CatalogEntry:
     """The quarantined entry of a filiform contact table on dim 2p+1, whose
     constraints hold iff every contact condition A_i is nonzero."""
     cid = _id(name, params)
@@ -392,7 +371,6 @@ def _filiform_entry(name, params, g, allow_nonjacobi, provenance) -> CatalogEntr
         {n: ONE},
         n,
         constraints_hold=all(filiform_contact_conditions(n // 2, params["a"])),
-        provenance=provenance,
     )
 
 
@@ -413,7 +391,6 @@ def filiform_contact(p: int, a, allow_nonjacobi: bool = False) -> CatalogEntry:
         {"p": p, "a": tuple(a)},
         LieAlgebra(n, total, basis=_filiform_labels(n)),
         allow_nonjacobi,
-        "filiform contact family; contact iff every condition A_i != 0",
     )
 
 
@@ -453,19 +430,16 @@ def mu_c9(a, allow_nonjacobi: bool = False) -> CatalogEntry:
         {"a": tuple(a)},
         mu_c9_table(*a),
         allow_nonjacobi,
-        "hard-coded dim-9 filiform contact table (golden copy)",
     )
 
 
 # -- frobenius model family --------------------------------------------------------
 
 
-def frobenius_base(p: int) -> CatalogEntry:
-    """The parameter-zero member of `frobenius_model`."""
-    return replace(frobenius_model(p, [ZERO] * (p - 1)), id=_id("frobenius_base", {"p": p}))
-
-
 def frobenius_model(p: int, a) -> CatalogEntry:
+    """The diagonal model of exact-symplectic algebras on dim 2p; the
+    adjoint spectrum of the principal element X2 is {-1, 0} plus the pairs
+    {a_k, -(1+a_k)}.  a = [0] * (p - 1) gives the base member."""
     if p < 2:
         raise PreconditionError("the model family needs p >= 2")
     a = _scalars(a, p - 1, "need p-1 parameters")
@@ -476,10 +450,6 @@ def frobenius_model(p: int, a) -> CatalogEntry:
         LieAlgebra(2 * p, frobenius_table(p, a)),
         {1: ONE},
         2 * p,
-        provenance=(
-            "diagonal model of exact-symplectic algebras; adjoint spectrum of the"
-            " principal element X2 is {-1, 0} plus the pairs {a_k, -(1+a_k)}"
-        ),
     )
 
 
@@ -505,17 +475,10 @@ def psi_cocycles(p: int, base: LieAlgebra) -> list:
 # -- registry and id grammar ---------------------------------------------------------
 
 
-def _integer(text: str) -> int:
-    value = parse_rational(text)
-    if value.denominator != 1:
-        raise ValueError(f"not an integer: {text!r}")
-    return int(value)
-
-
 def _array(text: str) -> list:
     if not (text.startswith("[") and text.endswith("]")):
         raise ValueError(f"not an array [v1,v2,...]: {text!r}")
-    return [parse_scalar(v) for v in text[1:-1].split(",")]
+    return [parse_scalar(v.strip()) for v in text[1:-1].split(",")]
 
 
 def _name(text: str) -> str:
@@ -528,17 +491,14 @@ def _name(text: str) -> str:
 # parameter (parse_scalar) has a default in its constructor; every other
 # one is required.  Ids print their parameters in this order.
 _FAMILIES = {
-    "heisenberg": (heisenberg, {"p": _integer}),
-    "abelian": (abelian, {"n": _integer}),
+    "heisenberg": (heisenberg, {"p": parse_integer}),
+    "abelian": (abelian, {"n": parse_integer}),
     "dim3": (dim3, {"kind": _name, **{k: parse_scalar for d in DIM3_KINDS.values() for k in d}}),
-    "sl2": (partial(dim3, "sl2"), {"lam": parse_scalar}),
-    "so3": (partial(dim3, "so3"), {"a": parse_scalar}),
     "dim5": (dim5, {"variant": _name, **dict.fromkeys("".join(DIM5_VARIANTS.values()), parse_scalar)}),
-    "filiform": (filiform_model, {"n": _integer}),
-    "filiform_contact": (filiform_contact, {"p": _integer, "a": _array}),
+    "filiform": (filiform_model, {"n": parse_integer}),
+    "filiform_contact": (filiform_contact, {"p": parse_integer, "a": _array}),
     "mu_c9": (mu_c9, {"a": _array}),
-    "frobenius": (frobenius_model, {"p": _integer, "a": _array}),
-    "frobenius_base": (frobenius_base, {"p": _integer}),
+    "frobenius": (frobenius_model, {"p": parse_integer, "a": _array}),
 }
 # the families whose tables `_quarantine` gates
 _QUARANTINED = ("dim5", "filiform_contact", "mu_c9")
@@ -604,7 +564,7 @@ def standard_entries() -> list:
         frobenius_model(2, [Fraction(1, 2)]),
         frobenius_model(3, [1, -2]),
         frobenius_model(4, [2, Fraction(-1, 3), 1]),
-        frobenius_base(3),
+        frobenius_model(3, [0, 0]),
     ]
     return entries
 

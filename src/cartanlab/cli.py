@@ -23,10 +23,14 @@ class, check and contract read the algebra from exactly one of
 --algebra FILE and --catalog ID.  Catalog ids use the grammar
 name[:key=val,...] with arrays as [v1,v2], e.g.  heisenberg:p=2,
 frobenius:p=3,a=[1,-2],  mu_c9:a=[1,2,3],  dim5:variant=diag_ii_a,a=1,b=0,c=1,d=1.
-Numbers are exact strings: rationals such as "-3/7", and Gaussian
-rationals as str(Scalar) prints them ("i", "1/2-i") in catalog
-parameters, --form coefficients and matrix files; no floats are parsed
-or printed anywhere.
+Numbers are exact strings in the one grammar of `scalars`: rationals
+"-p/q" or "-p" in ASCII digits, and Gaussian rationals as str(Scalar)
+prints them ("i", "1/2-i") in catalog parameters, --form coefficients and
+matrix files.  An integer (--n, --seed, CARTANLAB_SEED, --exponents, an
+integer catalog parameter) is such a rational with denominator 1, so
+"4/2" is 2.  No decimal point, exponent, leading "+", space or non-ASCII
+digit is read, so no text makes a number with more digits than it has;
+no floats are parsed or printed anywhere.
 
 Exit codes: 0 pass, 1 I/O or parse error, 2 precondition violation or
 bad command line, 3 property failure.  `main` alone turns an error into
@@ -60,6 +64,7 @@ from .contraction import ContractionSpec, contract, frobenius_model_parameters
 from .forms import DualForm, cartan_class
 from .liealg import change_basis
 from .randgen import DEFAULT_SEED
+from .scalars import parse_integer
 from .slgroup import (
     evaluate_singular_equations,
     reeb_identities,
@@ -86,15 +91,15 @@ class _Failure(Exception):
 
 
 def _seed(args) -> int:
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        return seed
-    env = os.environ.get("CARTANLAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise _Failure(EXIT_PRECONDITION, f"CARTANLAB_SEED must be an integer, got {env!r}")
+    """--seed, else CARTANLAB_SEED, else the default seed; `main` reads it
+    before any command runs."""
+    given = (("--seed", getattr(args, "seed", None)), ("CARTANLAB_SEED", os.environ.get("CARTANLAB_SEED")))
+    for what, text in given:
+        if text is not None:
+            try:
+                return parse_integer(text)
+            except ValueError:
+                raise _Failure(EXIT_PRECONDITION, f"{what} must be an integer, got {text!r}")
     return DEFAULT_SEED
 
 
@@ -142,7 +147,7 @@ def _report(args, digest_parts, results, ok=True) -> int:
             "command": args.command,
             "argv": args.argv_echo,
             "inputs_digest": h.hexdigest(),
-            "seed": _seed(args),
+            "seed": args.seed,
             "results": results,
             "suite": {"pass": int(ok), "fail": int(not ok)},
         }
@@ -177,7 +182,7 @@ def cmd_class(args):
 
 def cmd_check(args):
     g, entry, source = _load_subject(args)
-    ok, results = run_suite(args.suite, g, entry, _seed(args))
+    ok, results = run_suite(args.suite, g, entry, args.seed)
     return _report(args, (source, args.suite), {args.suite: results}, ok)
 
 
@@ -204,7 +209,7 @@ def cmd_contract(args):
 
 
 def cmd_sl(args):
-    n = args.n
+    n = parse_integer(args.n)
     if not 1 <= n <= SL_MAX_N:
         raise PreconditionError(f"--n must be between 1 and {SL_MAX_N}")
     matrix_txt = ""
@@ -241,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--seed",
-        type=int,
         default=argparse.SUPPRESS,
         help="PRNG seed (default: CARTANLAB_SEED or 1729)",
     )
@@ -281,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_contract.set_defaults(func=cmd_contract)
 
     p_sl = sub.add_parser("sl", help="polynomial contact data on the even special linear group", parents=[common])
-    p_sl.add_argument("--n", type=int, required=True)
+    p_sl.add_argument("--n", required=True)
     mode = p_sl.add_mutually_exclusive_group(required=True)
     mode.add_argument("--identity", action="store_true", help="top-form identity and its constant")
     mode.add_argument("--reeb", action="store_true", help="exact Reeb-field pairings")
@@ -316,6 +320,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_list_values(argv))
     args.argv_echo = list(argv)
     try:
+        args.seed = _seed(args)
         return args.func(args)
     except (_Failure, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

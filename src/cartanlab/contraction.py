@@ -6,18 +6,15 @@ no nonzero constant carries a negative exponent, and the limit keeps the
 exponent-zero terms.  Divergence is data (a witness triple), not a crash:
 exponent grids are meant to be scanned.
 
-The limit's constants are entries of the input's table, which are checked
-and read-only already, so `contract` wraps them with the trusted
-constructor `liealg._trusted` in place of `LieAlgebra(...)`: a pair that
-keeps all its constants shares the input's read-only entry, and the limit
-is as immutable as any LieAlgebra.  The Jacobi check of the limit is an
-oracle against a corrupt input table.  It runs once per limit: the limit
-is a function of the input's immutable table and of the kept constants,
-so the input keeps each limit it built in its write-once `_limits` dict,
-keyed by the kept (i, j, k) in table order, and a later call that keeps
-the same constants returns the same checked instance.  A scan over an
-exponent grid reaches few distinct limits (8 for the 543 converging
-points of the p = 3 grid), and a diverging call is never kept.
+The limit is a `LieAlgebra` built from the kept constants like any other,
+its table checked and copied.  Its Jacobi check is an oracle against a
+corrupt input table.  Construction and check run once per limit: the
+limit is a function of the input's immutable table and of the kept
+constants, so the input keeps each limit it built in its write-once
+`_limits` dict, keyed by the kept (i, j, k) in table order, and a later
+call that keeps the same constants returns the same checked instance.  A
+scan over an exponent grid reaches few distinct limits (8 for the 543
+converging points of the p = 3 grid), and a diverging call is never kept.
 
 The diagonal frobenius model that such limits reach is written once, as
 `frobenius_table(p, a)`; the catalog builds its model family from it.  Its
@@ -31,10 +28,9 @@ of X_2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Optional
 
-from .liealg import LieAlgebra, _trusted, bracket_table
+from .liealg import LieAlgebra, bracket_table
 from .scalars import ONE, ZERO
 from .structure import jacobi_check, require_jacobi
 
@@ -93,10 +89,7 @@ def _checked_limit(g: LieAlgebra, key) -> LieAlgebra:
     kept = {}
     for i, j, k in key:
         kept.setdefault((i, j), {})[k] = g.c[(i, j)][k]
-    for ij, pair in kept.items():
-        terms = g.c[ij]
-        kept[ij] = terms if len(pair) == len(terms) else MappingProxyType(pair)
-    limit = _trusted(g.dim, MappingProxyType(kept), g.basis)
+    limit = LieAlgebra(g.dim, kept, basis=g.basis)
     if not jacobi_check(limit).ok:
         raise AssertionError(
             "contraction limit violates Jacobi; the input table must be corrupt"

@@ -76,9 +76,6 @@ class DualForm:
     def __neg__(self):
         return DualForm(self.algebra, self.grade, exterior.negate(self.coeffs))
 
-    def scale(self, s):
-        return DualForm(self.algebra, self.grade, exterior.scale(self.coeffs, Scalar.of(s)))
-
     def __eq__(self, other):
         return (
             isinstance(other, DualForm)
@@ -86,9 +83,6 @@ class DualForm:
             and self.grade == other.grade
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.grade, tuple(sorted(self.coeffs.items()))))
 
     def _check(self, other):
         if not isinstance(other, DualForm):

@@ -15,7 +15,8 @@ linear map is a plain n x n matrix, column j = image of X_j, as
 `adjoint_rows` returns ad(X_index).  There is no wrapper type for either.
 A LieAlgebra is immutable: `c` is a bracket table, and `dim` and `basis`
 cannot be reassigned, so a verdict computed from the table stays true for
-the instance's whole life.  The Jacobi identity is deliberately *not* an
+the instance's whole life.  Every instance, a contraction limit included,
+comes through the checked constructor; there is no unchecked one.  The Jacobi identity is deliberately *not* an
 invariant of the type: deformation intermediates are allowed to violate
 it, and `structure.jacobi_check` is the gatekeeper.  Two write-once slots
 hold what is computed from the table: `_jacobi`, the verdict of
@@ -155,21 +156,6 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, brackets={len(self.c)})"
-
-
-def _trusted(dim, c, basis) -> LieAlgebra:
-    """Wrap c as the bracket of a LieAlgebra without checking it.
-
-    c must be a read-only bracket table on a dim-dimensional space whose
-    pair values are read-only as well (entries of a `bracket_table`, say),
-    and basis a tuple of dim str labels.  The instance is as immutable as a
-    checked one, and its Jacobi verdict is still `structure.jacobi_check`'s.
-    """
-    g = object.__new__(LieAlgebra)
-    object.__setattr__(g, "dim", dim)
-    object.__setattr__(g, "basis", basis)
-    object.__setattr__(g, "c", c)
-    return g
 
 
 class Subspace:

@@ -68,8 +68,12 @@ def _guard(nv: int) -> int:
 
 def _shift(nv: int, i) -> int:
     """The bit offset of variable i's field; i is checked as a list index
-    is, so -1 is the last variable."""
-    return FIELD * (nv - 1 - range(nv)[i])
+    is, so -1 is the last variable, and one out of range raises
+    VariableMismatch."""
+    try:
+        return FIELD * (nv - 1 - range(nv)[i])
+    except IndexError:
+        raise VariableMismatch(f"no variable index {i!r} among {nv}") from None
 
 
 def _pack(expo: tuple) -> int:
@@ -242,9 +246,9 @@ class Poly:
         return self.terms.get(0, ZERO)
 
     def degree_in(self, i):
+        shift = _shift(len(self.vars), i)
         if not self.terms:
             return -1
-        shift = _shift(len(self.vars), i)
         return max((key >> shift) & _MASK for key in self.terms)
 
     def occurring(self) -> list:

@@ -71,9 +71,6 @@ class PolyForm:
     def __sub__(self, other):
         return self.__add__(other, -1)
 
-    def __neg__(self):
-        return _trusted_form(self.vars, self.grade, exterior.negate(self.coeffs))
-
     def scale(self, s):
         if not isinstance(s, Poly):
             s = Scalar.of(s)

@@ -3,6 +3,13 @@
 A Scalar is a + b*i with a, b arbitrary-precision rationals.  There is no
 floating point anywhere downstream; equality is always exact.  Real algebras
 simply keep b = 0.
+
+Every text from outside that becomes a number (command-line values, the
+seed variable, catalog parameters, file coefficients, `Scalar(str)`) is
+read by `parse_rational`, `parse_integer` or `parse_scalar`, which is
+built on them, in the one grammar `_RATIONAL`: "-p/q" or "-p" in ASCII
+digits.  Without exponents or other digit sets, reading a number costs
+time linear in its text and makes no more digits than the text has.
 """
 
 from __future__ import annotations
@@ -11,40 +18,56 @@ import re
 from fractions import Fraction
 
 
+# the one grammar of an exact number read from outside the program: the
+# pattern of "re" and "im" in schemas/algebra_file.schema.json, ASCII
+# digits only, so a number has no more digits than its text
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text) -> Fraction:
-    """Exact rational from a string such as "-3/7" (or an integer).
+    """Exact rational from a string "-p/q" or "-p" as `_RATIONAL` spells
+    it (or from an int).
 
     Every malformed input raises ValueError, a zero denominator included,
     so callers that report bad input need to catch only that.  Anything
-    but a str or an int (a bool or a binary float read from JSON, say) is
-    malformed.
+    but such a str or an int (a bool or a binary float read from JSON, a
+    decimal point, an exponent, a space or a "+", say) is malformed.
     """
-    if isinstance(text, bool) or not isinstance(text, (str, int)):
-        raise ValueError(f"not an exact rational: {text!r}")
-    try:
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
+    if not (isinstance(text, str) and _RATIONAL.fullmatch(text)):
+        raise ValueError(f"not an exact rational: {text!r}")
+    num, _, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
-    except ValueError:
-        raise ValueError(f"not an exact rational: {text!r}") from None
 
 
-# the pattern of "re" and "im" in schemas/algebra_file.schema.json
-_FILE_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+def parse_integer(text) -> int:
+    """An integer read as `parse_rational` reads it, so "4/2" is 2; a
+    rational that is not an integer raises ValueError."""
+    value = parse_rational(text)
+    if value.denominator != 1:
+        raise ValueError(f"not an integer: {text!r}")
+    return value.numerator
 
 
 def parse_scalar(text) -> "Scalar":
     """Exact Gaussian rational from the text `str(Scalar)` prints: "-3/7",
-    "i", "-i", "-3/7i", "1/2-i", "7/9+4/3i".  Text that does not end in i
-    goes to `parse_rational`; every malformed input raises ValueError."""
+    "i", "-i", "-3/7i", "1/2-i", "7/9+4/3i", each part as `parse_rational`
+    reads it.  Text that does not end in i goes to `parse_rational`; every
+    malformed input raises ValueError."""
     if not (isinstance(text, str) and text.endswith("i")):
         return Scalar(parse_rational(text))
     body = text[:-1]
-    # the imaginary part starts at the last sign that opens no exponent
-    cut = max((m.start() for m in re.finditer(r"(?<![eE])[+-]", body)), default=0)
-    im = body[cut:]
-    im = im + "1" if im in ("", "+", "-") else im
-    return Scalar(parse_rational(body[:cut]) if cut else 0, parse_rational(im))
+    # a rational has no sign but its leading minus, so a sign after the
+    # first character opens the imaginary part
+    cut = max(body.rfind("+"), body.rfind("-"))
+    if cut <= 0:
+        return Scalar(0, parse_rational(body + "1" if body in ("", "-") else body))
+    im = parse_rational(body[cut + 1:] or "1")
+    return Scalar(parse_rational(body[:cut]), im if body[cut] == "+" else -im)
 
 
 def _as_fraction(x) -> Fraction:
@@ -112,22 +135,16 @@ class Scalar:
     @staticmethod
     def from_strings(re: str, im: str = "0") -> "Scalar":
         """re + im*i from the two strings of a term of an algebra file or a
-        cell of a matrix file, each "-p/q" or "-p" as the file schema's
-        pattern says: no space, decimal point, exponent or JSON number."""
-        for part in (re, im):
-            if not (isinstance(part, str) and _FILE_RATIONAL.fullmatch(part)):
-                raise ValueError(f"not an exact rational string: {part!r}")
+        cell of a matrix file, each read by `parse_rational`; the file
+        schema types both as strings, so a JSON number is refused."""
+        if not (isinstance(re, str) and isinstance(im, str)):
+            raise ValueError(f"not an exact rational string: {re!r}, {im!r}")
         return Scalar(parse_rational(re), parse_rational(im))
 
     # -- predicates ----------------------------------------------------
 
     # a Fraction's own truthiness, not ``== 0``: the comparison with an
     # int costs a Python-level __eq__ per part
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 

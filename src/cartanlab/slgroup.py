@@ -301,8 +301,11 @@ def so_invariance_check(n: int, m) -> bool:
 
 
 def pythagorean_rotation(a: int, b: int):
-    """Exact rational rotation from the (a^2-b^2, 2ab, a^2+b^2) triple."""
+    """Exact rational rotation from the (a^2-b^2, 2ab, a^2+b^2) triple;
+    ValueError when a^2 + b^2 = 0, as for a = b = 0."""
     a2, b2 = a * a, b * b
+    if not a2 + b2:
+        raise ValueError(f"no rotation: a^2 + b^2 = 0 for a = {a}, b = {b}")
     h = Scalar(a2 + b2)
     c = Scalar(a2 - b2) / h
     s = Scalar(2 * a * b) / h

@@ -175,7 +175,7 @@ def test_criterion_08_frobenius_model_battery():
     with _verdict(8, "frobenius model family battery", 30.0):
         r = rng(104)
         for p in (2, 3, 4):
-            base_entry = cat.frobenius_base(p)
+            base_entry = cat.frobenius_model(p, [0] * (p - 1))
             psis = cat.psi_cocycles(p, base_entry.algebra)
             for _ in range(25):
                 a = [random_rational(r) for _ in range(p - 1)]

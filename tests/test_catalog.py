@@ -147,7 +147,7 @@ def test_frobenius_model_family():
     assert jacobi_check(e.algebra).ok
     assert cartan_class(e.distinguished_form).value == 6
     assert center(e.algebra).dim == 0
-    base = cat.frobenius_base(3)
+    base = cat.frobenius_model(3, [0, 0])
     # d of the even coframe legs is a multiple of w2 ^ w_{2k+2} only
     d6 = ce_differential(DualForm.basis(base.algebra, 6))
     assert set(d6.coeffs) == {(2, 6)}
@@ -156,7 +156,7 @@ def test_frobenius_model_family():
 def test_frobenius_psi_cocycles_reassemble_model():
     r = rng(35)
     for p in (2, 3, 4):
-        base = cat.frobenius_base(p)
+        base = cat.frobenius_model(p, [0] * (p - 1))
         psis = cat.psi_cocycles(p, base.algebra)
         for _ in range(5):
             a = [random_rational(r) for _ in range(p - 1)]
@@ -187,9 +187,11 @@ def test_standard_entries_all_jacobi():
 def test_catalog_id_grammar():
     e = cat.resolve("frobenius:p=3,a=[1,-2]")
     assert e.params == {"p": 3, "a": (Scalar(1), Scalar(-2))}
+    # spaces around an item belong to the list, not to the number
+    assert cat.resolve("frobenius: p=3 , a=[ 1, -2 ]").params == e.params
     e = cat.resolve("dim5:variant=diag_ii_a,a=1/2,b=0,c=1,d=1")
     assert e.params["variant"] == "diag_ii_a" and e.params["a"] == Scalar("1/2")
-    assert cat.resolve("so3").params == {"a": ONE}
+    assert cat.resolve("dim3:kind=so3").params == {"a": ONE}
 
 
 def test_catalog_resolve():
@@ -233,8 +235,6 @@ FAMILY_IDS = {
     "heisenberg": ("heisenberg:p=2", lambda: cat.heisenberg(2)),
     "abelian": ("abelian:n=3", lambda: cat.abelian(3)),
     "dim3": ("dim3:kind=solvable_b,b=-3/2", lambda: cat.dim3("solvable_b", b=Fraction(-3, 2))),
-    "sl2": ("sl2:lam=2", lambda: cat.dim3("sl2", lam=2)),
-    "so3": ("so3:a=1/3", lambda: cat.dim3("so3", a=Fraction(1, 3))),
     "dim5": (
         "dim5:variant=nondiag_case1,c=2,d=1,e=1/2,f=-1",
         lambda: cat.dim5("nondiag_case1", c=2, d=1, e=Fraction(1, 2), f=-1),
@@ -243,7 +243,6 @@ FAMILY_IDS = {
     "filiform_contact": ("filiform_contact:p=3,a=[1,2]", lambda: cat.filiform_contact(3, [1, 2])),
     "mu_c9": ("mu_c9:a=[1,2,3]", lambda: cat.mu_c9([1, 2, 3])),
     "frobenius": ("frobenius:p=3,a=[1,-2]", lambda: cat.frobenius_model(3, [1, -2])),
-    "frobenius_base": ("frobenius_base:p=3", lambda: cat.frobenius_base(3)),
 }
 
 
@@ -266,7 +265,8 @@ def _drawn_entries(r, gaussian=False):
     out.append(cat.filiform_contact(4, [(3 * a2 * a2 - a2 * a3) / (2 * a3), a2, a3]))
     out.append(cat.mu_c9([q(), q(), q()], allow_nonjacobi=True))
     out += [cat.frobenius_model(p, [q() for _ in range(p - 1)]) for p in (2, 3, 4)]
-    out.append(cat.frobenius_base(r.randint(2, 4)))
+    p = r.randint(2, 4)
+    out.append(cat.frobenius_model(p, [0] * (p - 1)))
     return out
 
 

@@ -5,6 +5,7 @@ exception may escape `main` (argparse's own usage exit, code 2, counts as
 an exit code)."""
 
 import json
+import time
 from itertools import combinations, count
 
 import pytest
@@ -197,9 +198,32 @@ FIXED = [
     # attached (appended last, so the ids of the cases above stay put)
     (["class", "--catalog", "frobenius:p=2,a=[i]", "--form", "-i,1,0,0"], 0),
     (["class", "--catalog", "frobenius:p=2,a=[i]", "--form=-i,1,0,0"], 0),
+    # one number grammar, "-p/q" or "-p" in ASCII digits, for every text:
+    # a 10-character exponent spelling of a 10^8-digit number is refused at
+    # once in a covector, a catalog array and a matrix cell
+    (["class", "--algebra", "{h3}", "--form", "1e100000000,0,1"], 1),
+    (["class", "--catalog", "frobenius:p=2,a=[1e100000000]", "--form", "1,0,0,0"], 1),
+    (["sl", "--n", "1", "--singular", "{huge_cell}"], 1),
+    # no digit separator or non-ASCII digit, and no decimal point in either
+    # matrix-cell form
+    (["contract", "--algebra", "{h3}", "--exponents", "1_0,0,0"], 1),
+    (["sl", "--n", "\uff12", "--identity"], 2),
+    (["sl", "--n", "1", "--invariance", "{decimal_cell}"], 1),
+    (["sl", "--n", "1", "--invariance", "{decimal_re}"], 1),
+    # an exponent, like an integer catalog parameter, may be any rational
+    # with denominator 1
+    (["contract", "--catalog", "heisenberg:p=1", "--exponents", "4/2,0,1"], 0),
 ]
 REPEATED_TARGET = {"dim": 3, "brackets": [
     {"i": 1, "j": 2, "terms": [{"k": 3, "re": "1"}, {"k": 3, "re": "5"}]}]}
+# the input files that FIXED names by placeholder
+FILES = {
+    "{repeated_target}": REPEATED_TARGET,
+    "{h3}": {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "re": "1"}]}]},
+    "{huge_cell}": [["1e100000000", "0"], ["0", "1"]],
+    "{decimal_cell}": [["0.5", "0"], ["0", "1"]],
+    "{decimal_re}": [[{"re": "0.5"}, "0"], ["0", "1"]],
+}
 
 
 def _exit_code(argv):
@@ -212,10 +236,16 @@ def _exit_code(argv):
 
 @pytest.mark.parametrize("argv,code", FIXED)
 def test_cli_fixed_malformed_inputs(argv, code, capsys, tmp_path):
-    path = tmp_path / "repeated-target.json"
-    path.write_text(json.dumps(REPEATED_TARGET), encoding="utf-8")
-    argv = [str(path) if a == "{repeated_target}" else a for a in argv]
+    paths = {}
+    for i, (name, content) in enumerate(FILES.items()):
+        paths[name] = tmp_path / f"input{i}.json"
+        paths[name].write_text(json.dumps(content), encoding="utf-8")
+    argv = [str(paths[a]) if a in paths else a for a in argv]
+    start = time.perf_counter()
     assert _exit_code(argv) == code
+    if code == 1:
+        # malformed input is refused before anything is built from it
+        assert time.perf_counter() - start < 1.0
     out, err = capsys.readouterr()
     assert "Traceback" not in err
     if "--catalog" in argv and code == 1:

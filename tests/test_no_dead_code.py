@@ -30,7 +30,10 @@ benchmark uses it after all, or when no test names it either.
 
 A second check reads imports: no module of the package (its re-exporting
 `__init__.py` aside), the demos or the tests imports a name that it never
-reads.
+reads.  A third reads dataclass fields: code in the package, the demos,
+the benchmark or the tests reads every field of a package dataclass as
+`.field`, so a field that is only ever written is caught.  A field is
+part of a returned value, so a test that reads it counts.
 """
 
 import ast
@@ -176,6 +179,59 @@ def test_test_only_entries_are_current():
         if bad
     )
     assert not stale, "stale TEST_ONLY entries:\n" + "\n".join(stale)
+
+
+def _dataclass_fields(package):
+    """(Class.field, path, line) of every field of a dataclass in the
+    package directory."""
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield f"{node.name}.{item.target.id}", path, item.lineno
+
+
+def _unread_fields(root, package):
+    paths = [p for top in (*USERS, "tests") for p in (root / top).rglob("*.py")]
+    read = {
+        node.attr
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{path.relative_to(root)}:{lineno} {qualname}"
+        for qualname, path, lineno in _dataclass_fields(package)
+        if qualname.split(".")[1] not in read
+    ]
+
+
+def test_every_dataclass_field_is_read():
+    unread = _unread_fields(ROOT, PACKAGE)
+    assert not unread, "dataclass fields that nothing reads:\n" + "\n".join(unread)
+
+
+def test_the_field_check_reports_a_field_never_read(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "core.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Entry:\n"
+        "    read: int\n"
+        "    written_only: str = ''\n"
+        "    never: int = 0\n"
+        "def make():\n"
+        "    e = Entry(1, written_only='x')\n"
+        "    return e.read\n"
+    )
+    assert [entry.split()[-1] for entry in _unread_fields(tmp_path, package)] == [
+        "Entry.written_only", "Entry.never"
+    ]
 
 
 def _unused_imports(paths):

@@ -50,6 +50,17 @@ def test_poly_diff_and_eval():
     assert p.eval([Scalar(2), Scalar(3), Scalar(-1)]) == Scalar(17)
 
 
+def test_a_variable_index_out_of_range_is_a_variable_mismatch():
+    x, y, z = (_x(n) for n in V)
+    p = x * y * y + z
+    assert p.diff(-1) == Poly.constant(V, 1) and p.degree_in(-2) == 2
+    for bad in (3, -4):
+        for call in (lambda: p.diff(bad), lambda: p.degree_in(bad), lambda: Poly.var_index(V, bad),
+                     lambda: Poly.zero(V).degree_in(bad)):
+            with pytest.raises(VariableMismatch, match="no variable index"):
+                call()
+
+
 def test_poly_subs():
     x, y, z = (_x(n) for n in V)
     p = x * x + y

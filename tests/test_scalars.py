@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cartanlab.randgen import random_rational, rng
-from cartanlab.scalars import I, ONE, ZERO, Scalar, parse_scalar
+from cartanlab.scalars import I, ONE, ZERO, Scalar, parse_integer, parse_rational, parse_scalar
 
 
 def test_arithmetic_is_exact():
@@ -69,11 +69,31 @@ def test_parse_scalar_reads_what_str_prints():
     for _ in range(500):
         s = Scalar(random_rational(r), random_rational(r))
         assert parse_scalar(str(s)) == s
-    # exponent text reads as parse_rational reads it, in either part
-    assert parse_scalar("1e-5+2e-1i") == Scalar(Fraction(1, 100000), Fraction(1, 5))
-    for bad in ("ii", "1+-2i", "1/0i", "xi", "1/2+", "", "1.5.2"):
+    for bad in ("ii", "1+-2i", "1/0i", "xi", "1/2+", "", "1.5.2", "+i", "1e-5+2e-1i", "1--i"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
+
+
+def test_one_grammar_reads_every_exact_number():
+    # "-p/q" or "-p" in ASCII digits, the file schema's pattern; an integer
+    # is such a rational with denominator 1
+    for text, value in (("-3/7", Fraction(-3, 7)), ("007", 7), ("4/2", 2), ("-0", 0), (5, 5)):
+        assert parse_rational(text) == value
+    assert parse_integer("4/2") == 2 and parse_integer("-6/3") == -2 and parse_integer(7) == 7
+    for text in ("0.5", "1e5", "1e100000000", " 1", "1 ", "+1", "1_0", "\uff12", "1/-2", "--1", "",
+                 "/2", "1/", "1/2\n", "1/0"):
+        for read in (parse_rational, parse_integer, parse_scalar, Scalar):
+            with pytest.raises(ValueError):
+                read(text)
+    for value in (True, 1.5, None):
+        for read in (parse_rational, parse_integer, parse_scalar):
+            with pytest.raises(ValueError):
+                read(value)
+    with pytest.raises(ValueError, match="not an integer"):
+        parse_integer("1/2")
+    # the {"re", "im"} cell of a file is typed as strings: no JSON number
+    with pytest.raises(ValueError):
+        Scalar.from_strings(1)
 
 
 def test_hash_consistency():

@@ -177,6 +177,9 @@ def test_so_invariance_pythagorean_rotations():
         assert so_invariance_check(1, m)
     # identity is trivially invariant
     assert so_invariance_check(1, ((1, 0), (0, 1)))
+    # (0, 0) gives the zero triple, which scales to no rotation
+    with pytest.raises(ValueError, match="no rotation"):
+        pythagorean_rotation(0, 0)
 
 
 def test_so_invariance_blocks_n2():

@@ -473,6 +473,6 @@ def test_frobenius_entries_have_trivial_center():
     for entry in (
         cat.frobenius_model(2, [Scalar(1)]),
         cat.frobenius_model(3, [1, -2]),
-        cat.frobenius_base(3),
+        cat.frobenius_model(3, [0, 0]),
     ):
         assert center(entry.algebra).dim == 0
