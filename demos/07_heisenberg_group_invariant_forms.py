@@ -28,8 +28,8 @@ print(__doc__)
 X1, X2, X3 = left_invariant_frames()
 R1, R2, R3 = right_invariant_frames()
 print("Frames: [X1,X2] = X3 and [R1,R2] = -R3 as exact field brackets:")
-print("  [X1,X2] components:", [str(p) for p in vf_bracket(X1, X2).comps])
-print("  [R1,R2] components:", [str(p) for p in vf_bracket(R1, R2).comps])
+print("  [X1,X2] components:", [str(p) for p in vf_bracket(X1, X2)])
+print("  [R1,R2] components:", [str(p) for p in vf_bracket(R1, R2)])
 
 u = Poly.variable(U_VAR, "u")
 one = Poly.constant(U_VAR, 1)

@@ -56,7 +56,6 @@ from . import catalog
 from .poly import Poly
 from .polyforms import (
     PolyForm,
-    PolyVectorField,
     poly_wedge,
     poly_wedge_power,
     exterior_d,

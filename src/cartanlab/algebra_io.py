@@ -3,8 +3,8 @@
 Rationals serialize as strings ("-3/7"), never floats; the canonical form
 (sorted bracket pairs, sorted targets, two-space indent) is a fixed point
 of parse -> serialize, so files can be diffed byte for byte.  Every
-coefficient, matrix cell, covector coefficient and exponent is read in
-the one number grammar of `scalars`.
+coefficient, matrix cell, covector coefficient and exponent, and every
+JSON integer, is read in the one number grammar of `scalars`.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ def dump_algebra(g: LieAlgebra) -> str:
 
 def load_algebra_text(text: str) -> LieAlgebra:
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text, parse_int=parse_integer)
+    except ValueError as exc:
         raise AlgebraFileError(f"not valid JSON: {exc}") from exc
     return algebra_from_dict(data)
 
@@ -97,8 +97,8 @@ def load_matrix_text(text: str):
     (cells read by `scalars.parse_scalar`) or
     [[{"re": "1", "im": "0"}, ...], ...]."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text, parse_int=parse_integer)
+    except ValueError as exc:
         raise AlgebraFileError(f"not valid JSON: {exc}") from exc
     rows = []
     try:

@@ -313,12 +313,17 @@ def _attach_list_values(argv) -> list:
 def main(argv=None) -> int:
     """Run one command; the only place where an error becomes an exit code.
 
-    argparse exits 2 on a bad command line before any command runs.
+    argparse exits 2 on a bad command line before any command runs.  The
+    interpreter's limit on int-string conversion is lifted while the
+    command runs, so a result of any size prints, and restored after it;
+    `scalars.parse_rational` bounds the numbers read from outside.
     """
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_attach_list_values(argv))
     args.argv_echo = list(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args.seed = _seed(args)
         return args.func(args)
@@ -330,6 +335,8 @@ def main(argv=None) -> int:
             return EXIT_IO
         # every precondition error of the package is a ValueError
         return EXIT_PRECONDITION
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

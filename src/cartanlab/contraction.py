@@ -54,9 +54,6 @@ class ContractionResult:
     limit: Optional[LieAlgebra]
     witness: Optional[tuple]  # (i, j, k, negative exponent)
 
-    def __bool__(self):
-        return self.converges
-
 
 def contract(spec: ContractionSpec) -> ContractionResult:
     """Limit of f_t^{-1} mu (f_t x f_t) for the diagonal rescaling."""

@@ -168,9 +168,6 @@ class QuadraticCheck:
     def failing_equations(self):
         return tuple(sorted({eq for eq, _, _ in self.failures}))
 
-    def __bool__(self):
-        return self.ok
-
 
 def check_quadratic_deformation(spec: DeformationSpec) -> QuadraticCheck:
     """The four compatibility equations of mu_0 + phi_1 + phi_2:

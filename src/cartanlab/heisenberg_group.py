@@ -1,16 +1,18 @@
 """Coordinate geometry of the 3-dimensional Heisenberg group.
 
 Global coordinates (x, y, z) on the unipotent upper-triangular matrices;
-the left-invariant coframe is (dx, dy, dz - x dy).  Forms invariant under
-the 2-dimensional right-invariant subalgebra spanned by a_1*R1 + a_2*R2 and
-R3 have coefficients b_i(y - alpha*x) of one variable, and both the contact
-condition and the singular set reduce to exact univariate polynomials.
+the left-invariant coframe is (dx, dy, dz - x dy), and a frame field is
+the tuple of its Poly components along (d/dx, d/dy, d/dz).  Forms
+invariant under the 2-dimensional right-invariant subalgebra spanned by
+a_1*R1 + a_2*R2 and R3 have coefficients b_i(y - alpha*x) of one
+variable, a Poly over (u,) or a constant, and both the contact condition
+and the singular set reduce to exact univariate polynomials.
 """
 
 from __future__ import annotations
 
 from .poly import Poly
-from .polyforms import PolyForm, PolyVectorField
+from .polyforms import PolyForm, as_poly
 from .scalars import ONE, Scalar
 from .sturm import count_real_roots
 
@@ -24,9 +26,9 @@ def left_invariant_frames():
     one = Poly.constant(H3_VARS, ONE)
     zero = Poly.zero(H3_VARS)
     return (
-        PolyVectorField(H3_VARS, (one, zero, zero)),
-        PolyVectorField(H3_VARS, (zero, one, x)),
-        PolyVectorField(H3_VARS, (zero, zero, one)),
+        (one, zero, zero),
+        (zero, one, x),
+        (zero, zero, one),
     )
 
 
@@ -36,9 +38,9 @@ def right_invariant_frames():
     one = Poly.constant(H3_VARS, ONE)
     zero = Poly.zero(H3_VARS)
     return (
-        PolyVectorField(H3_VARS, (one, zero, y)),
-        PolyVectorField(H3_VARS, (zero, one, zero)),
-        PolyVectorField(H3_VARS, (zero, zero, one)),
+        (one, zero, y),
+        (zero, one, zero),
+        (zero, zero, one),
     )
 
 
@@ -53,19 +55,11 @@ def left_invariant_coframes():
     )
 
 
-def _univariate(b) -> Poly:
-    if isinstance(b, Poly):
-        if b.vars != U_VAR:
-            raise ValueError("profile polynomials live in the single variable u")
-        return b
-    return Poly.constant(U_VAR, b)
-
-
 def invariant_form(alpha, b1, b2, b3) -> PolyForm:
     """The invariant 1-form with profile functions b_i(y - alpha*x):
     b1 w1 + b2 w2 + b3 w3 in the left-invariant coframe."""
     alpha = Scalar.of(alpha)
-    b = [_univariate(p) for p in (b1, b2, b3)]
+    b = [as_poly(U_VAR, p) for p in (b1, b2, b3)]
     # substitute u -> y - alpha x
     u_image = Poly(
         H3_VARS,
@@ -89,7 +83,7 @@ def h3_contact_polynomial(alpha, b1, b2, b3) -> Poly:
     has no real root.
     """
     alpha = Scalar.of(alpha)
-    b1, b2, b3 = (_univariate(p) for p in (b1, b2, b3))
+    b1, b2, b3 = (as_poly(U_VAR, p) for p in (b1, b2, b3))
     d1, d2, d3 = b1.diff(0), b2.diff(0), b3.diff(0)
     return b1 * d3 - d1 * b3 + (b2 * d3 - d2 * b3) * alpha - b3 * b3
 
@@ -97,7 +91,7 @@ def h3_contact_polynomial(alpha, b1, b2, b3) -> Poly:
 def h3_singular_system(alpha, b1, b2, b3):
     """The two polynomials cutting out the singular set: (b3, b1 + alpha b2)."""
     alpha = Scalar.of(alpha)
-    b1, b2, b3 = (_univariate(p) for p in (b1, b2, b3))
+    b1, b2, b3 = (as_poly(U_VAR, p) for p in (b1, b2, b3))
     return b3, b1 + b2 * alpha
 
 

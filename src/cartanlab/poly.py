@@ -76,6 +76,15 @@ def _shift(nv: int, i) -> int:
         raise VariableMismatch(f"no variable index {i!r} among {nv}") from None
 
 
+def _index(vars: tuple, name) -> int:
+    """The index of the variable called ``name``; VariableMismatch naming
+    it when ``vars`` has no such variable."""
+    try:
+        return vars.index(name)
+    except ValueError:
+        raise VariableMismatch(f"no variable {name!r} among {vars}") from None
+
+
 def _pack(expo: tuple) -> int:
     key = 0
     for e in expo:
@@ -208,7 +217,7 @@ class Poly:
     @staticmethod
     def variable(vars, name):
         vars = tuple(vars)
-        return Poly.var_index(vars, vars.index(name))
+        return Poly.var_index(vars, _index(vars, name))
 
     @staticmethod
     def var_index(vars, i):
@@ -325,7 +334,7 @@ class Poly:
     # -- calculus -----------------------------------------------------------
 
     def diff(self, var):
-        i = self.vars.index(var) if isinstance(var, str) else var
+        i = _index(self.vars, var) if isinstance(var, str) else var
         shift = _shift(len(self.vars), i)
         step = 1 << shift
         # lowering e_i by one is injective on the terms with e_i > 0, and

@@ -7,6 +7,9 @@ arithmetic (``+``, ``-``, ``scale``, wedge, d, interior product, pullback)
 builds its coefficient dicts with the `exterior` kernel, which keeps them
 sparse and sorted, and wraps them with ``_trusted_form`` without a second
 pass, as `poly` does for its terms.
+
+A vector field sum_b v_b d/dx_b is the tuple of its components, one
+Poly per variable, each read through ``as_poly``.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ def _trusted_form(vars: tuple, grade: int, coeffs: dict) -> "PolyForm":
     return f
 
 
-def _as_poly(vars: tuple, p) -> Poly:
-    """A coefficient as a Poly over exactly these variables."""
+def as_poly(vars: tuple, p) -> Poly:
+    """A coefficient or component as a Poly over exactly these variables:
+    a Poly over them, or a constant."""
     if not isinstance(p, Poly):
         p = Poly.constant(vars, p)
     if p.vars != vars:
@@ -47,7 +51,7 @@ class PolyForm:
         self.vars = tuple(vars)
         self.grade = check_int(grade, 0, "grade")
         self.coeffs = exterior.normalize(
-            coeffs, self.grade, 0, len(self.vars), partial(_as_poly, self.vars), ValueError
+            coeffs, self.grade, 0, len(self.vars), partial(as_poly, self.vars), ValueError
         )
 
     @staticmethod
@@ -116,49 +120,33 @@ def exterior_d(a: PolyForm) -> PolyForm:
     return _trusted_form(a.vars, a.grade + 1, out)
 
 
-class PolyVectorField:
-    """sum_v comps[v] d/dx_v with polynomial components."""
-
-    __slots__ = ("vars", "comps")
-
-    def __init__(self, vars, comps):
-        self.vars = tuple(vars)
-        self.comps = tuple(_as_poly(self.vars, p) for p in comps)
-        if len(self.comps) != len(self.vars):
-            raise ValueError("one component per variable required")
-
-    def apply_to(self, f: Poly) -> Poly:
-        """Derivation action on functions."""
-        if f.vars != self.vars:
-            raise VariableMismatch("function over different variables")
-        total = Poly.zero(self.vars)
-        for v, comp in enumerate(self.comps):
-            if not comp.is_zero:
-                total = total + comp * f.diff(v)
-        return total
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyVectorField)
-            and self.vars == other.vars
-            and self.comps == other.comps
-        )
+def _field(vars: tuple, v) -> tuple:
+    """The components of the vector field ``v`` = sum_b v[b] d/dx_b as
+    Polys over ``vars``, one per variable."""
+    comps = tuple(as_poly(vars, p) for p in v)
+    if len(comps) != len(vars):
+        raise ValueError("one component per variable required")
+    return comps
 
 
-def poly_interior(v: PolyVectorField, a: PolyForm) -> PolyForm:
-    if v.vars != a.vars:
-        raise VariableMismatch("mismatched variable sets")
+def poly_interior(v, a: PolyForm) -> PolyForm:
     if a.grade == 0:
         raise ValueError("no interior product of a grade-0 form")
-    return _trusted_form(a.vars, a.grade - 1, exterior.interior(a.coeffs, v.comps, 0))
+    return _trusted_form(a.vars, a.grade - 1, exterior.interior(a.coeffs, _field(a.vars, v), 0))
 
 
-def vf_bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
-    """[V, W]^b = V(W^b) - W(V^b), the commutator of derivations."""
-    if v.vars != w.vars:
-        raise VariableMismatch("mismatched variable sets")
-    comps = [v.apply_to(wb) - w.apply_to(vb) for vb, wb in zip(v.comps, w.comps)]
-    return PolyVectorField(v.vars, comps)
+def vf_bracket(v, w) -> tuple:
+    """[V, W]^b = V(W^b) - W(V^b), the commutator of derivations, where V
+    acts on f as df(V).  The variables are those of V's first component."""
+    if not (v and isinstance(v[0], Poly)):
+        raise ValueError("a vector field needs Poly components")
+    vars = v[0].vars
+    v, w = _field(vars, v), _field(vars, w)
+
+    def act(field, f):
+        return form_on_field(exterior_d(PolyForm.function(f)), field)
+
+    return tuple(act(v, wb) - act(w, vb) for vb, wb in zip(v, w))
 
 
 def pullback_rows(a: PolyForm, rows) -> PolyForm:
@@ -187,10 +175,8 @@ def pullback_rows(a: PolyForm, rows) -> PolyForm:
     return _trusted_form(vars, a.grade, out)
 
 
-def form_on_field(a: PolyForm, v: PolyVectorField) -> Poly:
+def form_on_field(a: PolyForm, v) -> Poly:
     """Pairing of a 1-form with a vector field."""
     if a.grade != 1:
         raise ValueError("pairing needs a 1-form")
-    if a.vars != v.vars:
-        raise VariableMismatch("mismatched variable sets")
-    return exterior.interior(a.coeffs, v.comps, 0).get((), Poly.zero(a.vars))
+    return exterior.interior(a.coeffs, _field(a.vars, v), 0).get((), Poly.zero(a.vars))

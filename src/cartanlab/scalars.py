@@ -8,8 +8,10 @@ Every text from outside that becomes a number (command-line values, the
 seed variable, catalog parameters, file coefficients, `Scalar(str)`) is
 read by `parse_rational`, `parse_integer` or `parse_scalar`, which is
 built on them, in the one grammar `_RATIONAL`: "-p/q" or "-p" in ASCII
-digits.  Without exponents or other digit sets, reading a number costs
-time linear in its text and makes no more digits than the text has.
+digits, p and q of at most `MAX_DIGITS` digits each.  Without exponents
+or other digit sets a number has no more digits than its text, and the
+bound caps the cost of reading it, whatever the interpreter's own limit
+on int-string conversion is set to.
 """
 
 from __future__ import annotations
@@ -22,22 +24,29 @@ from fractions import Fraction
 # pattern of "re" and "im" in schemas/algebra_file.schema.json, ASCII
 # digits only, so a number has no more digits than its text
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# the most digits of either integer part of a number read from outside:
+# the interpreter's default int-string limit, which `cli.main` lifts so
+# that a result of any size prints
+MAX_DIGITS = 4300
 
 
 def parse_rational(text) -> Fraction:
     """Exact rational from a string "-p/q" or "-p" as `_RATIONAL` spells
     it (or from an int).
 
-    Every malformed input raises ValueError, a zero denominator included,
-    so callers that report bad input need to catch only that.  Anything
-    but such a str or an int (a bool or a binary float read from JSON, a
-    decimal point, an exponent, a space or a "+", say) is malformed.
+    Every malformed input raises ValueError, a zero denominator and a
+    part of more than `MAX_DIGITS` digits included, so callers that
+    report bad input need to catch only that.  Anything but such a str or
+    an int (a bool or a binary float read from JSON, a decimal point, an
+    exponent, a space or a "+", say) is malformed.
     """
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not (isinstance(text, str) and _RATIONAL.fullmatch(text)):
         raise ValueError(f"not an exact rational: {text!r}")
     num, _, den = text.partition("/")
+    if max(len(num) - (num[0] == "-"), len(den)) > MAX_DIGITS:
+        raise ValueError(f"a numerator or denominator of more than {MAX_DIGITS} digits")
     try:
         return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:

@@ -2,8 +2,9 @@
 
 All objects live on the (2n)^2 matrix coordinates x_{ij}: the rotation-pair
 1-form, the determinant and its differential, the explicit Reeb-type field
-read off that differential, the rotation-invariance pullback check, and the
-singular set pairing polynomials.  Everything is an exact polynomial identity.
+read off that differential (the tuple of its Poly components), the
+rotation-invariance pullback check, and the singular set pairing
+polynomials.  Everything is an exact polynomial identity.
 
 The coordinates come in N/2 = 2n^2 column pairs p = (u, v) = (x_{j,2i-1},
 x_{j,2i}), with v = u + 1 in the row-major variable order, and
@@ -53,7 +54,6 @@ from .linalg import det, identity, mat_mul, square_matrix, transpose
 from .poly import Poly
 from .polyforms import (
     PolyForm,
-    PolyVectorField,
     exterior_d,
     form_on_field,
     poly_interior,
@@ -121,22 +121,23 @@ def _half_d_omega(n: int, omega: PolyForm) -> Optional[PolyForm]:
     return _pair_form(n, ONE)
 
 
-def _integral_reeb(n: int, d_delta: PolyForm) -> PolyVectorField:
-    """2n Z = sum_{j,i} (D_{j,2i-1} d/dx_{j,2i} - D_{j,2i} d/dx_{j,2i-1}),
-    D_{jl} = d det / dx_{jl} the coefficients of ``d_delta`` = d(det): a
-    cofactor each, with coefficients +-1."""
+def _integral_reeb(n: int, d_delta: PolyForm) -> tuple:
+    """The components of 2n Z = sum_{j,i} (D_{j,2i-1} d/dx_{j,2i} -
+    D_{j,2i} d/dx_{j,2i-1}), D_{jl} = d det / dx_{jl} the coefficients of
+    ``d_delta`` = d(det): a cofactor each, with coefficients +-1."""
     vars = matrix_vars(n)
     zero = Poly.zero(vars)
     comps = [zero] * len(vars)
     for u, v in _column_pairs(n):
         comps[v] = d_delta.coeffs.get((u,), zero)
         comps[u] = -d_delta.coeffs.get((v,), zero)
-    return PolyVectorField(vars, comps)
+    return tuple(comps)
 
 
-def reeb_candidate(n: int, d_delta: PolyForm) -> PolyVectorField:
-    """Z = (1/2n) sum_{j,i} (D_{j,2i-1} d/dx_{j,2i} - D_{j,2i} d/dx_{j,2i-1})
-    with D_{jl} = d det / dx_{jl}, the coefficients of ``d_delta`` = d(det).
+def reeb_candidate(n: int, d_delta: PolyForm) -> tuple:
+    """The components of Z = (1/2n) sum_{j,i} (D_{j,2i-1} d/dx_{j,2i} -
+    D_{j,2i} d/dx_{j,2i-1}), one Poly per variable, with D_{jl} = d det /
+    dx_{jl} the coefficients of ``d_delta`` = d(det).
 
     A cofactor is a partial derivative of det, so this is the field built
     from minors.  Euler's identity for det, homogeneous of degree 2n, gives
@@ -144,9 +145,8 @@ def reeb_candidate(n: int, d_delta: PolyForm) -> PolyVectorField:
     gives i(Z) d omega = -(1/n) d(det).  It is the integral field 2n Z
     scaled once; ``reeb_identities`` checks both identities on 2n Z.
     """
-    field = _integral_reeb(n, d_delta)
     scale = Fraction(1, 2 * n)
-    return PolyVectorField(field.vars, [c * scale for c in field.comps])
+    return tuple(c * scale for c in _integral_reeb(n, d_delta))
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ class SLContactData:
     omega: PolyForm
     delta: Poly  # the determinant polynomial
     d_delta: PolyForm  # its exterior differential (cofactor 1-form)
-    reeb: PolyVectorField
+    reeb: tuple  # the components of the Reeb-type field, one per variable
 
 
 def _contact_forms(n: int):

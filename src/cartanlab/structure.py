@@ -36,9 +36,6 @@ class JacobiResult:
     ok: bool
     witness: Optional[tuple] = None  # (i, j, k, coordinate tuple of the defect)
 
-    def __bool__(self):
-        return self.ok
-
 
 def pair_table(table) -> dict:
     """Both orientations of a bracket table {(i, j): {m: v}}, i < j, as

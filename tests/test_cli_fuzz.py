@@ -5,6 +5,8 @@ exception may escape `main` (argparse's own usage exit, code 2, counts as
 an exit code)."""
 
 import json
+import re
+import sys
 import time
 from itertools import combinations, count
 
@@ -255,6 +257,42 @@ def test_cli_fixed_malformed_inputs(argv, code, capsys, tmp_path):
     if code == 0:
         # the report echoes the command line as given
         assert json.loads(out)["argv"] == argv
+
+
+def test_numbers_past_the_int_string_limit(capsys, tmp_path):
+    # reading is bounded by scalars.MAX_DIGITS in its own words, and main
+    # lifts the interpreter's limit while a command runs, so any result
+    # prints, and restores it after
+    huge_dim = tmp_path / "huge_dim.json"
+    huge_dim.write_text('{"dim": ' + "1" * 4301 + ', "brackets": []}', encoding="utf-8")
+    refused = [
+        ["class", "--catalog", "heisenberg:p=1", "--form", "0,0," + "1" * 4301],
+        ["class", "--catalog", "heisenberg:p=1", "--form", "0,0," + "1" * 100_000],
+        ["check", "--algebra", str(huge_dim), "--suite", "jacobi"],
+    ]
+    limit = sys.get_int_max_str_digits()
+    try:
+        for setting in (limit, 0, 640):
+            sys.set_int_max_str_digits(setting)
+            for argv in refused:
+                start = time.perf_counter()
+                assert _exit_code(argv) == 1
+                assert time.perf_counter() - start < 1.0
+                assert sys.get_int_max_str_digits() == setting
+                err = capsys.readouterr().err
+                assert "more than 4300 digits" in err and "set_int_max_str_digits" not in err
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # results of more than 4300 digits from inputs of 3000 (leading digits
+    # of powers of 7: repdigits share factors and give short results)
+    form = ",".join(str(7 ** (3550 + n))[:3000] for n in range(5))
+    assert _exit_code(["class", "--catalog", "filiform:n=5", "--form", form]) == 0
+    out = capsys.readouterr().out
+    assert max(len(s) for s in re.findall(r'"([0-9/-]+)"', out)) > 4300
+    a, c = "7" * 3000, "3" * 3000
+    argv = ["check", "--catalog", f"dim5:variant=diag_ii_a,a={a},b=0,c={c},d=1", "--suite", "jacobi"]
+    assert _exit_code(argv) == 0
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_cli_seeded_fuzz_keeps_exit_contract(capsys, tmp_path):

@@ -73,6 +73,42 @@ def test_dual_form_grade_is_a_nonnegative_int(grade):
         DualForm(cat.heisenberg(1).algebra, grade, {})
 
 
+# (coefficients, grade, refusal): an index tuple of the wrong length, out
+# of order and out of range, for a form on a 3-dimensional algebra
+BAD_INDICES = [
+    ({(1, 2): 1}, 1, "length does not match grade"),
+    ({(2, 1): 1}, 2, "strictly increasing"),
+    ({(1, 1): 1}, 2, "strictly increasing"),
+    ({(0,): 1}, 1, "out of range"),
+    ({(4,): 1}, 1, "out of range"),
+]
+
+
+@pytest.mark.parametrize("coeffs, grade, refusal", BAD_INDICES)
+def test_dual_form_refuses_bad_index_tuples(coeffs, grade, refusal):
+    with pytest.raises(FormError, match=refusal):
+        DualForm(cat.heisenberg(1).algebra, grade, coeffs)
+
+
+def test_dual_form_refuses_mismatched_operands():
+    h3, other, h5 = cat.heisenberg(1).algebra, cat.heisenberg(1).algebra, cat.heisenberg(2).algebra
+    w1, w12 = DualForm.basis(h3, 1), DualForm(h3, 2, {(1, 2): 1})
+    for bad, refusal in ((DualForm.basis(other, 1), "mismatched algebras"), (w12, "mismatched grades"),
+                         ((1, 0, 0), "expected a DualForm")):
+        for op in (w1.__add__, w1.__sub__):
+            with pytest.raises(FormError, match=refusal):
+                op(bad)
+    assert w1 + DualForm.basis(h3, 2) - DualForm.basis(h3, 2) == w1
+    for comps in ((1, 0), (1, 0, 0, 0, 0, 0)):
+        with pytest.raises(FormError, match="covector length"):
+            DualForm.covector(h3, comps)
+    assert DualForm.covector(h5, (0, 0, 0, 0, 1)) == DualForm.basis(h5, 5)
+    x1, x2 = identity(3)[0], identity(3)[1]
+    for vectors in ((x1,), (x1, x2, x1)):
+        with pytest.raises(FormError, match="wrong number of arguments"):
+            w12.evaluate(*vectors)
+
+
 def test_pairing_and_membership_refuse_vectors_of_another_algebra():
     # a vector of an algebra of another dimension has the wrong length
     h3, h5 = cat.heisenberg(1).algebra, cat.heisenberg(2).algebra

@@ -14,7 +14,6 @@ from cartanlab.heisenberg_group import (
 from cartanlab.poisson import darboux_poisson, darboux_vars
 from cartanlab.poly import Poly
 from cartanlab.polyforms import (
-    PolyVectorField,
     exterior_d,
     form_on_field,
     poly_interior,
@@ -30,9 +29,9 @@ from cartanlab.sturm import count_real_roots
 def test_frame_brackets():
     X1, X2, X3 = left_invariant_frames()
     assert vf_bracket(X1, X2) == X3
-    assert vf_bracket(X1, X3).comps == tuple(Poly.zero(H3_VARS) for _ in range(3))
+    assert vf_bracket(X1, X3) == tuple(Poly.zero(H3_VARS) for _ in range(3))
     R1, R2, R3 = right_invariant_frames()
-    minus_r3 = PolyVectorField(H3_VARS, [-p for p in R3.comps])
+    minus_r3 = tuple(-p for p in R3)
     assert vf_bracket(R1, R2) == minus_r3
 
 
@@ -49,9 +48,7 @@ def test_coframe_duality_and_maurer_cartan():
 
 
 def test_interior_of_contact_coframe():
-    dz = PolyVectorField(
-        H3_VARS, (Poly.zero(H3_VARS), Poly.zero(H3_VARS), Poly.constant(H3_VARS, 1))
-    )
+    dz = (Poly.zero(H3_VARS), Poly.zero(H3_VARS), Poly.constant(H3_VARS, 1))
     w3 = left_invariant_coframes()[2]
     assert poly_interior(dz, w3).coeffs == {(): Poly.constant(H3_VARS, 1)}
 

@@ -2,10 +2,12 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from cartanlab import catalog as cat
+from cartanlab import suites
 from cartanlab.algebra_io import (
     AlgebraFileError,
     algebra_from_dict,
@@ -22,6 +24,7 @@ from cartanlab.deformation import (
     bilinear_from_endomorphism,
     check_quadratic_deformation,
 )
+from cartanlab.liealg import Subspace
 from cartanlab.scalars import ZERO, Scalar
 
 
@@ -244,6 +247,24 @@ def test_cli_check_center_suite(capsys):
     assert code == 0
     res = json.loads(out)["results"]["center"]
     assert res["dimension"] == 1 and res["contact_center_dimension_1"]
+
+
+def test_cli_center_suite_reports_a_central_vector_outside_the_characteristic_space(capsys, monkeypatch):
+    # e^1 on the abelian algebra: e_2, e_3, e_4 are central, annihilated by
+    # the form and in its characteristic space
+    argv = ["check", "--catalog", "abelian:n=4", "--suite", "center"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out)["results"]["center"]["central_in_characteristic_space"] is True
+    # a characteristic space that lost them fails the suite
+    real = suites.cartan_class
+
+    def empty_space(form):
+        return replace(real(form), characteristic_space=Subspace(form.algebra))
+
+    monkeypatch.setattr(suites, "cartan_class", empty_space)
+    code, out, _ = run_cli(argv, capsys)
+    res = json.loads(out)["results"]["center"]
+    assert code == 3 and res["central_in_characteristic_space"] is False and res["ok"] is False
 
 
 def test_cli_out_file(capsys, tmp_path):

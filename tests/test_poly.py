@@ -7,7 +7,6 @@ from cartanlab.forms import DualForm, interior_product, wedge
 from cartanlab.poly import Poly, VariableMismatch, exponents
 from cartanlab.polyforms import (
     PolyForm,
-    PolyVectorField,
     exterior_d,
     form_on_field,
     poly_interior,
@@ -59,6 +58,13 @@ def test_a_variable_index_out_of_range_is_a_variable_mismatch():
                      lambda: Poly.zero(V).degree_in(bad)):
             with pytest.raises(VariableMismatch, match="no variable index"):
                 call()
+
+
+def test_an_unknown_variable_name_is_a_variable_mismatch():
+    p = _x("x") * _x("y")
+    for call in (lambda: Poly.variable(V, "w"), lambda: p.diff("w")):
+        with pytest.raises(VariableMismatch, match="no variable 'w' among"):
+            call()
 
 
 def test_poly_subs():
@@ -207,7 +213,7 @@ def test_poly_linear_constructor():
             Poly.linear(V, {bad: 1})
 
 
-def test_poly_univariate_coeffs():
+def test_poly_coefficients_in_one_variable():
     u = Poly.variable(("u",), "u")
     p = u * u * 3 - u + 2
     assert p.univariate_coeffs() == (Scalar(2), Scalar(-1), Scalar(3))
@@ -275,7 +281,7 @@ def test_wedge_antiderivation_random():
 
 def test_interior_product_rules():
     x, y, z = (_x(n) for n in V)
-    vf = PolyVectorField(V, (y, Poly.zero(V), Poly.constant(V, 1)))
+    vf = (y, Poly.zero(V), Poly.constant(V, 1))
     form = PolyForm(V, 2, {(0, 2): x})
     contracted = poly_interior(vf, form)
     assert contracted == PolyForm(V, 1, {(2,): x * y, (0,): -x})
@@ -284,12 +290,48 @@ def test_interior_product_rules():
         poly_interior(vf, PolyForm.function(x))
 
 
+@pytest.mark.parametrize(
+    "coeffs, grade, refusal",
+    [
+        ({(0, 1): 1}, 1, "length does not match grade"),
+        ({(1, 0): 1}, 2, "strictly increasing"),
+        ({(2, 2): 1}, 2, "strictly increasing"),
+        ({(-1,): 1}, 1, "out of range"),
+        ({(3,): 1}, 1, "out of range"),
+    ],
+)
+def test_poly_form_refuses_bad_index_tuples(coeffs, grade, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        PolyForm(V, grade, coeffs)
+
+
 def test_vf_bracket_coordinate_fields_commute():
     one = Poly.constant(V, 1)
     zero = Poly.zero(V)
-    dx = PolyVectorField(V, (one, zero, zero))
-    dy = PolyVectorField(V, (zero, one, zero))
-    assert vf_bracket(dx, dy) == PolyVectorField(V, (zero, zero, zero))
+    dx = (one, zero, zero)
+    dy = (zero, one, zero)
+    assert vf_bracket(dx, dy) == (zero, zero, zero)
+
+
+def test_a_vector_field_is_one_poly_component_per_variable():
+    x, y = _x("x"), _x("y")
+    form = PolyForm(V, 1, {(0,): y})
+    # constant components read as constants over the form's variables
+    assert form_on_field(form, (2, 0, 0)) == 2 * y
+    u = Poly.variable(("u",), "u")
+    for bad in ((x, y), (x, y, x, y)):
+        with pytest.raises(ValueError, match="one component per variable"):
+            form_on_field(form, bad)
+        with pytest.raises(ValueError, match="one component per variable"):
+            vf_bracket((x, y, x), bad)
+    with pytest.raises(VariableMismatch):
+        poly_interior((x, u, x), form)
+    with pytest.raises(VariableMismatch):
+        vf_bracket((x, y, x), (x, u, x))
+    # the bracket reads its variables off the first component
+    for bad in ((1, x, y), ()):
+        with pytest.raises(ValueError, match="Poly components"):
+            vf_bracket(bad, (x, y, x))
 
 
 def _rows(matrix):
@@ -361,7 +403,7 @@ def test_pullback_commutes_with_d():
 def test_form_on_field():
     x, y = _x("x"), _x("y")
     form = PolyForm(V, 1, {(0,): y, (1,): x})
-    vf = PolyVectorField(V, (x, y, Poly.zero(V)))
+    vf = (x, y, Poly.zero(V))
     assert form_on_field(form, vf) == 2 * x * y
 
 
@@ -415,7 +457,7 @@ def test_exterior_kernel_agrees_across_rings(a, b, x):
     assert not dual_ab.is_zero
     assert shifted(poly_ab) == dual_ab.coeffs
     contracted = interior_product(x, dual_ab)
-    assert shifted(poly_interior(PolyVectorField(w, x), poly_ab)) == contracted.coeffs
+    assert shifted(poly_interior(x, poly_ab)) == contracted.coeffs
     assert not Poly.zero(w) and Poly.constant(w, 2)
 
 

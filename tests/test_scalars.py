@@ -1,9 +1,10 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 from cartanlab.randgen import random_rational, rng
-from cartanlab.scalars import I, ONE, ZERO, Scalar, parse_integer, parse_rational, parse_scalar
+from cartanlab.scalars import MAX_DIGITS, I, ONE, ZERO, Scalar, parse_integer, parse_rational, parse_scalar
 
 
 def test_arithmetic_is_exact():
@@ -94,6 +95,22 @@ def test_one_grammar_reads_every_exact_number():
     # the {"re", "im"} cell of a file is typed as strings: no JSON number
     with pytest.raises(ValueError):
         Scalar.from_strings(1)
+
+
+def test_a_number_has_at_most_max_digits_per_part_whatever_the_interpreter_limit():
+    limit = sys.get_int_max_str_digits()
+    try:
+        for setting in (limit, 0):
+            sys.set_int_max_str_digits(setting)
+            top = "9" * MAX_DIGITS
+            assert parse_rational(top) == int(top) and parse_rational(f"-1/{top}") == Fraction(-1, int(top))
+            for text in ("1" * (MAX_DIGITS + 1), "-" + "1" * (MAX_DIGITS + 1), "1/" + "1" * (MAX_DIGITS + 1),
+                         "0" * (MAX_DIGITS + 1)):
+                for read in (parse_rational, parse_integer, parse_scalar):
+                    with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
+                        read(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_hash_consistency():

@@ -11,7 +11,6 @@ from cartanlab.linalg import as_matrix, det, mat_mul, nullspace, sparse_rows
 from cartanlab.poly import Poly
 from cartanlab.polyforms import (
     PolyForm,
-    PolyVectorField,
     exterior_d,
     form_on_field,
     poly_interior,
@@ -143,7 +142,7 @@ def _rotation_fields(n):
         for l in range(1, m + 1):
             comps[(i - 1) * m + l - 1] = coordinate(n, j, l)
             comps[(j - 1) * m + l - 1] = -coordinate(n, i, l)
-        out[(i, j)] = PolyVectorField(vars, comps)
+        out[(i, j)] = tuple(comps)
     return out
 
 
@@ -272,7 +271,7 @@ def test_reeb_candidate_matches_reference_minors():
                 for target, source in ((2 * i, 2 * i - 1), (2 * i - 1, 2 * i)):
                     k = vars.index(f"x{j}_{target}")
                     comps[k] = comps[k] + reference_minor(n, j, source) * scale
-        assert sl_contact_data(n).reeb == PolyVectorField(vars, comps)
+        assert sl_contact_data(n).reeb == tuple(comps)
 
 
 def _count_products(monkeypatch, run):
@@ -319,7 +318,7 @@ def test_reeb_candidate_is_the_scaled_cofactor_field():
                 u, v = vars.index(f"x{j}_{2 * i - 1}"), vars.index(f"x{j}_{2 * i}")
                 comps[v] = data.d_delta.coeffs.get((u,), zero) * scale
                 comps[u] = data.d_delta.coeffs.get((v,), zero) * -scale
-        assert reeb_candidate(n, data.d_delta) == PolyVectorField(vars, comps)
+        assert reeb_candidate(n, data.d_delta) == tuple(comps)
 
 
 def test_sl_checks_scalar_op_counts(monkeypatch):
