@@ -46,10 +46,9 @@ Conventions fixed here once:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import exterior
 from .contraction import frobenius_table
@@ -68,8 +67,7 @@ class NonJacobiDisplayError(ValueError):
     """A stored bracket table violates Jacobi and is quarantined."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     id: str
     params: dict
     algebra: LieAlgebra

@@ -11,10 +11,12 @@ its table checked and copied.  Its Jacobi check is an oracle against a
 corrupt input table.  Construction and check run once per limit: the
 limit is a function of the input's immutable table and of the kept
 constants, so the input keeps each limit it built in its write-once
-`_limits` dict, keyed by the kept (i, j, k) in table order, and a later
-call that keeps the same constants returns the same checked instance.  A
-scan over an exponent grid reaches few distinct limits (8 for the 543
-converging points of the p = 3 grid), and a diverging call is never kept.
+`_limits` dict, keyed by the kept-set bitmask (bit m set when the m-th
+constant c_ij^k in table order is kept, one int that the divergence scan
+builds), and a later call that keeps the same constants returns the same
+checked instance.  A scan over an exponent grid reaches few distinct
+limits (8 for the 543 converging points of the p = 3 grid), and a
+diverging call is never kept.
 
 The diagonal frobenius model that such limits reach is written once, as
 `frobenius_table(p, a)`; the catalog builds its model family from it.  Its
@@ -27,29 +29,28 @@ of X_2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
+from typing import NamedTuple, Optional
 
 from .liealg import LieAlgebra, bracket_table
 from .scalars import ONE, ZERO
 from .structure import jacobi_check, require_jacobi
 
 
-@dataclass(frozen=True)
-class ContractionSpec:
-    algebra: LieAlgebra
-    exponents: tuple
+class ContractionSpec(namedtuple("ContractionSpec", "algebra exponents")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.exponents) != self.algebra.dim:
+    def __new__(cls, algebra: LieAlgebra, exponents: tuple):
+        if len(exponents) != algebra.dim:
             raise ValueError("exponent count does not match dimension")
-        # a bool is an int to isinstance, but True is no exponent
-        if any(isinstance(e, bool) or not isinstance(e, int) for e in self.exponents):
-            raise ValueError("exponents must be integers")
+        for e in exponents:
+            # a bool is an int to isinstance, but True is no exponent
+            if type(e) is not int and (isinstance(e, bool) or not isinstance(e, int)):
+                raise ValueError("exponents must be integers")
+        return super().__new__(cls, algebra, exponents)
 
 
-@dataclass(frozen=True)
-class ContractionResult:
+class ContractionResult(NamedTuple):
     converges: bool
     limit: Optional[LieAlgebra]
     witness: Optional[tuple]  # (i, j, k, negative exponent)
@@ -60,7 +61,8 @@ def contract(spec: ContractionSpec) -> ContractionResult:
     g = spec.algebra
     require_jacobi(g)
     e = spec.exponents
-    key = []
+    key = 0
+    bit = 1
     for (i, j), terms in g.c.items():
         for k in terms:
             # the constant rescales to t^exp * c_ij^k
@@ -68,8 +70,8 @@ def contract(spec: ContractionSpec) -> ContractionResult:
             if exp < 0:
                 return ContractionResult(False, None, (i, j, k, exp))
             if exp == 0:
-                key.append((i, j, k))
-    key = tuple(key)
+                key |= bit
+            bit <<= 1
     try:
         limits = g._limits
     except AttributeError:
@@ -80,12 +82,16 @@ def contract(spec: ContractionSpec) -> ContractionResult:
     return ContractionResult(True, limit, None)
 
 
-def _checked_limit(g: LieAlgebra, key) -> LieAlgebra:
-    """The limit keeping the constants c_ij^k of g for (i, j, k) in key,
-    given in table order, after its Jacobi check."""
+def _checked_limit(g: LieAlgebra, key: int) -> LieAlgebra:
+    """The limit keeping the constants of g whose bits are set in key, bit
+    m for the m-th constant c_ij^k in table order, after its Jacobi check."""
     kept = {}
-    for i, j, k in key:
-        kept.setdefault((i, j), {})[k] = g.c[(i, j)][k]
+    bit = 1
+    for ij, terms in g.c.items():
+        for k, v in terms.items():
+            if key & bit:
+                kept.setdefault(ij, {})[k] = v
+            bit <<= 1
     limit = LieAlgebra(g.dim, kept, basis=g.basis)
     if not jacobi_check(limit).ok:
         raise AssertionError(

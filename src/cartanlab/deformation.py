@@ -43,8 +43,9 @@ which together with d o d = 0 fixes every other sign.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import exterior
 from .forms import DualForm, ce_differential, skew_reduce
@@ -145,23 +146,18 @@ def coboundary_of_bilinear(phi, g: LieAlgebra) -> dict:
     return cyclic_sums([(pair_table(phi), g.c), (pair_table(g.c), phi)])
 
 
-@dataclass(frozen=True)
-class DeformationSpec:
+class DeformationSpec(namedtuple("DeformationSpec", "base phi1 phi2")):
     """mu_0 + phi_1 + phi_2 over the bracket of `base`; the cochains are
     stored as `bracket_table`s on base's space, so an index out of its
     range raises ValueError."""
 
-    base: LieAlgebra
-    phi1: Mapping
-    phi2: Mapping
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("phi1", "phi2"):
-            object.__setattr__(self, name, bracket_table(self.base.dim, getattr(self, name)))
+    def __new__(cls, base: LieAlgebra, phi1: Mapping, phi2: Mapping):
+        return super().__new__(cls, base, bracket_table(base.dim, phi1), bracket_table(base.dim, phi2))
 
 
-@dataclass(frozen=True)
-class QuadraticCheck:
+class QuadraticCheck(NamedTuple):
     ok: bool
     failures: tuple  # ((equation number, witness triple, defect comps), ...)
 

@@ -26,7 +26,7 @@ the dimension, the elimination's as its cube.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import exterior
 from .liealg import LieAlgebra, Subspace, check_length, kernel_subspace
@@ -163,8 +163,7 @@ def interior_product(x, a: DualForm) -> DualForm:
     return DualForm(a.algebra, a.grade - 1, exterior.interior(a.coeffs, x, 1))
 
 
-@dataclass(frozen=True)
-class CartanClass:
+class CartanClass(NamedTuple):
     value: int
     characteristic_space: Subspace
     branch: str  # "odd" when w ^ (dw)^q != 0, i.e. w is nonzero on the radical of dw

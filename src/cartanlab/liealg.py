@@ -21,7 +21,8 @@ invariant of the type: deformation intermediates are allowed to violate
 it, and `structure.jacobi_check` is the gatekeeper.  Two write-once slots
 hold what is computed from the table: `_jacobi`, the verdict of
 `structure.jacobi_check`, and `_limits`, the checked limits that
-`contraction.contract` built from it, keyed by the kept constants.
+`contraction.contract` built from it, keyed by the kept-set bitmask (bit
+m for the m-th constant of `c` in table order).
 """
 
 from __future__ import annotations

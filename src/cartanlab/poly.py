@@ -34,7 +34,8 @@ coefficient costs no Scalar product, on either side: a one-term factor
 coefficient +-1 is c or -c, the negation computed once.  Of two one-term
 factors the one with coefficient +-1 is the one that shifts, and
 ``p * 1`` and ``p * -1`` take the same path.  A negation maps +-1 to the
-shared ``ONE`` and ``MINUS_ONE`` instead of building a Scalar.  The
+shared ``ONE`` and ``MINUS_ONE`` instead of building a Scalar, and so
+does a difference for each term of q that ``p - q`` does not merge.  The
 SL(2n) checks keep their coefficients +-1 for this reason and apply each
 constant once, to a Scalar; `slgroup._scalar_multiple` scales det or
 d(det), whose coefficients are +-1, by c' with no product.  ``**`` is
@@ -275,7 +276,13 @@ class Poly:
         if isinstance(other, (int, Fraction, Scalar)):
             other = Poly.constant(self.vars, other)
         self._check(other)
-        return _trusted(self.vars, exterior.add(self.terms, other.terms, s))
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            if s < 0 and e not in out:
+                out[e] = _negated(c)
+            else:
+                exterior.accumulate(out, e, c, s)
+        return _trusted(self.vars, out)
 
     __radd__ = __add__
 

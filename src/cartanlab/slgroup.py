@@ -42,12 +42,11 @@ the tests assert the closed form for n = 1, 2, 3, 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
 from math import factorial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import exterior
 from .linalg import det, identity, mat_mul, square_matrix, transpose
@@ -149,8 +148,7 @@ def reeb_candidate(n: int, d_delta: PolyForm) -> tuple:
     return tuple(c * scale for c in _integral_reeb(n, d_delta))
 
 
-@dataclass(frozen=True)
-class SLContactData:
+class SLContactData(NamedTuple):
     n: int
     omega: PolyForm
     delta: Poly  # the determinant polynomial
@@ -223,8 +221,7 @@ def two_form_pair_power(domega: PolyForm, q: int) -> PolyForm:
     return PolyForm(vars, 2 * q, out)
 
 
-@dataclass(frozen=True)
-class ContactIdentity:
+class ContactIdentity(NamedTuple):
     ok: bool
     q: int
     constant: Optional[Scalar]

@@ -30,10 +30,10 @@ float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import isqrt, lcm
+from typing import NamedTuple
 
 from . import upoly
 from .liealg import LieAlgebra
@@ -173,8 +173,7 @@ def _gaussian_roots(ints, q, t):
     return found
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     eigenvalues: tuple  # ((Scalar, multiplicity), ...)
     unfactored: tuple  # (ascending coefficient tuple, multiplicity) pairs
 

@@ -18,8 +18,7 @@ per nonzero product of constants and one addition per merge into a sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import exterior
 from .liealg import LieAlgebra, Subspace, bracket_table, coordinates, kernel_subspace, table_entry
@@ -31,8 +30,7 @@ class PreconditionError(ValueError):
     """An operation was called outside its stated domain."""
 
 
-@dataclass(frozen=True)
-class JacobiResult:
+class JacobiResult(NamedTuple):
     ok: bool
     witness: Optional[tuple] = None  # (i, j, k, coordinate tuple of the defect)
 
@@ -140,8 +138,7 @@ def center(g: LieAlgebra) -> Subspace:
     return kernel_subspace(g, rows)
 
 
-@dataclass(frozen=True)
-class LowerCentralSeries:
+class LowerCentralSeries(NamedTuple):
     terms: tuple  # (C^1, C^2, ...) down to stabilization or zero
     nilindex: Optional[int]  # smallest k with C^k = 0, None when not nilpotent
 

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
 
@@ -294,3 +295,87 @@ def test_recognizers_rebuild_the_model_table():
         while i == 2 and k >= 3:
             (i, j), k = sorted(r.sample(range(1, n + 1), 2)), r.randint(1, n)
         assert not is_reduced_frobenius_shape(_with_term(g, i, j, k, v))
+
+
+def _feasible(rows):
+    """Whether some rational e has a . e >= b for every (a, b) in rows:
+    Fourier-Motzkin elimination over Fractions, one variable at a time,
+    each row scaled to a leading coefficient of magnitude 1 and repeats
+    dropped."""
+    rows = list(rows)
+    for v in range(len(rows[0][0])):
+        pos = [(a, b) for a, b in rows if a[v] > 0]
+        neg = [(a, b) for a, b in rows if a[v] < 0]
+        combined = [
+            (tuple(-n[v] * x + p[v] * y for x, y in zip(p, n)), -n[v] * bp + p[v] * bn)
+            for p, bp in pos
+            for n, bn in neg
+        ]
+        kept = set()
+        for a, b in [(a, b) for a, b in rows if a[v] == 0] + combined:
+            lead = next((abs(x) for x in a if x), None)
+            if lead is None:
+                if b > 0:
+                    return False
+            else:
+                kept.add((tuple(x / lead for x in a), b / lead))
+        rows = list(kept)
+        if not rows:
+            return True
+    return True
+
+
+def _cone_faces(forms):
+    """Every kept set that some exponent vector realizes, as a frozenset of
+    constant numbers: the tight sets of the faces of the convergence cone
+    {e : L_m(e) >= 0 for every m}, walked down from the cone one tight
+    constraint at a time.  A face's tight set T holds the m with L_m = 0
+    on the whole face; the m outside it are each positive somewhere on
+    the face, so their sum is a point where exactly T is tight."""
+
+    def tight(eqs):
+        rows = [(a, Fraction(0)) for a in forms] + [(tuple(-x for x in forms[m]), Fraction(0)) for m in eqs]
+        return frozenset(
+            m for m in range(len(forms)) if m in eqs or not _feasible(rows + [(forms[m], Fraction(1))])
+        )
+
+    cone = tight(frozenset())
+    faces, todo = {cone}, [cone]
+    while todo:
+        face = todo.pop()
+        for m in set(range(len(forms))) - face:
+            lower = tight(face | {m})
+            if lower not in faces:
+                faces.add(lower)
+                todo.append(lower)
+    return faces
+
+
+def test_a_grid_scan_keeps_exactly_the_faces_of_the_convergence_cone():
+    # the limit depends only on the kept set, and the kept sets that exponents
+    # reach are the faces of the convergence cone; the {0, 1, 2} grid reaches
+    # every one of them on these models, and the recognizer reads the model
+    # back off the one face that keeps every constant and off no other
+    models = ((2, ("1/2",), 4), (3, ("1", "-3/2"), 8), (4, ("1", "-3/2", "2"), 16))
+    for p, a, count in models:
+        a = tuple(Scalar(x) for x in a)
+        model = cat.frobenius_model(p, a).algebra
+        g = LieAlgebra(model.dim, model.c)
+        constants = [(i, j, k) for (i, j), terms in g.c.items() for k in terms]
+        forms = []
+        for i, j, k in constants:
+            form = [Fraction(0)] * g.dim
+            for index, s in ((i, 1), (j, 1), (k, -1)):
+                form[index - 1] += s
+            forms.append(tuple(form))
+        faces = _cone_faces(forms)
+        assert len(faces) == count
+        for exps in product((0, 1, 2), repeat=2 * p):
+            contract(ContractionSpec(g, exps))
+        masks = {sum(1 << m for m in face): face for face in faces}
+        assert set(g._limits) == set(masks), p
+        everything = (1 << len(constants)) - 1
+        for mask, limit in g._limits.items():
+            kept = [constants[m] for m in sorted(masks[mask])]
+            assert [(i, j, k) for (i, j), terms in limit.c.items() for k in terms] == kept
+            assert frobenius_model_parameters(limit) == (a if mask == everything else None)

@@ -1,8 +1,9 @@
 import json
+import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -259,7 +260,7 @@ def test_cli_center_suite_reports_a_central_vector_outside_the_characteristic_sp
     real = suites.cartan_class
 
     def empty_space(form):
-        return replace(real(form), characteristic_space=Subspace(form.algebra))
+        return real(form)._replace(characteristic_space=Subspace(form.algebra))
 
     monkeypatch.setattr(suites, "cartan_class", empty_space)
     code, out, _ = run_cli(argv, capsys)
@@ -413,6 +414,17 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["class"] == 5
+
+
+def test_start_up_loads_no_introspection_modules():
+    # `dataclasses` alone pulls in inspect, ast and dis, ~12 ms and ~0.9 MB
+    # of every CLI start; `-S` keeps site's own imports out of the count
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, cartanlab, cartanlab.cli; print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60
+    )
+    assert proc.returncode == 0 and proc.stdout == "[]\n", (proc.stdout, proc.stderr)
 
 
 @pytest.mark.parametrize(

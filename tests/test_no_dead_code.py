@@ -30,15 +30,20 @@ benchmark uses it after all, or when no test names it either.
 
 A second check reads imports: no module of the package (its re-exporting
 `__init__.py` aside), the demos or the tests imports a name that it never
-reads.  A third reads dataclass fields: code in the package, the demos,
-the benchmark or the tests reads every field of a package dataclass as
-`.field`, so a field that is only ever written is caught.  A field is
-part of a returned value, so a test that reads it counts.
+reads.  A third reads record fields: code in the package, the demos, the
+benchmark or the tests reads every field of a package record as `.field`,
+so a field that is only ever written is caught.  A record is a class
+built on `NamedTuple` (its annotated names), on a `namedtuple` base (the
+names of its field string) or by `@dataclass`.  A field is part of a
+returned value, so a test that reads it counts.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cartanlab"
@@ -181,18 +186,28 @@ def test_test_only_entries_are_current():
     assert not stale, "stale TEST_ONLY entries:\n" + "\n".join(stale)
 
 
-def _dataclass_fields(package):
-    """(Class.field, path, line) of every field of a dataclass in the
-    package directory."""
+def _named_as(node):
+    """The name a Name or an Attribute node ends in, else None."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _record_fields(package):
+    """(Class.field, path, line) of every field of a record class in the
+    package directory: the annotated names of a `NamedTuple` or `@dataclass`
+    body, or the field string of a `namedtuple("Name", "a b")` base."""
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(node, ast.ClassDef):
                 continue
             decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-            if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            if "NamedTuple" in map(_named_as, node.bases) or "dataclass" in map(_named_as, decorators):
                 for item in node.body:
                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                         yield f"{node.name}.{item.target.id}", path, item.lineno
+            for base in node.bases:
+                if isinstance(base, ast.Call) and _named_as(base.func) == "namedtuple":
+                    for name in base.args[1].value.replace(",", " ").split():
+                        yield f"{node.name}.{name}", path, base.lineno
 
 
 def _unread_fields(root, package):
@@ -205,32 +220,67 @@ def _unread_fields(root, package):
     }
     return [
         f"{path.relative_to(root)}:{lineno} {qualname}"
-        for qualname, path, lineno in _dataclass_fields(package)
+        for qualname, path, lineno in _record_fields(package)
         if qualname.split(".")[1] not in read
     ]
 
 
-def test_every_dataclass_field_is_read():
+def test_every_record_field_is_read():
     unread = _unread_fields(ROOT, PACKAGE)
-    assert not unread, "dataclass fields that nothing reads:\n" + "\n".join(unread)
+    assert not unread, "record fields that nothing reads:\n" + "\n".join(unread)
+    # the scan sees every record class of the package and every field of
+    # each, in order, and every record refuses
+    # assignment to a field or to a new name, as a frozen dataclass did
+    records = {}
+    for qualname, path, _ in _record_fields(PACKAGE):
+        owner, field = qualname.split(".")
+        cls = getattr(importlib.import_module(f"cartanlab.{path.stem}"), owner)
+        records.setdefault(cls, []).append(field)
+    modules = [importlib.import_module(f"cartanlab.{path.stem}") for path in PACKAGE.glob("[!_]*.py")]
+    defined = {
+        cls for module in modules for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__ and hasattr(cls, "_fields")
+    }
+    assert records and set(records) == defined
+    for cls, fields in records.items():
+        assert issubclass(cls, tuple) and cls._fields == tuple(fields), cls
+        record = cls._make(range(len(fields)))
+        for name in (*fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
 
 def test_the_field_check_reports_a_field_never_read(tmp_path):
     package = tmp_path / "src" / "pkg"
     package.mkdir(parents=True)
     (package / "core.py").write_text(
+        "import collections, typing\n"
+        "from collections import namedtuple\n"
         "from dataclasses import dataclass\n"
-        "@dataclass(frozen=True)\n"
-        "class Entry:\n"
+        "from typing import NamedTuple\n"
+        "class Entry(NamedTuple):\n"
         "    read: int\n"
         "    written_only: str = ''\n"
         "    never: int = 0\n"
+        "    def method(self):\n"
+        "        return self.read\n"
+        "class Spec(namedtuple('Spec', 'checked, unchecked')):\n"
+        "    def __new__(cls, checked, unchecked):\n"
+        "        return super().__new__(cls, checked, unchecked)\n"
+        "class Qualified(typing.NamedTuple):\n"
+        "    unseen: int\n"
+        "class Spaced(collections.namedtuple('Spaced', 'missing')):\n"
+        "    pass\n"
+        "@dataclass(frozen=True)\n"
+        "class Legacy:\n"
+        "    dropped: int\n"
         "def make():\n"
         "    e = Entry(1, written_only='x')\n"
-        "    return e.read\n"
+        "    return e.read, Spec(1, 2).checked\n"
     )
     assert [entry.split()[-1] for entry in _unread_fields(tmp_path, package)] == [
-        "Entry.written_only", "Entry.never"
+        "Entry.written_only", "Entry.never", "Spec.unchecked", "Qualified.unseen", "Spaced.missing",
+        "Legacy.dropped",
     ]
 
 

@@ -6,7 +6,6 @@ package's own docstrings too, and a quoted snake_case name is one the
 package defines."""
 
 import ast
-import dataclasses
 import importlib
 import json
 import re
@@ -67,7 +66,7 @@ def _docstring_quotes(path):
 def test_readme_dotted_names_resolve():
     # the README prose, then the docstrings of each package module; a class
     # owner resolves in the package for the README and in the module itself
-    # for a docstring, and a dataclass field counts as an attribute
+    # for a docstring; a record's fields are attributes of its class
     modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
     sources = [(cartanlab, QUOTED)]
     for path in sorted(PACKAGE.glob("*.py")):
@@ -82,8 +81,7 @@ def test_readme_dotted_names_resolve():
                 scope = importlib.import_module(f"cartanlab.{owner}")
             else:
                 scope = getattr(home, owner, None)
-            fields = {f.name for f in dataclasses.fields(scope)} if dataclasses.is_dataclass(scope) else ()
-            if scope is None or not (hasattr(scope, name) or name in fields):
+            if scope is None or not hasattr(scope, name):
                 missing.append(f"{home.__name__}: {owner}.{name}")
     assert counts[0] and sum(counts[1:]), counts
     assert not missing, missing

@@ -325,8 +325,9 @@ def test_sl_checks_scalar_op_counts(monkeypatch):
     # the checks run on sigma and on +-1 coefficients: the one Scalar
     # product left is c = q! 2^q c', c' det is built from c' and -c' with
     # no product, and the sums are the merges of the expansions themselves;
-    # negating a coefficient +-1 builds no Scalar, so the negations left
-    # are the new terms of the differences that those merges subtract
+    # negating a coefficient +-1 builds no Scalar, in a difference too, so
+    # the one negation left is -c of the one constant c that scales +-1
+    # coefficients (c' of c' det, 1/2n of the Reeb defect)
     counts = [0, 0, 0]
 
     def counted(slot, fn):
@@ -344,10 +345,10 @@ def test_sl_checks_scalar_op_counts(monkeypatch):
     monkeypatch.setattr(Scalar, "__sub__", counted(1, sub))
     monkeypatch.setattr(Scalar, "__neg__", counted(2, neg))
     bounds = {
-        (sl_contact_identity, 1): (1, 4, 2),
-        (sl_contact_identity, 2): (1, 80, 33),
-        (reeb_identities, 1): (0, 6, 2),
-        (reeb_identities, 2): (0, 104, 27),
+        (sl_contact_identity, 1): (1, 4, 1),
+        (sl_contact_identity, 2): (1, 80, 1),
+        (reeb_identities, 1): (0, 6, 1),
+        (reeb_identities, 2): (0, 104, 1),
     }
     for (fn, n), bound in bounds.items():
         counts[:] = [0, 0, 0]
