@@ -38,12 +38,28 @@ homogeneous of degree 2n.  Then (d omega)^q = 2^q sigma^q gives c =
 -q! 2^q 2n = -q! n 2^(2n^2).  `sl_contact_identity` expands the middle
 line with the generic wedge and reads c' = -2n off its one coefficient;
 the tests assert the closed form for n = 1, 2, 3, 4.
+
+The objects fixed by n are built once per n, each on its first use, by
+private caches keyed by the checked int n: omega; det, d(det) and the
+integral field 2n Z; sigma, kept only after d omega = 2 sigma is checked
+(None when it fails, so that check runs on the first use of each n);
+sigma^q/q!; and the pairings P_ij.  Each cache keeps the two most
+recently used n; a third n evicts the less recent one, which is rebuilt and
+checked again on its next use.  The four checks read these objects;
+every other step (the top-form expansion and its residual test, the
+Reeb pairings and the multiple test, the orthogonality and det
+preconditions, the pullback comparison) runs on every call.  No cached
+object is handed out: `rotation_pair_form`, `det_poly`, `sl_contact_data`
+and `singular_pairings` build fresh ones, whose dicts a caller may
+change.  n = 3 holds about 0.76 MB and n = 4 about 67 MB, nearly all of
+it det and d(det).  Every public function here reads n through
+`check_int(n, 1, "n")`, so 0, True or 1.0 raise ValueError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import combinations
 from math import factorial
 from typing import NamedTuple, Optional
@@ -59,12 +75,16 @@ from .polyforms import (
     poly_wedge,
     pullback_rows,
 )
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, check_int
+
+
+def matrix_vars(n: int):
+    """Variable names for the (2n) x (2n) matrix coordinates, row major."""
+    return _matrix_vars(check_int(n, 1, "n"))
 
 
 @cache
-def matrix_vars(n: int):
-    """Variable names for the (2n) x (2n) matrix coordinates, row major."""
+def _matrix_vars(n: int):
     m = 2 * n
     return tuple(f"x{i}_{j}" for i in range(1, m + 1) for j in range(1, m + 1))
 
@@ -75,6 +95,7 @@ def _vid(n, i, j):
 
 
 def coordinate(n, i, j) -> Poly:
+    n = check_int(n, 1, "n")
     return Poly.var_index(matrix_vars(n), _vid(n, i, j))
 
 
@@ -91,6 +112,7 @@ def det_poly(n: int) -> Poly:
     Folding the rows in order, the k-form after k rows holds each k x k
     minor of the first k rows once, on the columns that index it.
     """
+    n = check_int(n, 1, "n")
     m = 2 * n
     rows = [{(c,): coordinate(n, r, c) for c in range(1, m + 1)} for r in range(1, m + 1)]
     return reduce(exterior.wedge, rows)[tuple(range(1, m + 1))]
@@ -98,6 +120,7 @@ def det_poly(n: int) -> Poly:
 
 def rotation_pair_form(n: int) -> PolyForm:
     """omega = sum_j sum_i x_{j,2i-1} dx_{j,2i} - x_{j,2i} dx_{j,2i-1}."""
+    n = check_int(n, 1, "n")
     vars = matrix_vars(n)
     coeffs = {}
     for u, v in _column_pairs(n):
@@ -111,13 +134,6 @@ def _pair_form(n: int, c) -> PolyForm:
     vars = matrix_vars(n)
     c = Poly.constant(vars, c)
     return PolyForm(vars, 2, {pair: c for pair in _column_pairs(n)})
-
-
-def _half_d_omega(n: int, omega: PolyForm) -> Optional[PolyForm]:
-    """sigma, once d omega = 2 sigma is checked exactly; None if not."""
-    if exterior_d(omega) != _pair_form(n, 2):
-        return None
-    return _pair_form(n, ONE)
 
 
 def _integral_reeb(n: int, d_delta: PolyForm) -> tuple:
@@ -144,6 +160,7 @@ def reeb_candidate(n: int, d_delta: PolyForm) -> tuple:
     gives i(Z) d omega = -(1/n) d(det).  It is the integral field 2n Z
     scaled once; ``reeb_identities`` checks both identities on 2n Z.
     """
+    n = check_int(n, 1, "n")
     scale = Fraction(1, 2 * n)
     return tuple(c * scale for c in _integral_reeb(n, d_delta))
 
@@ -156,18 +173,57 @@ class SLContactData(NamedTuple):
     reeb: tuple  # the components of the Reeb-type field, one per variable
 
 
-def _contact_forms(n: int):
-    """(omega, det, d det): the contact data without the Reeb field."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    omega = rotation_pair_form(n)
+def _det_forms(n: int):
+    """(det, d det), fresh."""
     delta = det_poly(n)
-    return omega, delta, exterior_d(PolyForm.function(delta))
+    return delta, exterior_d(PolyForm.function(delta))
 
 
 def sl_contact_data(n: int) -> SLContactData:
-    omega, delta, d_delta = _contact_forms(n)
-    return SLContactData(n, omega, delta, d_delta, reeb_candidate(n, d_delta))
+    n = check_int(n, 1, "n")
+    delta, d_delta = _det_forms(n)
+    return SLContactData(n, rotation_pair_form(n), delta, d_delta, reeb_candidate(n, d_delta))
+
+
+# Two n, so that a caller alternating two sizes stays warm while a process
+# that has used n = 1, ..., 4 does not hold them all for its lifetime.
+_per_n = lru_cache(maxsize=2)
+
+
+@_per_n
+def _omega(n: int) -> PolyForm:
+    return rotation_pair_form(n)
+
+
+@_per_n
+def _det_data(n: int):
+    """(det, d det, the components of 2n Z)."""
+    delta, d_delta = _det_forms(n)
+    return delta, d_delta, _integral_reeb(n, d_delta)
+
+
+@_per_n
+def _sigma(n: int) -> Optional[PolyForm]:
+    """sigma, once d omega = 2 sigma is checked exactly; None if not."""
+    if exterior_d(_omega(n)) != _pair_form(n, 2):
+        return None
+    return _pair_form(n, ONE)
+
+
+@_per_n
+def _index_form(n: int) -> PolyForm:
+    """sigma^q/q!, q = 2n^2 - 1, when sigma is not None: the sum of the
+    q-subsets of the column pairs, each with coefficient 1."""
+    sigma = _sigma(n)
+    vars = sigma.vars
+    q = (len(vars) - 2) // 2
+    one = Poly.constant(vars, ONE)
+    return PolyForm(vars, 2 * q, {idx: one for idx, _ in _pair_subsets(sigma, q)})
+
+
+@_per_n
+def _pairings(n: int) -> dict:
+    return singular_pairings(n)
 
 
 def _scalar_multiple(target: PolyForm, unit: PolyForm):
@@ -237,15 +293,14 @@ def sl_contact_identity(n: int) -> ContactIdentity:
     coefficients +-1 by the generic wedge, reads c' off its one
     coefficient and reports c = q! 2^q c' (the proof in the module
     docstring).  The residual is None when d omega != 2 sigma."""
-    omega, delta, d_delta = _contact_forms(n)
+    n = check_int(n, 1, "n")
+    omega = _omega(n)
     vars = omega.vars
     q = (len(vars) - 2) // 2
-    sigma = _half_d_omega(n, omega)
-    if sigma is None:
+    if _sigma(n) is None:
         return ContactIdentity(False, q, None, None)
-    one = Poly.constant(vars, ONE)
-    power = PolyForm(vars, 2 * q, {idx: one for idx, _ in _pair_subsets(sigma, q)})
-    top = poly_wedge(poly_wedge(omega, power), d_delta)
+    delta, d_delta, _ = _det_data(n)
+    top = poly_wedge(poly_wedge(omega, _index_form(n)), d_delta)
     volume = tuple(range(len(vars)))
     c, residual = _scalar_multiple(top, PolyForm(vars, len(vars), {volume: delta}))
     if c and residual.is_zero:
@@ -256,6 +311,7 @@ def sl_contact_identity(n: int) -> ContactIdentity:
 def singular_pairings(n: int) -> dict:
     """P_{ij} = sum_{l=1}^{n} (x_{i,2l-1} x_{j,2l} - x_{i,2l} x_{j,2l-1}),
     one polynomial per pair i <= j (the diagonal ones vanish identically)."""
+    n = check_int(n, 1, "n")
     vars = matrix_vars(n)
     out = {}
     for i in range(1, 2 * n + 1):
@@ -270,9 +326,10 @@ def singular_pairings(n: int) -> dict:
 
 def evaluate_singular_equations(n: int, point) -> dict:
     """Evaluate every pairing polynomial at an exact matrix point."""
+    n = check_int(n, 1, "n")
     mat = square_matrix(point, 2 * n, "point")
     flat = [x for row in mat for x in row]
-    return {key: p.eval(flat) for key, p in singular_pairings(n).items()}
+    return {key: p.eval(flat) for key, p in _pairings(n).items()}
 
 
 class OrthogonalityError(ValueError):
@@ -284,6 +341,7 @@ def so_invariance_check(n: int, m) -> bool:
 
     Preconditions, checked: m^T m = identity exactly and det m = 1.
     """
+    n = check_int(n, 1, "n")
     size = 2 * n
     mat = square_matrix(m, size)
     if mat_mul(transpose(mat), mat) != identity(size):
@@ -293,7 +351,7 @@ def so_invariance_check(n: int, m) -> bool:
     # x_{jl} -> sum_r m_{jr} x_{rl}: the sparse rows of the (2n)^2 substitution
     support = [[(r, c) for r, c in enumerate(row, 1) if c] for row in mat]
     rows = [{_vid(n, r, l): c for r, c in row} for row in support for l in range(1, size + 1)]
-    omega = rotation_pair_form(n)
+    omega = _omega(n)
     return pullback_rows(omega, rows) == omega
 
 
@@ -312,6 +370,7 @@ def pythagorean_rotation(a: int, b: int):
 def block_rotation(n: int, blocks):
     """Block-diagonal orthogonal matrix from n 2x2 rotation blocks;
     ValueError unless there are exactly n blocks, each 2 x 2."""
+    n = check_int(n, 1, "n")
     blocks = [square_matrix(block, 2, "a rotation block") for block in blocks]
     if len(blocks) != n:
         raise ValueError(f"block_rotation({n}) needs {n} blocks, got {len(blocks)}")
@@ -333,10 +392,11 @@ def reeb_identities(n: int):
     Then omega(Z) - det is (omega(W) - 2n det) / 2n and c = c' / n, each
     scaled once at the end.  c is None unless d omega = 2 sigma and
     i(W) sigma is a multiple of d(det)."""
-    omega, delta, d_delta = _contact_forms(n)
-    field = _integral_reeb(n, d_delta)
+    n = check_int(n, 1, "n")
+    omega = _omega(n)
+    delta, d_delta, field = _det_data(n)
     pair_defect = (form_on_field(omega, field) + delta * (-2 * n)) * Fraction(1, 2 * n)
-    sigma = _half_d_omega(n, omega)
+    sigma = _sigma(n)
     if sigma is None:
         return pair_defect, None
     c, defect = _scalar_multiple(poly_interior(field, sigma), d_delta)

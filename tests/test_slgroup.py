@@ -1,3 +1,5 @@
+import inspect
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,7 +8,7 @@ from math import factorial
 
 import pytest
 
-from cartanlab import slgroup
+from cartanlab import cli, slgroup
 from cartanlab.linalg import as_matrix, det, mat_mul, nullspace, sparse_rows
 from cartanlab.poly import Poly
 from cartanlab.polyforms import (
@@ -36,6 +38,22 @@ from cartanlab.slgroup import (
     so_invariance_check,
     two_form_pair_power,
 )
+
+
+def _clear_caches():
+    for obj in vars(slgroup).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Each test starts from empty per-n caches and leaves none behind: the
+    count guards and the planted-defect tests measure a cold build, and no
+    verdict built under a planted defect outlives its patch."""
+    _clear_caches()
+    yield
+    _clear_caches()
 
 
 def closed_form_constant(n):
@@ -351,6 +369,7 @@ def test_sl_checks_scalar_op_counts(monkeypatch):
         (reeb_identities, 2): (0, 104, 1),
     }
     for (fn, n), bound in bounds.items():
+        _clear_caches()
         counts[:] = [0, 0, 0]
         fn(n)
         assert all(x <= y for x, y in zip(counts, bound)), (fn.__name__, n, counts)
@@ -402,3 +421,173 @@ def test_the_reeb_check_refuses_a_non_multiple_of_d_det(monkeypatch):
     _plant(monkeypatch, "poly_interior", 1, (0,))
     pair_defect, multiple = reeb_identities(1)
     assert pair_defect.is_zero and multiple is None
+
+
+ROTATION = pythagorean_rotation(2, 1)
+
+# every public slgroup function that takes n, called with that n
+N_CALLS = {
+    "matrix_vars": matrix_vars,
+    "coordinate": lambda n: coordinate(n, 1, 1),
+    "det_poly": det_poly,
+    "rotation_pair_form": rotation_pair_form,
+    "reeb_candidate": lambda n: reeb_candidate(n, sl_contact_data(1).d_delta),
+    "sl_contact_data": sl_contact_data,
+    "sl_contact_identity": sl_contact_identity,
+    "singular_pairings": singular_pairings,
+    "evaluate_singular_equations": lambda n: evaluate_singular_equations(n, ((1, 0), (0, 1))),
+    "so_invariance_check": lambda n: so_invariance_check(n, ROTATION),
+    "block_rotation": lambda n: block_rotation(n, [ROTATION]),
+    "reeb_identities": reeb_identities,
+}
+
+
+def test_the_n_table_names_every_public_function_of_n():
+    taking_n = {
+        name
+        for name, fn in vars(slgroup).items()
+        if inspect.isfunction(fn) and not name.startswith("_") and fn.__module__ == slgroup.__name__
+        and "n" in inspect.signature(fn).parameters
+    }
+    assert taking_n == N_CALLS.keys()
+
+
+@pytest.mark.parametrize("name", sorted(N_CALLS))
+def test_every_function_of_n_reads_n_by_one_rule(name):
+    # n = 1 first, so that a cached n = 1 is there for True or 1.0 to alias
+    N_CALLS[name](1)
+    for bad in (0, -1, True, False, 1.0, "1", None):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            N_CALLS[name](bad)
+
+
+def _checks(n):
+    """The four checks on n, each with fixed inputs."""
+    m = block_rotation(n, [pythagorean_rotation(a, 1) for a in range(2, n + 2)])
+    point = [[Fraction(i * i - j, j + 2) for j in range(2 * n)] for i in range(2 * n)]
+    return (
+        lambda: sl_contact_identity(n),
+        lambda: reeb_identities(n),
+        lambda: so_invariance_check(n, m),
+        lambda: evaluate_singular_equations(n, point),
+    )
+
+
+def _verdicts(n):
+    return tuple(check() for check in _checks(n))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_warm_verdicts_equal_cold_verdicts(n):
+    cold = []
+    for check in _checks(n):
+        _clear_caches()
+        cold.append(check())
+    assert cold[0].ok and cold[1][0].is_zero and cold[1][1] == Scalar(Fraction(-1, n)) and cold[2]
+    assert _verdicts(n) == _verdicts(n) == tuple(cold)
+
+
+def _dicts(obj, seen):
+    """Every dict reachable from obj through tuples, lists, dicts, Poly
+    terms and PolyForm coefficients, each once."""
+    if id(obj) in seen:
+        return
+    seen[id(obj)] = obj
+    if isinstance(obj, Poly):
+        _dicts(obj.terms, seen)
+    elif isinstance(obj, PolyForm):
+        _dicts(obj.coeffs, seen)
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            _dicts(value, seen)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _dicts(item, seen)
+
+
+def _spoil(obj):
+    """Empty every dict reachable from obj, then give each a junk entry."""
+    seen = {}
+    _dicts(obj, seen)
+    owners = [(o, o.terms) for o in seen.values() if isinstance(o, Poly)]
+    owners += [(o, o.coeffs) for o in seen.values() if isinstance(o, PolyForm)]
+    owned = {id(d) for _, d in owners}
+    plain = [d for d in seen.values() if isinstance(d, dict) and id(d) not in owned]
+    for o, d in owners:
+        d.clear()
+        if isinstance(o, Poly):
+            d[0] = ONE
+        else:
+            d[tuple(range(o.grade))] = Poly.constant(o.vars, ONE)
+    for d in plain:
+        d.clear()
+        d["junk"] = ONE
+    return len(owners) + len(plain)
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_no_mutation_of_a_returned_object_reaches_a_cached_verdict(n):
+    def everything():
+        return (
+            sl_contact_data(n),
+            singular_pairings(n),
+            rotation_pair_form(n),
+            det_poly(n),
+            _verdicts(n),
+        )
+
+    # built on caches that are then dropped, so nothing of it is shared
+    expected = everything()
+    _clear_caches()
+    everything()
+    assert _spoil(everything()) > 20
+    assert everything() == expected
+
+
+def _count_det_builds(monkeypatch, run):
+    calls = []
+
+    def counted(n, build=slgroup.det_poly):
+        calls.append(n)
+        return build(n)
+
+    monkeypatch.setattr(slgroup, "det_poly", counted)
+    run()
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_det_is_built_once_per_n(monkeypatch):
+    assert _count_det_builds(monkeypatch, lambda: sl_contact_identity(2)) == 1
+    assert _count_det_builds(monkeypatch, lambda: sl_contact_identity(2)) == 0
+    assert _count_det_builds(monkeypatch, lambda: reeb_identities(2)) == 0
+    _clear_caches()
+    assert _count_det_builds(monkeypatch, lambda: reeb_identities(2)) == 1
+    assert _count_det_builds(monkeypatch, lambda: reeb_identities(2)) == 0
+    assert _count_det_builds(monkeypatch, lambda: sl_contact_identity(2)) == 0
+    # the public builders still build a fresh det on every call
+    assert _count_det_builds(monkeypatch, lambda: sl_contact_data(2)) == 1
+
+
+def test_the_caches_keep_the_two_most_recent_n(monkeypatch):
+    for n in (1, 2, 3):
+        assert _count_det_builds(monkeypatch, lambda: sl_contact_identity(n)) == 1
+    assert _count_det_builds(monkeypatch, lambda: reeb_identities(3)) == 0
+    assert _count_det_builds(monkeypatch, lambda: reeb_identities(2)) == 0
+    # n = 1 was evicted: rebuilt on its next use, sigma with it
+    misses = slgroup._sigma.cache_info().misses
+    assert _count_det_builds(monkeypatch, lambda: sl_contact_identity(1)) == 1
+    assert slgroup._sigma.cache_info().misses == misses + 1
+    assert _count_det_builds(monkeypatch, lambda: sl_contact_identity(1)) == 0
+
+
+def test_a_one_shot_cli_call_builds_no_det_it_does_not_need(monkeypatch, capsys, tmp_path):
+    rotation = block_rotation(4, [ROTATION] * 4)
+    matrix = tmp_path / "rotation.json"
+    matrix.write_text(json.dumps([[str(x) for x in row] for row in rotation]))
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps([[str(i + j) for j in range(8)] for i in range(8)]))
+    for mode, path in (("--invariance", matrix), ("--singular", point)):
+        argv, codes = ["sl", "--n", "4", mode, str(path)], []
+        assert _count_det_builds(monkeypatch, lambda: codes.append(cli.main(argv))) == 0
+        assert codes == [0], capsys.readouterr().err
