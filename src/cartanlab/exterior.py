@@ -111,10 +111,6 @@ def add_scaled(out: dict, terms: dict, u, s=1):
         accumulate(out, key, u * v, s)
 
 
-def negate(a: dict) -> dict:
-    return {idx: -v for idx, v in a.items()}
-
-
 def scale(a: dict, s) -> dict:
     if not s:
         return {}

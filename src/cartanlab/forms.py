@@ -74,7 +74,7 @@ class DualForm:
         return self.__add__(other, -1)
 
     def __neg__(self):
-        return DualForm(self.algebra, self.grade, exterior.negate(self.coeffs))
+        return DualForm(self.algebra, self.grade, {idx: -v for idx, v in self.coeffs.items()})
 
     def __eq__(self, other):
         return (

@@ -198,9 +198,6 @@ class Subspace:
             and self.rows == other.rows
         )
 
-    def __hash__(self):
-        return hash(self.rows)
-
     def __repr__(self):
         return f"Subspace(dim={self.dim})"
 

@@ -249,12 +249,6 @@ class Poly:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_constant(self):
-        return not any(self.terms)
-
-    def constant_value(self) -> Scalar:
-        return self.terms.get(0, ZERO)
-
     def degree_in(self, i):
         shift = _shift(len(self.vars), i)
         if not self.terms:
@@ -330,13 +324,6 @@ class Poly:
             and self.vars == other.vars
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        # a constant equals its Scalar (and int or Fraction), so it hashes
-        # as that Scalar does
-        if self.is_constant():
-            return hash(self.constant_value())
-        return hash((self.vars, frozenset(self.terms.items())))
 
     # -- calculus -----------------------------------------------------------
 

@@ -213,18 +213,8 @@ class Scalar:
             (self.im * other.re - self.re * other.im) / n,
         )
 
-    def __rtruediv__(self, other):
-        try:
-            return Scalar.of(other) / self
-        except TypeError:
-            return NotImplemented
-
     def __pow__(self, k: int):
         return power(self, k, ONE)
-
-    def norm(self) -> Fraction:
-        """re^2 + im^2, a rational."""
-        return self.re * self.re + self.im * self.im
 
     # -- comparison / hashing -------------------------------------------
 

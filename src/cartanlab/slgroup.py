@@ -53,7 +53,9 @@ object is handed out: `rotation_pair_form`, `det_poly`, `sl_contact_data`
 and `singular_pairings` build fresh ones, whose dicts a caller may
 change.  n = 3 holds about 0.76 MB and n = 4 about 67 MB, nearly all of
 it det and d(det).  Every public function here reads n through
-`check_int(n, 1, "n")`, so 0, True or 1.0 raise ValueError.
+`check_int(n, 1, "n")`, so 0, True or 1.0 raise ValueError; `coordinate`
+reads i and j in 1..2n by the same rule, and `reeb_candidate` takes only
+a 1-form over the variables of its n.
 """
 
 from __future__ import annotations
@@ -95,7 +97,11 @@ def _vid(n, i, j):
 
 
 def coordinate(n, i, j) -> Poly:
+    """x_{ij}; ValueError unless i and j are ints in 1..2n."""
     n = check_int(n, 1, "n")
+    for what, k in (("i", i), ("j", j)):
+        if check_int(k, 1, what) > 2 * n:
+            raise ValueError(f"{what} must be at most 2n = {2 * n}, not {k}")
     return Poly.var_index(matrix_vars(n), _vid(n, i, j))
 
 
@@ -159,8 +165,11 @@ def reeb_candidate(n: int, d_delta: PolyForm) -> tuple:
     omega(Z) = (1/2n) sum_{j,l} x_{jl} D_{jl} = det; and d omega = 2 sigma
     gives i(Z) d omega = -(1/n) d(det).  It is the integral field 2n Z
     scaled once; ``reeb_identities`` checks both identities on 2n Z.
+    ValueError unless ``d_delta`` is a 1-form over ``matrix_vars(n)``.
     """
     n = check_int(n, 1, "n")
+    if not isinstance(d_delta, PolyForm) or d_delta.grade != 1 or d_delta.vars != matrix_vars(n):
+        raise ValueError(f"d_delta must be a 1-form over matrix_vars({n})")
     scale = Fraction(1, 2 * n)
     return tuple(c * scale for c in _integral_reeb(n, d_delta))
 
@@ -264,7 +273,7 @@ def two_form_pair_power(domega: PolyForm, q: int) -> PolyForm:
     in the tests against the generic wedge loop.
     """
     for p in domega.coeffs.values():
-        if not p.is_constant():
+        if any(p.terms):
             raise ValueError("fast power path needs constant coefficients")
     vars = domega.vars
     fact = Scalar(factorial(q))
@@ -272,7 +281,7 @@ def two_form_pair_power(domega: PolyForm, q: int) -> PolyForm:
     for idx, coeffs in _pair_subsets(domega, q):
         c = fact
         for p in coeffs:
-            c = c * p.constant_value()
+            c = c * p.terms.get(0, ZERO)
         out[idx] = Poly.constant(vars, c)
     return PolyForm(vars, 2 * q, out)
 

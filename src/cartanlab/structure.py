@@ -142,13 +142,6 @@ class LowerCentralSeries(NamedTuple):
     terms: tuple  # (C^1, C^2, ...) down to stabilization or zero
     nilindex: Optional[int]  # smallest k with C^k = 0, None when not nilpotent
 
-    @property
-    def nilpotent(self):
-        return self.nilindex is not None
-
-    def filiform(self, g: LieAlgebra) -> bool:
-        return self.nilindex == g.dim - 1
-
 
 def lower_central_series(g: LieAlgebra) -> LowerCentralSeries:
     """C^1 = [g,g], C^{k+1} = [g, C^k]; detects non-nilpotency by stabilization.

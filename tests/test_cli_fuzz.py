@@ -215,7 +215,21 @@ FIXED = [
     # an exponent, like an integer catalog parameter, may be any rational
     # with denominator 1
     (["contract", "--catalog", "heisenberg:p=1", "--exponents", "4/2,0,1"], 0),
+    # refusals past the parser: a reflection is orthogonal with determinant
+    # -1, a singular change of basis, a seed that is not an integer and a
+    # command with no algebra
+    (["sl", "--n", "1", "--invariance", "{reflection}"], 2),
+    (["contract", "--catalog", "heisenberg:p=1", "--exponents", "1,1,2", "--basis", "{singular}"], 2),
+    (["--seed", "x", "class", "--catalog", "heisenberg:p=1", "--form", "0,0,1"], 2),
+    (["class", "--form", "0,0,1"], 1),
 ]
+# the error a case must print, by its argv as FIXED writes it
+MESSAGES = {
+    ("sl", "--n", "1", "--invariance", "{reflection}"): "determinant 1",
+    ("contract", "--catalog", "heisenberg:p=1", "--exponents", "1,1,2", "--basis", "{singular}"): "matrix is singular",
+    ("--seed", "x", "class", "--catalog", "heisenberg:p=1", "--form", "0,0,1"): "--seed must be an integer",
+    ("class", "--form", "0,0,1"): "need --algebra FILE or --catalog ID",
+}
 REPEATED_TARGET = {"dim": 3, "brackets": [
     {"i": 1, "j": 2, "terms": [{"k": 3, "re": "1"}, {"k": 3, "re": "5"}]}]}
 # the input files that FIXED names by placeholder
@@ -225,6 +239,8 @@ FILES = {
     "{huge_cell}": [["1e100000000", "0"], ["0", "1"]],
     "{decimal_cell}": [["0.5", "0"], ["0", "1"]],
     "{decimal_re}": [[{"re": "0.5"}, "0"], ["0", "1"]],
+    "{reflection}": [["1", "0"], ["0", "-1"]],
+    "{singular}": [["1", "2", "0"], ["2", "4", "0"], ["0", "0", "1"]],
 }
 
 
@@ -242,6 +258,7 @@ def test_cli_fixed_malformed_inputs(argv, code, capsys, tmp_path):
     for i, (name, content) in enumerate(FILES.items()):
         paths[name] = tmp_path / f"input{i}.json"
         paths[name].write_text(json.dumps(content), encoding="utf-8")
+    message = MESSAGES.get(tuple(argv), "")
     argv = [str(paths[a]) if a in paths else a for a in argv]
     start = time.perf_counter()
     assert _exit_code(argv) == code
@@ -249,7 +266,7 @@ def test_cli_fixed_malformed_inputs(argv, code, capsys, tmp_path):
         # malformed input is refused before anything is built from it
         assert time.perf_counter() - start < 1.0
     out, err = capsys.readouterr()
-    assert "Traceback" not in err
+    assert "Traceback" not in err and message in err
     if "--catalog" in argv and code == 1:
         assert "cannot resolve catalog id" in err
     if "frobenius:p=2,a=[1,]" in argv:

@@ -150,6 +150,10 @@ def test_subspace_rows_need_one_entry_per_dimension():
     line = Subspace(h3, [[1, 0, 0]])
     assert line.contains((2, 0, 0))
     assert not line.contains((1, 0, 5))
+    # equal spans are equal; a Subspace's slots can be reassigned, so it has no hash
+    assert line == Subspace(h3, [[3, 0, 0]])
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(line)
 
 
 def test_graded_commutativity_random():

@@ -1,10 +1,19 @@
 """Every function, class and method of the package is used by the system.
 
-A name counts as used when code in the package, the demos or the
-benchmark uses it: as a name, an attribute, an import outside the
-package, a keyword argument, or a string constant that is an identifier
-or a dotted identifier (the benchmark's tracer lists the functions it
-wraps as strings such as "LieAlgebra.bracket").  Four kinds of
+Two checks judge this, and one allowlist, `TEST_ONLY`, serves both.
+
+The call check runs `reachability_drive.py` in a subprocess: under a
+`sys.setprofile` hook it runs the demos, the README commands, each
+`check` suite and one pass plus the probes of each benchmark workload,
+and prints each top-level function and method of the package (dunders
+included, `__repr__` and nested functions not) that no call reached.
+Every one it prints needs an entry.  A call is a reference, not a word:
+the check sees a dunder that nothing invokes, a method that shares its
+name with a called one, and a function that only a string names.
+
+The name check reads source.  A name counts as used when code in the
+package, the demos or the benchmark uses it: as a name, an attribute, an
+import outside the package or a keyword argument.  Four kinds of
 occurrence do not count:
 
 - one inside the definition it names, a class's own methods included,
@@ -14,23 +23,23 @@ occurrence do not count:
 - one inside the body of a `TEST_ONLY` or a dead definition, repeated
   until no new dead name turns up, so code that only test-only code
   calls is caught too;
-- a word inside a string constant that is not one whole (dotted)
-  identifier, so prose in a message keeps nothing alive.
+- any string constant, so neither prose nor the benchmark tracer's table
+  of function names keeps anything alive.
 
 The package's `__init__.py` does not count, so a re-export alone keeps
 nothing alive, and neither do the tests, so a wrapper that only tests
-call is caught.  Docstrings and comments do not count either.  The check
-reads names, not references: it cannot see dunder methods, nor a method
-that shares its name with a used one.
+call is caught.  It judges the classes, which the call check does not,
+and the non-dunder functions and methods a second time, by name.
 
-A name that only the tests reach stays only with an entry in `TEST_ONLY`
-that says why.  An entry goes stale, and fails the check, when the
-package no longer defines the name, when the package, a demo or the
-benchmark uses it after all, or when no test names it either.
+`TEST_ONLY` is keyed by module and qualified name (`forms.wedge`,
+`scalars.Scalar.__rsub__`) and says why only tests, or no drive, reach
+each entry.  An entry goes stale, and fails the check, when the package
+no longer defines it, when the drive calls it, or when no test names a
+public one.
 
-A second check reads imports: no module of the package (its re-exporting
+A third check reads imports: no module of the package (its re-exporting
 `__init__.py` aside), the demos or the tests imports a name that it never
-reads.  A third reads record fields: code in the package, the demos, the
+reads.  A fourth reads record fields: code in the package, the demos, the
 benchmark or the tests reads every field of a package record as `.field`,
 so a field that is only ever written is caught.  A record is a class
 built on `NamedTuple` (its annotated names), on a `namedtuple` base (the
@@ -39,33 +48,52 @@ returned value, so a test that reads it counts.
 """
 
 import ast
+import functools
 import importlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from reachability_drive import calls, functions, uncalled
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cartanlab"
+DRIVE = Path(__file__).with_name("reachability_drive.py")
 USERS = ("src", "demos", "perfbench")
-SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 TEST_ONLY = {
-    "psi_cocycles": "the diagonal 2-cocycles whose sums rebuild the frobenius models in acceptance criterion 08",
-    "bracket_compatible_dimension": "the closed form p(2p+1) that acceptance criterion 07 asserts",
-    "bracket_compatible_endomorphisms": "the basis that bracket_compatible_dimension counts, checked by the structure tests",
-    "wedge_power_class": "the wedge-power reference route that skew_reduce is checked against",
-    "poly_wedge_power": "the generic wedge-power reference that two_form_pair_power is checked against",
-    "solve": "the linear solve of normalize_linear_deformation, checked by the linalg tests",
-    "circle_product": "paper notion: the circle product of two 2-cochains",
-    "bullet_product": "paper notion: the bullet product psi1(psi2(X, Y), Z)",
-    "coboundary_of_map": "paper notion: the coboundary df of an endomorphism",
-    "coboundary_of_bilinear": "paper notion: the adjoint-valued coboundary of a 2-cochain",
-    "normalize_linear_deformation": "paper notion: a linear deformation normalized off the center",
-    "endomorphism_of": "paper notion: the endomorphism f that phi_2 encodes",
-    "interior_product": "paper notion: the interior product i(X) on the Lie coalgebra",
-    "diagonal_derivations": "paper notion: the diagonal derivations of a Lie algebra",
+    "catalog.psi_cocycles": "the diagonal 2-cocycles whose sums rebuild the frobenius models in acceptance criterion 08",
+    "structure.bracket_compatible_dimension": "the closed form p(2p+1) that acceptance criterion 07 asserts",
+    "structure.bracket_compatible_endomorphisms": "the basis that bracket_compatible_dimension counts, checked by the structure tests",
+    "forms.wedge_power_class": "the wedge-power reference route that skew_reduce is checked against",
+    "polyforms.poly_wedge_power": "the generic wedge-power reference that two_form_pair_power is checked against",
+    "linalg.solve": "the linear solve of normalize_linear_deformation, checked by the linalg tests",
+    "deformation.circle_product": "paper notion: the circle product of two 2-cochains",
+    "deformation.bullet_product": "paper notion: the bullet product psi1(psi2(X, Y), Z)",
+    "deformation.coboundary_of_map": "paper notion: the coboundary df of an endomorphism",
+    "deformation.coboundary_of_bilinear": "paper notion: the adjoint-valued coboundary of a 2-cochain",
+    "deformation.normalize_linear_deformation": "paper notion: a linear deformation normalized off the center",
+    "deformation.endomorphism_of": "paper notion: the endomorphism f that phi_2 encodes",
+    "forms.interior_product": "paper notion: the interior product i(X) on the Lie coalgebra",
+    "structure.diagonal_derivations": "paper notion: the diagonal derivations of a Lie algebra",
+    "forms.wedge": "the DualForm wedge product that the wedge-power reference and the form tests compute with",
+    "slgroup.two_form_pair_power": "the pair-combinatorial route to (d omega)^q, checked against the generic wedge loop",
+    "forms.DualForm.__add__": "form sums of the form-identity tests",
+    "forms.DualForm.__sub__": "form differences of the form-identity tests",
+    "forms.DualForm.__neg__": "form negation of the form-identity tests",
+    "forms.DualForm.__eq__": "form equality, which the form-identity tests assert",
+    "forms.DualForm._check": "the algebra and grade check of a form sum or difference",
+    "polyforms.PolyForm.__sub__": "the residual of a failing SL(2n) identity, which the planted-defect tests read",
+    "scalars.Scalar.__rsub__": "int - Scalar: upoly.sub pads with int 0 and Subspace.contains takes int coordinates",
+    "poly.Poly.__rsub__": "number - Poly, as acceptance criterion 11 writes 1 - u * u",
+    "spectrum.SpectrumResult.contains": "eigenvalue membership, which acceptance criterion 08 asserts",
+    "scalars.Scalar.__setattr__": "the refusal to mutate a Scalar",
+    "liealg.LieAlgebra.__delattr__": "the refusal to delete a LieAlgebra attribute",
 }
 
 
@@ -82,33 +110,21 @@ def _members(tree):
 
 
 def _definitions(package):
-    """(qualified name, path, line) of every non-dunder top-level function,
-    class and method in the package directory."""
+    """(key, name, path, line) of every non-dunder top-level function,
+    class and method in the package directory; the key is module and
+    qualified name, as in `TEST_ONLY`."""
     for path in sorted(package.glob("*.py")):
         for qualname, node in _members(ast.parse(path.read_text(encoding="utf-8"))):
             if not (node.name.startswith("__") and node.name.endswith("__")):
-                yield qualname, path, node.lineno
+                yield f"{path.stem}.{qualname}", node.name, path, node.lineno
 
 
-def _named(s):
-    """The parts of a string that is an identifier or a dotted identifier,
-    else nothing."""
-    parts = s.split(".")
-    return parts if all(p.isidentifier() for p in parts) else []
-
-
-def _uses(tree, in_package):
-    """(name, enclosing) for every name the code of one parsed file uses,
-    docstrings left out.  In a package file, enclosing is the set of names
-    of the package definitions around the use and imports are left out;
-    elsewhere it is empty."""
-    docstrings = set()
-    for scope in ast.walk(tree):
-        if isinstance(scope, SCOPES) and scope.body:
-            first = scope.body[0]
-            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
-                docstrings.add(id(first.value))
-    scopes = {id(node): node.name for _, node in _members(tree)} if in_package else {}
+def _uses(tree, module=None):
+    """(name, around) for every name the code of one parsed file uses.  In
+    a package file, of the given module, around is the set of keys of the
+    package definitions around the use and imports are left out; elsewhere
+    it is empty."""
+    scopes = {id(node): f"{module}.{qualname}" for qualname, node in _members(tree)} if module else {}
     stack = [(tree, frozenset())]
     while stack:
         node, around = stack.pop()
@@ -116,19 +132,12 @@ def _uses(tree, in_package):
             yield node.id, around
         elif isinstance(node, ast.Attribute):
             yield node.attr, around
-        elif isinstance(node, ast.alias) and not in_package:
+        elif isinstance(node, ast.alias) and not module:
             for name in (*node.name.split("."), node.asname):
                 if name:
                     yield name, around
         elif isinstance(node, ast.keyword) and node.arg:
             yield node.arg, around
-        elif (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and id(node) not in docstrings
-        ):
-            for name in _named(node.value):
-                yield name, around
         if id(node) in scopes:
             around = around | {scopes[id(node)]}
         stack.extend((child, around) for child in ast.iter_child_nodes(node))
@@ -137,19 +146,23 @@ def _uses(tree, in_package):
 def _parsed_uses(paths, package=None):
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        yield from _uses(tree, package is not None and path.parent == package)
+        yield from _uses(tree, path.stem if package is not None and path.parent == package else None)
 
 
 def _used_by_system(root, package, test_only=TEST_ONLY):
     """Counter of the names the package, demos and benchmark under root use,
     by the four rules of the module docstring."""
     paths = [p for top in USERS for p in (root / top).rglob("*.py") if p != package / "__init__.py"]
-    uses = list(_parsed_uses(paths, package))
-    defined = {qualname.rsplit(".", 1)[-1] for qualname, _, _ in _definitions(package)}
+    uses = [
+        (name, around)
+        for name, around in _parsed_uses(paths, package)
+        if name not in {key.rsplit(".", 1)[1] for key in around}
+    ]
+    keys = {(key, name) for key, name, _, _ in _definitions(package)}
     idle = set(test_only)
     while True:
-        used = Counter(name for name, around in uses if name not in around and not around & idle)
-        dead = defined - used.keys() - idle
+        used = Counter(name for name, around in uses if not around & idle)
+        dead = {key for key, name in keys if not used[name]} - idle
         if not dead:
             return used
         idle |= dead
@@ -158,9 +171,9 @@ def _used_by_system(root, package, test_only=TEST_ONLY):
 def _dead(root, package, test_only=TEST_ONLY):
     used = _used_by_system(root, package, test_only)
     return [
-        f"{path.relative_to(root)}:{lineno} {qualname}"
-        for qualname, path, lineno in _definitions(package)
-        if not used[name := qualname.rsplit(".", 1)[-1]] and name not in test_only
+        f"{path.relative_to(root)}:{lineno} {key.split('.', 1)[1]}"
+        for key, name, path, lineno in _definitions(package)
+        if not used[name] and key not in test_only
     ]
 
 
@@ -169,21 +182,83 @@ def test_every_definition_is_referenced():
     assert not dead, "defined but used only by tests, or not at all:\n" + "\n".join(dead)
 
 
+@functools.cache
+def _drive_uncalled():
+    """The drive's `file:line name` lines: the package functions it never
+    called."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-B", str(DRIVE)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def _key(line):
+    """The `TEST_ONLY` key of a `file:line name` line."""
+    place, name = line.split()
+    return f"{Path(place.split(':')[0]).stem}.{name}"
+
+
+def test_every_function_is_called():
+    missed = [line for line in _drive_uncalled() if _key(line) not in TEST_ONLY]
+    assert not missed, "called by no drive of the system and not in TEST_ONLY:\n" + "\n".join(missed)
+
+
 def test_test_only_entries_are_current():
-    defined = {qualname.rsplit(".", 1)[-1] for qualname, _, _ in _definitions(PACKAGE)}
-    used = _used_by_system(ROOT, PACKAGE)
+    judged = {f"{path.stem}.{name}" for path, _, _, name in functions(PACKAGE)}
+    defined = judged | {key for key, _, _, _ in _definitions(PACKAGE)}
+    called = judged - {_key(line) for line in _drive_uncalled()}
     tested = Counter(name for name, _ in _parsed_uses((ROOT / "tests").rglob("*.py")))
     stale = sorted(
-        f"{name}: {why}"
-        for name in TEST_ONLY
+        f"{key}: {why}"
+        for key in TEST_ONLY
+        for name in [key.rsplit(".", 1)[1]]
         for why, bad in (
-            ("not defined", name not in defined),
-            ("used outside the tests", used[name]),
-            ("named by no test", not tested[name]),
+            ("not defined", key not in defined),
+            ("called by the drive", key in called),
+            ("named by no test", not name.startswith("_") and not tested[name]),
         )
         if bad
     )
     assert not stale, "stale TEST_ONLY entries:\n" + "\n".join(stale)
+
+
+def test_the_call_check_reports_what_no_call_reaches(tmp_path, monkeypatch):
+    package = tmp_path / "reach_pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "core.py").write_text(
+        "NAMES = ('by_string',)\n"
+        "def called():\n"
+        "    return Used().size()\n"
+        "def uncalled():\n"
+        "    return called()\n"
+        "class Used:\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "    def __hash__(self):\n"
+        "        return 0\n"
+        "    def __repr__(self):\n"
+        "        return 'Used()'\n"
+        "class Twin:\n"
+        "    def size(self):\n"
+        "        return 2\n"
+        "def by_string():\n"
+        "    pass\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+
+    def run():
+        importlib.import_module("reach_pkg.core").called()
+
+    assert uncalled(calls(run), package, tmp_path) == [
+        "reach_pkg/core.py:4 uncalled",
+        "reach_pkg/core.py:9 Used.__hash__",
+        "reach_pkg/core.py:14 Twin.size",
+        "reach_pkg/core.py:16 by_string",
+    ]
 
 
 def _named_as(node):
@@ -342,21 +417,18 @@ def test_the_check_counts_uses_not_words(tmp_path):
         "    return x\n"
         "def prose():\n"
         "    raise ValueError('no prose_only here')\n"
-        "def by_string():\n"
-        "    return 'tracer.traced'\n"
     )
     (package / "util.py").write_text(
         "def import_only(): pass\n"
         "def init_only(): pass\n"
         "def prose_only(): pass\n"
         "def names_in_docstring(): pass\n"
-        "def traced(): pass\n"
-        "def live(): return by_string(), prose(), live_helper()\n"
+        "def live(): return prose(), live_helper()\n"
         "def live_helper(): pass\n"
     )
     (tmp_path / "demos").mkdir()
     (tmp_path / "demos" / "demo.py").write_text("from pkg.util import live\nlive()\n")
-    dead = {entry.split()[-1] for entry in _dead(tmp_path, package, {"reference"})}
+    dead = {entry.split()[-1] for entry in _dead(tmp_path, package, {"core.reference"})}
     assert dead == {
         "self_only",
         "Owner",

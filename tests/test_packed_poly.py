@@ -241,22 +241,24 @@ def test_an_exponent_at_the_field_limit_is_kept_and_one_more_step_raises():
             Poly(vars, {bad: 1})
 
 
-# -- hashing ------------------------------------------------------------------------
+# -- equality -----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("c", [3, -1, Fraction(-2, 7), Scalar(1, 2), Scalar(0, -1), 0])
-def test_a_constant_poly_hashes_as_the_scalar_it_equals(c):
+def test_a_constant_poly_equals_its_scalar_and_is_unhashable(c):
+    # a Poly is mutable (slgroup hands out fresh ones whose dicts a caller
+    # may change), so it has no hash for a cache or a set to rely on
     for vars in ((), ("x",), ("x", "y", "z")):
         p = Poly.constant(vars, c)
-        assert p == c and hash(p) == hash(c) == hash(Scalar.of(c))
-        assert {p: 1}.get(c) == 1 and {c: 1}.get(p) == 1
-    assert hash(Poly.zero(("x",))) == hash(0) and {Poly.zero(("x",)): 1}.get(0) == 1
+        assert p == c and c == p and p == Scalar.of(c)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(p)
 
 
-def test_equal_polys_hash_equal_whatever_the_order_of_their_terms():
+def test_equal_polys_are_equal_whatever_the_order_of_their_terms():
     vars = ("x", "y")
     x, y = (Poly.var_index(vars, i) for i in range(2))
     a = x * x + Scalar(0, 3) * y + 1
     b = 1 + (y * Scalar(0, 3) + x * x)
-    assert a == b and hash(a) == hash(b)
+    assert a == b and b == a
     assert list(a.terms) != list(b.terms)

@@ -27,7 +27,6 @@ def test_gaussian_multiplication():
     assert I * I == -1
     z = Scalar(1, 2) * Scalar(3, -1)
     assert z == Scalar(5, 5)
-    assert Scalar(3, 4).norm() == 25
 
 
 def test_division_and_zero():

@@ -461,6 +461,28 @@ def test_every_function_of_n_reads_n_by_one_rule(name):
             N_CALLS[name](bad)
 
 
+@pytest.mark.parametrize("n", (1, 2))
+def test_coordinate_reads_i_and_j_in_one_to_2n(n):
+    # 0 used to wrap round to the last row or column
+    m = 2 * n
+    assert coordinate(n, m, m) == Poly.var_index(matrix_vars(n), m * m - 1)
+    for bad in (0, m + 1, True, 1.0):
+        for i, j in ((bad, 1), (1, bad)):
+            with pytest.raises(ValueError, match="must be"):
+                coordinate(n, i, j)
+
+
+def test_reeb_candidate_refuses_anything_but_a_1_form_over_its_variables():
+    # a d(det) of another n used to give a field over mixed variables
+    data = sl_contact_data(1)
+    for bad in (sl_contact_data(2).d_delta, exterior_d(data.omega), data.delta):
+        with pytest.raises(ValueError, match="1-form over"):
+            reeb_candidate(1, bad)
+    with pytest.raises(ValueError, match="1-form over"):
+        reeb_candidate(2, data.d_delta)
+    assert reeb_candidate(1, data.d_delta) == data.reeb
+
+
 def _checks(n):
     """The four checks on n, each with fixed inputs."""
     m = block_rotation(n, [pythagorean_rotation(a, 1) for a in range(2, n + 2)])
